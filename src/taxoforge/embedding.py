@@ -27,7 +27,6 @@ class EmbedConfig:
     neighbors_m: int = 100     # M: local-corpus retrieval neighbors
     kappa_max: float = KAPPA_MAX
     batch_size: int = 8192
-    min_sgd_steps: int = 0     # raise epochs on small sub-corpora to reach this
     workers: int = 1
     seed: int = 0
 
@@ -98,6 +97,29 @@ class Batch:
 
 def _unit(x, axis=-1):
     return x / np.linalg.norm(x, axis=axis, keepdims=True)
+
+
+def _scatter_unit(x, idx, vals):
+    """Add vals[i] to row idx[i] of x, then rescale the touched rows to unit norm.
+
+    Equal bit for bit to ``np.add.at(x, idx, vals)`` followed by ``_unit`` on
+    the ``np.unique(idx)`` rows. np.bincount sums its weights in index order,
+    so seeding each touched row's bin with the row's current value and then
+    feeding the updates in order gives np.add.at's left-to-right sums; it
+    costs O(len(idx) * dim) where np.add.at pays a per-element dispatch.
+    """
+    touched = np.zeros(x.shape[0], dtype=bool)
+    touched[idx] = True
+    rows = np.flatnonzero(touched)
+    first = np.arange(rows.size)
+    slot = np.empty(x.shape[0], dtype=np.intp)
+    slot[rows] = first
+    bins = np.concatenate([first, slot[idx]])
+    weights = np.concatenate([x[rows], vals])
+    acc = np.empty((rows.size, x.shape[1]))
+    for j in range(x.shape[1]):
+        acc[:, j] = np.bincount(bins, weights=weights[:, j], minlength=rows.size)
+    x[rows] = _unit(acc)
 
 
 def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> float:
@@ -244,14 +266,11 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     cum = np.cumsum(probs / probs.sum())
 
     n_batches = math.ceil(n_pairs / cfg.batch_size)
-    epochs = cfg.epochs
-    if cfg.min_sgd_steps > 0:
-        epochs = max(epochs, math.ceil(cfg.min_sgd_steps / n_batches))
-    total_steps = epochs * n_batches
+    total_steps = cfg.epochs * n_batches
     state = _TrainState(target, context, topic_vecs, topic_kappa,
                         keyword_rows, cfg)
     step = 0
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         perm = rng.permutation(n_pairs)
         negs = np.searchsorted(cum, rng.random((n_pairs, cfg.negatives)))
         slices = [(perm[b * cfg.batch_size:(b + 1) * cfg.batch_size])
@@ -286,7 +305,15 @@ def _finalize(term_ids, target, context, topic_order, topic_vecs, topic_kappa, d
 
 
 class _TrainState:
-    """Shared mutable state for (possibly lock-free concurrent) SGD batches."""
+    """The arrays one node's SGD updates in place, and the per-batch step.
+
+    sgd_batch takes one projected SGD step on a batch of (target, context,
+    negatives) row triples: it adds the hinge gradients through
+    _scatter_unit, which also puts every touched row back on the sphere,
+    then runs the topic/kappa step. Batches may run on several threads at
+    once (workers > 1); they then race on shared rows without locks
+    (Hogwild), and the result is no longer deterministic.
+    """
 
     def __init__(self, target, context, topic_vecs, topic_kappa, keyword_rows, cfg):
         self.target = target
@@ -298,25 +325,23 @@ class _TrainState:
         self.dim = target.shape[1]
 
     def sgd_batch(self, tb, cb, nb, lr):
-        cfg = self.cfg
-        m = cfg.margin
-        target, context = self.target, self.context
-        t = target[tb]
-        vp = context[cb]
-        vn = context[nb]
+        m = self.cfg.margin
+        t = self.target[tb]
+        vp = self.context[cb]
+        vn = self.context[nb]
         sn = np.einsum("pd,pnd->pn", t, vn)
         sp = np.einsum("pd,pd->p", t, vp)
-        act = (sn - sp[:, None] + m) > 0.0
-        n_act = act.sum(axis=1).astype(np.float64)
+        # a float mask: einsum over a bool operand is several times slower
+        act = ((sn - sp[:, None] + m) > 0.0).astype(np.float64)
+        n_act = act.sum(axis=1)
         g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
-        np.add.at(target, tb, -lr * g_t)
-        np.add.at(context, cb, lr * n_act[:, None] * t)
-        np.add.at(context, nb.ravel(),
-                  (-lr * act[:, :, None] * t[:, None, :]).reshape(-1, self.dim))
-        rows_t = np.unique(tb)
-        target[rows_t] = _unit(target[rows_t])
-        rows_c = np.unique(np.concatenate([cb, nb.ravel()]))
-        context[rows_c] = _unit(context[rows_c])
+        _scatter_unit(self.target, tb, -lr * g_t)
+        # positive-context updates first, then the negatives, as two
+        # successive np.add.at calls would apply them
+        _scatter_unit(self.context, np.concatenate([cb, nb.ravel()]),
+                      np.concatenate([lr * n_act[:, None] * t,
+                                      (-lr * act[:, :, None] * t[:, None, :])
+                                      .reshape(-1, self.dim)]))
         self._topic_step(lr)
 
     def _topic_step(self, lr):

@@ -64,17 +64,28 @@ def bessel_ratio(kappa, dim: int):
 
     Evaluated by a truncated continued fraction (backward recurrence on the
     Bessel ratio), which stays finite for large kappa where iv overflows.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; every entry shares the depth set by the
+    largest kappa.
+
+    The recurrence runs on Python floats, one kappa at a time: the trainer
+    calls this once per SGD batch with a handful of kappas, where a numpy
+    pass per level costs far more than the arithmetic. It is kept instead of
+    the closed form ive(nu + 1, kappa) / ive(nu, kappa), which differs in the
+    last bits and gives NaN at small kappa in high dimension (ive underflows);
+    the trainer's kappa trajectories, and so its outputs, follow these bits.
     """
     kappa = np.asarray(kappa, dtype=np.float64)
     nu = dim / 2.0 - 1.0
-    kmax = float(np.max(kappa, initial=0.0))
-    depth = int(kmax + nu) + 64
-    with np.errstate(divide="ignore"):
-        r = np.zeros_like(kappa)
-        for n in range(depth, 0, -1):
-            r = np.where(kappa > 0, 1.0 / (2.0 * (nu + n) / np.where(kappa > 0, kappa, 1.0) + r), 0.0)
-    return r if r.ndim else float(r)
+    depth = int(float(np.max(kappa, initial=0.0)) + nu) + 64
+    coefs = [2.0 * (nu + n) for n in range(depth, 0, -1)]
+    out = np.zeros(kappa.size)
+    for i, k in enumerate(kappa.ravel().tolist()):
+        if k > 0.0:
+            r = 0.0
+            for c in coefs:
+                r = 1.0 / (c / k + r)
+            out[i] = r
+    return out.reshape(kappa.shape) if kappa.ndim else float(out[0])
 
 
 def estimate_vmf(vectors: np.ndarray, dim: int, kappa_max: float = KAPPA_MAX) -> VmfParams:

@@ -8,6 +8,9 @@ from taxoforge.embedding import (
     Batch,
     EmbedConfig,
     EmbeddingSpace,
+    _scatter_unit,
+    _TrainState,
+    _unit,
     dense_gradients,
     objective_value,
     retrieve_local_corpus,
@@ -210,6 +213,67 @@ def test_gradient_zero_for_separated_topics():
                   neg_c=np.empty((0, 1), dtype=int), keyword_rows=[[], []])
     _, _, g_s, _ = dense_gradients(space, batch, EmbedConfig(dim=4))
     assert not g_s.any()
+
+
+# --- SGD step ---
+
+
+def add_at_then_unit(x, idx, vals):
+    out = x.copy()
+    np.add.at(out, idx, vals)
+    rows = np.unique(idx)
+    out[rows] = _unit(out[rows])
+    return out
+
+
+@pytest.mark.parametrize("n_rows,n_idx,n_distinct", [
+    (50, 4000, 7),      # heavy repetition: ~570 updates per touched row
+    (30, 600, 30),      # every row touched
+    (40, 25, 1),        # a single row
+    (200, 300, 200),    # sparse: most rows untouched or touched once
+])
+def test_scatter_unit_bit_equal_to_add_at(n_rows, n_idx, n_distinct):
+    rng = np.random.default_rng(n_rows + n_idx)
+    for dim in (1, 3, 8, 50):
+        x = unit_rows(rng.standard_normal((n_rows, dim)))
+        pool = rng.choice(n_rows, size=n_distinct, replace=False)
+        if n_distinct == n_rows:
+            idx = np.concatenate([pool, rng.integers(0, n_rows, n_idx - n_rows)])
+            rng.shuffle(idx)
+        else:
+            idx = rng.choice(pool, size=n_idx)
+        vals = rng.standard_normal((n_idx, dim)) * 10.0 ** rng.uniform(-4, 0)
+        expected = add_at_then_unit(x, idx, vals)
+        got = x.copy()
+        _scatter_unit(got, idx, vals)
+        assert np.array_equal(got, expected)
+
+
+def test_sgd_batch_matches_dense_gradient_step():
+    # [DERIVED] one step with no topics is x - lr * grad, renormalised on
+    # the rows the batch touches; untouched rows keep their exact bits
+    rng = np.random.default_rng(4)
+    cfg = EmbedConfig(dim=6, margin=0.3)
+    n, lr = 40, 0.05
+    space = make_space(rng, n_terms=n, dim=6, n_topics=0)
+    batch = Batch(pos_t=rng.integers(0, 15, size=64),
+                  pos_c=rng.integers(5, 25, size=64),
+                  neg_c=rng.integers(10, 30, size=(64, 3)))
+    g_t, g_v, _, _ = dense_gradients(space, batch, cfg)
+    assert g_t.any() and g_v.any()
+    target, context = space.target.copy(), space.context.copy()
+    state = _TrainState(target, context, space.topic_vecs, space.topic_kappa,
+                        [], cfg)
+    state.sgd_batch(batch.pos_t, batch.pos_c, batch.neg_c, lr)
+    for new, old, grad, rows in (
+            (target, space.target, g_t, np.unique(batch.pos_t)),
+            (context, space.context, g_v,
+             np.unique(np.concatenate([batch.pos_c, batch.neg_c.ravel()])))):
+        untouched = np.setdiff1d(np.arange(n), rows)
+        assert untouched.size
+        assert np.array_equal(new[untouched], old[untouched])
+        np.testing.assert_allclose(new[rows], _unit(old[rows] - lr * grad[rows]),
+                                   rtol=0, atol=1e-12)
 
 
 # --- trainer ---

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from taxoforge.vmf import (
+    KAPPA_MAX,
     VmfParams,
     bessel_ratio,
     estimate_vmf,
@@ -19,6 +20,19 @@ from taxoforge.vmf import (
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def numpy_bessel_ratio(kappa, dim):
+    """The continued fraction as one numpy pass per level over all kappas."""
+    kappa = np.asarray(kappa, dtype=np.float64)
+    nu = dim / 2.0 - 1.0
+    kmax = float(np.max(kappa, initial=0.0))
+    depth = int(kmax + nu) + 64
+    with np.errstate(divide="ignore"):
+        r = np.zeros_like(kappa)
+        for n in range(depth, 0, -1):
+            r = np.where(kappa > 0, 1.0 / (2.0 * (nu + n) / np.where(kappa > 0, kappa, 1.0) + r), 0.0)
+    return r if r.ndim else float(r)
 
 
 def test_negative_kappa_rejected():
@@ -96,6 +110,29 @@ def test_bessel_ratio_vectorized_matches_scalar():
     vec = bessel_ratio(ks, 10)
     for k, v in zip(ks, vec):
         assert v == pytest.approx(bessel_ratio(float(k), 10), abs=1e-14)
+
+
+BESSEL_KAPPAS = (0.0, 1e-3, 30.0, 900.0, KAPPA_MAX)
+BESSEL_DIMS = (*range(2, 300, 7), 300)
+
+
+def test_bessel_ratio_scalar_bit_equal_to_numpy_oracle():
+    for dim in BESSEL_DIMS:
+        for kappa in BESSEL_KAPPAS:
+            got = bessel_ratio(kappa, dim)
+            assert isinstance(got, float)
+            assert got == numpy_bessel_ratio(kappa, dim), (kappa, dim)
+
+
+def test_bessel_ratio_vector_bit_equal_to_numpy_oracle():
+    # the depth is shared across the vector, so a small kappa's value
+    # depends on its neighbours; the oracle must match that too
+    ks = np.array(BESSEL_KAPPAS)
+    for dim in BESSEL_DIMS:
+        for sub in (ks, ks[:3], ks[::-1], ks.reshape(1, -1)):
+            got = bessel_ratio(sub, dim)
+            assert got.shape == sub.shape
+            assert np.array_equal(got, numpy_bessel_ratio(sub, dim)), dim
 
 
 @given(st.floats(0.01, 500.0), st.integers(3, 40))
