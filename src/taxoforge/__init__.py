@@ -1,7 +1,7 @@
 """Topic taxonomy completion over tokenized corpora."""
 
 from .clustering import (ClusterConfig, SubtopicClustering, assign_documents,
-                         assign_known_terms, bm25_score, cluster_node,
+                         assign_known_terms, cluster_node,
                          novelty_score, novelty_threshold, select_anchor_terms,
                          select_novel_k, significance_score, spherical_kmeans,
                          split_terms)
@@ -19,7 +19,7 @@ __all__ = [
     "Batch", "ClusterConfig", "Corpus", "Document", "EmbedConfig",
     "EmbeddingSpace", "PipelineConfig", "PlantedCorpusSpec",
     "SubtopicClustering", "Taxonomy", "TermStats", "TopicNode", "VmfParams",
-    "assign_documents", "assign_known_terms", "bm25_score", "cluster_node",
+    "assign_documents", "assign_known_terms", "cluster_node",
     "cluster_recovery_score", "complete_taxonomy", "compute_term_stats",
     "context_pairs", "estimate_vmf", "generate_synthetic_corpus",
     "insert_children", "load_corpus", "novelty_detection_metrics",

@@ -3,6 +3,14 @@
 Sub-topics are addressed by integer slots: known sub-topics occupy slots
 0..K-1 in the embedding space's topic order, novel clusters follow. Ties in
 any argmax break toward the lowest slot.
+
+Sums over documents (the tf-idf vote, BM25, occurrence counts) are ordered
+``np.bincount`` passes over the nonzeros of the node's count rows. bincount
+adds each weight in array order into a float64 zero, so every cell has the
+bits of a loop doing ``out[cell] += w`` over the same nonzeros. A sparse
+matrix product gives the same sums up to rounding but fixes no order, and
+a last-bit change here moves kappa and can change which topics a run
+recovers.
 """
 
 from dataclasses import dataclass, field
@@ -158,99 +166,85 @@ def _kmeans_once(vectors, k, cfg, rng):
 
 
 def assign_documents(docs, z_term, stats: TermStats, n_slots: int) -> dict:
-    """Eq-style tf-idf vote: doc -> argmax slot; zero-weight docs unassigned."""
-    slot_of = {}
-    z_doc = {}
+    """Eq-style tf-idf vote: doc -> argmax slot; zero-weight docs unassigned.
+
+    Documents outside stats are skipped; the result is keyed in ascending
+    doc id order. A document's slot scores are summed over its nonzeros in
+    term-id order.
+    """
     if not z_term:
-        return z_doc
-    max_term = max(z_term) + 1
-    slot_arr = np.full(max_term, -1, dtype=np.int64)
-    for t, s in z_term.items():
-        slot_arr[t] = s
-    indptr, indices, data = stats.counts.indptr, stats.counts.indices, stats.counts.data
-    for d in sorted(docs):
-        row = stats.row_of.get(int(d))
-        if row is None:
-            continue
-        cols = indices[indptr[row]:indptr[row + 1]]
-        vals = data[indptr[row]:indptr[row + 1]]
-        ok = cols < max_term
-        cols, vals = cols[ok], vals[ok]
-        slots = slot_arr[cols]
-        valid = slots >= 0
-        if not valid.any():
-            continue
-        scores = np.bincount(slots[valid], weights=vals[valid] * stats.idf[cols[valid]],
-                             minlength=n_slots)
-        if scores.max() <= 0.0:
-            continue
-        z_doc[int(d)] = int(scores.argmax())
-    return z_doc
-
-
-def bm25_score(t, subcorpus, stats: TermStats, k1: float = 1.2, b: float = 0.75) -> float:
-    """BM25 relevance of term t to a document set (stats over the parent set)."""
-    total = 0.0
-    for d in subcorpus:
-        row = stats.row_of[int(d)]
-        tf = stats.counts[row, t]
-        if tf == 0:
-            continue
-        norm = tf + k1 * (1.0 - b + b * stats.doc_len[row] / stats.avg_doc_len)
-        total += stats.idf[t] * tf * (k1 + 1.0) / norm
-    return float(total)
+        return {}
+    doc_arr = np.unique(np.fromiter(docs, dtype=np.int64))
+    rows = stats.rows(doc_arr)
+    doc_arr, rows = doc_arr[rows >= 0], rows[rows >= 0]
+    slot_of = np.full(stats.counts.shape[1], -1, dtype=np.int64)
+    slot_of[list(z_term)] = list(z_term.values())
+    width = max(n_slots, int(slot_of.max()) + 1)
+    sub = stats.counts[rows]
+    slot = slot_of[sub.indices]
+    on = slot >= 0
+    row = np.repeat(np.arange(rows.size), np.diff(sub.indptr))[on]
+    cols, vals = sub.indices[on], sub.data[on]
+    scores = np.bincount(row * width + slot[on], weights=vals * stats.idf[cols],
+                         minlength=rows.size * width).reshape(rows.size, width)
+    keep = scores.max(axis=1, initial=0.0) > 0.0
+    return dict(zip(doc_arr[keep].tolist(),
+                    scores[keep].argmax(axis=1).tolist()))
 
 
 def _bm25_matrix(term_arr, subcorpora, stats: TermStats, k1: float, b: float):
-    """BM25(t, D_s) for every node term x sub-corpus; shape (n_terms, n_slots)."""
-    out = np.zeros((len(term_arr), len(subcorpora)))
-    col_of = {int(t): i for i, t in enumerate(term_arr)}
-    indptr, indices, data = stats.counts.indptr, stats.counts.indices, stats.counts.data
-    for s, docs in enumerate(subcorpora):
-        for d in docs:
-            row = stats.row_of[int(d)]
-            cols = indices[indptr[row]:indptr[row + 1]]
-            vals = data[indptr[row]:indptr[row + 1]]
-            denom = vals + k1 * (1.0 - b + b * stats.doc_len[row] / stats.avg_doc_len)
-            contrib = stats.idf[cols] * vals * (k1 + 1.0) / denom
-            for c, v in zip(cols, contrib):
-                i = col_of.get(int(c))
-                if i is not None:
-                    out[i, s] += v
-    return out
+    """BM25(t, D_s) and occurrence counts for every node term x sub-corpus.
+
+    term_arr holds distinct term ids; subcorpora[s] lists the doc ids of
+    slot s, all in stats. Returns (bm25, tf), both (n_terms, n_slots); tf
+    counts the term's occurrences in the slot's documents. Every cell is
+    summed over the slot's documents in their listed order, then over each
+    document's terms in id order.
+    """
+    term_arr = np.asarray(term_arr, dtype=np.int64)
+    n_slots = len(subcorpora)
+    n_cells = term_arr.size * n_slots
+    sizes = [len(docs) for docs in subcorpora]
+    doc_arr = np.fromiter((d for docs in subcorpora for d in docs),
+                          dtype=np.int64, count=sum(sizes))
+    rows = stats.rows(doc_arr)
+    if (rows < 0).any():
+        raise KeyError(f"document {int(doc_arr[rows < 0][0])} is not in the "
+                       "statistics' subset")
+    sub = stats.counts[rows]
+    per_row = np.diff(sub.indptr)
+    pos = np.full(stats.counts.shape[1], -1, dtype=np.int64)
+    pos[term_arr] = np.arange(term_arr.size)
+    term_idx = pos[sub.indices]
+    on = term_idx >= 0
+    slot = np.repeat(np.repeat(np.arange(n_slots), sizes), per_row)[on]
+    dl = np.repeat(stats.doc_len[rows], per_row)[on]
+    cols, vals = sub.indices[on], sub.data[on]
+    cells = term_idx[on] * n_slots + slot
+    denom = vals + k1 * (1.0 - b + b * dl / stats.avg_doc_len)
+    contrib = stats.idf[cols] * vals * (k1 + 1.0) / denom
+    shape = (term_arr.size, n_slots)
+    bm25 = np.bincount(cells, weights=contrib, minlength=n_cells).reshape(shape)
+    tf = np.bincount(cells, weights=vals, minlength=n_cells).reshape(shape)
+    return bm25, tf
 
 
 def _rep_matrix(term_arr, subcorpora, stats: TermStats, corpus: Corpus,
                 k1: float, b: float):
     """Representativeness (integrity x distinctiveness x popularity)^(1/3)."""
     term_arr = np.asarray(term_arr)
-    bm25 = _bm25_matrix(term_arr, subcorpora, stats, k1, b)
+    bm25, tf = _bm25_matrix(term_arr, subcorpora, stats, k1, b)
     # distinctiveness in the log domain: exp(bm25_s - log(1 + sum_s' exp bm25_s'))
     from scipy.special import logsumexp
     log_denom = np.logaddexp(0.0, logsumexp(bm25, axis=1))
     dis = np.exp(bm25 - log_denom[:, None])
+    # popularity: log(1 + tf) / log(total node-term occurrences in the slot)
     pop = np.zeros_like(bm25)
-    for s, docs in enumerate(subcorpora):
-        if not docs:
-            continue
-        rows = [stats.row_of[int(d)] for d in docs]
-        sub_counts = np.asarray(stats.counts[rows].sum(axis=0)).ravel()
-        total = sub_counts[term_arr].sum()
-        if total <= 1:
-            continue
-        pop[:, s] = np.log(sub_counts[term_arr] + 1.0) / np.log(total)
+    total = tf.sum(axis=0)
+    used = total > 1
+    pop[:, used] = np.log(tf[:, used] + 1.0) / np.log(total[used])
     integ = corpus.integrity[term_arr][:, None]
     return np.cbrt(integ * dis * pop)
-
-
-def representativeness(t, s, z_doc, stats: TermStats, corpus: Corpus,
-                       node_terms, n_slots: int, k1: float = 1.2,
-                       b: float = 0.75) -> float:
-    """Scalar Eq.-style representativeness of term t in sub-topic slot s."""
-    subcorpora = _subcorpora(z_doc, n_slots)
-    term_arr = sorted(int(x) for x in node_terms)
-    rep = _rep_matrix(term_arr, subcorpora, stats, corpus, k1, b)
-    return float(rep[term_arr.index(int(t)), s])
 
 
 def _subcorpora(z_doc, n_slots):

@@ -14,6 +14,10 @@ class EmptyStatsError(ValueError):
     pass
 
 
+class UnknownDocumentError(ValueError):
+    """A document id outside [0, num_docs) of the corpus."""
+
+
 @dataclass
 class Document:
     id: int
@@ -24,7 +28,10 @@ class Corpus:
     """Documents plus a dense term-string <-> term-id vocabulary.
 
     Per-term integrity scores default to 1.0 when no score file is given.
-    Immutable after construction.
+    Immutable after construction, which is what makes caching safe: the
+    root count matrix (``counts``) and the postings (``docs_containing``)
+    are built from all documents on first use and kept. Neither is built
+    on load, so loading pays nothing for a statistic a run may not need.
     """
 
     def __init__(self, documents, vocab, integrity=None):
@@ -34,6 +41,7 @@ class Corpus:
         if integrity is None:
             integrity = np.ones(len(self.vocab))
         self.integrity = np.asarray(integrity, dtype=np.float64)
+        self._counts = None
         self._postings = None
 
     @property
@@ -50,15 +58,34 @@ class Corpus:
     def term_id(self, term):
         return self.index[term]
 
+    def counts(self) -> sparse.csr_matrix:
+        """The root (num_docs, num_terms) term-count matrix, built once.
+
+        Row d counts the tokens of ``documents[d]``; each row's column
+        indices are sorted, so a row's nonzeros come in term-id order.
+        Counts are integers held in float64, exact in any summation order.
+        """
+        if self._counts is None:
+            lengths = np.fromiter((d.tokens.size for d in self.documents),
+                                  dtype=np.int64, count=self.num_docs)
+            indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+            tokens = np.concatenate([d.tokens for d in self.documents])
+            counts = sparse.csr_matrix(
+                (np.ones(tokens.size), tokens, indptr),
+                shape=(self.num_docs, self.num_terms))
+            counts.sum_duplicates()  # also sorts each row's column indices
+            self._counts = counts
+        return self._counts
+
     def docs_containing(self, term_id):
         """Sorted array of ids of documents containing the term."""
         if self._postings is None:
-            postings = [[] for _ in self.vocab]
-            for doc in self.documents:
-                for t in np.unique(doc.tokens):
-                    postings[t].append(doc.id)
-            self._postings = [np.asarray(p, dtype=np.int64) for p in postings]
-        return self._postings[term_id]
+            by_term = self.counts().tocsc()  # row indices come out sorted
+            self._postings = (by_term.indptr,
+                              by_term.indices.astype(np.int64))
+        indptr, doc_ids = self._postings
+        return doc_ids[indptr[term_id]:indptr[term_id + 1]]
 
 
 def load_corpus(path, integrity_path=None) -> Corpus:
@@ -109,8 +136,7 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
 class TermStats:
     """Term/document frequency statistics over one document subset."""
 
-    doc_ids: np.ndarray          # sorted subset doc ids
-    row_of: dict                 # doc id -> row in counts
+    doc_ids: np.ndarray          # sorted subset doc ids; row r is doc_ids[r]
     counts: sparse.csr_matrix    # (n_subset_docs, vocab) term counts
     df: np.ndarray               # document frequency over the subset
     idf: np.ndarray              # log(n/df); 0 where df == 0 (term absent)
@@ -119,45 +145,38 @@ class TermStats:
     n_docs: int
     in_subset: np.ndarray = field(default=None)  # bool mask: df > 0
 
-    def tf(self, term_id, doc_id):
-        return int(self.counts[self.row_of[doc_id], term_id])
-
-    def subcorpus_tf(self, term_id, doc_ids):
-        """Total occurrences of a term over a set of subset documents."""
-        rows = [self.row_of[d] for d in doc_ids]
-        return int(self.counts[rows, term_id].sum()) if rows else 0
+    def rows(self, doc_ids) -> np.ndarray:
+        """Row in counts of each doc id, in the given order; -1 where the
+        document is not in the subset."""
+        doc_ids = np.asarray(doc_ids, dtype=np.int64).reshape(-1)
+        rows = np.searchsorted(self.doc_ids, doc_ids)
+        rows[rows == self.n_docs] = 0
+        return np.where(self.doc_ids[rows] == doc_ids, rows, -1)
 
 
 def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
     """Frequency statistics restricted to doc_subset.
 
     idf(t) = log(|subset| / df(t)) with df over the subset only; terms absent
-    from the subset get df 0 and idf 0 (flagged by in_subset).
+    from the subset get df 0 and idf 0 (flagged by in_subset). The counts
+    are the subset's rows of the corpus's root count matrix.
     """
     doc_ids = np.asarray(sorted(doc_subset), dtype=np.int64)
     if doc_ids.size == 0:
         raise EmptyStatsError("document subset is empty")
-    rows, cols, vals = [], [], []
-    doc_len = np.empty(doc_ids.size, dtype=np.int64)
-    for r, d in enumerate(doc_ids):
-        tokens = corpus.documents[d].tokens
-        doc_len[r] = tokens.size
-        uniq, cnt = np.unique(tokens, return_counts=True)
-        rows.append(np.full(uniq.size, r, dtype=np.int64))
-        cols.append(uniq)
-        vals.append(cnt)
-    counts = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(doc_ids.size, corpus.num_terms),
-        dtype=np.float64,
-    )
+    if doc_ids[0] < 0 or doc_ids[-1] >= corpus.num_docs:
+        raise UnknownDocumentError(
+            f"document ids {doc_ids[0]}..{doc_ids[-1]} reach outside "
+            f"[0, {corpus.num_docs})")
+    counts = corpus.counts()[doc_ids]
+    doc_len = np.fromiter((corpus.documents[d].tokens.size for d in doc_ids),
+                          dtype=np.int64, count=doc_ids.size)
     df = np.asarray((counts > 0).sum(axis=0)).ravel()
     idf = np.zeros(corpus.num_terms)
     present = df > 0
     idf[present] = np.log(doc_ids.size / df[present])
     return TermStats(
         doc_ids=doc_ids,
-        row_of={int(d): r for r, d in enumerate(doc_ids)},
         counts=counts,
         df=df,
         idf=idf,

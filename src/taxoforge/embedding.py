@@ -211,8 +211,7 @@ def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
     top = min(m_neighbors, len(sims) - 1)
     order = np.argsort(-sims)[:top]
     for row in order:
-        for d in corpus.docs_containing(int(space.term_ids[row])):
-            docs.add(int(d))
+        docs.update(corpus.docs_containing(int(space.term_ids[row])).tolist())
     return docs
 
 

@@ -1,6 +1,7 @@
 """Recursive taxonomy completion: per-node embedding, clustering, expansion."""
 
 import argparse
+import collections
 import dataclasses
 import os
 import sys
@@ -48,9 +49,9 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
     root.docs = set(range(corpus.num_docs))
 
     spaces = {}  # node id -> trained space, for child local-corpus retrieval
-    queue = [(tax.root, 0)]
+    queue = collections.deque([(tax.root, 0)])
     while queue:
-        node_id, depth = queue.pop(0)
+        node_id, depth = queue.popleft()
         node = tax.nodes[node_id]
         if depth >= max_depth or len(node.terms) < cfg.min_terms \
                 or len(node.docs) < cfg.min_docs:
@@ -91,7 +92,7 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
             if center not in anchors:
                 center = min(anchors)
             results.append((center, anchors, docs, True, params))
-        new_ids = insert_children(tax, node_id, results)
+        insert_children(tax, node_id, results)
 
         for child in tax.nodes[node_id].children:
             cnode = tax.nodes[child]

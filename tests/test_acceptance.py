@@ -23,7 +23,6 @@ import taxoforge.clustering as clustering
 from taxoforge.clustering import (
     ClusterConfig,
     assign_documents,
-    bm25_score,
     novelty_threshold,
     select_novel_k,
     spherical_kmeans,
@@ -35,12 +34,14 @@ from taxoforge.evaluation import (
     cluster_recovery_score,
     generate_synthetic_corpus,
     novelty_detection_metrics,
+    write_synthetic_dataset,
 )
 from taxoforge.pipeline import PipelineConfig, complete_taxonomy, run_cli
 from taxoforge.taxonomy import parse_hierarchy, serialize
 from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf, vmf_log_density
 
-from test_clustering import _planted_node, make_doc_fixture, reference_bm25
+from test_clustering import _planted_node, bm25_score, make_doc_fixture, reference_bm25
+from test_corpus import tf
 from test_embedding import collect_instances
 
 DATA = "data/synthetic_small"
@@ -210,7 +211,7 @@ def test_criterion_5_bm25_and_assignment_bruteforce(capfd):
             weights = [0.0, 0.0, 0.0]
             for term in set(corpus.documents[d].tokens.tolist()):
                 if term in z_term:
-                    weights[z_term[term]] += stats.tf(term, d) * stats.idf[term]
+                    weights[z_term[term]] += tf(stats, term, d) * stats.idf[term]
             if max(weights) <= 0.0:
                 ok &= d not in z_doc
             else:
@@ -266,6 +267,34 @@ def test_criterion_8_determinism(capfd, tmp_path):
         assert rc == 0
         outs.append(path.read_bytes())
     _report(capfd, 8, "determinism", outs[0] == outs[1])
+
+
+def test_determinism_with_training_and_clustering(tmp_path):
+    # criterion 8's corpus is below min_terms, so it never trains or
+    # clusters; this planted corpus expands the root and topic0, finds
+    # novel sub-topics, and assigns documents at both levels
+    spec = PlantedCorpusSpec(level1_topics=3, level2_per_topic=2,
+                             terms_per_topic=30, docs_per_topic=40,
+                             doc_len=30, dim=8, seed=3)
+    write_synthetic_dataset(spec, str(tmp_path))
+    (tmp_path / "partial.txt").write_text(
+        "topic0\n\ttopic0_0\n\ttopic0_1\ntopic1\n\ttopic1_0\n")
+    (tmp_path / "cfg.txt").write_text("dim=8\nepochs=2\nlr=0.05\n")
+    outs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        rc = run_cli(["--corpus", str(tmp_path / "corpus.txt"),
+                      "--hierarchy", str(tmp_path / "partial.txt"),
+                      "--config", str(tmp_path / "cfg.txt"),
+                      "--out", str(path), "--seed", "5", "--workers", "1"])
+        assert rc == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    tree = json.loads(outs[0])
+    topic0 = next(c for c in tree["children"] if c["name"] == "topic0")
+    assert topic0["doc_ids"] and topic0["kappa"] is not None
+    assert any(c["doc_ids"] for c in topic0["children"])
+    assert any(c["is_novel"] for c in tree["children"] + topic0["children"])
 
 
 def test_criterion_9_kstar_balance(capfd):

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from taxoforge.clustering import (
     ClusterConfig,
     UndefinedNoveltyError,
+    _bm25_matrix,
+    _rep_matrix,
+    _subcorpora,
     assign_documents,
     assign_known_terms,
-    bm25_score,
     cluster_node,
     novelty_score,
     novelty_scores,
     novelty_threshold,
-    representativeness,
     select_anchor_terms,
     select_novel_k,
     significance_score,
@@ -26,6 +27,8 @@ from taxoforge.clustering import (
 from taxoforge.corpus import compute_term_stats, corpus_from_lines
 from taxoforge.embedding import EmbeddingSpace
 from taxoforge.vmf import estimate_vmf, sample_vmf
+
+from test_corpus import tf
 
 
 def unit_rows(x):
@@ -264,7 +267,7 @@ def test_assign_documents_matches_bruteforce():
             weights = [0.0, 0.0, 0.0]
             for t in set(corpus.documents[d].tokens.tolist()):
                 if t in z_term:
-                    weights[z_term[t]] += stats.tf(t, d) * stats.idf[t]
+                    weights[z_term[t]] += tf(stats, t, d) * stats.idf[t]
             if max(weights) <= 0.0:
                 assert d not in z_doc
             else:
@@ -279,7 +282,169 @@ def test_assign_documents_scale_invariant():
     assert z1 == z2
 
 
+def loop_assign_documents(docs, z_term, stats, n_slots):
+    """Oracle: the tf-idf vote, one document at a time."""
+    z_doc = {}
+    if not z_term:
+        return z_doc
+    max_term = max(z_term) + 1
+    slot_arr = np.full(max_term, -1, dtype=np.int64)
+    for t, s in z_term.items():
+        slot_arr[t] = s
+    row_of = {int(d): r for r, d in enumerate(stats.doc_ids)}
+    indptr, indices, data = stats.counts.indptr, stats.counts.indices, stats.counts.data
+    for d in sorted(docs):
+        row = row_of.get(int(d))
+        if row is None:
+            continue
+        cols = indices[indptr[row]:indptr[row + 1]]
+        vals = data[indptr[row]:indptr[row + 1]]
+        ok = cols < max_term
+        cols, vals = cols[ok], vals[ok]
+        slots = slot_arr[cols]
+        valid = slots >= 0
+        if not valid.any():
+            continue
+        scores = np.bincount(slots[valid], weights=vals[valid] * stats.idf[cols[valid]],
+                             minlength=n_slots)
+        if scores.max() <= 0.0:
+            continue
+        z_doc[int(d)] = int(scores.argmax())
+    return z_doc
+
+
+def loop_bm25_matrix(term_arr, subcorpora, stats, k1, b):
+    """Oracle: BM25 and occurrence sums, one (document, nonzero) at a time."""
+    out = np.zeros((len(term_arr), len(subcorpora)))
+    tf_out = np.zeros_like(out)
+    col_of = {int(t): i for i, t in enumerate(term_arr)}
+    row_of = {int(d): r for r, d in enumerate(stats.doc_ids)}
+    indptr, indices, data = stats.counts.indptr, stats.counts.indices, stats.counts.data
+    for s, docs in enumerate(subcorpora):
+        for d in docs:
+            row = row_of[int(d)]
+            cols = indices[indptr[row]:indptr[row + 1]]
+            vals = data[indptr[row]:indptr[row + 1]]
+            denom = vals + k1 * (1.0 - b + b * stats.doc_len[row] / stats.avg_doc_len)
+            contrib = stats.idf[cols] * vals * (k1 + 1.0) / denom
+            for c, v in zip(cols, contrib):
+                i = col_of.get(int(c))
+                if i is not None:
+                    out[i, s] += v
+        if docs:
+            rows = [row_of[int(d)] for d in docs]
+            sub_counts = np.asarray(stats.counts[rows].sum(axis=0)).ravel()
+            tf_out[:, s] = sub_counts[np.asarray(term_arr, dtype=np.int64)]
+    return out, tf_out
+
+
+def loop_rep_matrix(term_arr, subcorpora, stats, corpus, k1, b):
+    """Oracle: representativeness with the popularity taken slot by slot."""
+    from scipy.special import logsumexp
+    term_arr = np.asarray(term_arr)
+    bm25 = loop_bm25_matrix(term_arr, subcorpora, stats, k1, b)[0]
+    log_denom = np.logaddexp(0.0, logsumexp(bm25, axis=1))
+    dis = np.exp(bm25 - log_denom[:, None])
+    pop = np.zeros_like(bm25)
+    row_of = {int(d): r for r, d in enumerate(stats.doc_ids)}
+    for s, docs in enumerate(subcorpora):
+        if not docs:
+            continue
+        rows = [row_of[int(d)] for d in docs]
+        sub_counts = np.asarray(stats.counts[rows].sum(axis=0)).ravel()
+        total = sub_counts[term_arr].sum()
+        if total <= 1:
+            continue
+        pop[:, s] = np.log(sub_counts[term_arr] + 1.0) / np.log(total)
+    integ = corpus.integrity[term_arr][:, None]
+    return np.cbrt(integ * dis * pop)
+
+
+def vote_cases(seed):
+    """(stats, docs, z_term, n_slots) variants of one doc fixture: a
+    subset with docs outside it, an empty slot, idf-0 terms, no slots."""
+    corpus, stats, z_term = make_doc_fixture(seed)
+    rng = np.random.default_rng(seed + 500)
+    yield stats, range(corpus.num_docs), z_term, 3
+    yield stats, range(corpus.num_docs), z_term, 4          # slot 3 empty
+    yield stats, range(corpus.num_docs), {}, 0              # n_slots == 0
+    subset = rng.choice(corpus.num_docs, size=12, replace=False).tolist()
+    sub_stats = compute_term_stats(corpus, subset)
+    yield sub_stats, range(corpus.num_docs), z_term, 3      # docs outside stats
+    zeroed = compute_term_stats(corpus, range(corpus.num_docs))
+    zeroed.idf[rng.choice(corpus.num_terms, size=5, replace=False)] = 0.0
+    yield zeroed, range(corpus.num_docs), z_term, 3          # idf-0 terms
+    one = compute_term_stats(corpus, [int(subset[0])])        # every idf is 0
+    yield one, [int(subset[0])], z_term, 3
+
+
+def test_assign_documents_bit_equal_to_loop():
+    n_unassigned = 0
+    for seed in range(100):
+        for stats, docs, z_term, n_slots in vote_cases(seed):
+            got = assign_documents(docs, z_term, stats, n_slots)
+            want = loop_assign_documents(docs, z_term, stats, n_slots)
+            assert list(got.items()) == list(want.items())
+            n_unassigned += len(stats.doc_ids) - len(got)
+    # docs with no clustered term (or only idf-0 ones) occur and stay out
+    assert n_unassigned > 0
+
+
+def test_assign_documents_sums_in_term_order():
+    # slot 0 sums 0.1, 0.2, 0.3 in term-id order to 0.6000000000000001 and
+    # ties slot 1, so the lowest slot wins; summed in any other order it
+    # is 0.6 and slot 1 would win
+    corpus = corpus_from_lines(["a b c d\n", "e\n"])
+    stats = compute_term_stats(corpus, {0, 1})
+    stats.idf[:4] = [0.1, 0.2, 0.3, (0.1 + 0.2) + 0.3]
+    z_term = {0: 0, 1: 0, 2: 0, 3: 1}
+    assert 0.1 + (0.2 + 0.3) < stats.idf[3]
+    assert assign_documents({0, 1}, z_term, stats, 2) == {0: 0}
+    assert loop_assign_documents({0, 1}, z_term, stats, 2) == {0: 0}
+
+
+def test_bm25_and_rep_matrix_bit_equal_to_loop():
+    for seed in range(100):
+        corpus = make_doc_fixture(seed)[0]
+        corpus.integrity[:] = np.random.default_rng(seed).random(corpus.num_terms)
+        for stats, docs, z_term, n_slots in vote_cases(seed):
+            z_doc = loop_assign_documents(docs, z_term, stats, n_slots)
+            subcorpora = _subcorpora(z_doc, n_slots)
+            rng = np.random.default_rng(seed)
+            term_arr = np.sort(rng.choice(corpus.num_terms,
+                                          size=corpus.num_terms // 2 + 1,
+                                          replace=False))
+            got = _bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
+            want = loop_bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
+            for g, w in zip(got, want):
+                assert g.shape == (term_arr.size, n_slots)
+                assert np.array_equal(g, w)
+            assert np.array_equal(
+                _rep_matrix(term_arr, subcorpora, stats, corpus, 1.2, 0.75),
+                loop_rep_matrix(term_arr, subcorpora, stats, corpus, 1.2, 0.75))
+    # documents listed out of id order are summed in their listed order
+    corpus, stats, _ = make_doc_fixture(3)
+    subcorpora = [[5, 1, 9, 2], [], [0, 7, 3]]
+    term_arr = np.arange(corpus.num_terms)
+    got = _bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
+    want = loop_bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_bm25_matrix_rejects_doc_outside_stats():
+    corpus = corpus_from_lines(["a b\n", "c d\n", "a c\n"])
+    stats = compute_term_stats(corpus, {0, 1})
+    with pytest.raises(KeyError):
+        _bm25_matrix([0, 1], [[0], [2]], stats, 1.2, 0.75)
+
+
 # --- BM25 ---
+
+
+def bm25_score(t, subcorpus, stats, k1=1.2, b=0.75):
+    """BM25 relevance of term t to one document set: one cell of the
+    pipeline's _bm25_matrix."""
+    return float(_bm25_matrix([t], [list(subcorpus)], stats, k1, b)[0][0, 0])
 
 
 def reference_bm25(t, subcorpus, corpus, stats, k1, b):
@@ -313,6 +478,15 @@ def test_bm25_matches_reference_100_fixtures():
 
 
 # --- representativeness and significance ---
+
+
+def representativeness(t, s, z_doc, stats, corpus, node_terms, n_slots,
+                       k1=1.2, b=0.75):
+    """Representativeness of term t in slot s: one cell of _rep_matrix."""
+    subcorpora = _subcorpora(z_doc, n_slots)
+    term_arr = sorted(int(x) for x in node_terms)
+    rep = _rep_matrix(term_arr, subcorpora, stats, corpus, k1, b)
+    return float(rep[term_arr.index(int(t)), s])
 
 
 def test_rep_absent_term_zero():

@@ -4,16 +4,54 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from taxoforge.corpus import (
     EmptyCorpusError,
     EmptyStatsError,
+    UnknownDocumentError,
     compute_term_stats,
     context_pair_arrays,
     context_pairs,
     corpus_from_lines,
     load_corpus,
 )
+
+
+def tf(stats, term_id, doc_id):
+    """Count of a term in one document of the statistics' subset."""
+    row = int(stats.rows([doc_id])[0])
+    assert row >= 0, f"document {doc_id} is not in the subset"
+    return int(stats.counts[row, term_id])
+
+
+def per_document_counts(corpus, doc_ids):
+    """Oracle: the subset count matrix built one document at a time."""
+    rows, cols, vals = [], [], []
+    for r, d in enumerate(doc_ids):
+        uniq, cnt = np.unique(corpus.documents[d].tokens, return_counts=True)
+        rows.append(np.full(uniq.size, r, dtype=np.int64))
+        cols.append(uniq)
+        vals.append(cnt)
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(doc_ids), corpus.num_terms), dtype=np.float64)
+
+
+def per_document_postings(corpus):
+    """Oracle: term -> sorted ids of the documents containing it."""
+    postings = [[] for _ in corpus.vocab]
+    for doc in corpus.documents:
+        for t in np.unique(doc.tokens):
+            postings[t].append(doc.id)
+    return [np.asarray(p, dtype=np.int64) for p in postings]
+
+
+def random_corpus(seed, n_docs=60, n_terms=25):
+    rng = np.random.default_rng(seed)
+    vocab = [f"t{i}" for i in range(n_terms)]
+    return corpus_from_lines([" ".join(rng.choice(vocab, size=rng.integers(1, 15)))
+                              for _ in range(n_docs)]), rng
 
 
 def test_load_two_docs_first_occurrence_vocab(tmp_path):
@@ -71,6 +109,16 @@ def test_docs_containing_sorted():
     assert corpus.docs_containing(corpus.term_id("b")).tolist() == [0, 1]
 
 
+def test_docs_containing_matches_per_document_build():
+    for seed in range(20):
+        corpus, _ = random_corpus(seed)
+        want = per_document_postings(corpus)
+        for t in range(corpus.num_terms):
+            got = corpus.docs_containing(t)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[t])
+
+
 # --- term statistics ---
 
 
@@ -79,7 +127,7 @@ def test_stats_hand_counts():
     corpus = corpus_from_lines(["a b a\n", "b c\n"])
     stats = compute_term_stats(corpus, {0, 1})
     a, b = corpus.term_id("a"), corpus.term_id("b")
-    assert stats.tf(a, 0) == 2
+    assert tf(stats, a, 0) == 2
     assert stats.df[b] == 2
     assert stats.idf[b] == 0.0
 
@@ -96,6 +144,29 @@ def test_stats_empty_subset_error():
     corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(EmptyStatsError):
         compute_term_stats(corpus, set())
+
+
+def test_stats_unknown_doc_id_error():
+    corpus = corpus_from_lines(["a b\n", "b c\n"])
+    for bad in ({0, 2}, {-1, 1}, [5]):
+        with pytest.raises(UnknownDocumentError, match="outside"):
+            compute_term_stats(corpus, bad)
+
+
+def test_stats_counts_match_per_document_build():
+    # the subset rows of the root matrix against the old per-document build
+    for seed in range(20):
+        corpus, rng = random_corpus(seed)
+        subset = sorted(rng.choice(corpus.num_docs, size=int(rng.integers(1, 60)),
+                                   replace=False).tolist())
+        stats = compute_term_stats(corpus, subset)
+        want = per_document_counts(corpus, subset)
+        assert stats.counts.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stats.counts, attr), getattr(want, attr))
+        assert np.array_equal(stats.doc_len,
+                              [corpus.documents[d].tokens.size for d in subset])
+        assert stats.rows(subset).tolist() == list(range(len(subset)))
 
 
 def test_stats_match_bruteforce_recount():
@@ -116,7 +187,7 @@ def test_stats_match_bruteforce_recount():
         for t in set(tokens):
             df[t] += 1
         for t in range(corpus.num_terms):
-            assert stats.tf(t, d) == tokens.count(t)
+            assert tf(stats, t, d) == tokens.count(t)
     assert np.array_equal(stats.df, df)
     assert stats.avg_doc_len == pytest.approx(total_len / 50)
     for t in range(corpus.num_terms):
@@ -133,7 +204,7 @@ def test_tf_sums_to_occurrences(token_lists):
     stats = compute_term_stats(corpus, range(corpus.num_docs))
     flat = [t for doc in corpus.documents for t in doc.tokens.tolist()]
     for t in range(corpus.num_terms):
-        total = sum(stats.tf(t, d) for d in range(corpus.num_docs))
+        total = sum(tf(stats, t, d) for d in range(corpus.num_docs))
         assert total == flat.count(t)
 
 
