@@ -11,51 +11,13 @@ Usage:
 """
 
 import argparse
-import json
-import time
 
-from taxoforge.clustering import ClusterConfig
-from taxoforge.embedding import EmbedConfig
-from taxoforge.evaluation import (
-    PlantedCorpusSpec,
-    cluster_recovery_score,
-    generate_synthetic_corpus,
-    novelty_detection_metrics,
-)
-from taxoforge.pipeline import PipelineConfig, complete_taxonomy
-from taxoforge.taxonomy import parse_hierarchy, serialize
-
-
-def planted_config(seed: int) -> PipelineConfig:
-    # low-dimensional, higher-lr setup suited to the small planted corpora
-    return PipelineConfig(
-        embed=EmbedConfig(dim=8, epochs=10, lr=0.05, seed=seed),
-        embed_child=EmbedConfig(dim=8, epochs=10, lr=0.05, batch_size=2048,
-                                seed=seed),
-        cluster=ClusterConfig(beta_per_level=(5.0, 5.0), seed=seed),
-        seed=seed)
+from taxoforge.evaluation import (cluster_recovery_score, novelty_detection_metrics,
+                                  run_planted)
 
 
 def run_seed(seed: int, delete: str, verbose: bool = True):
-    spec = PlantedCorpusSpec(seed=seed)
-    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
-
-    lines = []
-    for l1 in truth.nodes[truth.root].children:
-        name1 = corpus.term(truth.nodes[l1].center_term)
-        if name1 == delete:
-            continue
-        lines.append(name1)
-        for l2 in truth.nodes[l1].children:
-            name2 = corpus.term(truth.nodes[l2].center_term)
-            if name2 != delete:
-                lines.append("\t" + name2)
-    partial = parse_hierarchy("\n".join(lines), corpus)
-
-    t0 = time.time()
-    tax = complete_taxonomy(corpus, partial, planted_config(seed))
-    elapsed = time.time() - t0
-    out = json.loads(serialize(tax, corpus, 10))
+    out, doc_labels, term_labels, elapsed = run_planted(seed, delete)
 
     planted = {t for t, l in term_labels.items() if l == delete}
     parent = delete.rsplit("_", 1)[0] if "_" in delete else None
@@ -74,7 +36,6 @@ def run_seed(seed: int, delete: str, verbose: bool = True):
             best = max(best, rec)
 
     # document-level novelty F1 (meaningful for level-1 deletion)
-    known_names = {c["name"] for c in level1 if not c["is_novel"]}
     truly_novel = {d: (l1 == delete or l2 == delete)
                    for d, (l1, l2) in enumerate(doc_labels)}
     novel_ids, z_doc = set(), {}
@@ -83,7 +44,7 @@ def run_seed(seed: int, delete: str, verbose: bool = True):
             novel_ids.add(idx)
         for d in c["doc_ids"]:
             z_doc[d] = idx
-    p, r, f1 = novelty_detection_metrics(z_doc, novel_ids, truly_novel)
+    _, _, f1 = novelty_detection_metrics(z_doc, novel_ids, truly_novel)
 
     if verbose:
         print(f"seed={seed} {elapsed:5.1f}s best_recovery={best:.2f} "

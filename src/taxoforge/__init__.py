@@ -1,11 +1,10 @@
 """Topic taxonomy completion over tokenized corpora."""
 
 from .clustering import (ClusterConfig, SubtopicClustering, assign_documents,
-                         assign_known_terms, cluster_node,
-                         novelty_score, novelty_threshold, select_anchor_terms,
-                         select_novel_k, significance_score, spherical_kmeans,
+                         assign_known_terms, cluster_node, novelty_threshold,
+                         select_anchor_terms, select_novel_k, spherical_kmeans,
                          split_terms)
-from .corpus import Corpus, Document, TermStats, compute_term_stats, context_pairs, load_corpus
+from .corpus import Corpus, Document, TermStats, compute_term_stats, load_corpus
 from .embedding import (Batch, EmbedConfig, EmbeddingSpace, objective_value,
                         retrieve_local_corpus, train_node_embedding)
 from .evaluation import (PlantedCorpusSpec, cluster_recovery_score,
@@ -21,11 +20,10 @@ __all__ = [
     "SubtopicClustering", "Taxonomy", "TermStats", "TopicNode", "VmfParams",
     "assign_documents", "assign_known_terms", "cluster_node",
     "cluster_recovery_score", "complete_taxonomy", "compute_term_stats",
-    "context_pairs", "estimate_vmf", "generate_synthetic_corpus",
-    "insert_children", "load_corpus", "novelty_detection_metrics",
-    "novelty_score", "novelty_threshold", "objective_value", "parse_hierarchy",
-    "retrieve_local_corpus", "run_cli", "sample_vmf", "select_anchor_terms",
-    "select_novel_k", "serialize", "significance_score", "spherical_kmeans",
-    "split_terms", "subtree_keywords", "train_node_embedding",
-    "vmf_log_density",
+    "estimate_vmf", "generate_synthetic_corpus", "insert_children",
+    "load_corpus", "novelty_detection_metrics", "novelty_threshold",
+    "objective_value", "parse_hierarchy", "retrieve_local_corpus", "run_cli",
+    "sample_vmf", "select_anchor_terms", "select_novel_k", "serialize",
+    "spherical_kmeans", "split_terms", "subtree_keywords",
+    "train_node_embedding", "vmf_log_density",
 ]

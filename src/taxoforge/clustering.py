@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Corpus, TermStats
 from .embedding import EmbeddingSpace
-from .vmf import VmfParams, estimate_vmf
+from .vmf import estimate_vmf
 
 
 class UndefinedNoveltyError(ValueError):
@@ -57,7 +57,6 @@ class SubtopicClustering:
     """Full clustering result for one node."""
 
     z_term: dict                      # term id -> slot
-    z_doc: dict                       # doc id -> slot (pre-anchor pass)
     known_terms: set
     novel_terms: set
     novel_clusters: list              # (center term, anchor set, VmfParams)
@@ -80,10 +79,6 @@ def novelty_scores(space: EmbeddingSpace, term_ids, temperature: float) -> np.nd
     soft = np.exp(sims)
     soft /= soft.sum(axis=1, keepdims=True)
     return 1.0 - soft.max(axis=1)
-
-
-def novelty_score(t, space: EmbeddingSpace, temperature: float) -> float:
-    return float(novelty_scores(space, [t], temperature)[0])
 
 
 def novelty_threshold(k_c: int, beta: float) -> float:
@@ -261,12 +256,6 @@ def significance_scores(term_arr, vecs, means, rep):
     return prod.max(axis=1), prod.argmax(axis=1)
 
 
-def significance_score(t, term_arr, vecs, means, rep):
-    sig, arg = significance_scores(term_arr, vecs, means, rep)
-    i = list(term_arr).index(int(t))
-    return float(sig[i]), int(arg[i])
-
-
 def select_anchor_terms(z_term, scores, tau_sig, n_slots, known_centers=None):
     """Per slot: assigned terms with significance >= tau_sig.
 
@@ -361,9 +350,9 @@ def _evaluate_candidate(novel_assign, novel_means, k_star, known_assign,
     pool_kappas = kappas if k_known else kappas[k_known:]
     stdev = float(np.std(pool_kappas)) if pool_kappas else 0.0
     return {
-        "k_star": k_star, "z_term": z_term, "z_doc": z_doc, "anchors": anchors,
-        "vmfs": vmfs, "stdev": stdev, "means": means, "scores": scores,
-        "warnings": warnings, "novel_means": novel_means,
+        "k_star": k_star, "z_term": z_term, "anchors": anchors, "vmfs": vmfs,
+        "stdev": stdev, "scores": scores, "warnings": warnings,
+        "novel_means": novel_means,
     }
 
 
@@ -401,7 +390,7 @@ def _finalize_clustering(cand, known_assign, known_centers, space, stats,
         novel_docs.append(doc_sets[s])
 
     return SubtopicClustering(
-        z_term=cand["z_term"], z_doc=cand["z_doc"],
+        z_term=cand["z_term"],
         known_terms=set(known_assign), novel_terms=set(cand["z_term"]) - set(known_assign),
         novel_clusters=novel_clusters, known_updates=known_updates,
         k_star=k_star, known_docs=known_docs, novel_docs=novel_docs,

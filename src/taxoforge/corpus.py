@@ -187,22 +187,6 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
     )
 
 
-def context_pairs(doc: Document, window: int):
-    """All (target, context) pairs within the window, both directions."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    tokens = doc.tokens
-    pairs = []
-    n = tokens.size
-    for i in range(n):
-        lo = max(0, i - window)
-        hi = min(n, i + window + 1)
-        for j in range(lo, hi):
-            if j != i:
-                pairs.append((int(tokens[i]), int(tokens[j])))
-    return pairs
-
-
 def context_pair_arrays(documents, window: int):
     """Vectorized context pairs over many documents: (targets, contexts)."""
     t_parts, c_parts = [], []

@@ -7,7 +7,6 @@ keyword terms toward their sub-topic vector (gated while cos < margin).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ class EmbedConfig:
     neighbors_m: int = 100     # M: local-corpus retrieval neighbors
     kappa_max: float = KAPPA_MAX
     batch_size: int = 8192
-    workers: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -35,6 +33,10 @@ class EmbedConfig:
             raise ValueError("margin must lie in (0, 1)")
         if self.negatives < 1:
             raise ValueError("need at least one negative sample")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 class EmbeddingSpace:
@@ -257,8 +259,8 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     n_pairs = tr.size
     if n_pairs == 0:
         # nothing to train on; return the seeded initialization
-        return _finalize(term_ids, target, context, topic_order, topic_vecs,
-                         topic_kappa, cfg.dim)
+        return EmbeddingSpace(term_ids, target, context, topic_order,
+                              topic_vecs, topic_kappa, cfg.dim)
 
     counts = np.bincount(cr, minlength=n).astype(np.float64)
     probs = counts ** 0.75
@@ -272,35 +274,17 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     for _ in range(cfg.epochs):
         perm = rng.permutation(n_pairs)
         negs = np.searchsorted(cum, rng.random((n_pairs, cfg.negatives)))
-        slices = [(perm[b * cfg.batch_size:(b + 1) * cfg.batch_size])
-                  for b in range(n_batches)]
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                jobs = []
-                for sl in slices:
-                    lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-                    jobs.append(pool.submit(state.sgd_batch, tr[sl], cr[sl],
-                                            negs[sl], lr))
-                    step += 1
-                for j in jobs:
-                    j.result()
-        else:
-            for sl in slices:
-                lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-                state.sgd_batch(tr[sl], cr[sl], negs[sl], lr)
-                step += 1
+        for b in range(n_batches):
+            sl = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
+            state.sgd_batch(tr[sl], cr[sl], negs[sl], lr)
+            step += 1
         target[:] = _unit(target)
         context[:] = _unit(context)
         if len(topic_order):
             topic_vecs[:] = _unit(topic_vecs)
-    return _finalize(term_ids, target, context, topic_order, topic_vecs,
-                     topic_kappa, cfg.dim)
-
-
-def _finalize(term_ids, target, context, topic_order, topic_vecs, topic_kappa, dim):
-    return EmbeddingSpace(term_ids=term_ids, target=target, context=context,
-                          topic_order=topic_order, topic_vecs=topic_vecs,
-                          topic_kappa=topic_kappa, dim=dim)
+    return EmbeddingSpace(term_ids, target, context, topic_order, topic_vecs,
+                          topic_kappa, cfg.dim)
 
 
 class _TrainState:
@@ -309,9 +293,7 @@ class _TrainState:
     sgd_batch takes one projected SGD step on a batch of (target, context,
     negatives) row triples: it adds the hinge gradients through
     _scatter_unit, which also puts every touched row back on the sphere,
-    then runs the topic/kappa step. Batches may run on several threads at
-    once (workers > 1); they then race on shared rows without locks
-    (Hogwild), and the result is no longer deterministic.
+    then runs the topic/kappa step.
     """
 
     def __init__(self, target, context, topic_vecs, topic_kappa, keyword_rows, cfg):

@@ -4,12 +4,16 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import ClusterConfig
 from .corpus import Corpus, Document
-from .taxonomy import Taxonomy
+from .embedding import EmbedConfig
+from .pipeline import PipelineConfig, complete_taxonomy
+from .taxonomy import Taxonomy, parse_hierarchy, serialize
 from .vmf import sample_vmf
 
 
@@ -118,6 +122,50 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
     return corpus, truth, doc_labels, term_labels
 
 
+def planted_outline(truth: Taxonomy, corpus: Corpus, delete=None) -> list:
+    """The planted hierarchy as tab-indented topic names, one per line,
+    without the topic named delete and its sub-topics."""
+    lines = []
+    for l1 in truth.nodes[truth.root].children:
+        name1 = corpus.term(truth.nodes[l1].center_term)
+        if name1 == delete:
+            continue
+        lines.append(name1)
+        for l2 in truth.nodes[l1].children:
+            name2 = corpus.term(truth.nodes[l2].center_term)
+            if name2 != delete:
+                lines.append("\t" + name2)
+    return lines
+
+
+def planted_pipeline_config(seed: int) -> PipelineConfig:
+    # every planted-recovery run: low-dimensional and a higher lr, suited to
+    # the small planted corpora; child nodes use smaller batches (more SGD
+    # steps on the smaller sub-corpora), and beta=5 widens the novelty gap
+    # so topics that sit asymmetrically between the surviving siblings are
+    # still flagged
+    return PipelineConfig(
+        embed=EmbedConfig(dim=8, epochs=10, lr=0.05, seed=seed),
+        embed_child=EmbedConfig(dim=8, epochs=10, lr=0.05, batch_size=2048,
+                                seed=seed),
+        cluster=ClusterConfig(beta_per_level=(5.0, 5.0), seed=seed),
+        seed=seed)
+
+
+def run_planted(seed: int, delete: str):
+    """Generate the standard planted corpus, drop one topic, complete it;
+    returns (tree as a dict, doc_labels, term_labels, seconds to complete)."""
+    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(
+        PlantedCorpusSpec(seed=seed))
+    partial = parse_hierarchy(
+        "\n".join(planted_outline(truth, corpus, delete)), corpus)
+    t0 = time.perf_counter()
+    tax = complete_taxonomy(corpus, partial, planted_pipeline_config(seed))
+    elapsed = time.perf_counter() - t0
+    out = json.loads(serialize(tax, corpus, 10))
+    return out, doc_labels, term_labels, elapsed
+
+
 def novelty_detection_metrics(z_doc, novel_cluster_ids, labels):
     """Precision/recall/F1 of predicted-novel documents against labels.
 
@@ -159,11 +207,7 @@ def write_synthetic_dataset(spec: PlantedCorpusSpec, out_dir: str):
         for doc in corpus.documents:
             f.write(" ".join(corpus.term(int(t)) for t in doc.tokens) + "\n")
     with open(os.path.join(out_dir, "hierarchy_full.txt"), "w", encoding="utf-8") as f:
-        root = truth.nodes[truth.root]
-        for l1 in root.children:
-            f.write(corpus.term(truth.nodes[l1].center_term) + "\n")
-            for l2 in truth.nodes[l1].children:
-                f.write("\t" + corpus.term(truth.nodes[l2].center_term) + "\n")
+        f.writelines(line + "\n" for line in planted_outline(truth, corpus))
     with open(os.path.join(out_dir, "truth.json"), "w", encoding="utf-8") as f:
         json.dump({
             "spec": spec.__dict__,

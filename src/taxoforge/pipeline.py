@@ -25,7 +25,6 @@ class PipelineConfig:
     min_docs: int = 20
     top_k_output: int = 10
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_depth is not None and self.max_depth < 1:
@@ -63,8 +62,7 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         centers = {c: tax.nodes[c].center_term for c in node.children}
         base_embed = cfg.embed if depth == 0 or cfg.embed_child is None \
             else cfg.embed_child
-        embed_cfg = dataclasses.replace(
-            base_embed, seed=cfg.seed + 7919 * node_id, workers=cfg.workers)
+        embed_cfg = dataclasses.replace(base_embed, seed=cfg.seed + 7919 * node_id)
         space = train_node_embedding(local_docs, node.terms, keywords,
                                      embed_cfg, corpus, centers=centers)
         spaces[node_id] = space
@@ -87,7 +85,7 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
                             sc.known_docs.get(s, set()), False, params))
         for (center, anchors, params), docs in zip(sc.novel_clusters, sc.novel_docs):
             anchors = set(anchors) - all_keywords
-            if not anchors:
+            if not anchors or not docs:
                 continue
             if center not in anchors:
                 center = min(anchors)
@@ -147,7 +145,13 @@ CONFIG_KEYS = {
 
 
 def load_config(path, seed=0, workers=1) -> PipelineConfig:
-    """Flat key=value overrides on top of the defaults."""
+    """Flat key=value overrides on top of the defaults.
+
+    Training is single-threaded; ``workers`` must be 1 and stays only
+    because the benchmark harness (``perfbench/worker.py``) passes it.
+    """
+    if workers != 1:
+        raise ValueError("workers must be 1: training is single-threaded")
     embed_kw, cluster_kw, top_kw, child_kw = {}, {}, {}, {}
     betas = {}
     if path:
@@ -178,13 +182,12 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
                                         betas.get("beta2", default[1]))
     embed_child = None
     if child_kw:
-        embed_child = EmbedConfig(seed=seed, workers=workers,
-                                  **{**embed_kw, **child_kw})
+        embed_child = EmbedConfig(seed=seed, **{**embed_kw, **child_kw})
     return PipelineConfig(
-        embed=EmbedConfig(seed=seed, workers=workers, **embed_kw),
+        embed=EmbedConfig(seed=seed, **embed_kw),
         embed_child=embed_child,
         cluster=ClusterConfig(seed=seed, **cluster_kw),
-        seed=seed, workers=workers, **top_kw)
+        seed=seed, **top_kw)
 
 
 def run_cli(argv=None) -> int:
@@ -197,11 +200,10 @@ def run_cli(argv=None) -> int:
     parser.add_argument("--integrity", default=None)
     parser.add_argument("--config", default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--dump-debug", default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed, workers=args.workers)
+        cfg = load_config(args.config, seed=args.seed)
         corpus = load_corpus(args.corpus, integrity_path=args.integrity)
         with open(args.hierarchy, encoding="utf-8") as f:
             partial = parse_hierarchy(f.read(), corpus)

@@ -27,17 +27,17 @@ from taxoforge.clustering import (
     select_novel_k,
     spherical_kmeans,
 )
-from taxoforge.corpus import compute_term_stats, load_corpus
+from taxoforge.corpus import load_corpus
 from taxoforge.embedding import EmbedConfig, dense_gradients, objective_value
 from taxoforge.evaluation import (
     PlantedCorpusSpec,
     cluster_recovery_score,
-    generate_synthetic_corpus,
     novelty_detection_metrics,
+    run_planted,
     write_synthetic_dataset,
 )
 from taxoforge.pipeline import PipelineConfig, complete_taxonomy, run_cli
-from taxoforge.taxonomy import parse_hierarchy, serialize
+from taxoforge.taxonomy import parse_hierarchy
 from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf, vmf_log_density
 
 from test_clustering import _planted_node, bm25_score, make_doc_fixture, reference_bm25
@@ -51,41 +51,6 @@ def _report(capfd, num, name, ok):
     with capfd.disabled():
         print(f"[acceptance {num}] {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {num} ({name}) failed"
-
-
-def planted_pipeline_config(seed):
-    # low-dimensional, higher-lr configuration used for all planted runs;
-    # child nodes use smaller batches (more SGD steps on the smaller
-    # sub-corpora), and beta=5 widens the novelty gap so topics that sit
-    # asymmetrically between the surviving siblings are still flagged
-    return PipelineConfig(
-        embed=EmbedConfig(dim=8, epochs=10, lr=0.05, seed=seed),
-        embed_child=EmbedConfig(dim=8, epochs=10, lr=0.05, batch_size=2048,
-                                seed=seed),
-        cluster=ClusterConfig(beta_per_level=(5.0, 5.0), seed=seed),
-        seed=seed)
-
-
-def run_planted(seed, delete):
-    """Generate the standard planted corpus, drop one topic, complete it."""
-    spec = PlantedCorpusSpec(seed=seed)
-    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
-    lines = []
-    for l1 in truth.nodes[truth.root].children:
-        name1 = corpus.term(truth.nodes[l1].center_term)
-        if name1 == delete:
-            continue
-        lines.append(name1)
-        for l2 in truth.nodes[l1].children:
-            name2 = corpus.term(truth.nodes[l2].center_term)
-            if name2 != delete:
-                lines.append("\t" + name2)
-    partial = parse_hierarchy("\n".join(lines), corpus)
-    t0 = time.time()
-    tax = complete_taxonomy(corpus, partial, planted_pipeline_config(seed))
-    elapsed = time.time() - t0
-    out = json.loads(serialize(tax, corpus, 10))
-    return out, doc_labels, term_labels, elapsed
 
 
 def _tangent(grad, points):
@@ -263,7 +228,7 @@ def test_criterion_8_determinism(capfd, tmp_path):
         path = tmp_path / name
         rc = run_cli(["--corpus", f"{DATA}/corpus.txt",
                       "--hierarchy", f"{DATA}/partial.txt",
-                      "--out", str(path), "--seed", "5", "--workers", "1"])
+                      "--out", str(path), "--seed", "5"])
         assert rc == 0
         outs.append(path.read_bytes())
     _report(capfd, 8, "determinism", outs[0] == outs[1])
@@ -286,7 +251,7 @@ def test_determinism_with_training_and_clustering(tmp_path):
         rc = run_cli(["--corpus", str(tmp_path / "corpus.txt"),
                       "--hierarchy", str(tmp_path / "partial.txt"),
                       "--config", str(tmp_path / "cfg.txt"),
-                      "--out", str(path), "--seed", "5", "--workers", "1"])
+                      "--out", str(path), "--seed", "5"])
         assert rc == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
@@ -295,6 +260,12 @@ def test_determinism_with_training_and_clustering(tmp_path):
     assert topic0["doc_ids"] and topic0["kappa"] is not None
     assert any(c["doc_ids"] for c in topic0["children"])
     assert any(c["is_novel"] for c in tree["children"] + topic0["children"])
+    stack = list(tree["children"])
+    while stack:
+        node = stack.pop()
+        assert node["doc_ids"] or not node["is_novel"], \
+            f"novel node {node['name']} has no documents"
+        stack.extend(node["children"])
 
 
 def test_criterion_9_kstar_balance(capfd):

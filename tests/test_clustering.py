@@ -14,19 +14,17 @@ from taxoforge.clustering import (
     assign_documents,
     assign_known_terms,
     cluster_node,
-    novelty_score,
     novelty_scores,
     novelty_threshold,
     select_anchor_terms,
     select_novel_k,
-    significance_score,
     significance_scores,
     spherical_kmeans,
     split_terms,
 )
 from taxoforge.corpus import compute_term_stats, corpus_from_lines
 from taxoforge.embedding import EmbeddingSpace
-from taxoforge.vmf import estimate_vmf, sample_vmf
+from taxoforge.vmf import sample_vmf
 
 from test_corpus import tf
 
@@ -66,6 +64,11 @@ def test_beta_per_level_lookup():
 
 
 # --- novelty ---
+
+
+def novelty_score(t, space, temperature):
+    """Novelty of one term: one entry of the pipeline's novelty_scores."""
+    return float(novelty_scores(space, [t], temperature)[0])
 
 
 def test_novelty_equidistant_is_max():
@@ -525,6 +528,14 @@ def test_rep_uses_integrity():
     got = representativeness(a_id, 0, z_doc, stats, corpus,
                              range(corpus.num_terms), 1)
     assert got == pytest.approx(base * 0.125 ** (1 / 3), rel=1e-9)
+
+
+def significance_score(t, term_arr, vecs, means, rep):
+    """Significance and best slot of one term: one row of
+    significance_scores."""
+    sig, arg = significance_scores(term_arr, vecs, means, rep)
+    i = list(term_arr).index(int(t))
+    return float(sig[i]), int(arg[i])
 
 
 def test_significance_extremes_and_bruteforce():

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from taxoforge.corpus import (
+    Document,
     EmptyCorpusError,
     EmptyStatsError,
     UnknownDocumentError,
     compute_term_stats,
     context_pair_arrays,
-    context_pairs,
     corpus_from_lines,
     load_corpus,
 )
+from taxoforge.embedding import EmbedConfig
 
 
 def tf(stats, term_id, doc_id):
@@ -211,6 +212,21 @@ def test_tf_sums_to_occurrences(token_lists):
 # --- context pairs ---
 
 
+def context_pairs(doc, window):
+    """All (target, context) pairs within the window, both directions, one
+    token at a time: the oracle for context_pair_arrays."""
+    tokens = doc.tokens
+    pairs = []
+    n = tokens.size
+    for i in range(n):
+        lo = max(0, i - window)
+        hi = min(n, i + window + 1)
+        for j in range(lo, hi):
+            if j != i:
+                pairs.append((int(tokens[i]), int(tokens[j])))
+    return pairs
+
+
 def test_single_token_no_pairs():
     corpus = corpus_from_lines(["x\n"])
     assert context_pairs(corpus.documents[0], 1) == []
@@ -236,9 +252,12 @@ def test_window_two_matches_bruteforce():
 
 
 def test_window_below_one_rejected():
-    corpus = corpus_from_lines(["a b\n"])
-    with pytest.raises(ValueError):
-        context_pairs(corpus.documents[0], 0)
+    # the trainer's config rejects a window that yields no pairs, and a
+    # batch size that yields no batches
+    with pytest.raises(ValueError, match="window"):
+        EmbedConfig(window=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        EmbedConfig(batch_size=0)
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=20),
@@ -247,7 +266,6 @@ def test_window_below_one_rejected():
 def test_context_pairs_symmetric(tokens, window):
     from collections import Counter
 
-    from taxoforge.corpus import Document
     doc = Document(id=0, tokens=np.asarray(tokens, dtype=np.int64))
     counts = Counter(context_pairs(doc, window))
     for (a, b), n in counts.items():
@@ -261,7 +279,6 @@ def test_context_pairs_symmetric(tokens, window):
 def test_pair_arrays_match_per_doc_pairs(token_lists, window):
     from collections import Counter
 
-    from taxoforge.corpus import Document
     docs = [Document(id=i, tokens=np.asarray(t, dtype=np.int64))
             for i, t in enumerate(token_lists)]
     t_arr, c_arr = context_pair_arrays(docs, window)

@@ -377,14 +377,6 @@ def test_trainer_no_pairs_returns_initialization():
     assert np.abs(np.linalg.norm(space.target, axis=1) - 1.0).max() < 1e-9
 
 
-def test_trainer_multiworker_runs_and_stays_unit_norm():
-    corpus = two_topic_corpus()
-    cfg = EmbedConfig(dim=6, epochs=2, workers=2, seed=1)
-    space = train_node_embedding(range(corpus.num_docs),
-                                 range(corpus.num_terms), {}, cfg, corpus)
-    assert np.abs(np.linalg.norm(space.target, axis=1) - 1.0).max() < 1e-6
-
-
 def test_embedding_dump_format(tmp_path, trained):
     corpus, tax, keywords, cfg, space = trained
     path = tmp_path / "space.txt"

@@ -34,10 +34,12 @@ def test_pipeline_config_validation():
 
 
 def test_load_config_defaults():
-    cfg = load_config(None, seed=7, workers=2)
-    assert cfg == PipelineConfig(embed=EmbedConfig(seed=7, workers=2),
-                                 cluster=ClusterConfig(seed=7),
-                                 seed=7, workers=2)
+    cfg = load_config(None, seed=7)
+    assert cfg == PipelineConfig(embed=EmbedConfig(seed=7),
+                                 cluster=ClusterConfig(seed=7), seed=7)
+    assert load_config(None, seed=7, workers=1) == cfg
+    with pytest.raises(ValueError, match="workers"):
+        load_config(None, workers=2)
 
 
 def test_load_config_overrides(tmp_path):
@@ -68,6 +70,18 @@ def test_load_config_rejects_malformed_line(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("dim 16\n")
     with pytest.raises(ValueError, match="key=value"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("line,field", [("window=0", "window"),
+                                        ("batch_size=0", "batch_size"),
+                                        ("child_batch_size=0", "batch_size")])
+def test_load_config_rejects_bad_training_values(tmp_path, line, field):
+    # the pipeline would otherwise train on no pairs, or divide by zero
+    # deep in the trainer
+    path = tmp_path / "cfg.txt"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=field):
         load_config(str(path))
 
 
