@@ -7,8 +7,7 @@ from .clustering import (ClusterConfig, SubtopicClustering, assign_documents,
 from .corpus import Corpus, Document, TermStats, compute_term_stats, load_corpus
 from .embedding import (Batch, EmbedConfig, EmbeddingSpace, objective_value,
                         retrieve_local_corpus, train_node_embedding)
-from .evaluation import (PlantedCorpusSpec, cluster_recovery_score,
-                         generate_synthetic_corpus, novelty_detection_metrics)
+from .evaluation import PlantedCorpusSpec, generate_synthetic_corpus, score_planted
 from .pipeline import PipelineConfig, complete_taxonomy, run_cli
 from .taxonomy import (Taxonomy, TopicNode, insert_children, parse_hierarchy,
                        serialize, subtree_keywords)
@@ -19,11 +18,11 @@ __all__ = [
     "EmbeddingSpace", "PipelineConfig", "PlantedCorpusSpec",
     "SubtopicClustering", "Taxonomy", "TermStats", "TopicNode", "VmfParams",
     "assign_documents", "assign_known_terms", "cluster_node",
-    "cluster_recovery_score", "complete_taxonomy", "compute_term_stats",
-    "estimate_vmf", "generate_synthetic_corpus", "insert_children",
-    "load_corpus", "novelty_detection_metrics", "novelty_threshold",
-    "objective_value", "parse_hierarchy", "retrieve_local_corpus", "run_cli",
-    "sample_vmf", "select_anchor_terms", "select_novel_k", "serialize",
-    "spherical_kmeans", "split_terms", "subtree_keywords",
-    "train_node_embedding", "vmf_log_density",
+    "complete_taxonomy", "compute_term_stats", "estimate_vmf",
+    "generate_synthetic_corpus", "insert_children", "load_corpus",
+    "novelty_threshold", "objective_value", "parse_hierarchy",
+    "retrieve_local_corpus", "run_cli", "sample_vmf", "score_planted",
+    "select_anchor_terms", "select_novel_k", "serialize", "spherical_kmeans",
+    "split_terms", "subtree_keywords", "train_node_embedding",
+    "vmf_log_density",
 ]

@@ -21,6 +21,8 @@ from .corpus import Corpus, TermStats
 from .embedding import EmbeddingSpace
 from .vmf import estimate_vmf
 
+KMEANS_TOL = 1e-9   # k-means stops once its objective moves less than this
+
 
 class UndefinedNoveltyError(ValueError):
     pass
@@ -31,12 +33,10 @@ class ClusterConfig:
     beta_per_level: tuple = (1.5, 3.0)
     temperature: float = 0.1
     tau_sig: float = 0.3
-    k_star_min: int = 1
     k_star_max: int = 5
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
     kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-9
     kmeans_restarts: int = 4
     seed: int = 0
 
@@ -155,7 +155,7 @@ def _kmeans_once(vectors, k, cfg, rng):
         obj = float((vectors * means[assign]).sum())
         history.append(obj)
         if converged or (len(history) > 1 and
-                         abs(history[-1] - history[-2]) < cfg.kmeans_tol):
+                         abs(history[-1] - history[-2]) < KMEANS_TOL):
             break
     return assign, means, history
 
@@ -288,7 +288,7 @@ def select_novel_k(novel_terms, known_assign, known_centers, space: EmbeddingSpa
     k_known = space.num_topics if known_assign or known_centers else 0
     novel_arr = sorted(int(t) for t in novel_terms)
     if novel_arr:
-        candidates = [k for k in range(cfg.k_star_min, cfg.k_star_max + 1)
+        candidates = [k for k in range(1, cfg.k_star_max + 1)
                       if k <= len(novel_arr)]
         if not candidates:
             candidates = [len(novel_arr)]

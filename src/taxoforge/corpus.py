@@ -1,6 +1,6 @@
 """Pre-tokenized corpus loading, vocabulary, and frequency statistics."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -143,7 +143,6 @@ class TermStats:
     doc_len: np.ndarray          # per subset row
     avg_doc_len: float
     n_docs: int
-    in_subset: np.ndarray = field(default=None)  # bool mask: df > 0
 
     def rows(self, doc_ids) -> np.ndarray:
         """Row in counts of each doc id, in the given order; -1 where the
@@ -158,8 +157,8 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
     """Frequency statistics restricted to doc_subset.
 
     idf(t) = log(|subset| / df(t)) with df over the subset only; terms absent
-    from the subset get df 0 and idf 0 (flagged by in_subset). The counts
-    are the subset's rows of the corpus's root count matrix.
+    from the subset get df 0 and idf 0. The counts are the subset's rows of
+    the corpus's root count matrix.
     """
     doc_ids = np.asarray(sorted(doc_subset), dtype=np.int64)
     if doc_ids.size == 0:
@@ -183,7 +182,6 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
         doc_len=doc_len,
         avg_doc_len=float(doc_len.mean()),
         n_docs=int(doc_ids.size),
-        in_subset=present,
     )
 
 

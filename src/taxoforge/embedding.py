@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, context_pair_arrays
-from .vmf import KAPPA_MAX, VmfParams, bessel_ratio, log_norm_const
+from .vmf import KAPPA_MAX, bessel_ratio, log_norm_const
 
 
 @dataclass
@@ -24,7 +24,6 @@ class EmbedConfig:
     epochs: int = 10
     lr: float = 0.025
     neighbors_m: int = 100     # M: local-corpus retrieval neighbors
-    kappa_max: float = KAPPA_MAX
     batch_size: int = 8192
     seed: int = 0
 
@@ -62,14 +61,6 @@ class EmbeddingSpace:
 
     def vec(self, term_id):
         return self.target[self.row_of[int(term_id)]]
-
-    @property
-    def topic(self):
-        return {
-            key: VmfParams(mu=self.topic_vecs[k], kappa=float(self.topic_kappa[k]),
-                           log_c=log_norm_const(float(self.topic_kappa[k]), self.dim))
-            for k, key in enumerate(self.topic_order)
-        }
 
     def dump(self, path, corpus: Corpus, topic_names=None):
         """Text dump: one line per term, topic vectors prefixed __topic__."""
@@ -354,7 +345,7 @@ class _TrainState:
         s -= lr * g_s
         s[:] = _unit(s)
         self.topic_kappa -= lr * g_k
-        np.clip(self.topic_kappa, 0.0, self.cfg.kappa_max, out=self.topic_kappa)
+        np.clip(self.topic_kappa, 0.0, KAPPA_MAX, out=self.topic_kappa)
 
 
 def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,

@@ -1,4 +1,4 @@
-"""Planted-corpus generation and recovery metrics."""
+"""Planted-corpus generation, planted-recovery runs and their scoring."""
 
 import argparse
 import json
@@ -166,40 +166,6 @@ def run_planted(seed: int, delete: str):
     return out, doc_labels, term_labels, elapsed
 
 
-def novelty_detection_metrics(z_doc, novel_cluster_ids, labels):
-    """Precision/recall/F1 of predicted-novel documents against labels.
-
-    z_doc: doc id -> cluster id (unassigned docs may be absent: predicted
-    known). labels: doc id -> True when the doc belongs to a deleted topic.
-    """
-    novel_ids = set(novel_cluster_ids)
-    tp = fp = fn = 0
-    for d, is_novel in labels.items():
-        pred = z_doc.get(d) in novel_ids
-        if pred and is_novel:
-            tp += 1
-        elif pred and not is_novel:
-            fp += 1
-        elif is_novel:
-            fn += 1
-    if tp + fp == 0 and tp + fn == 0:
-        return 1.0, 1.0, 1.0
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall else 0.0)
-    return precision, recall, f1
-
-
-def cluster_recovery_score(found_ranked_terms, planted) -> float:
-    """Precision of the top-10 (significance-ranked) found terms vs. planted."""
-    top = list(found_ranked_terms)[:10]
-    if not top or not planted:
-        raise ValueError("both term collections must be non-empty")
-    planted = set(planted)
-    return sum(1 for t in top if t in planted) / len(top)
-
-
 def write_synthetic_dataset(spec: PlantedCorpusSpec, out_dir: str):
     corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
     os.makedirs(out_dir, exist_ok=True)
@@ -216,61 +182,71 @@ def write_synthetic_dataset(spec: PlantedCorpusSpec, out_dir: str):
         }, f, indent=2)
 
 
-def _collect_nodes(node, depth=0, out=None):
-    out = [] if out is None else out
-    out.append((node, depth))
-    for c in node["children"]:
-        _collect_nodes(c, depth + 1, out)
-    return out
+def score_planted(tree: dict, doc_labels, term_labels: dict, delete: str) -> dict:
+    """Score one serialized output against the planted truth, at the depth of
+    the deleted topic.
+
+    recovery: the best top-10 precision of a novel node directly under the
+    deleted topic's parent (best_node), against the planted terms of the
+    deleted topic's whole subtree; 0 (and best_node None) when there is no
+    such node. Novelty precision/recall/F1 count a document as predicted
+    novel when a novel node at depth <= the deleted topic's depth holds it,
+    and as novel when it belongs to the deleted subtree.
+    """
+    parent_of = _topic_parents(doc_labels)
+    if delete not in parent_of:
+        raise ValueError(f"{delete!r} is not a planted topic")
+    parent = parent_of[delete]
+    depth = 1 if parent is None else 2
+    subtree = {t for t, p in parent_of.items() if delete in (t, p)}
+    planted = {term for term, lab in term_labels.items() if lab in subtree}
+
+    siblings = tree["children"] if parent is None else [
+        g for c in tree["children"] if c["name"] == parent and not c["is_novel"]
+        for g in c["children"]]
+    recovery, best = 0.0, None
+    for c in siblings:
+        top = c["terms"][:10]
+        if c["is_novel"] and top:
+            rec = sum(t in planted for t in top) / len(top)
+            if best is None or rec > recovery:
+                recovery, best = rec, c["name"]
+
+    predicted, level = set(), tree["children"]
+    for _ in range(depth):
+        predicted.update(d for c in level if c["is_novel"] for d in c["doc_ids"])
+        level = [g for c in level for g in c["children"]]
+    actual = {d for d, (l1, l2) in enumerate(doc_labels)
+              if l1 in subtree or l2 in subtree}
+    tp = len(predicted & actual)
+    precision = tp / len(predicted) if predicted else 0.0
+    recall = tp / len(actual)
+    f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
+    return {"depth": depth, "recovery": recovery, "best_node": best,
+            "novelty_precision": precision, "novelty_recall": recall,
+            "novelty_f1": f1}
 
 
-def score_prediction(pred_path: str, truth_path: str) -> dict:
-    """Compare a serialized output taxonomy against planted ground truth."""
-    with open(pred_path, encoding="utf-8") as f:
-        pred = json.load(f)
-    with open(truth_path, encoding="utf-8") as f:
-        truth = json.load(f)
-    doc_labels = truth["doc_labels"]
-    term_labels = truth["term_labels"]
-    nodes = _collect_nodes(pred)
-    known_names = {n["name"] for n, _ in nodes if not n["is_novel"]}
-    # a doc is truly novel when any level of its planted lineage is missing
-    # from the known (input-hierarchy) nodes of the prediction
-    labels = {d: (l1 not in known_names or l2 not in known_names)
-              for d, (l1, l2) in enumerate(doc_labels)}
-    z_doc, novel_ids = {}, set()
-    for idx, (node, depth) in enumerate(nodes):
-        if depth == 0:
-            continue
-        if node["is_novel"]:
-            novel_ids.add(idx)
-        for d in node["doc_ids"]:
-            if depth == 1:
-                z_doc[d] = idx
-    precision, recall, f1 = novelty_detection_metrics(z_doc, novel_ids, labels)
-    recoveries = []
-    for idx, (node, depth) in enumerate(nodes):
+def _topic_parents(doc_labels) -> dict:
+    """Planted topic name -> its parent's name (None for a level-1 topic)."""
+    parent_of = {}
+    for l1, l2 in doc_labels:
+        parent_of[l1] = None
+        parent_of[l2] = l1
+    return parent_of
+
+
+def _deleted_topics(tree: dict, doc_labels) -> list:
+    """Planted topics missing from a prediction: no known node carries the
+    topic's name, and its parent is a known node (or it is a level-1 topic)."""
+    known, stack = set(), list(tree["children"])
+    while stack:
+        node = stack.pop()
         if not node["is_novel"]:
-            continue
-        by_topic = {}
-        for t in node["terms"]:
-            lab = term_labels.get(t)
-            if lab:
-                by_topic[lab] = by_topic.get(lab, 0) + 1
-        if not by_topic:
-            continue
-        best = max(sorted(by_topic), key=lambda k: by_topic[k])
-        planted = {t for t, lab in term_labels.items() if lab == best}
-        recoveries.append({
-            "node": node["name"], "matched_topic": best,
-            "recovery": cluster_recovery_score(node["terms"], planted),
-        })
-    return {
-        "novelty_precision": precision,
-        "novelty_recall": recall,
-        "novelty_f1": f1,
-        "novel_nodes": recoveries,
-    }
+            known.add(node["name"])
+        stack.extend(node["children"])
+    return [t for t, p in _topic_parents(doc_labels).items()
+            if t not in known and (p is None or p in known)]
 
 
 def run_eval_cli(argv=None) -> int:
@@ -281,7 +257,7 @@ def run_eval_cli(argv=None) -> int:
     p_synth = sub.add_parser("synth", help="generate a planted corpus")
     p_synth.add_argument("--spec", required=True, help="JSON file of spec fields")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_score = sub.add_parser("score", help="score a predicted taxonomy")
+    p_score = sub.add_parser("score", help="score a predicted taxonomy per deleted topic")
     p_score.add_argument("--pred", required=True)
     p_score.add_argument("--truth", required=True)
     args = parser.parse_args(argv)
@@ -291,7 +267,13 @@ def run_eval_cli(argv=None) -> int:
                 spec = PlantedCorpusSpec(**json.load(f))
             write_synthetic_dataset(spec, args.out)
         else:
-            report = score_prediction(args.pred, args.truth)
+            with open(args.pred, encoding="utf-8") as f:
+                tree = json.load(f)
+            with open(args.truth, encoding="utf-8") as f:
+                truth = json.load(f)
+            labels = truth["doc_labels"]
+            report = {t: score_planted(tree, labels, truth["term_labels"], t)
+                      for t in _deleted_topics(tree, labels)}
             print(json.dumps(report, indent=2))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"taxoforge-eval: error: {exc}", file=sys.stderr)

@@ -674,7 +674,7 @@ def test_select_novel_k_capped_by_novel_count():
     corpus, sp, stats, labels = _planted_node()
     known_assign = {t: g for t, g in labels.items() if g < 2}
     novel = set(list({t for t, g in labels.items() if g >= 2})[:3])
-    cfg = ClusterConfig(tau_sig=0.0, k_star_min=1, k_star_max=5)
+    cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
     res = select_novel_k(novel, known_assign, {}, sp, stats,
                          list(labels), range(corpus.num_docs), corpus, cfg)
     assert res.k_star <= 3

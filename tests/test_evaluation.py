@@ -1,4 +1,4 @@
-"""Planted-corpus generator, recovery metrics, and the eval CLI."""
+"""Planted-corpus generator, the planted-run scorer, and the eval CLI."""
 
 import json
 
@@ -7,11 +7,9 @@ import pytest
 
 from taxoforge.evaluation import (
     PlantedCorpusSpec,
-    cluster_recovery_score,
     generate_synthetic_corpus,
-    novelty_detection_metrics,
     run_eval_cli,
-    score_prediction,
+    score_planted,
     write_synthetic_dataset,
 )
 
@@ -104,45 +102,113 @@ def test_generator_name_boost_raises_name_frequency():
     assert name_rate(high) > 2 * name_rate(low)
 
 
-# --- metrics ---
+# --- scorer, on hand-built trees ---
+
+# planted truth: topics a, b, each with sub-topics _0 and _1 of two documents
+# each; every topic has its name and nine more terms
+DOC_LABELS = [("a", "a_0"), ("a", "a_0"), ("a", "a_1"), ("a", "a_1"),
+              ("b", "b_0"), ("b", "b_0"), ("b", "b_1"), ("b", "b_1")]
+TERM_LABELS = {f"{topic}{suffix}": topic
+               for topic in ("a", "a_0", "a_1", "b", "b_0", "b_1")
+               for suffix in [""] + [f"_w{k:02d}" for k in range(1, 10)]}
 
 
-def test_novelty_metrics_confusion_fixture():
-    labels = {0: True, 1: True, 2: False, 3: False, 4: True}
-    z_doc = {0: 9, 1: 5, 2: 9, 4: 5}  # 9 is novel; 5 is known
-    p, r, f1 = novelty_detection_metrics(z_doc, {9}, labels)
-    # predictions: doc0 novel (tp), doc1 known (fn), doc2 novel (fp),
-    # doc3 unassigned -> known (tn), doc4 known (fn)
-    assert p == pytest.approx(1 / 2)
-    assert r == pytest.approx(1 / 3)
-    assert f1 == pytest.approx(2 * (1 / 2) * (1 / 3) / (1 / 2 + 1 / 3))
+def pool(topic, n=10):
+    return [topic] + [f"{topic}_w{k:02d}" for k in range(1, n)]
 
 
-def test_novelty_metrics_vacuous_success():
-    # nothing truly novel, nothing predicted novel -> perfect scores
-    labels = {0: False, 1: False}
-    assert novelty_detection_metrics({}, set(), labels) == (1.0, 1.0, 1.0)
+def node(name, docs, children=(), novel=False, terms=None):
+    return {"name": name, "is_novel": novel, "terms": terms or [name],
+            "doc_ids": list(docs), "kappa": None, "children": list(children)}
 
 
-def test_novelty_metrics_zero_predictions():
-    labels = {0: True}
-    p, r, f1 = novelty_detection_metrics({}, set(), labels)
-    assert (p, r, f1) == (0.0, 0.0, 0.0)
+def level2_tree(novel_under_a=True):
+    """a_1 deleted. Under a: a weaker novel node, then one holding a_1's
+    documents and terms; under b a novel node takes document 6."""
+    novel = [node("a_0_w01", [], novel=True, terms=pool("a_0")[1:5] + pool("a_1")[:4]),
+             node("a_1", [2, 3], novel=True, terms=pool("a_1"))]
+    return node("root", range(8), [
+        node("a", range(4), [node("a_0", [0, 1])] + (novel if novel_under_a else [])),
+        node("b", range(4, 8), [node("b_0", [4, 5]), node("b_1", [7]),
+                                node("b_x", [6], novel=True, terms=["b_x"])]),
+    ])
 
 
-def test_cluster_recovery_top10_precision():
-    planted = {f"t{i}" for i in range(10)}
-    found = [f"t{i}" for i in range(7)] + ["x", "y", "z", "t9"]
-    assert cluster_recovery_score(found, planted) == pytest.approx(0.7)
-    assert cluster_recovery_score(list(planted), planted) == 1.0
-    with pytest.raises(ValueError):
-        cluster_recovery_score([], planted)
+def test_score_planted_level2_deletion_at_depth_2():
+    sc = score_planted(level2_tree(), DOC_LABELS, TERM_LABELS, "a_1")
+    assert sc["depth"] == 2
+    assert sc["best_node"] == "a_1" and sc["recovery"] == 1.0
+    # depth-2 novel nodes count: docs 2, 3 (right) and 6 (wrong)
+    assert sc["novelty_precision"] == pytest.approx(2 / 3)
+    assert sc["novelty_recall"] == 1.0
+    assert sc["novelty_f1"] == pytest.approx(0.8)
+
+
+def test_score_planted_level1_deletion_counts_whole_subtree_terms():
+    # the novel node holds only sub-topic terms of a, none of a's own pool
+    tree = node("root", range(8), [
+        node("b", range(4, 8), [node("b_0", [4, 5]), node("b_1", [6]),
+                                node("b_x", [7], novel=True, terms=["b_x"])]),
+        node("a_0", range(4), novel=True, terms=pool("a_0", 5) + pool("a_1", 5)),
+    ])
+    sc = score_planted(tree, DOC_LABELS, TERM_LABELS, "a")
+    assert sc["depth"] == 1
+    assert sc["best_node"] == "a_0" and sc["recovery"] == 1.0
+    # the depth-2 novel node under b is below the scored depth
+    assert (sc["novelty_precision"], sc["novelty_recall"], sc["novelty_f1"]) \
+        == (1.0, 1.0, 1.0)
+
+
+def test_score_planted_no_novel_node_under_parent():
+    tree = level2_tree(novel_under_a=False)
+    sc = score_planted(tree, DOC_LABELS, TERM_LABELS, "a_1")
+    # the novel node under b is not under the deleted topic's parent
+    assert sc["recovery"] == 0.0 and sc["best_node"] is None
+    # its document (6) is not in the deleted subtree
+    assert (sc["novelty_precision"], sc["novelty_recall"], sc["novelty_f1"]) \
+        == (0.0, 0.0, 0.0)
+    # no novel node at all: nothing predicted novel
+    tree["children"][1]["children"].pop()
+    sc = score_planted(tree, DOC_LABELS, TERM_LABELS, "a_1")
+    assert (sc["recovery"], sc["best_node"], sc["novelty_f1"]) == (0.0, None, 0.0)
+
+
+def test_score_planted_unknown_topic_rejected():
+    for delete in ("c", "a_w01", "a_2"):
+        with pytest.raises(ValueError, match="not a planted topic"):
+            score_planted(level2_tree(), DOC_LABELS, TERM_LABELS, delete)
+
+
+def test_score_planted_confusion_and_top10_fixture():
+    # a deleted; docs 0, 1, 4 belong to it. The novel node x holds docs 0
+    # (tp) and 2 (fp); b holds 1 and 4 (fn); doc 3 is unassigned (tn).
+    doc_labels = [("a", "a_0"), ("a", "a_0"), ("b", "b_0"), ("b", "b_0"),
+                  ("a", "a_1")]
+    # top 10 of x: 7 planted terms and 3 others; the 11th is planted too
+    terms = pool("a_0", 4) + pool("a_1", 3) + ["x1", "x2", "x3", "a_w01"]
+    tree = node("root", range(5), [
+        node("b", [1, 4], [node("b_0", [1])]),
+        node("x", [0, 2], novel=True, terms=terms),
+    ])
+    sc = score_planted(tree, doc_labels, TERM_LABELS, "a")
+    assert sc["recovery"] == pytest.approx(0.7)
+    assert sc["novelty_precision"] == pytest.approx(1 / 2)
+    assert sc["novelty_recall"] == pytest.approx(1 / 3)
+    assert sc["novelty_f1"] == pytest.approx(2 * (1 / 2) * (1 / 3) / (1 / 2 + 1 / 3))
 
 
 # --- dataset round trip and scoring ---
 
 
-def test_write_dataset_and_score_roundtrip(tmp_path):
+def score_cli(tmp_path, capsys, pred, truth_path):
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(json.dumps(pred))
+    assert run_eval_cli(["score", "--pred", str(pred_path),
+                         "--truth", str(truth_path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_write_dataset_and_score_roundtrip(tmp_path, capsys):
     spec = small_spec()
     out = tmp_path / "data"
     write_synthetic_dataset(spec, str(out))
@@ -154,27 +220,19 @@ def test_write_dataset_and_score_roundtrip(tmp_path):
     assert "topic0\n\ttopic0_0\n\ttopic0_1\n" in hierarchy
 
     # a perfect "prediction": the full truth tree with true doc assignments
-    def node(name, docs, children, novel=False):
-        return {"name": name, "is_novel": novel, "terms": [name],
-                "doc_ids": docs, "kappa": 1.0, "children": children}
-
     docs_of = {}
     for d, (l1, l2) in enumerate(truth["doc_labels"]):
         docs_of.setdefault(l1, []).append(d)
         docs_of.setdefault(l2, []).append(d)
     pred = node("root", [], [
         node(l1, docs_of[l1],
-             [node(l2, docs_of[l2], [])
-              for l2 in (f"{l1}_0", f"{l1}_1")])
+             [node(l2, docs_of[l2]) for l2 in (f"{l1}_0", f"{l1}_1")])
         for l1 in ("topic0", "topic1")])
-    pred_path = tmp_path / "pred.json"
-    pred_path.write_text(json.dumps(pred))
-    report = score_prediction(str(pred_path), str(out / "truth.json"))
-    assert report["novelty_f1"] == 1.0  # vacuous: nothing deleted
-    assert report["novel_nodes"] == []
+    # nothing deleted, nothing to score
+    assert score_cli(tmp_path, capsys, pred, out / "truth.json") == {}
 
 
-def test_score_prediction_detects_novel_recovery(tmp_path):
+def test_score_cli_reports_each_deleted_topic(tmp_path, capsys):
     spec = small_spec()
     out = tmp_path / "data"
     write_synthetic_dataset(spec, str(out))
@@ -185,25 +243,23 @@ def test_score_prediction_detects_novel_recovery(tmp_path):
                 if l2 == "topic1_1"]
     t1_docs = [d for d, (l1, _) in enumerate(truth["doc_labels"])
                if l1 == "topic1"]
-    pred = {
-        "name": "root", "is_novel": False, "terms": ["root"], "doc_ids": [],
-        "kappa": None, "children": [
-            {"name": "topic1", "is_novel": False, "terms": ["topic1"],
-             "doc_ids": t1_docs, "kappa": 1.0, "children": [
-                 {"name": "topic1_0", "is_novel": False,
-                  "terms": ["topic1_0"], "doc_ids": [], "kappa": 1.0,
-                  "children": []},
-                 {"name": "novelx", "is_novel": True, "terms": t11_terms,
-                  "doc_ids": t11_docs, "kappa": 1.0, "children": []},
-             ]},
-        ],
-    }
-    pred_path = tmp_path / "pred.json"
-    pred_path.write_text(json.dumps(pred))
-    report = score_prediction(str(pred_path), str(out / "truth.json"))
-    (rec,) = report["novel_nodes"]
-    assert rec["matched_topic"] == "topic1_1"
-    assert rec["recovery"] == 1.0
+    # topic0 (with its sub-topics) and topic1_1 are missing; a novel node
+    # under topic1 holds topic1_1's documents and terms, and is named after
+    # its top term, which is topic1_1's name
+    pred = node("root", [], [
+        node("topic1", t1_docs, [
+            node("topic1_0", []),
+            node("topic1_1", t11_docs, novel=True, terms=t11_terms),
+        ]),
+    ])
+    report = score_cli(tmp_path, capsys, pred, out / "truth.json")
+    assert list(report) == ["topic0", "topic1_1"]
+    rec = report["topic1_1"]
+    assert rec["depth"] == 2 and rec["best_node"] == "topic1_1"
+    assert rec["recovery"] == 1.0 and rec["novelty_f1"] == 1.0
+    rec = report["topic0"]
+    assert rec["depth"] == 1 and rec["best_node"] is None
+    assert rec["recovery"] == 0.0 and rec["novelty_f1"] == 0.0
 
 
 # --- CLI ---
@@ -218,14 +274,12 @@ def test_eval_cli_synth_and_score(tmp_path, capsys):
     assert run_eval_cli(["synth", "--spec", str(spec_path),
                          "--out", str(out)]) == 0
     assert (out / "corpus.txt").exists()
-    pred = {"name": "root", "is_novel": False, "terms": ["root"],
-            "doc_ids": [], "kappa": None, "children": []}
-    pred_path = tmp_path / "pred.json"
-    pred_path.write_text(json.dumps(pred))
-    assert run_eval_cli(["score", "--pred", str(pred_path),
-                         "--truth", str(out / "truth.json")]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert "novelty_f1" in report
+    # an empty prediction: both level-1 topics are missing; their
+    # sub-topics go with them
+    report = score_cli(tmp_path, capsys, node("root", []), out / "truth.json")
+    assert list(report) == ["topic0", "topic1"]
+    assert all(r["depth"] == 1 and r["recovery"] == 0.0 and r["best_node"] is None
+               for r in report.values())
 
 
 def test_eval_cli_error_exit_code(tmp_path):
