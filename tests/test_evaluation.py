@@ -179,9 +179,9 @@ def test_score_planted_unknown_topic_rejected():
             score_planted(level2_tree(), DOC_LABELS, TERM_LABELS, delete)
 
 
-def test_score_planted_confusion_and_top10_fixture():
-    # a deleted; docs 0, 1, 4 belong to it. The novel node x holds docs 0
-    # (tp) and 2 (fp); b holds 1 and 4 (fn); doc 3 is unassigned (tn).
+def confusion_fixture():
+    """a deleted; docs 0, 1, 4 belong to it. The novel node x holds docs 0
+    (tp) and 2 (fp); b holds 1 and 4 (fn); doc 3 is unassigned (tn)."""
     doc_labels = [("a", "a_0"), ("a", "a_0"), ("b", "b_0"), ("b", "b_0"),
                   ("a", "a_1")]
     # top 10 of x: 7 planted terms and 3 others; the 11th is planted too
@@ -190,11 +190,20 @@ def test_score_planted_confusion_and_top10_fixture():
         node("b", [1, 4], [node("b_0", [1])]),
         node("x", [0, 2], novel=True, terms=terms),
     ])
-    sc = score_planted(tree, doc_labels, TERM_LABELS, "a")
-    assert sc["recovery"] == pytest.approx(0.7)
+    return score_planted(tree, doc_labels, TERM_LABELS, "a")
+
+
+def test_novelty_metrics_confusion_fixture():
+    sc = confusion_fixture()
     assert sc["novelty_precision"] == pytest.approx(1 / 2)
     assert sc["novelty_recall"] == pytest.approx(1 / 3)
     assert sc["novelty_f1"] == pytest.approx(2 * (1 / 2) * (1 / 3) / (1 / 2 + 1 / 3))
+
+
+def test_cluster_recovery_top10_precision():
+    sc = confusion_fixture()
+    assert sc["best_node"] == "x"
+    assert sc["recovery"] == pytest.approx(0.7)
 
 
 # --- dataset round trip and scoring ---
