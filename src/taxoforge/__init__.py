@@ -11,7 +11,7 @@ from .evaluation import PlantedCorpusSpec, generate_synthetic_corpus, score_plan
 from .pipeline import PipelineConfig, complete_taxonomy, run_cli
 from .taxonomy import (Taxonomy, TopicNode, insert_children, parse_hierarchy,
                        serialize, subtree_keywords)
-from .vmf import VmfParams, estimate_vmf, sample_vmf, vmf_log_density
+from .vmf import VmfParams, estimate_vmf, sample_vmf
 
 __all__ = [
     "Batch", "ClusterConfig", "Corpus", "Document", "EmbedConfig",
@@ -24,5 +24,4 @@ __all__ = [
     "retrieve_local_corpus", "run_cli", "sample_vmf", "score_planted",
     "select_anchor_terms", "select_novel_k", "serialize", "spherical_kmeans",
     "split_terms", "subtree_keywords", "train_node_embedding",
-    "vmf_log_density",
 ]

@@ -13,7 +13,7 @@ a last-bit change here moves kappa and can change which topics a run
 recovers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .embedding import EmbeddingSpace
 from .vmf import estimate_vmf
 
 KMEANS_TOL = 1e-9   # k-means stops once its objective moves less than this
+KMEANS_MAX_ITER = 100
+KMEANS_RESTARTS = 4  # the best objective over this many seeded starts wins
 
 
 class UndefinedNoveltyError(ValueError):
@@ -36,8 +38,6 @@ class ClusterConfig:
     k_star_max: int = 5
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
-    kmeans_max_iter: int = 100
-    kmeans_restarts: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -47,6 +47,8 @@ class ClusterConfig:
             raise ValueError("tau_sig must lie in [0, 1]")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
+        if self.k_star_max < 1:
+            raise ValueError("k_star_max (kmax_novel) must be >= 1")
 
     def beta(self, level: int) -> float:
         return self.beta_per_level[min(level, len(self.beta_per_level) - 1)]
@@ -54,18 +56,19 @@ class ClusterConfig:
 
 @dataclass
 class SubtopicClustering:
-    """Full clustering result for one node."""
+    """Full clustering result for one node.
 
-    z_term: dict                      # term id -> slot
-    known_terms: set
+    Document sets come from the re-assignment by anchor terms only.
+    """
+
+    z_term: dict        # term id -> slot
     novel_terms: set
-    novel_clusters: list              # (center term, anchor set, VmfParams)
-    known_updates: dict               # slot -> (anchor set, VmfParams)
+    known: list         # (anchor set, doc set, VmfParams) per known slot, in slot order
+    novel: list         # (center term, anchor set, doc set, VmfParams) per novel
+                        # cluster with anchors, largest first, ties in slot order
     k_star: int
-    known_docs: dict = field(default_factory=dict)   # slot -> doc set (post-anchor)
-    novel_docs: list = field(default_factory=list)   # aligned with novel_clusters
-    sig_scores: dict = field(default_factory=dict)   # term id -> significance
-    warnings: set = field(default_factory=set)       # slots left with only their center
+    sig_scores: dict    # term id -> significance
+    warnings: set       # known slots left with only their center
 
 
 def novelty_scores(space: EmbeddingSpace, term_ids, temperature: float) -> np.ndarray:
@@ -119,9 +122,9 @@ def spherical_kmeans(vectors, k: int, cfg: ClusterConfig, seed=None,
         raise ValueError(f"{n} vectors cannot form {k} clusters")
     seed = cfg.seed if seed is None else seed
     best = None
-    for r in range(max(1, cfg.kmeans_restarts)):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng(seed + r)
-        assign, means, history = _kmeans_once(vectors, k, cfg, rng)
+        assign, means, history = _kmeans_once(vectors, k, rng)
         if best is None or history[-1] > best[2][-1]:
             best = (assign, means, history)
     assign, means, history = best
@@ -130,12 +133,12 @@ def spherical_kmeans(vectors, k: int, cfg: ClusterConfig, seed=None,
     return assign, means
 
 
-def _kmeans_once(vectors, k, cfg, rng):
+def _kmeans_once(vectors, k, rng):
     n = vectors.shape[0]
     means = vectors[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
     history = []
-    for _ in range(cfg.kmeans_max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sims = vectors @ means.T
         new_assign = sims.argmax(axis=1)
         # re-seed empty clusters with the point least aligned to its own mean
@@ -281,137 +284,81 @@ def select_novel_k(novel_terms, known_assign, known_centers, space: EmbeddingSpa
                    cfg: ClusterConfig) -> SubtopicClustering:
     """Pick the novel cluster count K* minimizing the stdev of concentrations.
 
-    For each candidate K* the clustering/assignment/anchor/vMF chain is
-    re-run; known sub-topics contribute their (re-estimated) kappas too.
-    Zero-known nodes use the stdev over novel kappas only.
+    known_centers maps each known slot to its center term; its size is the
+    number of known slots, which precede the novel ones. For each candidate
+    K* the clustering/assignment/anchor/vMF chain is re-run, and the stdev
+    is taken over the kappas of all slots, known (re-estimated) and novel.
     """
-    k_known = space.num_topics if known_assign or known_centers else 0
+    k_known = len(known_centers)
     novel_arr = sorted(int(t) for t in novel_terms)
-    if novel_arr:
-        candidates = [k for k in range(1, cfg.k_star_max + 1)
-                      if k <= len(novel_arr)]
-        if not candidates:
-            candidates = [len(novel_arr)]
-    else:
-        candidates = [0]
-
-    novel_vecs = (space.target[[space.row_of[t] for t in novel_arr]]
-                  if novel_arr else np.zeros((0, space.dim)))
+    novel_vecs = space.target[[space.row_of[t] for t in novel_arr]]
+    term_arr = np.asarray(sorted(int(t) for t in node_terms))
+    vecs = space.target[[space.row_of[int(t)] for t in term_arr]]
+    candidates = range(1, min(cfg.k_star_max, len(novel_arr)) + 1) if novel_arr else [0]
     best = None
     for k_star in candidates:
+        n_slots = k_known + k_star
+        z_term = dict(known_assign)
         if k_star > 0:
             assign, means = spherical_kmeans(novel_vecs, k_star, cfg,
                                              seed=cfg.seed + k_star)
-            novel_assign = {t: k_known + int(a) for t, a in zip(novel_arr, assign)}
+            z_term.update((t, k_known + int(a)) for t, a in zip(novel_arr, assign))
         else:
             means = np.zeros((0, space.dim))
-            novel_assign = {}
-        cand = _evaluate_candidate(novel_assign, means, k_star, known_assign,
-                                   known_centers, space, stats, node_terms,
-                                   node_docs, corpus, cfg)
-        if best is None or cand["stdev"] < best["stdev"] - 1e-12:
-            best = cand
-    return _finalize_clustering(best, known_assign, known_centers, space,
-                                stats, node_docs, cfg)
-
-
-def _evaluate_candidate(novel_assign, novel_means, k_star, known_assign,
-                        known_centers, space, stats, node_terms, node_docs,
-                        corpus, cfg):
-    k_known = space.num_topics if known_assign or known_centers else 0
-    n_slots = k_known + k_star
-    z_term = dict(known_assign)
-    z_term.update(novel_assign)
-    z_doc = assign_documents(node_docs, z_term, stats, n_slots)
-    subcorpora = _subcorpora(z_doc, n_slots)
-    term_arr = np.asarray(sorted(int(t) for t in node_terms))
-    rows = [space.row_of[int(t)] for t in term_arr]
-    vecs = space.target[rows]
-    means = (np.vstack([space.topic_vecs[:k_known], novel_means])
-             if n_slots else np.zeros((0, space.dim)))
-    rep = _rep_matrix(term_arr, subcorpora, stats, corpus, cfg.bm25_k1, cfg.bm25_b)
-    sig, _ = significance_scores(term_arr, vecs, means, rep)
-    scores = {int(t): float(v) for t, v in zip(term_arr, sig)}
-    anchors, warnings = select_anchor_terms(z_term, scores, cfg.tau_sig,
-                                            n_slots, known_centers)
-    assigned = [set() for _ in range(n_slots)]
-    for t, s in z_term.items():
-        assigned[s].add(t)
-    vmfs, kappas = [], []
-    for s in range(n_slots):
-        pool = anchors[s] if len(anchors[s]) >= 2 else (anchors[s] | assigned[s])
-        if len(pool) >= 1:
-            pv = space.target[[space.row_of[int(t)] for t in sorted(pool)]]
-            params = estimate_vmf(pv, space.dim)
-        else:
-            params = estimate_vmf(np.zeros((1, space.dim)), space.dim)
-        vmfs.append(params)
-        kappas.append(params.kappa)
-    pool_kappas = kappas if k_known else kappas[k_known:]
-    stdev = float(np.std(pool_kappas)) if pool_kappas else 0.0
-    return {
-        "k_star": k_star, "z_term": z_term, "anchors": anchors, "vmfs": vmfs,
-        "stdev": stdev, "scores": scores, "warnings": warnings,
-        "novel_means": novel_means,
-    }
-
-
-def _finalize_clustering(cand, known_assign, known_centers, space, stats,
-                         node_docs, cfg) -> SubtopicClustering:
-    k_known = space.num_topics if known_assign or known_centers else 0
-    k_star = cand["k_star"]
-    n_slots = k_known + k_star
-    anchors = cand["anchors"]
+        z_doc = assign_documents(node_docs, z_term, stats, n_slots)
+        rep = _rep_matrix(term_arr, _subcorpora(z_doc, n_slots), stats, corpus,
+                          cfg.bm25_k1, cfg.bm25_b)
+        sig, _ = significance_scores(
+            term_arr, vecs, np.vstack([space.topic_vecs[:k_known], means]), rep)
+        scores = {int(t): float(v) for t, v in zip(term_arr, sig)}
+        anchors, warnings = select_anchor_terms(z_term, scores, cfg.tau_sig,
+                                                n_slots, known_centers)
+        assigned = [set() for _ in range(n_slots)]
+        for t, s in z_term.items():
+            assigned[s].add(t)
+        vmfs = []
+        for s in range(n_slots):
+            pool = anchors[s] if len(anchors[s]) >= 2 else (anchors[s] | assigned[s])
+            pv = (space.target[[space.row_of[int(t)] for t in sorted(pool)]]
+                  if pool else np.zeros((1, space.dim)))
+            vmfs.append(estimate_vmf(pv, space.dim))
+        stdev = float(np.std([p.kappa for p in vmfs]))
+        if best is None or stdev < best[0] - 1e-12:
+            best = (stdev, k_star, means, z_term, scores, anchors, warnings, vmfs)
+    _, k_star, means, z_term, scores, anchors, warnings, vmfs = best
 
     # cleaned document assignment from anchor terms only, inherited by children
+    n_slots = k_known + k_star
     z_anchor = {t: s for s in range(n_slots) for t in anchors[s]}
-    z_doc2 = assign_documents(node_docs, z_anchor, stats, n_slots)
     doc_sets = [set() for _ in range(n_slots)]
-    for d, s in z_doc2.items():
+    for d, s in assign_documents(node_docs, z_anchor, stats, n_slots).items():
         doc_sets[s].add(d)
-
-    known_updates = {s: (anchors[s], cand["vmfs"][s]) for s in range(k_known)}
-    known_docs = {s: doc_sets[s] for s in range(k_known)}
-    novel_clusters, novel_docs = [], []
-    order = []
-    for j in range(k_star):
-        s = k_known + j
-        aset = anchors[s]
-        if not aset:
-            continue
-        mean = cand["novel_means"][j]
-        arr = sorted(aset)
-        sims = space.target[[space.row_of[t] for t in arr]] @ mean
-        center = int(arr[int(np.argmax(sims))])
-        order.append((len(aset), s, center, aset, cand["vmfs"][s]))
-    order.sort(key=lambda x: (-x[0], x[1]))
-    for _, s, center, aset, params in order:
-        novel_clusters.append((center, aset, params))
-        novel_docs.append(doc_sets[s])
-
+    novel = []
+    for s, mean in enumerate(means, start=k_known):
+        if anchors[s]:
+            arr = sorted(anchors[s])
+            sims = space.target[[space.row_of[t] for t in arr]] @ mean
+            center = int(arr[int(np.argmax(sims))])
+            novel.append((center, anchors[s], doc_sets[s], vmfs[s]))
+    novel.sort(key=lambda c: -len(c[1]))  # stable: ties keep slot order
     return SubtopicClustering(
-        z_term=cand["z_term"],
-        known_terms=set(known_assign), novel_terms=set(cand["z_term"]) - set(known_assign),
-        novel_clusters=novel_clusters, known_updates=known_updates,
-        k_star=k_star, known_docs=known_docs, novel_docs=novel_docs,
-        sig_scores=cand["scores"], warnings=cand["warnings"],
-    )
+        z_term=z_term, novel_terms=set(novel_arr),
+        known=[(anchors[s], doc_sets[s], vmfs[s]) for s in range(k_known)],
+        novel=novel, k_star=k_star, sig_scores=scores, warnings=warnings)
 
 
 def cluster_node(node_terms, node_docs, space: EmbeddingSpace, stats: TermStats,
                  corpus: Corpus, cfg: ClusterConfig, level: int,
-                 known_centers=None) -> SubtopicClustering:
+                 known_centers) -> SubtopicClustering:
     """Known/novel split plus the full K* search for one node.
 
-    Nodes with fewer than 2 known sub-topics are routed through the
-    unsupervised path (every term is treated as novel).
+    known_centers maps slot s to the center term of space.topic_order[s].
+    A node with fewer than 2 known sub-topics takes the unsupervised path:
+    every term is novel and no slot is known.
     """
-    if space.num_topics >= 2:
-        known, novel = split_terms(node_terms, space, cfg, level)
-        known_assign = assign_known_terms(known, space)
-    else:
-        known_assign = {}
-        known_centers = None
-        novel = set(int(t) for t in node_terms)
-    return select_novel_k(novel, known_assign, known_centers or {}, space,
-                          stats, node_terms, node_docs, corpus, cfg)
+    if space.num_topics < 2:
+        return select_novel_k(node_terms, {}, {}, space, stats, node_terms,
+                              node_docs, corpus, cfg)
+    known, novel = split_terms(node_terms, space, cfg, level)
+    return select_novel_k(novel, assign_known_terms(known, space), known_centers,
+                          space, stats, node_terms, node_docs, corpus, cfg)

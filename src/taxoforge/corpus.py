@@ -122,13 +122,23 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
     if integrity_path is not None:
         integrity = np.ones(len(vocab))
         with open(integrity_path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                term, score = line.split("\t")
+                where = f"{integrity_path} line {lineno}"
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise ValueError(f"{where}: expected term<TAB>score")
+                term, score = fields
+                try:
+                    score = float(score)
+                except ValueError:
+                    raise ValueError(f"{where}: score {score!r} is not a number") from None
+                if not 0.0 <= score <= 1.0:  # also rejects nan
+                    raise ValueError(f"{where}: score {score} is not in [0, 1]")
                 if term in index:
-                    integrity[index[term]] = float(score)
+                    integrity[index[term]] = score
     return Corpus(documents, vocab, integrity)
 
 

@@ -143,53 +143,6 @@ def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> fl
     return val
 
 
-def dense_gradients(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig):
-    """Analytic gradients of objective_value w.r.t. all parameters.
-
-    Returns (g_target, g_context, g_topic, g_kappa) as dense arrays matching
-    the space's storage. Intended for verification on small spaces.
-    """
-    m = cfg.margin
-    g_t = np.zeros_like(space.target)
-    g_v = np.zeros_like(space.context)
-    g_s = np.zeros_like(space.topic_vecs)
-    g_k = np.zeros_like(space.topic_kappa)
-    if batch.pos_t.size:
-        t = space.target[batch.pos_t]
-        vp = space.context[batch.pos_c]
-        vn = space.context[batch.neg_c]
-        sp = np.einsum("pd,pd->p", t, vp)
-        sn = np.einsum("pd,pnd->pn", t, vn)
-        act = (sn - sp[:, None] + m) > 0.0
-        n_act = act.sum(axis=1).astype(np.float64)
-        np.add.at(g_t, batch.pos_t,
-                  np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp)
-        np.add.at(g_v, batch.pos_c, -n_act[:, None] * t)
-        np.add.at(g_v, batch.neg_c.ravel(),
-                  (act[:, :, None] * t[:, None, :]).reshape(-1, space.dim))
-    s = space.topic_vecs
-    k_cnt = space.num_topics
-    if k_cnt >= 2:
-        sims = s @ s.T
-        active = np.triu(sims - m > 0.0, 1)
-        both = active | active.T
-        g_s += both @ s
-    for k, rows in enumerate(batch.keyword_rows):
-        if rows is None or len(rows) == 0:
-            continue
-        rows = np.asarray(rows)
-        tk = space.target[rows]
-        sims = tk @ s[k]
-        gate = sims < m
-        if gate.any():
-            kap = float(space.topic_kappa[k])
-            np.add.at(g_t, rows[gate],
-                      np.repeat(-kap * s[k][None, :], int(gate.sum()), axis=0))
-            g_s[k] += -kap * tk[gate].sum(axis=0)
-            g_k[k] += float(gate.sum()) * bessel_ratio(kap, space.dim) - sims[gate].sum()
-    return g_t, g_v, g_s, g_k
-
-
 def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
                           m_neighbors: int) -> set:
     """Node documents plus documents containing the top-M neighbors of its center."""

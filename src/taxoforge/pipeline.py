@@ -73,24 +73,19 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         sc = cluster_node(node.terms, node.docs, space, stats, corpus,
                           cluster_cfg, level=depth, known_centers=known_centers)
 
-        results = []
         all_keywords = set().union(*keywords.values()) if keywords else set()
-        for s, key in enumerate(space.topic_order):
-            if s not in sc.known_updates:
-                continue
-            anchors, params = sc.known_updates[s]
-            # sub-tree topic names surely belong to their own sub-topic
-            anchors = (set(anchors) - all_keywords) | keywords[key]
-            results.append((tax.nodes[key].center_term, anchors,
-                            sc.known_docs.get(s, set()), False, params))
-        for (center, anchors, params), docs in zip(sc.novel_clusters, sc.novel_docs):
-            anchors = set(anchors) - all_keywords
+        # sub-tree topic names surely belong to their own sub-topic
+        known = [(key, (anchors - all_keywords) | keywords[key], docs, params.kappa)
+                 for key, (anchors, docs, params) in zip(space.topic_order, sc.known)]
+        novel = []
+        for center, anchors, docs, params in sc.novel:
+            anchors = anchors - all_keywords
             if not anchors or not docs:
                 continue
             if center not in anchors:
                 center = min(anchors)
-            results.append((center, anchors, docs, True, params))
-        insert_children(tax, node_id, results)
+            novel.append((center, anchors, docs, params.kappa))
+        insert_children(tax, node_id, known, novel)
 
         for child in tax.nodes[node_id].children:
             cnode = tax.nodes[child]

@@ -4,7 +4,6 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
-from .vmf import VmfParams
 
 
 class UnknownTopicNameError(ValueError):
@@ -31,7 +30,7 @@ class TopicNode:
     terms: set = field(default_factory=set)
     docs: set = field(default_factory=set)
     is_novel: bool = False
-    vmf: VmfParams | None = None
+    kappa: float | None = None       # vMF concentration, set by the pipeline
     term_scores: dict | None = None  # term id -> significance, set by the pipeline
     parent: int | None = None
 
@@ -131,35 +130,30 @@ def subtree_keywords(tax: Taxonomy, node_id: int) -> dict:
     return out
 
 
-def insert_children(tax: Taxonomy, parent: int, results) -> list:
+def insert_children(tax: Taxonomy, parent: int, known, novel) -> list:
     """Apply one node's clustering output to the tree.
 
-    results: iterable of (center_term, term_set, doc_set, is_novel, vmf).
-    Known entries update the matching existing child in place; novel ones are
-    appended as new nodes.
+    known: (child id, term set, doc set, kappa) per existing child, updated
+    in place. novel: (center term, term set, doc set, kappa) per new child,
+    appended in order. Returns the new node ids.
     """
-    pnode = tax.nodes[parent]
-    by_center = {tax.nodes[c].center_term: c for c in pnode.children}
+    for child, terms, docs, kappa in known:
+        node = tax.nodes[child]
+        node.terms = set(terms)
+        node.docs = set(docs)
+        node.kappa = kappa
+    centers = {tax.nodes[c].center_term for c in tax.nodes[parent].children}
     new_ids = []
-    for center, terms, docs, is_novel, vmf in results:
-        if not is_novel:
-            if center not in by_center:
-                raise CenterTermCollisionError(
-                    f"known sub-topic center {center} has no matching child")
-            node = tax.nodes[by_center[center]]
-            node.terms = set(terms)
-            node.docs = set(docs)
-            node.vmf = vmf
-        else:
-            if center in by_center:
-                raise CenterTermCollisionError(
-                    f"novel center term {center} collides with an existing child")
-            node = tax.add_node(center_term=center, parent=parent, is_novel=True)
-            node.terms = set(terms)
-            node.docs = set(docs)
-            node.vmf = vmf
-            by_center[center] = node.id
-            new_ids.append(node.id)
+    for center, terms, docs, kappa in novel:
+        if center in centers:
+            raise CenterTermCollisionError(
+                f"novel center term {center} collides with an existing child")
+        node = tax.add_node(center_term=center, parent=parent, is_novel=True)
+        node.terms = set(terms)
+        node.docs = set(docs)
+        node.kappa = kappa
+        centers.add(center)
+        new_ids.append(node.id)
     return new_ids
 
 
@@ -184,7 +178,7 @@ def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:
             "is_novel": node.is_novel,
             "terms": ranked_terms(node),
             "doc_ids": sorted(int(d) for d in node.docs),
-            "kappa": float(node.vmf.kappa) if node.vmf is not None else None,
+            "kappa": node.kappa,
             "children": [encode(c) for c in node.children],
         }
 

@@ -1,6 +1,6 @@
 """von Mises-Fisher distribution utilities on the unit hypersphere."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -14,8 +14,6 @@ class VmfParams:
 
     mu: np.ndarray
     kappa: float
-    log_c: float = field(default=0.0)
-    degenerate: bool = False
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64)
@@ -52,13 +50,6 @@ def log_norm_const(kappa: float, dim: int) -> float:
                  - log_bessel_iv(nu, kappa))
 
 
-def vmf_log_density(t: np.ndarray, params: VmfParams, dim: int) -> float:
-    """log vMF(t; mu, kappa) for a unit vector t."""
-    if params.kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    return log_norm_const(params.kappa, dim) + params.kappa * float(np.dot(t, params.mu))
-
-
 def bessel_ratio(kappa, dim: int):
     """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa).
 
@@ -88,8 +79,11 @@ def bessel_ratio(kappa, dim: int):
     return out.reshape(kappa.shape) if kappa.ndim else float(out[0])
 
 
-def estimate_vmf(vectors: np.ndarray, dim: int, kappa_max: float = KAPPA_MAX) -> VmfParams:
-    """Moment estimator: mu = normalized mean, kappa = rbar(d - rbar^2)/(1 - rbar^2)."""
+def estimate_vmf(vectors: np.ndarray, dim: int) -> VmfParams:
+    """Moment estimator: mu = normalized mean, kappa = rbar(d - rbar^2)/(1 - rbar^2).
+
+    kappa is clipped to KAPPA_MAX; a zero resultant gives kappa 0 and mu e_0.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("need at least one vector")
@@ -98,13 +92,13 @@ def estimate_vmf(vectors: np.ndarray, dim: int, kappa_max: float = KAPPA_MAX) ->
     if rbar < 1e-12:
         mu = np.zeros(dim)
         mu[0] = 1.0
-        return VmfParams(mu=mu, kappa=0.0, log_c=log_norm_const(0.0, dim), degenerate=True)
+        return VmfParams(mu=mu, kappa=0.0)
     mu = mean / rbar
     if rbar >= 1.0 - 1e-12:
-        kappa = kappa_max
+        kappa = KAPPA_MAX
     else:
-        kappa = min(rbar * (dim - rbar ** 2) / (1.0 - rbar ** 2), kappa_max)
-    return VmfParams(mu=mu, kappa=kappa, log_c=log_norm_const(kappa, dim))
+        kappa = min(rbar * (dim - rbar ** 2) / (1.0 - rbar ** 2), KAPPA_MAX)
+    return VmfParams(mu=mu, kappa=kappa)
 
 
 def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:

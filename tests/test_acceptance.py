@@ -22,6 +22,7 @@ from scipy import integrate
 
 import taxoforge.clustering as clustering
 from taxoforge.clustering import (
+    KMEANS_MAX_ITER,
     ClusterConfig,
     assign_documents,
     novelty_threshold,
@@ -29,7 +30,7 @@ from taxoforge.clustering import (
     spherical_kmeans,
 )
 from taxoforge.corpus import load_corpus
-from taxoforge.embedding import EmbedConfig, dense_gradients, objective_value
+from taxoforge.embedding import EmbedConfig, objective_value
 from taxoforge.evaluation import (
     PlantedCorpusSpec,
     run_planted,
@@ -38,11 +39,12 @@ from taxoforge.evaluation import (
 )
 from taxoforge.pipeline import PipelineConfig, complete_taxonomy, run_cli
 from taxoforge.taxonomy import parse_hierarchy
-from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf, vmf_log_density
+from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf
 
 from test_clustering import _planted_node, bm25_score, make_doc_fixture, reference_bm25
 from test_corpus import tf
-from test_embedding import collect_instances
+from test_embedding import collect_instances, dense_gradients
+from test_vmf import vmf_log_density
 
 DATA = "data/synthetic_small"
 
@@ -129,7 +131,7 @@ def test_criterion_3_spherical_kmeans(capfd):
         cfg = ClusterConfig(seed=seed)
         assign, means, history = spherical_kmeans(vecs, 3, cfg, seed=seed,
                                                   return_history=True)
-        ok &= len(history) <= cfg.kmeans_max_iter + 1
+        ok &= len(history) <= KMEANS_MAX_ITER + 1
         ok &= bool(np.all(np.diff(history) >= -1e-9))
     rng = np.random.default_rng(0)
     vecs = rng.standard_normal((10, 4))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoforge.clustering import (
+    KMEANS_MAX_ITER,
     ClusterConfig,
     UndefinedNoveltyError,
     _bm25_matrix,
@@ -54,6 +55,8 @@ def test_config_validation():
         ClusterConfig(tau_sig=1.5)
     with pytest.raises(ValueError):
         ClusterConfig(temperature=0.0)
+    with pytest.raises(ValueError, match="k_star_max"):
+        ClusterConfig(k_star_max=0)
 
 
 def test_beta_per_level_lookup():
@@ -211,7 +214,7 @@ def test_kmeans_separates_antipodal_bundles():
 
 def test_kmeans_objective_monotone_50_instances():
     # [DERIVED] per-iteration objective non-decreasing, 50 random instances
-    cfg = ClusterConfig(kmeans_restarts=1)
+    cfg = ClusterConfig()
     for seed in range(50):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 60))
@@ -219,7 +222,7 @@ def test_kmeans_objective_monotone_50_instances():
         x = unit_rows(rng.standard_normal((n, 4)))
         _, _, history = spherical_kmeans(x, k, cfg, seed=seed,
                                          return_history=True)
-        assert len(history) <= cfg.kmeans_max_iter
+        assert len(history) <= KMEANS_MAX_ITER
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-9)
 
@@ -647,27 +650,31 @@ def _planted_node(seed=0, n_known=2, n_novel=2, kappa=60.0, per=30):
     return corpus, sp, stats, labels
 
 
+def _known_centers(labels, n_known=2):
+    return {g: min(t for t, lab in labels.items() if lab == g) for g in range(n_known)}
+
+
 def test_select_novel_k_recovers_two_planted_clusters():
     # [DERIVED] 2 known + 2 planted novel bundles of matched concentration
     corpus, sp, stats, labels = _planted_node()
     known_assign = {t: g for t, g in labels.items() if g < 2}
     novel = {t for t, g in labels.items() if g >= 2}
     cfg = ClusterConfig(tau_sig=0.0)
-    known_centers = {0: min(t for t, g in labels.items() if g == 0),
-                     1: min(t for t, g in labels.items() if g == 1)}
-    res = select_novel_k(novel, known_assign, known_centers, sp, stats,
+    res = select_novel_k(novel, known_assign, _known_centers(labels), sp, stats,
                          list(labels), range(corpus.num_docs), corpus, cfg)
     assert res.k_star == 2
-    assert len(res.novel_clusters) == 2
+    assert len(res.novel) == 2
+    assert len(res.known) == 2
 
 
 def test_select_novel_k_empty_novel_returns_zero():
     corpus, sp, stats, labels = _planted_node()
     known_assign = {t: g for t, g in labels.items() if g < 2}
     cfg = ClusterConfig()
-    res = select_novel_k(set(), known_assign, {}, sp, stats,
+    res = select_novel_k(set(), known_assign, _known_centers(labels), sp, stats,
                          list(labels), range(corpus.num_docs), corpus, cfg)
-    assert res.k_star == 0 and res.novel_clusters == []
+    assert res.k_star == 0 and res.novel == []
+    assert len(res.known) == 2
 
 
 def test_select_novel_k_capped_by_novel_count():
@@ -675,7 +682,7 @@ def test_select_novel_k_capped_by_novel_count():
     known_assign = {t: g for t, g in labels.items() if g < 2}
     novel = set(list({t for t, g in labels.items() if g >= 2})[:3])
     cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(novel, known_assign, {}, sp, stats,
+    res = select_novel_k(novel, known_assign, _known_centers(labels), sp, stats,
                          list(labels), range(corpus.num_docs), corpus, cfg)
     assert res.k_star <= 3
 
@@ -688,27 +695,31 @@ def test_cluster_node_zero_known_path():
     sp.topic_kappa = np.zeros(0)
     cfg = ClusterConfig(tau_sig=0.0)
     res = cluster_node(list(labels), range(corpus.num_docs), sp, stats,
-                       corpus, cfg, level=0)
-    assert res.known_terms == set()
-    assert res.novel_terms == set(labels)
+                       corpus, cfg, level=0, known_centers={})
+    assert res.known == []
+    assert res.novel_terms == set(res.z_term) == set(labels)
     assert res.k_star >= 1
 
 
 def test_cluster_node_invariants():
     corpus, sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.2)
-    known_centers = {0: min(t for t, g in labels.items() if g == 0),
-                     1: min(t for t, g in labels.items() if g == 1)}
+    known_centers = _known_centers(labels)
     res = cluster_node(list(labels), range(corpus.num_docs), sp, stats,
                        corpus, cfg, level=0, known_centers=known_centers)
-    assert res.known_terms | res.novel_terms == set(labels)
-    assert res.known_terms & res.novel_terms == set()
+    # every term has a slot; exactly the novel terms sit in novel slots
+    assert set(res.z_term) == set(labels)
+    assert {t for t, s in res.z_term.items() if s >= 2} == res.novel_terms
     # every emitted anchor passes tau_sig except retained centers
-    for s, (anchors, _) in res.known_updates.items():
+    assert len(res.known) == 2
+    for s, (anchors, _, _) in enumerate(res.known):
+        assert known_centers[s] in anchors
         for t in anchors:
-            if t != known_centers.get(s):
+            if t != known_centers[s]:
                 assert res.sig_scores[t] >= cfg.tau_sig
-    for center, anchors, vmf in res.novel_clusters:
+    sizes = [len(anchors) for _, anchors, _, _ in res.novel]
+    assert sizes == sorted(sizes, reverse=True)
+    for center, anchors, _, vmf in res.novel:
         assert center in anchors
         for t in anchors:
             assert res.sig_scores[t] >= cfg.tau_sig

@@ -1,5 +1,7 @@
 """Corpus loading, term statistics, and context-pair extraction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,21 @@ def test_integrity_file_loaded(tmp_path):
     s.write_text("b\t0.25\nzzz\t0.9\n", encoding="utf-8")
     corpus = load_corpus(c, integrity_path=s)
     assert corpus.integrity.tolist() == [1.0, 0.25, 1.0]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("b", "line 2: expected term<TAB>score"),
+    ("b\t0.5\textra", "line 2: expected term<TAB>score"),
+    ("b\thigh", "line 2: score 'high' is not a number"),
+    ("b\tnan", "line 2: score nan is not in [0, 1]"),
+    ("b\t-3", "line 2: score -3.0 is not in [0, 1]"),
+    ("b\t1.5", "line 2: score 1.5 is not in [0, 1]"),
+])
+def test_integrity_file_bad_line_names_file_and_line(tmp_path, line, message):
+    s = tmp_path / "s.txt"
+    s.write_text(f"a\t1.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{s} {message}")):
+        corpus_from_lines(["a b c\n"], integrity_path=s)
 
 
 def test_vocab_round_trip():

@@ -75,10 +75,11 @@ def test_load_config_rejects_malformed_line(tmp_path):
 
 @pytest.mark.parametrize("line,field", [("window=0", "window"),
                                         ("batch_size=0", "batch_size"),
-                                        ("child_batch_size=0", "batch_size")])
+                                        ("child_batch_size=0", "batch_size"),
+                                        ("kmax_novel=0", "kmax_novel")])
 def test_load_config_rejects_bad_training_values(tmp_path, line, field):
-    # the pipeline would otherwise train on no pairs, or divide by zero
-    # deep in the trainer
+    # the pipeline would otherwise train on no pairs, divide by zero deep
+    # in the trainer, or make one novel cluster per novel term
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):

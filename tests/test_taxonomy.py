@@ -119,11 +119,11 @@ def test_update_known_child_in_place(corpus):
     sports = tax.nodes[tax.root].children[0]
     soccer_id = tax.nodes[sports].children[0]
     terms = set(range(5))
-    insert_children(tax, sports,
-                    [(corpus.term_id("soccer"), terms, {0}, False, None)])
+    insert_children(tax, sports, [(soccer_id, terms, {0}, 3.5)], [])
     assert tax.nodes[sports].children == [soccer_id]
     assert tax.nodes[soccer_id].terms == terms
     assert tax.nodes[soccer_id].docs == {0}
+    assert tax.nodes[soccer_id].kappa == 3.5
 
 
 def test_insert_novel_child(corpus):
@@ -131,7 +131,7 @@ def test_insert_novel_child(corpus):
     tax = parse_hierarchy("sports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[0]
     new = insert_children(
-        tax, sports, [(corpus.term_id("hockey"), {1, 2}, {0, 1}, True, None)])
+        tax, sports, [], [(corpus.term_id("hockey"), {1, 2}, {0, 1}, None)])
     assert len(new) == 1
     node = tax.nodes[new[0]]
     assert node.is_novel and node.parent == sports
@@ -142,24 +142,18 @@ def test_novel_center_collision_error(corpus):
     tax = parse_hierarchy("sports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[0]
     hockey = corpus.term_id("hockey")
-    insert_children(tax, sports, [(hockey, {1}, set(), True, None)])
+    insert_children(tax, sports, [], [(hockey, {1}, set(), None)])
     with pytest.raises(CenterTermCollisionError):
-        insert_children(tax, sports, [(hockey, {2}, set(), True, None)])
-
-
-def test_unknown_known_center_error(corpus):
-    tax = parse_hierarchy("sports\n\tsoccer", corpus)
-    sports = tax.nodes[tax.root].children[0]
+        insert_children(tax, sports, [], [(hockey, {2}, set(), None)])
     with pytest.raises(CenterTermCollisionError):
-        insert_children(tax, sports,
-                        [(corpus.term_id("hockey"), {1}, set(), False, None)])
+        insert_children(tax, sports, [], [(corpus.term_id("soccer"), {2}, set(), None)])
 
 
 def test_tree_invariant_after_inserts(corpus):
     tax = parse_hierarchy("politics\nsports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[1]
-    insert_children(tax, sports, [(corpus.term_id("hockey"), {1}, set(), True, None)])
-    insert_children(tax, tax.root, [(corpus.term_id("extra"), {2}, set(), True, None)])
+    insert_children(tax, sports, [], [(corpus.term_id("hockey"), {1}, set(), None)])
+    insert_children(tax, tax.root, [], [(corpus.term_id("extra"), {2}, set(), None)])
     edges = sum(len(n.children) for n in tax.nodes.values())
     assert edges == len(tax.nodes) - 1
     assert sorted(tax.subtree_ids(tax.root)) == sorted(tax.nodes)
