@@ -14,6 +14,13 @@ import numpy as np
 from .corpus import Corpus, context_pair_arrays
 from .vmf import KAPPA_MAX, bessel_ratio, log_norm_const
 
+# Negative sampling. GUIDE_BUCKETS is a power of two, so u * GUIDE_BUCKETS is
+# exact and bucket j = floor(u * GUIDE_BUCKETS) satisfies j / GUIDE_BUCKETS
+# <= u. SAMPLE_CHUNK pair rows are drawn per rng.random call, which bounds
+# the sampler's scratch memory; the draws equal one whole-epoch call.
+GUIDE_BUCKETS = 1 << 16
+SAMPLE_CHUNK = 1 << 16
+
 
 @dataclass
 class EmbedConfig:
@@ -36,6 +43,12 @@ class EmbedConfig:
             raise ValueError("window must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.dim < 2:
+            raise ValueError("embedding dimension (dim) must be >= 2")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be > 0")
 
 
 class EmbeddingSpace:
@@ -108,11 +121,42 @@ def _scatter_unit(x, idx, vals):
     slot = np.empty(x.shape[0], dtype=np.intp)
     slot[rows] = first
     bins = np.concatenate([first, slot[idx]])
-    weights = np.concatenate([x[rows], vals])
+    # one contiguous row of weights per column: np.bincount copies a strided one
+    weights = np.empty((x.shape[1], bins.size))
+    weights[:, :rows.size] = x[rows].T
+    weights[:, rows.size:] = vals.T
     acc = np.empty((rows.size, x.shape[1]))
     for j in range(x.shape[1]):
-        acc[:, j] = np.bincount(bins, weights=weights[:, j], minlength=rows.size)
+        acc[:, j] = np.bincount(bins, weights=weights[j], minlength=rows.size)
     x[rows] = _unit(acc)
+
+
+def _negative_table(counts):
+    """Cumulative distribution of counts ** 0.75 over rows, and its guide table.
+
+    cum is 1.0 from the last row with a positive count on: the rounded
+    cumulative sum can end below 1.0, and a draw above it would select row n.
+    guide[j] is the first row with cum >= j / GUIDE_BUCKETS.
+    """
+    probs = counts ** 0.75
+    cum = np.cumsum(probs / probs.sum())
+    last = np.flatnonzero(counts)[-1]
+    cum[last:] = 1.0
+    return cum, np.searchsorted(cum, np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS)
+
+
+def _draw_rows(cum, guide, u):
+    """np.searchsorted(cum, u) for draws u in [0, 1), by guide-table lookup.
+
+    The first row with cum >= u is at or after the guide entry of u's
+    bucket; each draw walks forward from there while cum < u.
+    """
+    idx = guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+    behind = np.flatnonzero(cum[idx] < u)
+    while behind.size:
+        idx[behind] += 1
+        behind = behind[cum[idx[behind]] < u[behind]]
+    return idx
 
 
 def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> float:
@@ -161,6 +205,26 @@ def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
     return docs
 
 
+def _vocab_rows(corpus: Corpus, term_ids):
+    """Vocabulary id -> row in term_ids (int32); -1 for a term without a row."""
+    vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int32)
+    vocab_to_row[term_ids] = np.arange(term_ids.size)
+    return vocab_to_row
+
+
+def _pair_rows(corpus: Corpus, docs, window, vocab_to_row):
+    """Target and context rows (int32) of the docs' skip-gram pairs.
+
+    Pairs with a term that has no row are dropped.
+    """
+    doc_objs = [corpus.documents[d] for d in sorted(docs)]
+    t_all, c_all = context_pair_arrays(doc_objs, window)
+    tr, cr = vocab_to_row[t_all], vocab_to_row[c_all]
+    del t_all, c_all
+    keep = (tr >= 0) & (cr >= 0)
+    return tr[keep], cr[keep]
+
+
 def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
                          corpus: Corpus, centers=None) -> EmbeddingSpace:
     """Train a node-local embedding space.
@@ -171,8 +235,6 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     """
     if not docs:
         raise ValueError("cannot train on an empty document set")
-    if cfg.dim < 2:
-        raise ValueError("embedding dimension must be >= 2")
     for key, kws in keywords.items():
         if not set(kws) <= set(terms):
             raise ValueError(f"keywords of sub-topic {key} are not all node terms")
@@ -186,29 +248,26 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     topic_order = sorted(keywords)
     if centers is None:
         centers = {key: min(keywords[key]) for key in topic_order}
-    vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int64)
-    vocab_to_row[term_ids] = np.arange(n)
+    vocab_to_row = _vocab_rows(corpus, term_ids)
     topic_vecs = np.stack([target[vocab_to_row[centers[key]]].copy()
                            for key in topic_order]) if topic_order else np.zeros((0, cfg.dim))
     topic_kappa = np.ones(len(topic_order))
     keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]))]
                     for key in topic_order]
 
-    doc_objs = [corpus.documents[d] for d in sorted(docs)]
-    t_all, c_all = context_pair_arrays(doc_objs, cfg.window)
-    tr = vocab_to_row[t_all]
-    cr = vocab_to_row[c_all]
-    keep = (tr >= 0) & (cr >= 0)
-    tr, cr = tr[keep], cr[keep]
+    tr, cr = _pair_rows(corpus, docs, cfg.window, vocab_to_row)
     n_pairs = tr.size
     if n_pairs == 0:
         # nothing to train on; return the seeded initialization
         return EmbeddingSpace(term_ids, target, context, topic_order,
                               topic_vecs, topic_kappa, cfg.dim)
 
-    counts = np.bincount(cr, minlength=n).astype(np.float64)
-    probs = counts ** 0.75
-    cum = np.cumsum(probs / probs.sum())
+    cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
+    # one row per pair: target, context, then this epoch's negatives
+    table = np.empty((n_pairs, 2 + cfg.negatives), dtype=np.int32)
+    table[:, 0] = tr
+    table[:, 1] = cr
+    del tr, cr
 
     n_batches = math.ceil(n_pairs / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -217,11 +276,14 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     step = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n_pairs)
-        negs = np.searchsorted(cum, rng.random((n_pairs, cfg.negatives)))
+        for start in range(0, n_pairs, SAMPLE_CHUNK):
+            negs = table[start:start + SAMPLE_CHUNK, 2:]
+            negs[:] = _draw_rows(cum, guide, rng.random(negs.size)).reshape(negs.shape)
         for b in range(n_batches):
-            sl = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            rows = np.take(table, perm[b * cfg.batch_size:(b + 1) * cfg.batch_size],
+                           axis=0)
             lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-            state.sgd_batch(tr[sl], cr[sl], negs[sl], lr)
+            state.sgd_batch(rows[:, 0], rows[:, 1], rows[:, 2:], lr)
             step += 1
         target[:] = _unit(target)
         context[:] = _unit(context)
@@ -305,14 +367,8 @@ def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
                  keywords=None, rng=None, max_pairs=2048) -> Batch:
     """A fixed held-out batch over the node's documents, for objective tracking."""
     rng = rng or np.random.default_rng(cfg.seed + 1)
-    doc_objs = [corpus.documents[d] for d in sorted(docs)]
-    t_all, c_all = context_pair_arrays(doc_objs, cfg.window)
-    vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int64)
-    vocab_to_row[space.term_ids] = np.arange(space.term_ids.size)
-    tr = vocab_to_row[t_all]
-    cr = vocab_to_row[c_all]
-    keep = (tr >= 0) & (cr >= 0)
-    tr, cr = tr[keep], cr[keep]
+    vocab_to_row = _vocab_rows(corpus, space.term_ids)
+    tr, cr = _pair_rows(corpus, docs, cfg.window, vocab_to_row)
     if tr.size > max_pairs:
         pick = rng.choice(tr.size, size=max_pairs, replace=False)
         tr, cr = tr[pick], cr[pick]

@@ -52,8 +52,7 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
     while queue:
         node_id, depth = queue.popleft()
         node = tax.nodes[node_id]
-        if depth >= max_depth or len(node.terms) < cfg.min_terms \
-                or len(node.docs) < cfg.min_docs:
+        if depth >= max_depth or not _expandable(node, cfg):
             continue
         parent_space = spaces.get(node.parent)
         local_docs = retrieve_local_corpus(node, parent_space, corpus,
@@ -95,6 +94,10 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         if debug_dir:
             _dump_node_debug(debug_dir, node_id, node, sc, space, corpus)
     return tax
+
+
+def _expandable(node, cfg: PipelineConfig) -> bool:
+    return len(node.terms) >= cfg.min_terms and len(node.docs) >= cfg.min_docs
 
 
 def _dump_node_debug(debug_dir, node_id, node, sc, space, corpus):
@@ -203,6 +206,12 @@ def run_cli(argv=None) -> int:
         with open(args.hierarchy, encoding="utf-8") as f:
             partial = parse_hierarchy(f.read(), corpus)
         tax = complete_taxonomy(corpus, partial, cfg, debug_dir=args.dump_debug)
+        root = tax.nodes[tax.root]
+        if not _expandable(root, cfg):
+            print(f"taxoforge: warning: the root was not expanded: "
+                  f"{len(root.terms)} terms (min_terms={cfg.min_terms}), "
+                  f"{len(root.docs)} documents (min_docs={cfg.min_docs}); "
+                  f"the input topics get no documents", file=sys.stderr)
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(serialize(tax, corpus, cfg.top_k_output))
             f.write("\n")

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from taxoforge.corpus import corpus_from_lines
+from taxoforge.corpus import context_pair_arrays, corpus_from_lines
 from taxoforge.embedding import (
+    GUIDE_BUCKETS,
+    SAMPLE_CHUNK,
     Batch,
     EmbedConfig,
     EmbeddingSpace,
+    _draw_rows,
+    _negative_table,
     _scatter_unit,
     _TrainState,
     _unit,
@@ -133,6 +137,15 @@ def test_config_margin_validated():
 def test_config_negatives_validated():
     with pytest.raises(ValueError):
         EmbedConfig(negatives=0)
+
+
+@pytest.mark.parametrize("field,value", [("dim", 1), ("epochs", 0),
+                                         ("lr", 0.0), ("lr", -0.1),
+                                         ("lr", float("nan"))])
+def test_config_training_values_validated(field, value):
+    # epochs=0 used to train nothing and return the random initialization
+    with pytest.raises(ValueError, match=field):
+        EmbedConfig(**{field: value})
 
 
 # --- objective value ---
@@ -297,6 +310,60 @@ def test_scatter_unit_bit_equal_to_add_at(n_rows, n_idx, n_distinct):
         assert np.array_equal(got, expected)
 
 
+def counts_with_cum_below_one(zero_rows=()):
+    """Counts whose rounded cumulative distribution ends below 1.0."""
+    rng = np.random.default_rng(0)
+    while True:
+        counts = rng.integers(1, 1000, size=50).astype(np.float64)
+        counts[list(zero_rows)] = 0.0
+        probs = counts ** 0.75
+        if np.cumsum(probs / probs.sum())[-1] < 1.0:
+            return counts
+
+
+def test_negative_table_ends_at_one():
+    # zero rows inside and at the end
+    counts = counts_with_cum_below_one(zero_rows=(3, 10, 48, 49))
+    cum, guide = _negative_table(counts)
+    assert cum[47:].tolist() == [1.0, 1.0, 1.0]
+    probs = counts ** 0.75
+    raw = np.cumsum(probs / probs.sum())
+    assert raw[47] < 1.0
+    assert np.array_equal(cum[:47], raw[:47])
+    assert guide.size == GUIDE_BUCKETS
+    # the largest draw below 1 selects the last row drawn, not row n
+    assert _draw_rows(cum, guide, np.array([np.nextafter(1.0, 0.0)]))[0] == 47
+
+
+@pytest.mark.parametrize("kind", ["skewed", "zeros", "flat"])
+def test_draw_rows_equals_searchsorted(kind):
+    rng = np.random.default_rng(7)
+    if kind == "skewed":
+        counts = counts_with_cum_below_one()
+        counts[0] = 1e6
+    elif kind == "zeros":
+        counts = rng.integers(0, 5, size=300).astype(np.float64)
+        counts[0] = 1.0
+        counts[-20:] = 0.0
+    else:   # ~15 rows per bucket: long walks from the guide entry
+        counts = np.ones(1_000_000)
+    cum, guide = _negative_table(counts)
+    edges = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+    u = np.concatenate([
+        rng.random(200_000),
+        cum[cum < 1.0],                         # exactly on a row's cum
+        np.nextafter(cum[cum < 1.0], 0.0),      # just below it
+        np.nextafter(cum[cum < 1.0], 1.0),      # just above it
+        edges, np.nextafter(edges[1:], 0.0),    # bucket edges
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    got = _draw_rows(cum, guide, u)
+    assert np.array_equal(got, np.searchsorted(cum, u))
+    drawn = np.unique(got[u > 0.0])
+    assert counts[drawn].all()                  # zero-count rows never drawn
+    assert drawn.max() < counts.size
+
+
 def test_sgd_batch_matches_dense_gradient_step():
     # [DERIVED] one step with no topics is x - lr * grad, renormalised on
     # the rows the batch touches; untouched rows keep their exact bits
@@ -356,9 +423,94 @@ def test_trainer_rejects_bad_inputs():
     with pytest.raises(ValueError):
         train_node_embedding([], [0, 1], {}, EmbedConfig(dim=4), corpus)
     with pytest.raises(ValueError):
-        train_node_embedding([0], [0, 1], {}, EmbedConfig(dim=1), corpus)
-    with pytest.raises(ValueError):
         train_node_embedding([0], [0], {7: {1}}, EmbedConfig(dim=4), corpus)
+
+
+def reference_train(docs, terms, keywords, cfg, corpus, centers):
+    """The trainer as a plain loop, the oracle for train_node_embedding.
+
+    np.searchsorted negatives drawn for the whole epoch at once, three int64
+    gathers per batch, and np.add.at followed by _unit for each scatter.
+    """
+    term_ids = np.asarray(sorted(int(t) for t in terms))
+    n = term_ids.size
+    rng = np.random.default_rng(cfg.seed)
+    target = _unit(rng.standard_normal((n, cfg.dim)))
+    context = _unit(rng.standard_normal((n, cfg.dim)))
+    topic_order = sorted(keywords)
+    vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int64)
+    vocab_to_row[term_ids] = np.arange(n)
+    topic_vecs = np.stack([target[vocab_to_row[centers[key]]].copy()
+                           for key in topic_order])
+    topic_kappa = np.ones(len(topic_order))
+    keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]))]
+                    for key in topic_order]
+    t_all, c_all = context_pair_arrays(
+        [corpus.documents[d] for d in sorted(docs)], cfg.window)
+    tr, cr = vocab_to_row[t_all], vocab_to_row[c_all]
+    keep = (tr >= 0) & (cr >= 0)
+    tr, cr = tr[keep], cr[keep]
+    probs = np.bincount(cr, minlength=n).astype(np.float64) ** 0.75
+    cum = np.cumsum(probs / probs.sum())
+    state = _TrainState(target, context, topic_vecs, topic_kappa,
+                        keyword_rows, cfg)
+    m = cfg.margin
+    n_batches = -(-tr.size // cfg.batch_size)
+    step = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(tr.size)
+        negs = np.searchsorted(cum, rng.random((tr.size, cfg.negatives)))
+        for b in range(n_batches):
+            sl = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            tb, cb, nb = tr[sl], cr[sl], negs[sl]
+            lr = cfg.lr * max(1.0 - step / (cfg.epochs * n_batches), 1e-4)
+            t, vp, vn = target[tb], context[cb], context[nb]
+            sn = np.einsum("pd,pnd->pn", t, vn)
+            sp = np.einsum("pd,pd->p", t, vp)
+            act = ((sn - sp[:, None] + m) > 0.0).astype(np.float64)
+            n_act = act.sum(axis=1)
+            g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
+            target[:] = add_at_then_unit(target, tb, -lr * g_t)
+            context[:] = add_at_then_unit(
+                context, np.concatenate([cb, nb.ravel()]),
+                np.concatenate([lr * n_act[:, None] * t,
+                                (-lr * act[:, :, None] * t[:, None, :])
+                                .reshape(-1, cfg.dim)]))
+            state._topic_step(lr)
+            step += 1
+        target[:] = _unit(target)
+        context[:] = _unit(context)
+        topic_vecs[:] = _unit(topic_vecs)
+    return target, context, topic_vecs, topic_kappa
+
+
+@pytest.mark.parametrize("negatives,batch_size,docs", [
+    (1, 700, 120),      # batch size does not divide the pair count
+    (3, 512, 120),
+    (2, 8192, 1200),    # more pairs than one sampling chunk
+])
+def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs):
+    rng = np.random.default_rng(negatives)
+    vocab = [f"w{i}" for i in range(60)]
+    lines = [" ".join(rng.choice(vocab[:35] if d % 2 else vocab[25:], size=14))
+             + "\n" for d in range(docs)]
+    corpus = corpus_from_lines(lines)
+    tax = parse_hierarchy("w0\n\tw1\nw40\n\tw41", corpus)
+    keywords = subtree_keywords(tax, tax.root)
+    centers = {k: tax.nodes[k].center_term for k in keywords}
+    # the node has fewer terms than the corpus: pairs with an outside term drop
+    terms = [t for t in range(corpus.num_terms) if corpus.term(t) != "w7"]
+    cfg = EmbedConfig(dim=5, epochs=2, lr=0.05, negatives=negatives,
+                      batch_size=batch_size, window=3, seed=11)
+    n_pairs = context_pair_arrays(corpus.documents, cfg.window)[0].size
+    assert n_pairs % batch_size
+    assert (n_pairs > SAMPLE_CHUNK) == (docs > 1000)
+    space = train_node_embedding(range(docs), terms, keywords, cfg, corpus,
+                                 centers=centers)
+    expected = reference_train(range(docs), terms, keywords, cfg, corpus, centers)
+    for got, want in zip((space.target, space.context, space.topic_vecs,
+                          space.topic_kappa), expected):
+        assert np.array_equal(got, want)
 
 
 def test_trainer_unit_norms(trained):

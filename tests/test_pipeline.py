@@ -76,10 +76,15 @@ def test_load_config_rejects_malformed_line(tmp_path):
 @pytest.mark.parametrize("line,field", [("window=0", "window"),
                                         ("batch_size=0", "batch_size"),
                                         ("child_batch_size=0", "batch_size"),
-                                        ("kmax_novel=0", "kmax_novel")])
+                                        ("kmax_novel=0", "kmax_novel"),
+                                        ("epochs=0", "epochs"),
+                                        ("child_epochs=0", "epochs"),
+                                        ("lr=0", "lr"),
+                                        ("dim=1", "dim")])
 def test_load_config_rejects_bad_training_values(tmp_path, line, field):
     # the pipeline would otherwise train on no pairs, divide by zero deep
-    # in the trainer, or make one novel cluster per novel term
+    # in the trainer, make one novel cluster per novel term, or keep the
+    # random initialization as the trained embedding
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):
@@ -177,13 +182,14 @@ def dataset(tmp_path):
     return out, hier, cfg
 
 
-def test_cli_end_to_end(dataset, tmp_path):
+def test_cli_end_to_end(dataset, tmp_path, capsys):
     out, hier, cfg = dataset
     result = tmp_path / "taxonomy.json"
     rc = run_cli(["--corpus", str(out / "corpus.txt"),
                   "--hierarchy", str(hier), "--config", str(cfg),
                   "--out", str(result), "--seed", "1"])
     assert rc == 0
+    assert capsys.readouterr().err == ""   # the root expanded: no warning
     tree = json.loads(result.read_text())
     assert {c["name"] for c in tree["children"]} >= {"topic0", "topic1"}
 
@@ -201,6 +207,23 @@ def test_cli_dump_debug(dataset, tmp_path):
     assert "node_0_embedding.txt" in files
     header = (debug / "node_0_terms.csv").read_text().splitlines()[0]
     assert header == "term,significance,slot,is_novel_term"
+
+
+def test_cli_warns_when_root_not_expanded(tmp_path, capsys):
+    # 36 distinct terms, below the default min_terms of 50
+    data = "data/synthetic_small"
+    result = tmp_path / "taxonomy.json"
+    rc = run_cli(["--corpus", f"{data}/corpus.txt",
+                  "--hierarchy", f"{data}/partial.txt",
+                  "--out", str(result), "--seed", "1"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "warning: the root was not expanded" in err
+    assert "36 terms (min_terms=50)" in err
+    assert "(min_docs=20)" in err
+    tree = json.loads(result.read_text())
+    assert all(not c["doc_ids"] for c in tree["children"])
 
 
 def test_cli_missing_corpus_is_error(dataset, tmp_path):
