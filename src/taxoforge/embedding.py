@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, context_pair_arrays
+from .corpus import Corpus, Document, context_pair_arrays
 from .vmf import KAPPA_MAX, bessel_ratio, log_norm_const
 
 # Negative sampling. GUIDE_BUCKETS is a power of two, so u * GUIDE_BUCKETS is
@@ -105,30 +105,27 @@ def _unit(x, axis=-1):
     return x / np.linalg.norm(x, axis=axis, keepdims=True)
 
 
-def _scatter_unit(x, idx, vals):
-    """Add vals[i] to row idx[i] of x, then rescale the touched rows to unit norm.
+def _scatter_unit(x, rows, idx, w):
+    """Add column len(x) + i of w to row idx[i] of x; rescale rows to unit norm.
 
-    Equal bit for bit to ``np.add.at(x, idx, vals)`` followed by ``_unit`` on
-    the ``np.unique(idx)`` rows. np.bincount sums its weights in index order,
-    so seeding each touched row's bin with the row's current value and then
-    feeding the updates in order gives np.add.at's left-to-right sums; it
-    costs O(len(idx) * dim) where np.add.at pays a per-element dispatch.
+    w is (dim, x.shape[0] + len(idx)): the updates column-major after
+    x.shape[0] columns that this function fills with x's rows. rows must
+    hold every row idx names; a row in rows that no update names is
+    rescaled as it is. Equal bit for bit to
+    ``np.add.at(x, idx, w[:, x.shape[0]:].T)`` followed by ``_unit`` on the
+    rows. np.bincount sums its weights in index order, so seeding every
+    row's bin with the row's current value and then feeding the updates in
+    order gives np.add.at's left-to-right sums; it costs
+    O((len(x) + len(idx)) * dim) where np.add.at pays a per-element dispatch.
     """
-    touched = np.zeros(x.shape[0], dtype=bool)
-    touched[idx] = True
-    rows = np.flatnonzero(touched)
-    first = np.arange(rows.size)
-    slot = np.empty(x.shape[0], dtype=np.intp)
-    slot[rows] = first
-    bins = np.concatenate([first, slot[idx]])
+    n_rows = x.shape[0]
     # one contiguous row of weights per column: np.bincount copies a strided one
-    weights = np.empty((x.shape[1], bins.size))
-    weights[:, :rows.size] = x[rows].T
-    weights[:, rows.size:] = vals.T
-    acc = np.empty((rows.size, x.shape[1]))
+    w[:, :n_rows] = x.T
+    bins = np.concatenate([np.arange(n_rows), idx])
+    acc = np.empty(x.shape)
     for j in range(x.shape[1]):
-        acc[:, j] = np.bincount(bins, weights=weights[j], minlength=rows.size)
-    x[rows] = _unit(acc)
+        acc[:, j] = np.bincount(bins, weights=w[j], minlength=n_rows)
+    x[rows] = _unit(acc[rows])
 
 
 def _negative_table(counts):
@@ -136,20 +133,25 @@ def _negative_table(counts):
 
     cum is 1.0 from the last row with a positive count on: the rounded
     cumulative sum can end below 1.0, and a draw above it would select row n.
-    guide[j] is the first row with cum >= j / GUIDE_BUCKETS.
+    guide[j] is the first row with cum >= j / GUIDE_BUCKETS, except that
+    guide[0] is the first row with a positive count: a draw of exactly 0.0
+    would otherwise select a zero-count row 0.
     """
     probs = counts ** 0.75
     cum = np.cumsum(probs / probs.sum())
-    last = np.flatnonzero(counts)[-1]
-    cum[last:] = 1.0
-    return cum, np.searchsorted(cum, np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS)
+    drawn = np.flatnonzero(counts)
+    cum[drawn[-1]:] = 1.0
+    guide = np.searchsorted(cum, np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS)
+    guide[0] = drawn[0]
+    return cum, guide
 
 
 def _draw_rows(cum, guide, u):
-    """np.searchsorted(cum, u) for draws u in [0, 1), by guide-table lookup.
+    """The first row with cum >= u, for draws u in [0, 1), by guide-table lookup.
 
-    The first row with cum >= u is at or after the guide entry of u's
-    bucket; each draw walks forward from there while cum < u.
+    Equal to np.searchsorted(cum, u) for u > 0; u == 0.0 gives the first
+    row with a positive count. The answer is at or after the guide entry of
+    u's bucket; each draw walks forward from there while cum < u.
     """
     idx = guide[(u * GUIDE_BUCKETS).astype(np.intp)]
     behind = np.flatnonzero(cum[idx] < u)
@@ -215,12 +217,12 @@ def _vocab_rows(corpus: Corpus, term_ids):
 def _pair_rows(corpus: Corpus, docs, window, vocab_to_row):
     """Target and context rows (int32) of the docs' skip-gram pairs.
 
-    Pairs with a term that has no row are dropped.
+    Tokens are mapped to rows before pairing, so the pairs are built in
+    int32. Pairs with a term that has no row are dropped.
     """
-    doc_objs = [corpus.documents[d] for d in sorted(docs)]
-    t_all, c_all = context_pair_arrays(doc_objs, window)
-    tr, cr = vocab_to_row[t_all], vocab_to_row[c_all]
-    del t_all, c_all
+    row_docs = [Document(doc.id, vocab_to_row[doc.tokens])
+                for doc in (corpus.documents[d] for d in sorted(docs))]
+    tr, cr = context_pair_arrays(row_docs, window)
     keep = (tr >= 0) & (cr >= 0)
     return tr[keep], cr[keep]
 
@@ -242,8 +244,12 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     term_ids = np.asarray(sorted(int(t) for t in terms))
     n = term_ids.size
     rng = np.random.default_rng(cfg.seed)
-    target = _unit(rng.standard_normal((n, cfg.dim)))
-    context = _unit(rng.standard_normal((n, cfg.dim)))
+    # target rows 0..n-1 over context rows n..2n-1; one matrix to gather from
+    # and scatter into
+    params = np.empty((2 * n, cfg.dim))
+    target, context = params[:n], params[n:]
+    target[:] = _unit(rng.standard_normal((n, cfg.dim)))
+    context[:] = _unit(rng.standard_normal((n, cfg.dim)))
 
     topic_order = sorted(keywords)
     if centers is None:
@@ -263,30 +269,33 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
                               topic_vecs, topic_kappa, cfg.dim)
 
     cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
-    # one row per pair: target, context, then this epoch's negatives
-    table = np.empty((n_pairs, 2 + cfg.negatives), dtype=np.int32)
-    table[:, 0] = tr
-    table[:, 1] = cr
+    # rows of params: (target, context) per pair, and this epoch's negatives
+    pairs = np.empty((n_pairs, 2), dtype=np.int32)
+    pairs[:, 0] = tr
+    pairs[:, 1] = cr
+    pairs[:, 1] += n
     del tr, cr
+    negs = np.empty((n_pairs, cfg.negatives), dtype=np.int32)
 
     n_batches = math.ceil(n_pairs / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
-    state = _TrainState(target, context, topic_vecs, topic_kappa,
-                        keyword_rows, cfg)
+    state = _TrainState(params, topic_vecs, topic_kappa, keyword_rows, cfg)
     step = 0
     for _ in range(cfg.epochs):
-        perm = rng.permutation(n_pairs)
+        # the order and generator state of rng.permutation(n_pairs), in int32
+        perm = np.arange(n_pairs, dtype=np.int32)
+        rng.shuffle(perm)
         for start in range(0, n_pairs, SAMPLE_CHUNK):
-            negs = table[start:start + SAMPLE_CHUNK, 2:]
-            negs[:] = _draw_rows(cum, guide, rng.random(negs.size)).reshape(negs.shape)
+            chunk = negs[start:start + SAMPLE_CHUNK]
+            chunk[:] = (_draw_rows(cum, guide, rng.random(chunk.size))
+                        + n).reshape(chunk.shape)
         for b in range(n_batches):
-            rows = np.take(table, perm[b * cfg.batch_size:(b + 1) * cfg.batch_size],
-                           axis=0)
+            sel = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            pb = np.take(pairs, sel, axis=0)
             lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-            state.sgd_batch(rows[:, 0], rows[:, 1], rows[:, 2:], lr)
+            state.sgd_batch(pb[:, 0], pb[:, 1], np.take(negs, sel, axis=0), lr)
             step += 1
-        target[:] = _unit(target)
-        context[:] = _unit(context)
+        params[:] = _unit(params)
         if len(topic_order):
             topic_vecs[:] = _unit(topic_vecs)
     return EmbeddingSpace(term_ids, target, context, topic_order, topic_vecs,
@@ -296,39 +305,71 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
 class _TrainState:
     """The arrays one node's SGD updates in place, and the per-batch step.
 
-    sgd_batch takes one projected SGD step on a batch of (target, context,
-    negatives) row triples: it adds the hinge gradients through
-    _scatter_unit, which also puts every touched row back on the sphere,
-    then runs the topic/kappa step.
+    params stacks the n target rows over the n context rows; target is the
+    view params[:n]. sgd_batch takes one projected SGD step on a batch of
+    (target, context, negatives) row triples: it gathers their rows of
+    params at once, adds the hinge gradients through one _scatter_unit,
+    which also puts every touched row back on the sphere, then runs the
+    topic/kappa step.
     """
 
-    def __init__(self, target, context, topic_vecs, topic_kappa, keyword_rows, cfg):
-        self.target = target
-        self.context = context
+    def __init__(self, params, topic_vecs, topic_kappa, keyword_rows, cfg):
+        self.params = params
+        self.target = params[:params.shape[0] // 2]
         self.topic_vecs = topic_vecs
         self.topic_kappa = topic_kappa
         self.keyword_rows = keyword_rows
         self.cfg = cfg
-        self.dim = target.shape[1]
+        self.dim = params.shape[1]
 
     def sgd_batch(self, tb, cb, nb, lr):
+        """One step on pairs (tb[p], cb[p]) with negatives nb[p], rows of params.
+
+        cb and nb are context rows, i.e. already offset by n. Target and
+        context rows are disjoint bins of one scatter, so each row gets the
+        same left-to-right sum as a target scatter followed by a context
+        scatter: target updates in pair order, then positive contexts in
+        pair order, then negatives in (pair, negative) order.
+
+        Only the updates that can be nonzero are fed: the target and
+        positive-context updates of pairs with an active hinge, and the
+        negative-context updates of active (pair, negative) terms. The
+        others are exact zeros (+0.0 or -0.0), and skipping them moves no
+        bit: np.bincount starts every bin at +0.0, and a round-to-nearest
+        sum is -0.0 only when both addends are, so no bin ever holds -0.0
+        (whatever the stored rows hold), and x + (+-0.0) == x for every
+        other x. Every row the batch names is still rescaled, even one only
+        zero updates touch.
+        """
         m = self.cfg.margin
-        t = self.target[tb]
-        vp = self.context[cb]
-        vn = self.context[nb]
+        n_p, n_neg = nb.shape
+        idx = np.concatenate([tb, cb, nb.ravel()])
+        vecs = np.take(self.params, idx, axis=0)
+        t = vecs[:n_p]
+        vp = vecs[n_p:2 * n_p]
+        vn = vecs[2 * n_p:].reshape(n_p, n_neg, self.dim)
         sn = np.einsum("pd,pnd->pn", t, vn)
         sp = np.einsum("pd,pd->p", t, vp)
+        hit = (sn - sp[:, None] + m) > 0.0
         # a float mask: einsum over a bool operand is several times slower
-        act = ((sn - sp[:, None] + m) > 0.0).astype(np.float64)
-        n_act = act.sum(axis=1)
+        act = hit.astype(np.float64)
+        # act.sum(axis=1), which is slow on a short axis; sums of 0 and 1
+        # are exact in any order
+        n_act = act @ np.ones(n_neg)
         g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
-        _scatter_unit(self.target, tb, -lr * g_t)
-        # positive-context updates first, then the negatives, as two
-        # successive np.add.at calls would apply them
-        _scatter_unit(self.context, np.concatenate([cb, nb.ravel()]),
-                      np.concatenate([lr * n_act[:, None] * t,
-                                      (-lr * act[:, :, None] * t[:, None, :])
-                                      .reshape(-1, self.dim)]))
+        pa = np.flatnonzero(n_act > 0.0)    # pairs with an active hinge
+        na = np.flatnonzero(hit)            # active (pair, negative) terms
+        n_rows = self.params.shape[0]
+        a, b = n_rows + pa.size, n_rows + 2 * pa.size
+        w = np.empty((self.dim, b + na.size))
+        # np.take: fancy indexing gathers rows several times slower
+        np.multiply(np.take(g_t, pa, axis=0).T, -lr, out=w[:, n_rows:a])
+        np.multiply(np.take(t, pa, axis=0).T, lr * n_act[pa], out=w[:, a:b])
+        # an active term's factor is -lr * 1.0 == -lr
+        np.multiply(np.take(t, na // n_neg, axis=0).T, -lr, out=w[:, b:])
+        touched = np.flatnonzero(np.bincount(idx, minlength=n_rows))
+        _scatter_unit(self.params, touched,
+                      np.concatenate([tb[pa], cb[pa], nb.ravel()[na]]), w)
         self._topic_step(lr)
 
     def _topic_step(self, lr):

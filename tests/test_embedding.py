@@ -306,7 +306,9 @@ def test_scatter_unit_bit_equal_to_add_at(n_rows, n_idx, n_distinct):
         vals = rng.standard_normal((n_idx, dim)) * 10.0 ** rng.uniform(-4, 0)
         expected = add_at_then_unit(x, idx, vals)
         got = x.copy()
-        _scatter_unit(got, idx, vals)
+        w = np.empty((dim, n_rows + n_idx))
+        w[:, n_rows:] = vals.T
+        _scatter_unit(got, np.unique(idx), idx, w)
         assert np.array_equal(got, expected)
 
 
@@ -364,6 +366,23 @@ def test_draw_rows_equals_searchsorted(kind):
     assert drawn.max() < counts.size
 
 
+def test_draw_rows_zero_draw_skips_zero_count_first_row():
+    # np.searchsorted(cum, 0.0) is 0, a row with no count
+    cum, guide = _negative_table(np.array([0.0, 3.0, 1.0]))
+    assert _draw_rows(cum, guide, np.array([0.0, 1e-300]))[0] == 1
+    assert _draw_rows(cum, guide, np.array([1e-300]))[0] == 1
+
+
+@pytest.mark.parametrize("n", [1, 7, 100_000, 1_026_000])
+def test_int32_shuffle_equals_permutation(n):
+    # the trainer shuffles an int32 arange in place of rng.permutation(n)
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    perm = np.arange(n, dtype=np.int32)
+    a.shuffle(perm)
+    assert np.array_equal(perm, b.permutation(n))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_sgd_batch_matches_dense_gradient_step():
     # [DERIVED] one step with no topics is x - lr * grad, renormalised on
     # the rows the batch touches; untouched rows keep their exact bits
@@ -376,10 +395,10 @@ def test_sgd_batch_matches_dense_gradient_step():
                   neg_c=rng.integers(10, 30, size=(64, 3)))
     g_t, g_v, _, _ = dense_gradients(space, batch, cfg)
     assert g_t.any() and g_v.any()
-    target, context = space.target.copy(), space.context.copy()
-    state = _TrainState(target, context, space.topic_vecs, space.topic_kappa,
-                        [], cfg)
-    state.sgd_batch(batch.pos_t, batch.pos_c, batch.neg_c, lr)
+    params = np.concatenate([space.target, space.context])
+    target, context = params[:n], params[n:]
+    state = _TrainState(params, space.topic_vecs, space.topic_kappa, [], cfg)
+    state.sgd_batch(batch.pos_t, batch.pos_c + n, batch.neg_c + n, lr)
     for new, old, grad, rows in (
             (target, space.target, g_t, np.unique(batch.pos_t)),
             (context, space.context, g_v,
@@ -426,6 +445,60 @@ def test_trainer_rejects_bad_inputs():
         train_node_embedding([0], [0], {7: {1}}, EmbedConfig(dim=4), corpus)
 
 
+def reference_step(target, context, tb, cb, nb, lr, m):
+    """The hinge step as two np.add.at scatters, each followed by _unit.
+
+    Every pair and every (pair, negative) term is scattered, active or not.
+    """
+    t, vp, vn = target[tb], context[cb], context[nb]
+    sn = np.einsum("pd,pnd->pn", t, vn)
+    sp = np.einsum("pd,pd->p", t, vp)
+    act = ((sn - sp[:, None] + m) > 0.0).astype(np.float64)
+    n_act = act.sum(axis=1)
+    g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
+    target[:] = add_at_then_unit(target, tb, -lr * g_t)
+    context[:] = add_at_then_unit(
+        context, np.concatenate([cb, nb.ravel()]),
+        np.concatenate([lr * n_act[:, None] * t,
+                        (-lr * act[:, :, None] * t[:, None, :])
+                        .reshape(-1, target.shape[1])]))
+
+
+def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
+    # rows that only inactive hinges touch get no update, but are still
+    # rescaled; rows are off the sphere so that a skipped rescale shows
+    rng = np.random.default_rng(8)
+    n, dim, lr = 30, 5, 0.05
+    cfg = EmbedConfig(dim=dim, margin=0.3)
+    target = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
+    context = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
+    # pair 0: target 0, context 1, negatives 2 and 3, all inactive
+    target[0] = [2.0, 0.0, 0.0, 0.0, 0.5]
+    context[1] = [1.5, 0.0, 0.0, 0.0, 0.0]
+    context[2] = [0.0, 1.3, 0.0, 0.0, 0.0]
+    context[3] = [0.0, 0.0, -0.7, 0.0, 0.0]
+    tb = np.concatenate([[0], rng.integers(4, n, 200)])
+    cb = np.concatenate([[1], rng.integers(4, n, 200)])
+    nb = np.concatenate([[[2, 3]], rng.integers(4, n, (200, 2))])
+    expected_t, expected_c = target.copy(), context.copy()
+    reference_step(expected_t, expected_c, tb, cb, nb, lr, cfg.margin)
+    params = np.concatenate([target, context])
+    state = _TrainState(params, np.zeros((0, dim)), np.zeros(0), [], cfg)
+    state.sgd_batch(tb, cb + n, nb + n, lr)
+    assert np.array_equal(params[:n], expected_t)
+    assert np.array_equal(params[n:], expected_c)
+    # the inactive pair's rows were rescaled, not left as they were
+    assert np.array_equal(params[0], _unit(target[0]))
+    assert np.array_equal(params[n + 1:n + 4], _unit(context[1:4]))
+    assert not np.array_equal(params[0], target[0])
+    # the batch has inactive pairs, and active pairs with an inactive term
+    t, vp = target[tb], context[cb]
+    sn = np.einsum("pd,pnd->pn", t, context[nb])
+    act = sn - np.einsum("pd,pd->p", t, vp)[:, None] + cfg.margin > 0.0
+    assert not act.any(axis=1).all()
+    assert (act.any(axis=1) & ~act.all(axis=1)).any()
+
+
 def reference_train(docs, terms, keywords, cfg, corpus, centers):
     """The trainer as a plain loop, the oracle for train_node_embedding.
 
@@ -437,11 +510,14 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers):
     rng = np.random.default_rng(cfg.seed)
     target = _unit(rng.standard_normal((n, cfg.dim)))
     context = _unit(rng.standard_normal((n, cfg.dim)))
+    # the topic step of _TrainState updates the target view of one matrix
+    params = np.concatenate([target, context])
+    target, context = params[:n], params[n:]
     topic_order = sorted(keywords)
     vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int64)
     vocab_to_row[term_ids] = np.arange(n)
     topic_vecs = np.stack([target[vocab_to_row[centers[key]]].copy()
-                           for key in topic_order])
+                           for key in topic_order]) if topic_order else np.zeros((0, cfg.dim))
     topic_kappa = np.ones(len(topic_order))
     keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]))]
                     for key in topic_order]
@@ -452,8 +528,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers):
     tr, cr = tr[keep], cr[keep]
     probs = np.bincount(cr, minlength=n).astype(np.float64) ** 0.75
     cum = np.cumsum(probs / probs.sum())
-    state = _TrainState(target, context, topic_vecs, topic_kappa,
-                        keyword_rows, cfg)
+    state = _TrainState(params, topic_vecs, topic_kappa, keyword_rows, cfg)
     m = cfg.margin
     n_batches = -(-tr.size // cfg.batch_size)
     step = 0
@@ -464,18 +539,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers):
             sl = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tb, cb, nb = tr[sl], cr[sl], negs[sl]
             lr = cfg.lr * max(1.0 - step / (cfg.epochs * n_batches), 1e-4)
-            t, vp, vn = target[tb], context[cb], context[nb]
-            sn = np.einsum("pd,pnd->pn", t, vn)
-            sp = np.einsum("pd,pd->p", t, vp)
-            act = ((sn - sp[:, None] + m) > 0.0).astype(np.float64)
-            n_act = act.sum(axis=1)
-            g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
-            target[:] = add_at_then_unit(target, tb, -lr * g_t)
-            context[:] = add_at_then_unit(
-                context, np.concatenate([cb, nb.ravel()]),
-                np.concatenate([lr * n_act[:, None] * t,
-                                (-lr * act[:, :, None] * t[:, None, :])
-                                .reshape(-1, cfg.dim)]))
+            reference_step(target, context, tb, cb, nb, lr, m)
             state._topic_step(lr)
             step += 1
         target[:] = _unit(target)
@@ -484,19 +548,20 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers):
     return target, context, topic_vecs, topic_kappa
 
 
-@pytest.mark.parametrize("negatives,batch_size,docs", [
-    (1, 700, 120),      # batch size does not divide the pair count
-    (3, 512, 120),
-    (2, 8192, 1200),    # more pairs than one sampling chunk
-])
-def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs):
+@pytest.mark.parametrize("negatives,batch_size,docs,known", [
+    (1, 700, 120, True),      # batch size does not divide the pair count
+    (3, 512, 120, True),
+    (2, 8192, 1200, True),    # more pairs than one sampling chunk
+    (2, 700, 120, False),     # no known sub-topics: no topic/kappa step
+], ids=["1-700-120", "3-512-120", "2-8192-1200", "no-known"])
+def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known):
     rng = np.random.default_rng(negatives)
     vocab = [f"w{i}" for i in range(60)]
     lines = [" ".join(rng.choice(vocab[:35] if d % 2 else vocab[25:], size=14))
              + "\n" for d in range(docs)]
     corpus = corpus_from_lines(lines)
     tax = parse_hierarchy("w0\n\tw1\nw40\n\tw41", corpus)
-    keywords = subtree_keywords(tax, tax.root)
+    keywords = subtree_keywords(tax, tax.root) if known else {}
     centers = {k: tax.nodes[k].center_term for k in keywords}
     # the node has fewer terms than the corpus: pairs with an outside term drop
     terms = [t for t in range(corpus.num_terms) if corpus.term(t) != "w7"]

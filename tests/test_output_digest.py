@@ -1,0 +1,61 @@
+"""scripts/output_digest.py: one SHA-1 line per planted workload and seed."""
+
+import hashlib
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+# two level-1 topics with two sub-topics each, one deleted: a run takes
+# well under a second
+TINY = {
+    "spec": {"level1_topics": 2, "level2_per_topic": 2, "terms_per_topic": 20,
+             "docs_per_topic": 30, "doc_len": 30},
+    "delete": "topic1_1",
+    "config": {"dim": 4, "epochs": 1, "lr": 0.05, "min_terms": 10,
+               "min_docs": 5, "child_batch_size": 512},
+}
+
+
+@pytest.fixture(scope="module")
+def digest_mod():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", os.path.join(ROOT, "scripts", "output_digest.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_digest_is_sha1_of_the_serialized_output(digest_mod, monkeypatch):
+    texts = []
+    real = digest_mod.serialize
+
+    def keep(*args):
+        texts.append(real(*args))
+        return texts[-1]
+
+    monkeypatch.setattr(digest_mod, "serialize", keep)
+    got = digest_mod.output_digest(TINY["spec"], TINY["delete"],
+                                   TINY["config"], seed=3)
+    assert got == hashlib.sha1(texts[0].encode("utf-8")).hexdigest()
+    # the root was expanded: its children carry a fitted kappa
+    assert all(c["kappa"] is not None for c in json.loads(texts[0])["children"])
+    assert digest_mod.output_digest(TINY["spec"], TINY["delete"],
+                                    TINY["config"], seed=3) == got
+    assert digest_mod.output_digest(TINY["spec"], TINY["delete"],
+                                    TINY["config"], seed=4) != got
+
+
+def test_cli_prints_workload_seed_digest(digest_mod, monkeypatch, capsys):
+    monkeypatch.setattr(digest_mod, "WORKLOADS", {"tiny": TINY})
+    monkeypatch.setattr("sys.argv", ["output_digest.py", "--seeds", "1", "2"])
+    digest_mod.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["tiny", "1"], ["tiny", "2"]]
+    for line in lines:
+        name, seed, digest = line.split()
+        assert digest == digest_mod.output_digest(
+            TINY["spec"], TINY["delete"], TINY["config"], int(seed))
