@@ -11,6 +11,15 @@ bits of a loop doing ``out[cell] += w`` over the same nonzeros. A sparse
 matrix product gives the same sums up to rounding but fixes no order, and
 a last-bit change here moves kappa and can change which topics a run
 recovers.
+
+The order is fixed by the node's count view (``NodeCounts``), built once
+per node: its nonzeros run by document in ascending id order, then by term
+in ascending id order. So a document's vote for a slot is summed over its
+terms in id order, and a (term, slot) BM25 or occurrence cell over the
+slot's documents in ascending id order. Every K* candidate, and the final
+re-assignment by anchor terms, reads the same view; cells a candidate does
+not keep (terms with no slot, terms that are not node terms, documents with
+no slot) go to a spare last row or column that is dropped.
 """
 
 from dataclasses import dataclass
@@ -163,75 +172,96 @@ def _kmeans_once(vectors, k, rng):
     return assign, means, history
 
 
-def assign_documents(docs, z_term, stats: TermStats, n_slots: int) -> dict:
-    """Eq-style tf-idf vote: doc -> argmax slot; zero-weight docs unassigned.
+@dataclass
+class NodeCounts:
+    """The count rows of a node's documents, flattened once per node.
 
-    Documents outside stats are skipped; the result is keyed in ascending
-    doc id order. A document's slot scores are summed over its nonzeros in
-    term-id order.
+    One entry per nonzero of the rows of doc_ids in the statistics, by
+    document in ascending id order, then by term in ascending id order.
     """
-    if not z_term:
-        return {}
-    doc_arr = np.unique(np.fromiter(docs, dtype=np.int64))
-    rows = stats.rows(doc_arr)
-    doc_arr, rows = doc_arr[rows >= 0], rows[rows >= 0]
-    slot_of = np.full(stats.counts.shape[1], -1, dtype=np.int64)
-    slot_of[list(z_term)] = list(z_term.values())
-    width = max(n_slots, int(slot_of.max()) + 1)
-    sub = stats.counts[rows]
-    slot = slot_of[sub.indices]
-    on = slot >= 0
-    row = np.repeat(np.arange(rows.size), np.diff(sub.indptr))[on]
-    cols, vals = sub.indices[on], sub.data[on]
-    scores = np.bincount(row * width + slot[on], weights=vals * stats.idf[cols],
-                         minlength=rows.size * width).reshape(rows.size, width)
-    keep = scores.max(axis=1, initial=0.0) > 0.0
-    return dict(zip(doc_arr[keep].tolist(),
-                    scores[keep].argmax(axis=1).tolist()))
+
+    doc_ids: np.ndarray    # the node's documents that the statistics hold, ascending
+    term_arr: np.ndarray   # the node's terms, ascending
+    row: np.ndarray        # index in doc_ids of the nonzero's document
+    count: np.ndarray      # the term's count in the document
+    vote: np.ndarray       # count x idf: the nonzero's tf-idf vote
+    bm25: np.ndarray       # the nonzero's BM25 contribution
+    pos: np.ndarray        # index of the term in term_arr; term_arr.size if absent
 
 
-def _bm25_matrix(term_arr, subcorpora, stats: TermStats, k1: float, b: float):
-    """BM25(t, D_s) and occurrence counts for every node term x sub-corpus.
+def node_counts(node_docs, term_arr, stats: TermStats, k1: float,
+                b: float) -> NodeCounts:
+    """The count view of node_docs over the node terms term_arr (ascending).
 
-    term_arr holds distinct term ids; subcorpora[s] lists the doc ids of
-    slot s, all in stats. Returns (bm25, tf), both (n_terms, n_slots); tf
-    counts the term's occurrences in the slot's documents. Every cell is
-    summed over the slot's documents in their listed order, then over each
-    document's terms in id order.
+    Documents outside the statistics' subset are left out.
     """
+    doc_ids = np.unique(np.fromiter(node_docs, dtype=np.int64))
+    rows = stats.rows(doc_ids)
+    doc_ids, rows = doc_ids[rows >= 0], rows[rows >= 0]
     term_arr = np.asarray(term_arr, dtype=np.int64)
-    n_slots = len(subcorpora)
-    n_cells = term_arr.size * n_slots
-    sizes = [len(docs) for docs in subcorpora]
-    doc_arr = np.fromiter((d for docs in subcorpora for d in docs),
-                          dtype=np.int64, count=sum(sizes))
-    rows = stats.rows(doc_arr)
-    if (rows < 0).any():
-        raise KeyError(f"document {int(doc_arr[rows < 0][0])} is not in the "
-                       "statistics' subset")
     sub = stats.counts[rows]
-    per_row = np.diff(sub.indptr)
-    pos = np.full(stats.counts.shape[1], -1, dtype=np.int64)
-    pos[term_arr] = np.arange(term_arr.size)
-    term_idx = pos[sub.indices]
-    on = term_idx >= 0
-    slot = np.repeat(np.repeat(np.arange(n_slots), sizes), per_row)[on]
-    dl = np.repeat(stats.doc_len[rows], per_row)[on]
-    cols, vals = sub.indices[on], sub.data[on]
-    cells = term_idx[on] * n_slots + slot
-    denom = vals + k1 * (1.0 - b + b * dl / stats.avg_doc_len)
-    contrib = stats.idf[cols] * vals * (k1 + 1.0) / denom
-    shape = (term_arr.size, n_slots)
-    bm25 = np.bincount(cells, weights=contrib, minlength=n_cells).reshape(shape)
-    tf = np.bincount(cells, weights=vals, minlength=n_cells).reshape(shape)
-    return bm25, tf
+    row = np.repeat(np.arange(rows.size), np.diff(sub.indptr))
+    cols, count = sub.indices, sub.data
+    idf = stats.idf[cols]
+    dl = stats.doc_len[rows][row]
+    denom = count + k1 * (1.0 - b + b * dl / stats.avg_doc_len)
+    pos_of = np.full(stats.counts.shape[1], term_arr.size, dtype=np.int64)
+    pos_of[term_arr] = np.arange(term_arr.size)
+    return NodeCounts(doc_ids=doc_ids, term_arr=term_arr, row=row, count=count,
+                      vote=count * idf, bm25=idf * count * (k1 + 1.0) / denom,
+                      pos=pos_of[cols])
 
 
-def _rep_matrix(term_arr, subcorpora, stats: TermStats, corpus: Corpus,
-                k1: float, b: float):
-    """Representativeness (integrity x distinctiveness x popularity)^(1/3)."""
-    term_arr = np.asarray(term_arr)
-    bm25, tf = _bm25_matrix(term_arr, subcorpora, stats, k1, b)
+def assign_documents(view: NodeCounts, z_term, n_slots: int) -> np.ndarray:
+    """Eq-style tf-idf vote: the argmax slot of each document of the view.
+
+    Returns one slot per view.doc_ids entry, n_slots for a document with
+    no positive vote (unassigned). z_term maps node terms to slots.
+    """
+    doc_slot = np.full(view.doc_ids.size, n_slots, dtype=np.int64)
+    if not z_term:
+        return doc_slot
+    terms = np.fromiter(z_term, dtype=np.int64, count=len(z_term))
+    slots = np.fromiter(z_term.values(), dtype=np.int64, count=len(z_term))
+    if not np.isin(terms, view.term_arr).all():
+        raise ValueError("a term with a slot is not a node term")
+    if not 0 <= slots.min() <= slots.max() < n_slots:
+        raise ValueError(f"slots must lie in [0, {n_slots})")
+    # slot of each term position; the spare last position and terms
+    # without a slot get the spare slot n_slots
+    slot_of = np.full(view.term_arr.size + 1, n_slots, dtype=np.int64)
+    slot_of[np.searchsorted(view.term_arr, terms)] = slots
+    width = n_slots + 1
+    scores = np.bincount(view.row * width + slot_of[view.pos], weights=view.vote,
+                         minlength=view.doc_ids.size * width)
+    scores = scores.reshape(-1, width)[:, :n_slots]
+    keep = scores.max(axis=1, initial=0.0) > 0.0
+    doc_slot[keep] = scores[keep].argmax(axis=1)
+    return doc_slot
+
+
+def _bm25_matrix(view: NodeCounts, doc_slot, n_slots: int):
+    """BM25(t, D_s) and occurrence counts for every node term x slot.
+
+    doc_slot holds the slot of each view document, n_slots for none.
+    Returns (bm25, tf), both (n_terms, n_slots); tf counts the term's
+    occurrences in the slot's documents.
+    """
+    width = n_slots + 1
+    cells = view.pos * width + doc_slot[view.row]
+    n_cells = (view.term_arr.size + 1) * width
+
+    def cell_sums(weights):
+        out = np.bincount(cells, weights=weights, minlength=n_cells)
+        return np.ascontiguousarray(out.reshape(-1, width)[:-1, :n_slots])
+
+    return cell_sums(view.bm25), cell_sums(view.count)
+
+
+def _rep_matrix(view: NodeCounts, doc_slot, n_slots: int, corpus: Corpus):
+    """Representativeness (integrity x distinctiveness x popularity)^(1/3)
+    of every node term (rows) in every slot (columns)."""
+    bm25, tf = _bm25_matrix(view, doc_slot, n_slots)
     # distinctiveness in the log domain: exp(bm25_s - log(1 + sum_s' exp bm25_s'))
     from scipy.special import logsumexp
     log_denom = np.logaddexp(0.0, logsumexp(bm25, axis=1))
@@ -241,15 +271,8 @@ def _rep_matrix(term_arr, subcorpora, stats: TermStats, corpus: Corpus,
     total = tf.sum(axis=0)
     used = total > 1
     pop[:, used] = np.log(tf[:, used] + 1.0) / np.log(total[used])
-    integ = corpus.integrity[term_arr][:, None]
+    integ = corpus.integrity[view.term_arr][:, None]
     return np.cbrt(integ * dis * pop)
-
-
-def _subcorpora(z_doc, n_slots):
-    subs = [[] for _ in range(n_slots)]
-    for d, s in z_doc.items():
-        subs[s].append(d)
-    return subs
 
 
 def significance_scores(term_arr, vecs, means, rep):
@@ -288,12 +311,15 @@ def select_novel_k(novel_terms, known_assign, known_centers, space: EmbeddingSpa
     number of known slots, which precede the novel ones. For each candidate
     K* the clustering/assignment/anchor/vMF chain is re-run, and the stdev
     is taken over the kappas of all slots, known (re-estimated) and novel.
+    Every term given a slot (known, novel, or a known center) must be one
+    of node_terms. The node's count view is built once, before the search.
     """
     k_known = len(known_centers)
     novel_arr = sorted(int(t) for t in novel_terms)
     novel_vecs = space.target[[space.row_of[t] for t in novel_arr]]
     term_arr = np.asarray(sorted(int(t) for t in node_terms))
     vecs = space.target[[space.row_of[int(t)] for t in term_arr]]
+    view = node_counts(node_docs, term_arr, stats, cfg.bm25_k1, cfg.bm25_b)
     candidates = range(1, min(cfg.k_star_max, len(novel_arr)) + 1) if novel_arr else [0]
     best = None
     for k_star in candidates:
@@ -305,9 +331,8 @@ def select_novel_k(novel_terms, known_assign, known_centers, space: EmbeddingSpa
             z_term.update((t, k_known + int(a)) for t, a in zip(novel_arr, assign))
         else:
             means = np.zeros((0, space.dim))
-        z_doc = assign_documents(node_docs, z_term, stats, n_slots)
-        rep = _rep_matrix(term_arr, _subcorpora(z_doc, n_slots), stats, corpus,
-                          cfg.bm25_k1, cfg.bm25_b)
+        doc_slot = assign_documents(view, z_term, n_slots)
+        rep = _rep_matrix(view, doc_slot, n_slots, corpus)
         sig, _ = significance_scores(
             term_arr, vecs, np.vstack([space.topic_vecs[:k_known], means]), rep)
         scores = {int(t): float(v) for t, v in zip(term_arr, sig)}
@@ -330,9 +355,8 @@ def select_novel_k(novel_terms, known_assign, known_centers, space: EmbeddingSpa
     # cleaned document assignment from anchor terms only, inherited by children
     n_slots = k_known + k_star
     z_anchor = {t: s for s in range(n_slots) for t in anchors[s]}
-    doc_sets = [set() for _ in range(n_slots)]
-    for d, s in assign_documents(node_docs, z_anchor, stats, n_slots).items():
-        doc_sets[s].add(d)
+    doc_slot = assign_documents(view, z_anchor, n_slots)
+    doc_sets = [set(view.doc_ids[doc_slot == s].tolist()) for s in range(n_slots)]
     novel = []
     for s, mean in enumerate(means, start=k_known):
         if anchors[s]:

@@ -6,6 +6,10 @@ import numpy as np
 from scipy import sparse
 
 
+# context_pair_arrays gathers this many pairs at a time
+PAIR_CHUNK = 1 << 16
+
+
 class EmptyCorpusError(ValueError):
     pass
 
@@ -29,9 +33,10 @@ class Corpus:
 
     Per-term integrity scores default to 1.0 when no score file is given.
     Immutable after construction, which is what makes caching safe: the
-    root count matrix (``counts``) and the postings (``docs_containing``)
-    are built from all documents on first use and kept. Neither is built
-    on load, so loading pays nothing for a statistic a run may not need.
+    flat token array (``token_array``), the root count matrix (``counts``)
+    and the postings (``docs_containing``) are built from all documents on
+    first use and kept. None is built on load, so loading pays nothing for
+    a statistic a run may not need.
     """
 
     def __init__(self, documents, vocab, integrity=None):
@@ -41,6 +46,7 @@ class Corpus:
         if integrity is None:
             integrity = np.ones(len(self.vocab))
         self.integrity = np.asarray(integrity, dtype=np.float64)
+        self._tokens = None
         self._counts = None
         self._postings = None
 
@@ -58,6 +64,34 @@ class Corpus:
     def term_id(self, term):
         return self.index[term]
 
+    def token_array(self):
+        """(tokens, offsets): every document's tokens end to end, built once.
+
+        tokens is int32; document d is tokens[offsets[d]:offsets[d + 1]],
+        and offsets (int64, num_docs + 1 entries) gives every length.
+        """
+        if self._tokens is None:
+            lengths = np.fromiter((d.tokens.size for d in self.documents),
+                                  dtype=np.int64, count=self.num_docs)
+            offsets = np.zeros(self.num_docs + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            tokens = np.concatenate([d.tokens for d in self.documents],
+                                    dtype=np.int32, casting="same_kind")
+            self._tokens = (tokens, offsets)
+        return self._tokens
+
+    def doc_tokens(self, doc_ids):
+        """(tokens, lengths) of the listed documents, laid end to end in
+        the listed order; tokens is int32."""
+        tokens, offsets = self.token_array()
+        doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        starts = offsets[doc_ids]
+        lengths = offsets[doc_ids + 1] - starts
+        # position j of document i reads tokens[starts[i] + j]
+        gather = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        gather += np.arange(gather.size)
+        return tokens[gather], lengths
+
     def counts(self) -> sparse.csr_matrix:
         """The root (num_docs, num_terms) term-count matrix, built once.
 
@@ -66,14 +100,11 @@ class Corpus:
         Counts are integers held in float64, exact in any summation order.
         """
         if self._counts is None:
-            lengths = np.fromiter((d.tokens.size for d in self.documents),
-                                  dtype=np.int64, count=self.num_docs)
-            indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            tokens = np.concatenate([d.tokens for d in self.documents])
+            tokens, offsets = self.token_array()
+            # copied: sum_duplicates sorts the indices in place
             counts = sparse.csr_matrix(
-                (np.ones(tokens.size), tokens, indptr),
-                shape=(self.num_docs, self.num_terms))
+                (np.ones(tokens.size), tokens, offsets),
+                shape=(self.num_docs, self.num_terms), copy=True)
             counts.sum_duplicates()  # also sorts each row's column indices
             self._counts = counts
         return self._counts
@@ -178,8 +209,8 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
             f"document ids {doc_ids[0]}..{doc_ids[-1]} reach outside "
             f"[0, {corpus.num_docs})")
     counts = corpus.counts()[doc_ids]
-    doc_len = np.fromiter((corpus.documents[d].tokens.size for d in doc_ids),
-                          dtype=np.int64, count=doc_ids.size)
+    offsets = corpus.token_array()[1]
+    doc_len = offsets[doc_ids + 1] - offsets[doc_ids]
     df = np.asarray((counts > 0).sum(axis=0)).ravel()
     idf = np.zeros(corpus.num_terms)
     present = df > 0
@@ -195,17 +226,44 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
     )
 
 
-def context_pair_arrays(documents, window: int):
-    """Vectorized context pairs over many documents: (targets, contexts)."""
-    t_parts, c_parts = [], []
-    for doc in documents:
-        tokens = doc.tokens
-        for k in range(1, window + 1):
-            if tokens.size <= k:
-                break
-            a, b = tokens[:-k], tokens[k:]
-            t_parts.extend((a, b))
-            c_parts.extend((b, a))
-    if not t_parts:
-        return (np.empty(0, dtype=np.int64),) * 2
-    return np.concatenate(t_parts), np.concatenate(c_parts)
+def context_pair_arrays(tokens, lengths, window: int):
+    """Skip-gram (targets, contexts) of documents laid end to end in tokens.
+
+    Document i is the next lengths[i] entries of tokens. Order: document by
+    document; within one, offset k = 1..window; for each k, the pairs
+    (tokens[j], tokens[j + k]) by position j, then (tokens[j + k], tokens[j])
+    by position j. A document of at most k tokens has no pairs at offset k.
+    Both outputs have tokens' dtype. Every (document, k, direction) block
+    reads a contiguous range of tokens, so each output is a gather of
+    tokens through the blocks' ranges laid end to end.
+    """
+    tokens = np.asarray(tokens)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    ks = np.arange(1, window + 1)
+    # per (document, k, direction) block: its length, and where its targets
+    # and contexts start in tokens (tokens[j] from the document's start,
+    # tokens[j + k] from k further on)
+    size = np.repeat(np.maximum(lengths[:, None] - ks, 0), 2, axis=1).ravel()
+    near = np.repeat(starts, window)[:, None]
+    far = (starts[:, None] + ks).reshape(-1, 1)
+    t_from = np.hstack([near, far]).ravel()
+    c_from = np.hstack([far, near]).ravel()
+    end = np.cumsum(size)
+    n_pairs = int(size.sum())
+    # output pair i of a block reads tokens[from + (i - block start)]
+    t_shift, c_shift = t_from - (end - size), c_from - (end - size)
+    targets = np.empty(n_pairs, dtype=tokens.dtype)
+    contexts = np.empty(n_pairs, dtype=tokens.dtype)
+    # whole blocks, about PAIR_CHUNK pairs at a time: bounds the index arrays
+    cuts = np.unique(np.concatenate([
+        [0], np.searchsorted(end, np.arange(PAIR_CHUNK, n_pairs, PAIR_CHUNK),
+                             side="right"), [size.size]]))
+    for b0, b1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        first, last = int(end[b0] - size[b0]), int(end[b1 - 1])
+        at = np.arange(first, last)
+        for shift, out in ((t_shift, targets), (c_shift, contexts)):
+            src = np.repeat(shift[b0:b1], size[b0:b1])
+            src += at
+            np.take(tokens, src, out=out[first:last])
+    return targets, contexts

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Document, context_pair_arrays
+from .corpus import Corpus, context_pair_arrays
 from .vmf import KAPPA_MAX, bessel_ratio, log_norm_const
 
 # Negative sampling. GUIDE_BUCKETS is a power of two, so u * GUIDE_BUCKETS is
@@ -220,9 +220,8 @@ def _pair_rows(corpus: Corpus, docs, window, vocab_to_row):
     Tokens are mapped to rows before pairing, so the pairs are built in
     int32. Pairs with a term that has no row are dropped.
     """
-    row_docs = [Document(doc.id, vocab_to_row[doc.tokens])
-                for doc in (corpus.documents[d] for d in sorted(docs))]
-    tr, cr = context_pair_arrays(row_docs, window)
+    tokens, lengths = corpus.doc_tokens(sorted(docs))
+    tr, cr = context_pair_arrays(vocab_to_row[tokens], lengths, window)
     keep = (tr >= 0) & (cr >= 0)
     return tr[keep], cr[keep]
 
@@ -373,6 +372,13 @@ class _TrainState:
         self._topic_step(lr)
 
     def _topic_step(self, lr):
+        """Repulsion between sub-topic vectors and the gated keyword pull.
+
+        Work that would add only zeros is skipped, which moves no bit: the
+        repulsion matmul runs only when some pair of topics is closer than
+        the margin, the Bessel ratios are computed on the first open
+        keyword gate, and kappa moves only when a gate was open.
+        """
         s = self.topic_vecs
         k_cnt = s.shape[0]
         if k_cnt == 0:
@@ -382,8 +388,9 @@ class _TrainState:
         if k_cnt >= 2:
             sims = s @ s.T
             active = np.triu(sims - m > 0.0, 1)
-            g_s += (active | active.T) @ s
-        ratios = bessel_ratio(self.topic_kappa, self.dim)
+            if active.any():
+                g_s += (active | active.T) @ s
+        ratios = None
         g_k = np.zeros(k_cnt)
         for k, rows in enumerate(self.keyword_rows):
             if len(rows) == 0:
@@ -393,6 +400,8 @@ class _TrainState:
             gate = kw_sims < m
             if not gate.any():
                 continue
+            if ratios is None:
+                ratios = bessel_ratio(self.topic_kappa, self.dim)
             kap = self.topic_kappa[k]
             g_s[k] += -kap * tk[gate].sum(axis=0)
             self.target[rows[gate]] += lr * kap * s[k]
@@ -400,8 +409,9 @@ class _TrainState:
             g_k[k] = gate.sum() * ratios[k] - kw_sims[gate].sum()
         s -= lr * g_s
         s[:] = _unit(s)
-        self.topic_kappa -= lr * g_k
-        np.clip(self.topic_kappa, 0.0, KAPPA_MAX, out=self.topic_kappa)
+        if ratios is not None:
+            self.topic_kappa -= lr * g_k
+            np.clip(self.topic_kappa, 0.0, KAPPA_MAX, out=self.topic_kappa)
 
 
 def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,

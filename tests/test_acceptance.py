@@ -24,7 +24,6 @@ import taxoforge.clustering as clustering
 from taxoforge.clustering import (
     KMEANS_MAX_ITER,
     ClusterConfig,
-    assign_documents,
     novelty_threshold,
     select_novel_k,
     spherical_kmeans,
@@ -41,7 +40,8 @@ from taxoforge.pipeline import PipelineConfig, complete_taxonomy, run_cli
 from taxoforge.taxonomy import parse_hierarchy
 from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf
 
-from test_clustering import _planted_node, bm25_score, make_doc_fixture, reference_bm25
+from test_clustering import (_planted_node, bm25_score, make_doc_fixture,
+                             reference_bm25, vote)
 from test_corpus import tf
 from test_embedding import collect_instances, dense_gradients
 from test_vmf import vmf_log_density
@@ -173,7 +173,7 @@ def test_criterion_5_bm25_and_assignment_bruteforce(capfd):
         want = reference_bm25(t, sub, corpus, stats, 1.2, 0.75)
         ok &= abs(got - want) <= 1e-9
 
-        z_doc = assign_documents(range(corpus.num_docs), z_term, stats, 3)
+        z_doc = vote(range(corpus.num_docs), z_term, stats, 3)
         for d in range(corpus.num_docs):
             weights = [0.0, 0.0, 0.0]
             for term in set(corpus.documents[d].tokens.tolist()):

@@ -11,10 +11,10 @@ from taxoforge.clustering import (
     UndefinedNoveltyError,
     _bm25_matrix,
     _rep_matrix,
-    _subcorpora,
     assign_documents,
     assign_known_terms,
     cluster_node,
+    node_counts,
     novelty_scores,
     novelty_threshold,
     select_anchor_terms,
@@ -236,6 +236,32 @@ def test_kmeans_too_few_vectors_error():
 # --- document assignment ---
 
 
+def vote(docs, z_term, stats, n_slots, term_arr=None):
+    """assign_documents on the count view of docs, as doc id -> slot for
+    the assigned documents in ascending id order. The view's terms are
+    term_arr, by default the terms with a slot."""
+    if term_arr is None:
+        term_arr = sorted(z_term)
+    view = node_counts(docs, term_arr, stats, 1.2, 0.75)
+    slots = assign_documents(view, z_term, n_slots)
+    keep = slots < n_slots
+    return dict(zip(view.doc_ids[keep].tolist(), slots[keep].tolist()))
+
+
+def subcorpora_of(z_doc, n_slots):
+    """Each slot's documents, in z_doc's order: the oracles' input."""
+    subs = [[] for _ in range(n_slots)]
+    for d, s in z_doc.items():
+        subs[s].append(d)
+    return subs
+
+
+def slots_of(view, z_doc, n_slots):
+    """The slot of each view document, n_slots for one z_doc leaves out."""
+    return np.array([z_doc.get(d, n_slots) for d in view.doc_ids.tolist()],
+                    dtype=np.int64)
+
+
 def make_doc_fixture(seed, n_docs=30, n_terms=20):
     rng = np.random.default_rng(seed)
     lines = [" ".join(f"t{int(i)}" for i in rng.integers(0, n_terms,
@@ -253,7 +279,7 @@ def test_assign_documents_single_cluster_doc():
     corpus = corpus_from_lines(["a b\n", "c c\n"])
     stats = compute_term_stats(corpus, {0, 1})
     z_term = {0: 1, 1: 1}  # a, b -> slot 1; c unclustered
-    z_doc = assign_documents({0, 1}, z_term, stats, 2)
+    z_doc = vote({0, 1}, z_term, stats, 2)
     assert z_doc.get(0) == 1
     assert 1 not in z_doc  # [TRIVIAL] no clustered terms -> unassigned
 
@@ -262,7 +288,7 @@ def test_assign_documents_matches_bruteforce():
     # [DERIVED] naive triple-loop oracle on 100 random fixtures
     for seed in range(100):
         corpus, stats, z_term = make_doc_fixture(seed)
-        z_doc = assign_documents(range(corpus.num_docs), z_term, stats, 3)
+        z_doc = vote(range(corpus.num_docs), z_term, stats, 3)
         for d in range(corpus.num_docs):
             weights = [0.0, 0.0, 0.0]
             for t in corpus.documents[d].tokens.tolist():
@@ -282,9 +308,9 @@ def test_assign_documents_matches_bruteforce():
 
 def test_assign_documents_scale_invariant():
     corpus, stats, z_term = make_doc_fixture(7)
-    z1 = assign_documents(range(corpus.num_docs), z_term, stats, 3)
+    z1 = vote(range(corpus.num_docs), z_term, stats, 3)
     stats.idf *= 2.0  # same positive factor (exact in floating point)
-    z2 = assign_documents(range(corpus.num_docs), z_term, stats, 3)
+    z2 = vote(range(corpus.num_docs), z_term, stats, 3)
     assert z1 == z2
 
 
@@ -385,15 +411,22 @@ def vote_cases(seed):
 
 
 def test_assign_documents_bit_equal_to_loop():
-    n_unassigned = 0
+    n_unassigned = n_outside = 0
     for seed in range(100):
+        rng = np.random.default_rng(seed + 900)
         for stats, docs, z_term, n_slots in vote_cases(seed):
-            got = assign_documents(docs, z_term, stats, n_slots)
+            # the view also holds terms without a slot, and leaves some out
+            n_terms = stats.counts.shape[1]
+            extra = rng.choice(n_terms, size=n_terms // 3, replace=False)
+            term_arr = sorted(set(z_term) | set(extra.tolist()))
+            got = vote(docs, z_term, stats, n_slots, term_arr)
             want = loop_assign_documents(docs, z_term, stats, n_slots)
             assert list(got.items()) == list(want.items())
             n_unassigned += len(stats.doc_ids) - len(got)
+            n_outside += n_terms - len(term_arr)
     # docs with no clustered term (or only idf-0 ones) occur and stay out
     assert n_unassigned > 0
+    assert n_outside > 0
 
 
 def test_assign_documents_sums_in_term_order():
@@ -405,43 +438,72 @@ def test_assign_documents_sums_in_term_order():
     stats.idf[:4] = [0.1, 0.2, 0.3, (0.1 + 0.2) + 0.3]
     z_term = {0: 0, 1: 0, 2: 0, 3: 1}
     assert 0.1 + (0.2 + 0.3) < stats.idf[3]
-    assert assign_documents({0, 1}, z_term, stats, 2) == {0: 0}
+    assert vote({0, 1}, z_term, stats, 2) == {0: 0}
     assert loop_assign_documents({0, 1}, z_term, stats, 2) == {0: 0}
 
 
 def test_bm25_and_rep_matrix_bit_equal_to_loop():
+    n_unassigned = n_outside = 0
     for seed in range(100):
         corpus = make_doc_fixture(seed)[0]
         corpus.integrity[:] = np.random.default_rng(seed).random(corpus.num_terms)
         for stats, docs, z_term, n_slots in vote_cases(seed):
             z_doc = loop_assign_documents(docs, z_term, stats, n_slots)
-            subcorpora = _subcorpora(z_doc, n_slots)
+            subcorpora = subcorpora_of(z_doc, n_slots)
             rng = np.random.default_rng(seed)
             term_arr = np.sort(rng.choice(corpus.num_terms,
                                           size=corpus.num_terms // 2 + 1,
                                           replace=False))
-            got = _bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
+            view = node_counts(docs, term_arr, stats, 1.2, 0.75)
+            doc_slot = slots_of(view, z_doc, n_slots)
+            got = _bm25_matrix(view, doc_slot, n_slots)
             want = loop_bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
             for g, w in zip(got, want):
                 assert g.shape == (term_arr.size, n_slots)
                 assert np.array_equal(g, w)
             assert np.array_equal(
-                _rep_matrix(term_arr, subcorpora, stats, corpus, 1.2, 0.75),
+                _rep_matrix(view, doc_slot, n_slots, corpus),
                 loop_rep_matrix(term_arr, subcorpora, stats, corpus, 1.2, 0.75))
-    # documents listed out of id order are summed in their listed order
-    corpus, stats, _ = make_doc_fixture(3)
-    subcorpora = [[5, 1, 9, 2], [], [0, 7, 3]]
-    term_arr = np.arange(corpus.num_terms)
-    got = _bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
-    want = loop_bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            n_unassigned += int((doc_slot == n_slots).sum())
+            n_outside += int((view.pos == term_arr.size).sum())
+    # unassigned documents and nonzeros of terms outside term_arr occur
+    assert n_unassigned > 0 and n_outside > 0
 
 
-def test_bm25_matrix_rejects_doc_outside_stats():
+def test_bm25_matrix_sums_documents_in_ascending_id_order():
+    # one term in three documents of one slot, with contributions 0.1, 0.2
+    # and 0.3 in id order: (0.1 + 0.2) + 0.3 is 0.6000000000000001, the
+    # descending sum (0.3 + 0.2) + 0.1 is 0.6
+    corpus = corpus_from_lines(["a\n", "a\n", "a\n", "b\n"])
+    stats = compute_term_stats(corpus, range(4))
+    view = node_counts([2, 0, 1], [0], stats, 1.2, 0.75)
+    assert view.doc_ids.tolist() == [0, 1, 2]
+    view.bm25[:] = [0.1, 0.2, 0.3]
+    bm25, tf_cells = _bm25_matrix(view, np.zeros(3, dtype=np.int64), 1)
+    assert bm25[0, 0] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    assert tf_cells[0, 0] == 3.0
+
+
+def test_node_counts_leaves_out_docs_outside_stats():
     corpus = corpus_from_lines(["a b\n", "c d\n", "a c\n"])
     stats = compute_term_stats(corpus, {0, 1})
-    with pytest.raises(KeyError):
-        _bm25_matrix([0, 1], [[0], [2]], stats, 1.2, 0.75)
+    view = node_counts([0, 2], [0, 1], stats, 1.2, 0.75)
+    assert view.doc_ids.tolist() == [0]
+    assert view.row.tolist() == [0, 0]
+    assert view.pos.tolist() == [0, 1]
+    # doc 2 is not counted: "a" occurs once in the slot's documents
+    tf_cells = _bm25_matrix(view, np.zeros(1, dtype=np.int64), 1)[1]
+    assert tf_cells.tolist() == [[1.0], [1.0]]
+
+
+def test_assign_documents_rejects_slot_outside_node_terms():
+    corpus = corpus_from_lines(["a b\n", "c d\n"])
+    stats = compute_term_stats(corpus, {0, 1})
+    view = node_counts([0, 1], [0, 1], stats, 1.2, 0.75)
+    with pytest.raises(ValueError, match="not a node term"):
+        assign_documents(view, {2: 0}, 1)
+    with pytest.raises(ValueError, match="slots"):
+        assign_documents(view, {0: 1}, 1)
 
 
 # --- BM25 ---
@@ -450,7 +512,9 @@ def test_bm25_matrix_rejects_doc_outside_stats():
 def bm25_score(t, subcorpus, stats, k1=1.2, b=0.75):
     """BM25 relevance of term t to one document set: one cell of the
     pipeline's _bm25_matrix."""
-    return float(_bm25_matrix([t], [list(subcorpus)], stats, k1, b)[0][0, 0])
+    view = node_counts(subcorpus, [t], stats, k1, b)
+    slots = np.zeros(view.doc_ids.size, dtype=np.int64)
+    return float(_bm25_matrix(view, slots, 1)[0][0, 0])
 
 
 def reference_bm25(t, subcorpus, corpus, stats, k1, b):
@@ -489,9 +553,9 @@ def test_bm25_matches_reference_100_fixtures():
 def representativeness(t, s, z_doc, stats, corpus, node_terms, n_slots,
                        k1=1.2, b=0.75):
     """Representativeness of term t in slot s: one cell of _rep_matrix."""
-    subcorpora = _subcorpora(z_doc, n_slots)
     term_arr = sorted(int(x) for x in node_terms)
-    rep = _rep_matrix(term_arr, subcorpora, stats, corpus, k1, b)
+    view = node_counts(z_doc, term_arr, stats, k1, b)
+    rep = _rep_matrix(view, slots_of(view, z_doc, n_slots), n_slots, corpus)
     return float(rep[term_arr.index(int(t)), s])
 
 

@@ -1,6 +1,7 @@
 """Corpus loading, term statistics, and context-pair extraction."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import taxoforge.corpus as corpus_mod
 from taxoforge.corpus import (
     Document,
     EmptyCorpusError,
@@ -18,7 +20,7 @@ from taxoforge.corpus import (
     corpus_from_lines,
     load_corpus,
 )
-from taxoforge.embedding import EmbedConfig
+from taxoforge.embedding import EmbedConfig, _pair_rows, _vocab_rows
 
 
 def tf(stats, term_id, doc_id):
@@ -119,6 +121,29 @@ def test_vocab_round_trip():
     for tid, term in enumerate(corpus.vocab):
         assert corpus.term_id(term) == tid
         assert corpus.term(tid) == term
+
+
+def test_token_array_lays_documents_end_to_end():
+    for seed in range(20):
+        corpus, rng = random_corpus(seed)
+        tokens, offsets = corpus.token_array()
+        assert tokens.dtype == np.int32 and offsets.dtype == np.int64
+        assert offsets[0] == 0 and offsets[-1] == tokens.size
+        for d, doc in enumerate(corpus.documents):
+            assert tokens[offsets[d]:offsets[d + 1]].tolist() == doc.tokens.tolist()
+        # built once
+        assert corpus.token_array()[0] is tokens
+        subset = sorted(rng.choice(corpus.num_docs, size=int(rng.integers(1, 60)),
+                                   replace=False).tolist())
+        sub_tokens, lengths = corpus.doc_tokens(subset)
+        assert sub_tokens.dtype == np.int32
+        assert lengths.tolist() == [corpus.documents[d].tokens.size for d in subset]
+        assert sub_tokens.tolist() == [t for d in subset
+                                       for t in corpus.documents[d].tokens.tolist()]
+        # the counts are built from the array, which stays as it was
+        corpus.counts()
+        assert np.array_equal(tokens, np.concatenate(
+            [doc.tokens for doc in corpus.documents]))
 
 
 def test_docs_containing_sorted():
@@ -229,6 +254,34 @@ def test_tf_sums_to_occurrences(token_lists):
 # --- context pairs ---
 
 
+def loop_pair_arrays(documents, window):
+    """Oracle: context_pair_arrays one document and one offset at a time.
+
+    For each document and each offset k < its length: the pairs
+    (tokens[:-k], tokens[k:]), then (tokens[k:], tokens[:-k]).
+    """
+    t_parts, c_parts = [], []
+    for doc in documents:
+        tokens = doc.tokens
+        for k in range(1, window + 1):
+            if tokens.size <= k:
+                break
+            a, b = tokens[:-k], tokens[k:]
+            t_parts.extend((a, b))
+            c_parts.extend((b, a))
+    if not t_parts:
+        return (np.empty(0, dtype=np.int64),) * 2
+    return np.concatenate(t_parts), np.concatenate(c_parts)
+
+
+def pair_arrays_of(documents, window):
+    """context_pair_arrays on the documents' tokens laid end to end."""
+    lengths = [doc.tokens.size for doc in documents]
+    tokens = (np.concatenate([doc.tokens for doc in documents]) if documents
+              else np.empty(0, dtype=np.int64))
+    return context_pair_arrays(tokens, lengths, window)
+
+
 def context_pairs(doc, window):
     """All (target, context) pairs within the window, both directions, one
     token at a time: the oracle for context_pair_arrays."""
@@ -298,7 +351,50 @@ def test_pair_arrays_match_per_doc_pairs(token_lists, window):
 
     docs = [Document(id=i, tokens=np.asarray(t, dtype=np.int64))
             for i, t in enumerate(token_lists)]
-    t_arr, c_arr = context_pair_arrays(docs, window)
+    t_arr, c_arr = pair_arrays_of(docs, window)
     vector_pairs = Counter(zip(t_arr.tolist(), c_arr.tolist()))
     loop_pairs = Counter(p for d in docs for p in context_pairs(d, window))
     assert vector_pairs == loop_pairs
+
+
+@given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=9),
+                min_size=1, max_size=8),
+       st.integers(1, 6), st.sampled_from([1, 3, 7, corpus_mod.PAIR_CHUNK]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_pair_arrays_order_equals_per_doc_loop(token_lists, window, chunk, data):
+    # 1-token documents, documents no longer than the window, a subset with
+    # gaps, terms without a row (-1), and pairs gathered over several
+    # chunks all occur
+    corpus = corpus_from_lines([" ".join(f"w{t}" for t in doc)
+                                for doc in token_lists])
+    subset = data.draw(st.lists(st.sampled_from(range(corpus.num_docs)),
+                                unique=True))
+    rowless = data.draw(st.sets(st.sampled_from(range(corpus.num_terms))))
+    term_ids = np.asarray([t for t in range(corpus.num_terms) if t not in rowless],
+                          dtype=np.int64)
+    vocab_to_row = _vocab_rows(corpus, term_ids)
+    row_docs = [Document(d, vocab_to_row[corpus.documents[d].tokens])
+                for d in sorted(subset)]
+    want_t, want_c = loop_pair_arrays(row_docs, window)
+    tokens, lengths = corpus.doc_tokens(sorted(subset))
+    with mock.patch.object(corpus_mod, "PAIR_CHUNK", chunk):
+        got_t, got_c = context_pair_arrays(vocab_to_row[tokens], lengths, window)
+    assert got_t.dtype == got_c.dtype == np.int32
+    assert got_t.tolist() == want_t.tolist()
+    assert got_c.tolist() == want_c.tolist()
+    # pairs touching a -1 row are dropped after pairing, order kept
+    keep = (want_t >= 0) & (want_c >= 0)
+    tr, cr = _pair_rows(corpus, set(subset), window, vocab_to_row)
+    assert tr.tolist() == want_t[keep].tolist()
+    assert cr.tolist() == want_c[keep].tolist()
+
+
+def test_pair_arrays_order_hand_example():
+    # documents [a b c] and [d]; window 2: offset 1 forward then backward,
+    # then offset 2; the 1-token document has none
+    t_arr, c_arr = context_pair_arrays(np.array([0, 1, 2, 3]), [3, 1], 2)
+    assert list(zip(t_arr.tolist(), c_arr.tolist())) == [
+        (0, 1), (1, 2), (1, 0), (2, 1), (0, 2), (2, 0)]
+    empty_t, empty_c = context_pair_arrays(np.array([5], dtype=np.int32), [1], 3)
+    assert empty_t.size == empty_c.size == 0

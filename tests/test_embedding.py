@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from taxoforge.corpus import context_pair_arrays, corpus_from_lines
+import taxoforge.embedding as embedding
+from taxoforge.corpus import corpus_from_lines
 from taxoforge.embedding import (
     GUIDE_BUCKETS,
     SAMPLE_CHUNK,
@@ -21,7 +22,9 @@ from taxoforge.embedding import (
     train_node_embedding,
 )
 from taxoforge.taxonomy import parse_hierarchy, subtree_keywords
-from taxoforge.vmf import bessel_ratio
+from taxoforge.vmf import KAPPA_MAX, bessel_ratio
+
+from test_corpus import loop_pair_arrays
 
 
 def unit_rows(x):
@@ -499,11 +502,108 @@ def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
     assert (act.any(axis=1) & ~act.all(axis=1)).any()
 
 
+def reference_topic_step(state, lr):
+    """The topic/kappa step of a _TrainState as a plain loop: every Bessel
+    ratio computed, the repulsion matmul run and kappa updated on every
+    step, gates open or not."""
+    s = state.topic_vecs
+    k_cnt = s.shape[0]
+    if k_cnt == 0:
+        return
+    m = state.cfg.margin
+    g_s = np.zeros_like(s)
+    if k_cnt >= 2:
+        sims = s @ s.T
+        active = np.triu(sims - m > 0.0, 1)
+        g_s += (active | active.T) @ s
+    ratios = bessel_ratio(state.topic_kappa, state.dim)
+    g_k = np.zeros(k_cnt)
+    for k, rows in enumerate(state.keyword_rows):
+        if len(rows) == 0:
+            continue
+        tk = state.target[rows]
+        kw_sims = tk @ s[k]
+        gate = kw_sims < m
+        if not gate.any():
+            continue
+        kap = state.topic_kappa[k]
+        g_s[k] += -kap * tk[gate].sum(axis=0)
+        state.target[rows[gate]] += lr * kap * s[k]
+        state.target[rows[gate]] = _unit(state.target[rows[gate]])
+        g_k[k] = gate.sum() * ratios[k] - kw_sims[gate].sum()
+    s -= lr * g_s
+    s[:] = _unit(s)
+    state.topic_kappa -= lr * g_k
+    np.clip(state.topic_kappa, 0.0, KAPPA_MAX, out=state.topic_kappa)
+
+
+def topic_state(seed, n=20, dim=5, k_cnt=3, closed=(), far=False, cfg=None):
+    """A _TrainState with keyword rows per topic; the keywords of the topics
+    in closed sit on their topic vector (gate shut), and with far the topic
+    vectors are orthogonal (no repulsion)."""
+    rng = np.random.default_rng(seed)
+    cfg = cfg or EmbedConfig(dim=dim, margin=0.3)
+    params = unit_rows(rng.standard_normal((2 * n, dim)))
+    topic_vecs = (np.eye(dim)[:k_cnt].copy() if far
+                  else unit_rows(rng.standard_normal((k_cnt, dim)) + 2.0))
+    # disjoint keyword sets, so shutting one topic's gates leaves the others
+    keyword_rows = list(np.sort(rng.permutation(n)[:3 * k_cnt].reshape(k_cnt, 3)))
+    for k in closed:
+        params[keyword_rows[k]] = topic_vecs[k]
+    kappa = rng.uniform(0.5, 30.0, size=k_cnt)
+    return _TrainState(params, topic_vecs, kappa, keyword_rows, cfg)
+
+
+def copy_state(state):
+    return _TrainState(state.params.copy(), state.topic_vecs.copy(),
+                       state.topic_kappa.copy(),
+                       [r.copy() for r in state.keyword_rows], state.cfg)
+
+
+@pytest.mark.parametrize("closed,far", [
+    ((), False), ((0,), False), ((1, 2), True), ((0, 1, 2), False),
+    ((0, 1, 2), True)], ids=["open", "one-shut", "two-shut-far",
+                             "all-shut", "all-shut-far"])
+def test_topic_step_bit_equal_to_reference(closed, far):
+    for seed in range(20):
+        state = topic_state(seed, closed=closed, far=far)
+        want = copy_state(state)
+        state._topic_step(0.05)
+        reference_topic_step(want, 0.05)
+        for got, expected in ((state.params, want.params),
+                              (state.topic_vecs, want.topic_vecs),
+                              (state.topic_kappa, want.topic_kappa)):
+            assert np.array_equal(got, expected)
+
+
+def test_topic_step_with_every_gate_shut_skips_bessel_ratio(monkeypatch):
+    calls = []
+
+    def counted(kappa, dim):
+        calls.append(dim)
+        return bessel_ratio(kappa, dim)
+
+    monkeypatch.setattr(embedding, "bessel_ratio", counted)
+    state = topic_state(3, closed=(0, 1, 2))
+    kappa = state.topic_kappa.copy()
+    state._topic_step(0.05)
+    assert calls == []
+    assert state.topic_kappa.tobytes() == kappa.tobytes()
+    # one open gate: one call for the step, and kappa moves
+    state = topic_state(3, closed=(0, 2))
+    kappa = state.topic_kappa.copy()
+    state._topic_step(0.05)
+    assert calls == [state.dim]
+    assert state.topic_kappa[1] != kappa[1]
+    assert state.topic_kappa[[0, 2]].tobytes() == kappa[[0, 2]].tobytes()
+
+
 def reference_train(docs, terms, keywords, cfg, corpus, centers):
     """The trainer as a plain loop, the oracle for train_node_embedding.
 
-    np.searchsorted negatives drawn for the whole epoch at once, three int64
-    gathers per batch, and np.add.at followed by _unit for each scatter.
+    Pairs built one document at a time, np.searchsorted negatives drawn for
+    the whole epoch at once, three int64 gathers per batch, np.add.at
+    followed by _unit for each scatter, and the topic step without skips.
     """
     term_ids = np.asarray(sorted(int(t) for t in terms))
     n = term_ids.size
@@ -521,7 +621,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers):
     topic_kappa = np.ones(len(topic_order))
     keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]))]
                     for key in topic_order]
-    t_all, c_all = context_pair_arrays(
+    t_all, c_all = loop_pair_arrays(
         [corpus.documents[d] for d in sorted(docs)], cfg.window)
     tr, cr = vocab_to_row[t_all], vocab_to_row[c_all]
     keep = (tr >= 0) & (cr >= 0)
@@ -540,7 +640,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers):
             tb, cb, nb = tr[sl], cr[sl], negs[sl]
             lr = cfg.lr * max(1.0 - step / (cfg.epochs * n_batches), 1e-4)
             reference_step(target, context, tb, cb, nb, lr, m)
-            state._topic_step(lr)
+            reference_topic_step(state, lr)
             step += 1
         target[:] = _unit(target)
         context[:] = _unit(context)
@@ -567,7 +667,7 @@ def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known)
     terms = [t for t in range(corpus.num_terms) if corpus.term(t) != "w7"]
     cfg = EmbedConfig(dim=5, epochs=2, lr=0.05, negatives=negatives,
                       batch_size=batch_size, window=3, seed=11)
-    n_pairs = context_pair_arrays(corpus.documents, cfg.window)[0].size
+    n_pairs = loop_pair_arrays(corpus.documents, cfg.window)[0].size
     assert n_pairs % batch_size
     assert (n_pairs > SAMPLE_CHUNK) == (docs > 1000)
     space = train_node_embedding(range(docs), terms, keywords, cfg, corpus,

@@ -19,6 +19,10 @@ TINY = {
                "min_docs": 5, "child_batch_size": 512},
 }
 
+# SHA-1 of the serialized TINY run at seed 3. A change that moves an output
+# bit on purpose updates this value and says why; any other change keeps it.
+TINY_SEED3_SHA1 = "0e5227717e936c652c7cc6a346890768f3e5c046"
+
 
 @pytest.fixture(scope="module")
 def digest_mod():
@@ -59,3 +63,8 @@ def test_cli_prints_workload_seed_digest(digest_mod, monkeypatch, capsys):
         name, seed, digest = line.split()
         assert digest == digest_mod.output_digest(
             TINY["spec"], TINY["delete"], TINY["config"], int(seed))
+
+
+def test_tiny_run_keeps_its_golden_bytes(digest_mod):
+    assert digest_mod.output_digest(TINY["spec"], TINY["delete"],
+                                    TINY["config"], seed=3) == TINY_SEED3_SHA1
