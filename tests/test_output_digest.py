@@ -23,6 +23,14 @@ TINY = {
 # bit on purpose updates this value and says why; any other change keeps it.
 TINY_SEED3_SHA1 = "0e5227717e936c652c7cc6a346890768f3e5c046"
 
+# TINY with three level-1 topics and topic1 deleted. The golden run above
+# picks K* = 1 at every node; at seed 3 this one picks K* = 3 and K* = 2,
+# emits two novel clusters at one node, and has known centre terms that
+# also anchor a second slot, so it pins the multi-slot paths of the K*
+# search and the anchor re-assignment.
+WIDE = {**TINY, "spec": {**TINY["spec"], "level1_topics": 3}, "delete": "topic1"}
+WIDE_SEED3_SHA1 = "ad8dea9945ef6e862f49dd5300ca619e972826f3"
+
 
 @pytest.fixture(scope="module")
 def digest_mod():
@@ -68,3 +76,8 @@ def test_cli_prints_workload_seed_digest(digest_mod, monkeypatch, capsys):
 def test_tiny_run_keeps_its_golden_bytes(digest_mod):
     assert digest_mod.output_digest(TINY["spec"], TINY["delete"],
                                     TINY["config"], seed=3) == TINY_SEED3_SHA1
+
+
+def test_wide_run_keeps_its_golden_bytes(digest_mod):
+    assert digest_mod.output_digest(WIDE["spec"], WIDE["delete"],
+                                    WIDE["config"], seed=3) == WIDE_SEED3_SHA1
