@@ -7,9 +7,10 @@ whether a novel node reappears in the right place with the planted terms,
 scored by ``taxoforge.evaluation.score_planted`` at the deleted topic's depth
 against the planted terms of its whole subtree.
 
-Usage:
-    python scripts/run_planted_recovery.py --delete topic1_2 --seeds 1 2 3 4 5
-    python scripts/run_planted_recovery.py --delete topic1 --seeds 1
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/run_planted_recovery.py --delete topic1_2 --seeds 1 2 3 4 5
+    PYTHONPATH=src python scripts/run_planted_recovery.py --delete topic1 --seeds 1
 """
 
 import argparse

@@ -1,5 +1,10 @@
 """Novelty-adaptive clustering for one taxonomy node.
 
+A node's terms are the rows of its trained embedding space: row i is
+``space.term_ids[i]``, in ascending id order. A term's novelty, slot,
+significance and anchor membership are arrays over those rows; term ids
+appear only in the result's anchor sets and novel centers.
+
 Sub-topics are addressed by integer slots: known sub-topics occupy slots
 0..K-1 in the embedding space's topic order, novel clusters follow. Ties in
 any argmax break toward the lowest slot.
@@ -13,13 +18,14 @@ a last-bit change here moves kappa and can change which topics a run
 recovers.
 
 The order is fixed by the node's count view (``NodeCounts``), built once
-per node: its nonzeros run by document in ascending id order, then by term
-in ascending id order. So a document's vote for a slot is summed over its
-terms in id order, and a (term, slot) BM25 or occurrence cell over the
-slot's documents in ascending id order. Every K* candidate, and the final
-re-assignment by anchor terms, reads the same view; cells a candidate does
-not keep (terms with no slot, terms that are not node terms, documents with
-no slot) go to a spare last row or column that is dropped.
+per node from its term statistics: its nonzeros run by document in
+ascending id order, then by term in ascending id order. So a document's
+vote for a slot is summed over its terms in id order, and a (term, slot)
+BM25 or occurrence cell over the slot's documents in ascending id order.
+Every K* candidate, and the final re-assignment by anchor terms, reads the
+same view; cells a candidate does not keep (terms with no slot, terms that
+are not node terms, documents with no slot) go to a spare last row or
+column that is dropped.
 """
 
 from dataclasses import dataclass
@@ -67,26 +73,25 @@ class ClusterConfig:
 class SubtopicClustering:
     """Full clustering result for one node.
 
+    Per-term arrays run over the rows of the node's embedding space.
     Document sets come from the re-assignment by anchor terms only.
     """
 
-    z_term: dict        # term id -> slot
-    novel_terms: set
+    z_term: np.ndarray       # slot of each row
+    novel_terms: np.ndarray  # ids of the terms split off as novel, ascending
     known: list         # (anchor set, doc set, VmfParams) per known slot, in slot order
     novel: list         # (center term, anchor set, doc set, VmfParams) per novel
                         # cluster with anchors, largest first, ties in slot order
     k_star: int
-    sig_scores: dict    # term id -> significance
+    sig_scores: np.ndarray   # significance of each row
     warnings: set       # known slots left with only their center
 
 
-def novelty_scores(space: EmbeddingSpace, term_ids, temperature: float) -> np.ndarray:
-    """1 - max softmax over known sub-topics of cos(t, s)/T, vectorized."""
-    k = space.num_topics
-    if k == 0:
+def novelty_scores(space: EmbeddingSpace, temperature: float) -> np.ndarray:
+    """1 - max softmax over known sub-topics of cos(t, s)/T, per row."""
+    if space.num_topics == 0:
         raise UndefinedNoveltyError("node has no known sub-topics")
-    rows = np.asarray([space.row_of[int(t)] for t in term_ids])
-    sims = space.target[rows] @ space.topic_vecs.T / temperature
+    sims = space.target @ space.topic_vecs.T / temperature
     sims -= sims.max(axis=1, keepdims=True)
     soft = np.exp(sims)
     soft /= soft.sum(axis=1, keepdims=True)
@@ -102,28 +107,20 @@ def novelty_threshold(k_c: int, beta: float) -> float:
     return (1.0 - 1.0 / k_c) ** beta
 
 
-def split_terms(terms, space: EmbeddingSpace, cfg: ClusterConfig, level: int):
-    """Partition node terms into (known, novel); boundary scores go novel."""
-    term_arr = sorted(int(t) for t in terms)
+def split_terms(space: EmbeddingSpace, cfg: ClusterConfig, level: int) -> np.ndarray:
+    """Novel mask over the rows; a score at the threshold counts as novel."""
     tau = novelty_threshold(space.num_topics, cfg.beta(level))
-    scores = novelty_scores(space, term_arr, cfg.temperature)
-    known = {t for t, s in zip(term_arr, scores) if s < tau}
-    novel = set(term_arr) - known
-    return known, novel
+    return novelty_scores(space, cfg.temperature) >= tau
 
 
-def assign_known_terms(known, space: EmbeddingSpace) -> dict:
-    """Each known term -> slot of its closest known sub-topic vector."""
-    if not known:
-        return {}
-    term_arr = sorted(int(t) for t in known)
-    rows = np.asarray([space.row_of[t] for t in term_arr])
-    sims = space.target[rows] @ space.topic_vecs.T
-    return {t: int(s) for t, s in zip(term_arr, sims.argmax(axis=1))}
+def assign_known_terms(space: EmbeddingSpace, rows) -> np.ndarray:
+    """Slot of the closest known sub-topic vector, for each of the rows."""
+    # a product over the rows themselves: rows of the full product can
+    # differ from it in the last bit
+    return (space.target[rows] @ space.topic_vecs.T).argmax(axis=1)
 
 
-def spherical_kmeans(vectors, k: int, cfg: ClusterConfig, seed=None,
-                     return_history=False):
+def spherical_kmeans(vectors, k: int, cfg: ClusterConfig, seed=None):
     """Spherical k-means maximizing sum of cosines to unit mean directions."""
     vectors = np.asarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
@@ -136,10 +133,7 @@ def spherical_kmeans(vectors, k: int, cfg: ClusterConfig, seed=None,
         assign, means, history = _kmeans_once(vectors, k, rng)
         if best is None or history[-1] > best[2][-1]:
             best = (assign, means, history)
-    assign, means, history = best
-    if return_history:
-        return assign, means, history
-    return assign, means
+    return best[0], best[1]
 
 
 def _kmeans_once(vectors, k, rng):
@@ -176,11 +170,11 @@ def _kmeans_once(vectors, k, rng):
 class NodeCounts:
     """The count rows of a node's documents, flattened once per node.
 
-    One entry per nonzero of the rows of doc_ids in the statistics, by
-    document in ascending id order, then by term in ascending id order.
+    One entry per nonzero of the statistics' count rows, by document in
+    ascending id order, then by term in ascending id order.
     """
 
-    doc_ids: np.ndarray    # the node's documents that the statistics hold, ascending
+    doc_ids: np.ndarray    # the statistics' documents, ascending
     term_arr: np.ndarray   # the node's terms, ascending
     row: np.ndarray        # index in doc_ids of the nonzero's document
     count: np.ndarray      # the term's count in the document
@@ -189,48 +183,35 @@ class NodeCounts:
     pos: np.ndarray        # index of the term in term_arr; term_arr.size if absent
 
 
-def node_counts(node_docs, term_arr, stats: TermStats, k1: float,
-                b: float) -> NodeCounts:
-    """The count view of node_docs over the node terms term_arr (ascending).
-
-    Documents outside the statistics' subset are left out.
-    """
-    doc_ids = np.unique(np.fromiter(node_docs, dtype=np.int64))
-    rows = stats.rows(doc_ids)
-    doc_ids, rows = doc_ids[rows >= 0], rows[rows >= 0]
+def node_counts(stats: TermStats, term_arr, k1: float, b: float) -> NodeCounts:
+    """The count view of every document of stats over the node terms
+    term_arr (ascending)."""
     term_arr = np.asarray(term_arr, dtype=np.int64)
-    sub = stats.counts[rows]
-    row = np.repeat(np.arange(rows.size), np.diff(sub.indptr))
+    sub = stats.counts
+    row = np.repeat(np.arange(stats.n_docs), np.diff(sub.indptr))
     cols, count = sub.indices, sub.data
     idf = stats.idf[cols]
-    dl = stats.doc_len[rows][row]
+    dl = stats.doc_len[row]
     denom = count + k1 * (1.0 - b + b * dl / stats.avg_doc_len)
-    pos_of = np.full(stats.counts.shape[1], term_arr.size, dtype=np.int64)
+    pos_of = np.full(sub.shape[1], term_arr.size, dtype=np.int64)
     pos_of[term_arr] = np.arange(term_arr.size)
-    return NodeCounts(doc_ids=doc_ids, term_arr=term_arr, row=row, count=count,
-                      vote=count * idf, bm25=idf * count * (k1 + 1.0) / denom,
-                      pos=pos_of[cols])
+    return NodeCounts(doc_ids=stats.doc_ids, term_arr=term_arr, row=row,
+                      count=count, vote=count * idf,
+                      bm25=idf * count * (k1 + 1.0) / denom, pos=pos_of[cols])
 
 
 def assign_documents(view: NodeCounts, z_term, n_slots: int) -> np.ndarray:
     """Eq-style tf-idf vote: the argmax slot of each document of the view.
 
-    Returns one slot per view.doc_ids entry, n_slots for a document with
-    no positive vote (unassigned). z_term maps node terms to slots.
+    z_term holds the slot of each term position of the view, n_slots for a
+    term with no slot. Returns one slot per view.doc_ids entry, n_slots for
+    a document with no positive vote (unassigned).
     """
     doc_slot = np.full(view.doc_ids.size, n_slots, dtype=np.int64)
-    if not z_term:
+    if n_slots == 0:
         return doc_slot
-    terms = np.fromiter(z_term, dtype=np.int64, count=len(z_term))
-    slots = np.fromiter(z_term.values(), dtype=np.int64, count=len(z_term))
-    if not np.isin(terms, view.term_arr).all():
-        raise ValueError("a term with a slot is not a node term")
-    if not 0 <= slots.min() <= slots.max() < n_slots:
-        raise ValueError(f"slots must lie in [0, {n_slots})")
-    # slot of each term position; the spare last position and terms
-    # without a slot get the spare slot n_slots
-    slot_of = np.full(view.term_arr.size + 1, n_slots, dtype=np.int64)
-    slot_of[np.searchsorted(view.term_arr, terms)] = slots
+    # the spare last position (terms that are not node terms) has no slot
+    slot_of = np.append(z_term, n_slots)
     width = n_slots + 1
     scores = np.bincount(view.row * width + slot_of[view.pos], weights=view.vote,
                          minlength=view.doc_ids.size * width)
@@ -275,114 +256,110 @@ def _rep_matrix(view: NodeCounts, doc_slot, n_slots: int, corpus: Corpus):
     return np.cbrt(integ * dis * pop)
 
 
-def significance_scores(term_arr, vecs, means, rep):
-    """max_s clip(cos, 0) * rep and its argmax; inputs aligned on term_arr."""
-    rel = np.clip(vecs @ means.T, 0.0, None)
-    prod = rel * rep
-    return prod.max(axis=1), prod.argmax(axis=1)
+def significance_scores(vecs, means, rep):
+    """max_s clip(cos, 0) * rep per row of vecs; rep is aligned on vecs."""
+    return (np.clip(vecs @ means.T, 0.0, None) * rep).max(axis=1)
 
 
-def select_anchor_terms(z_term, scores, tau_sig, n_slots, known_centers=None):
-    """Per slot: assigned terms with significance >= tau_sig.
+def select_anchor_terms(z_term, scores, tau_sig, n_slots, centers):
+    """Per slot: the rows it holds with significance >= tau_sig.
 
-    Known sub-topic center terms are always retained. Returns (anchors,
-    warning slots) where a warning marks a known slot left with nothing but
-    its center.
+    z_term and scores run over rows. centers[s] is the center row of known
+    slot s; it is always an anchor of its slot, and may also anchor the
+    slot z_term gives it. Returns (anchors, warning slots): anchors is an
+    (n_slots, rows) mask, and a warning marks a known slot left with
+    nothing but its center.
     """
-    anchors = [set() for _ in range(n_slots)]
-    for t, s in z_term.items():
-        if scores.get(t, 0.0) >= tau_sig:
-            anchors[s].add(t)
-    warnings = set()
-    if known_centers:
-        for s, center in known_centers.items():
-            if not (anchors[s] - {center}):
-                warnings.add(s)
-            anchors[s].add(center)
-    return anchors, warnings
+    centers = np.asarray(centers, dtype=np.int64)
+    known = np.arange(centers.size)
+    rows = np.flatnonzero(scores >= tau_sig)
+    anchors = np.zeros((n_slots, z_term.size), dtype=bool)
+    anchors[z_term[rows], rows] = True
+    own = anchors[known, centers]
+    others = np.bincount(z_term[rows], minlength=n_slots)[known] - own
+    anchors[known, centers] = True
+    return anchors, set(np.flatnonzero(others == 0).tolist())
 
 
-def select_novel_k(novel_terms, known_assign, known_centers, space: EmbeddingSpace,
-                   stats: TermStats, node_terms, node_docs, corpus: Corpus,
+def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
+                   stats: TermStats, corpus: Corpus,
                    cfg: ClusterConfig) -> SubtopicClustering:
     """Pick the novel cluster count K* minimizing the stdev of concentrations.
 
-    known_centers maps each known slot to its center term; its size is the
-    number of known slots, which precede the novel ones. For each candidate
-    K* the clustering/assignment/anchor/vMF chain is re-run, and the stdev
-    is taken over the kappas of all slots, known (re-estimated) and novel.
-    Every term given a slot (known, novel, or a known center) must be one
-    of node_terms. The node's count view is built once, before the search.
+    z_known holds the known slot of each row, -1 for a novel row. The
+    known slots are the first k_known topics of the space (none or all of
+    them), with their center rows; the novel slots follow. For each
+    candidate K* the clustering/assignment/anchor/vMF chain is re-run, and
+    the stdev is taken over the kappas of all slots, known (re-estimated)
+    and novel. The node's count view, over the documents of stats, is
+    built once, before the search.
     """
-    k_known = len(known_centers)
-    novel_arr = sorted(int(t) for t in novel_terms)
-    novel_vecs = space.target[[space.row_of[t] for t in novel_arr]]
-    term_arr = np.asarray(sorted(int(t) for t in node_terms))
-    vecs = space.target[[space.row_of[int(t)] for t in term_arr]]
-    view = node_counts(node_docs, term_arr, stats, cfg.bm25_k1, cfg.bm25_b)
-    candidates = range(1, min(cfg.k_star_max, len(novel_arr)) + 1) if novel_arr else [0]
+    centers = space.center_rows[:k_known]
+    novel_rows = np.flatnonzero(z_known < 0)
+    novel_vecs = space.target[novel_rows]
+    view = node_counts(stats, space.term_ids, cfg.bm25_k1, cfg.bm25_b)
+    n_novel = novel_rows.size
+    candidates = range(1, min(cfg.k_star_max, n_novel) + 1) if n_novel else [0]
     best = None
     for k_star in candidates:
         n_slots = k_known + k_star
-        z_term = dict(known_assign)
+        z_term = z_known.copy()
         if k_star > 0:
             assign, means = spherical_kmeans(novel_vecs, k_star, cfg,
                                              seed=cfg.seed + k_star)
-            z_term.update((t, k_known + int(a)) for t, a in zip(novel_arr, assign))
+            z_term[novel_rows] = k_known + assign
         else:
             means = np.zeros((0, space.dim))
         doc_slot = assign_documents(view, z_term, n_slots)
         rep = _rep_matrix(view, doc_slot, n_slots, corpus)
-        sig, _ = significance_scores(
-            term_arr, vecs, np.vstack([space.topic_vecs[:k_known], means]), rep)
-        scores = {int(t): float(v) for t, v in zip(term_arr, sig)}
-        anchors, warnings = select_anchor_terms(z_term, scores, cfg.tau_sig,
-                                                n_slots, known_centers)
-        assigned = [set() for _ in range(n_slots)]
-        for t, s in z_term.items():
-            assigned[s].add(t)
+        sig = significance_scores(
+            space.target, np.vstack([space.topic_vecs[:k_known], means]), rep)
+        anchors, warnings = select_anchor_terms(z_term, sig, cfg.tau_sig,
+                                                n_slots, centers)
         vmfs = []
         for s in range(n_slots):
-            pool = anchors[s] if len(anchors[s]) >= 2 else (anchors[s] | assigned[s])
-            pv = (space.target[[space.row_of[int(t)] for t in sorted(pool)]]
-                  if pool else np.zeros((1, space.dim)))
+            pool = anchors[s] if anchors[s].sum() >= 2 else anchors[s] | (z_term == s)
+            rows = np.flatnonzero(pool)
+            pv = space.target[rows] if rows.size else np.zeros((1, space.dim))
             vmfs.append(estimate_vmf(pv, space.dim))
         stdev = float(np.std([p.kappa for p in vmfs]))
         if best is None or stdev < best[0] - 1e-12:
-            best = (stdev, k_star, means, z_term, scores, anchors, warnings, vmfs)
-    _, k_star, means, z_term, scores, anchors, warnings, vmfs = best
+            best = (stdev, k_star, means, z_term, sig, anchors, warnings, vmfs)
+    _, k_star, means, z_term, sig, anchors, warnings, vmfs = best
 
-    # cleaned document assignment from anchor terms only, inherited by children
+    # cleaned document assignment from anchor terms only, inherited by
+    # children; a row anchoring two slots (a known center) votes for the higher
     n_slots = k_known + k_star
-    z_anchor = {t: s for s in range(n_slots) for t in anchors[s]}
+    z_anchor = np.full(z_term.size, n_slots)
+    for s in range(n_slots):
+        z_anchor[anchors[s]] = s
     doc_slot = assign_documents(view, z_anchor, n_slots)
     doc_sets = [set(view.doc_ids[doc_slot == s].tolist()) for s in range(n_slots)]
+    terms = [set(space.term_ids[anchors[s]].tolist()) for s in range(n_slots)]
     novel = []
     for s, mean in enumerate(means, start=k_known):
-        if anchors[s]:
-            arr = sorted(anchors[s])
-            sims = space.target[[space.row_of[t] for t in arr]] @ mean
-            center = int(arr[int(np.argmax(sims))])
-            novel.append((center, anchors[s], doc_sets[s], vmfs[s]))
+        rows = np.flatnonzero(anchors[s])
+        if rows.size:  # the anchor closest to the mean, over the anchor rows only
+            center = int(space.term_ids[rows[int(np.argmax(space.target[rows] @ mean))]])
+            novel.append((center, terms[s], doc_sets[s], vmfs[s]))
     novel.sort(key=lambda c: -len(c[1]))  # stable: ties keep slot order
     return SubtopicClustering(
-        z_term=z_term, novel_terms=set(novel_arr),
-        known=[(anchors[s], doc_sets[s], vmfs[s]) for s in range(k_known)],
-        novel=novel, k_star=k_star, sig_scores=scores, warnings=warnings)
+        z_term=z_term, novel_terms=space.term_ids[novel_rows],
+        known=[(terms[s], doc_sets[s], vmfs[s]) for s in range(k_known)],
+        novel=novel, k_star=k_star, sig_scores=sig, warnings=warnings)
 
 
-def cluster_node(node_terms, node_docs, space: EmbeddingSpace, stats: TermStats,
-                 corpus: Corpus, cfg: ClusterConfig, level: int,
-                 known_centers) -> SubtopicClustering:
+def cluster_node(space: EmbeddingSpace, stats: TermStats, corpus: Corpus,
+                 cfg: ClusterConfig, level: int) -> SubtopicClustering:
     """Known/novel split plus the full K* search for one node.
 
-    known_centers maps slot s to the center term of space.topic_order[s].
-    A node with fewer than 2 known sub-topics takes the unsupervised path:
-    every term is novel and no slot is known.
+    The node's terms are the rows of space and its documents those of
+    stats. A node with fewer than 2 known sub-topics takes the unsupervised
+    path: every term is novel and no slot is known.
     """
+    z_known = np.full(space.term_ids.size, -1, dtype=np.int64)
     if space.num_topics < 2:
-        return select_novel_k(node_terms, {}, {}, space, stats, node_terms,
-                              node_docs, corpus, cfg)
-    known, novel = split_terms(node_terms, space, cfg, level)
-    return select_novel_k(novel, assign_known_terms(known, space), known_centers,
-                          space, stats, node_terms, node_docs, corpus, cfg)
+        return select_novel_k(z_known, 0, space, stats, corpus, cfg)
+    known = np.flatnonzero(~split_terms(space, cfg, level))
+    z_known[known] = assign_known_terms(space, known)
+    return select_novel_k(z_known, space.num_topics, space, stats, corpus, cfg)

@@ -185,14 +185,6 @@ class TermStats:
     avg_doc_len: float
     n_docs: int
 
-    def rows(self, doc_ids) -> np.ndarray:
-        """Row in counts of each doc id, in the given order; -1 where the
-        document is not in the subset."""
-        doc_ids = np.asarray(doc_ids, dtype=np.int64).reshape(-1)
-        rows = np.searchsorted(self.doc_ids, doc_ids)
-        rows[rows == self.n_docs] = 0
-        return np.where(self.doc_ids[rows] == doc_ids, rows, -1)
-
 
 def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
     """Frequency statistics restricted to doc_subset.

@@ -52,28 +52,26 @@ class EmbedConfig:
 
 
 class EmbeddingSpace:
-    """Trained vectors for one node: per-term target/context plus sub-topic vMF."""
+    """Trained vectors for one node: per-term target/context plus sub-topic vMF.
+
+    Row i holds term term_ids[i]; term_ids ascend. center_rows[k] is the
+    row of the center term of sub-topic topic_order[k].
+    """
 
     def __init__(self, term_ids, target, context, topic_order, topic_vecs,
-                 topic_kappa, dim):
+                 topic_kappa, center_rows, dim):
         self.term_ids = np.asarray(term_ids)
-        self.row_of = {int(t): i for i, t in enumerate(self.term_ids)}
         self.target = target
         self.context = context
         self.topic_order = list(topic_order)
         self.topic_vecs = topic_vecs
         self.topic_kappa = topic_kappa
+        self.center_rows = np.asarray(center_rows, dtype=np.int64)
         self.dim = dim
 
     @property
     def num_topics(self):
         return len(self.topic_order)
-
-    def has_term(self, term_id):
-        return int(term_id) in self.row_of
-
-    def vec(self, term_id):
-        return self.target[self.row_of[int(term_id)]]
 
     def dump(self, path, corpus: Corpus, topic_names=None):
         """Text dump: one line per term, topic vectors prefixed __topic__."""
@@ -195,11 +193,12 @@ def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
     if space is None or node.center_term is None:
         return set(range(corpus.num_docs))
     docs = set(node.docs)
-    if m_neighbors <= 0 or not space.has_term(node.center_term):
+    center = int(np.searchsorted(space.term_ids, node.center_term))
+    if (m_neighbors <= 0 or center == space.term_ids.size
+            or space.term_ids[center] != node.center_term):
         return docs
-    q = space.vec(node.center_term)
-    sims = space.target @ q
-    sims[space.row_of[node.center_term]] = -np.inf
+    sims = space.target @ space.target[center]
+    sims[center] = -np.inf
     top = min(m_neighbors, len(sims) - 1)
     order = np.argsort(-sims)[:top]
     for row in order:
@@ -254,8 +253,11 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     if centers is None:
         centers = {key: min(keywords[key]) for key in topic_order}
     vocab_to_row = _vocab_rows(corpus, term_ids)
-    topic_vecs = np.stack([target[vocab_to_row[centers[key]]].copy()
-                           for key in topic_order]) if topic_order else np.zeros((0, cfg.dim))
+    center_rows = vocab_to_row[np.asarray([centers[key] for key in topic_order],
+                                          dtype=np.int64)]
+    if (center_rows < 0).any():
+        raise ValueError("a sub-topic center is not a node term")
+    topic_vecs = target[center_rows]
     topic_kappa = np.ones(len(topic_order))
     keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]))]
                     for key in topic_order]
@@ -265,7 +267,7 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     if n_pairs == 0:
         # nothing to train on; return the seeded initialization
         return EmbeddingSpace(term_ids, target, context, topic_order,
-                              topic_vecs, topic_kappa, cfg.dim)
+                              topic_vecs, topic_kappa, center_rows, cfg.dim)
 
     cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
     # rows of params: (target, context) per pair, and this epoch's negatives
@@ -298,7 +300,7 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
         if len(topic_order):
             topic_vecs[:] = _unit(topic_vecs)
     return EmbeddingSpace(term_ids, target, context, topic_order, topic_vecs,
-                          topic_kappa, cfg.dim)
+                          topic_kappa, center_rows, cfg.dim)
 
 
 class _TrainState:

@@ -68,9 +68,7 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
 
         stats = compute_term_stats(corpus, node.docs)
         cluster_cfg = dataclasses.replace(cfg.cluster, seed=cfg.seed + 7919 * node_id)
-        known_centers = {s: centers[key] for s, key in enumerate(space.topic_order)}
-        sc = cluster_node(node.terms, node.docs, space, stats, corpus,
-                          cluster_cfg, level=depth, known_centers=known_centers)
+        sc = cluster_node(space, stats, corpus, cluster_cfg, level=depth)
 
         all_keywords = set().union(*keywords.values()) if keywords else set()
         # sub-tree topic names surely belong to their own sub-topic
@@ -86,13 +84,14 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
             novel.append((center, anchors, docs, params.kappa))
         insert_children(tax, node_id, known, novel)
 
+        scores = dict(zip(space.term_ids.tolist(), sc.sig_scores.tolist()))
         for child in tax.nodes[node_id].children:
             cnode = tax.nodes[child]
-            cnode.term_scores = {t: sc.sig_scores.get(t, 0.0) for t in cnode.terms}
+            cnode.term_scores = {t: scores[t] for t in cnode.terms}
             queue.append((child, depth + 1))
 
         if debug_dir:
-            _dump_node_debug(debug_dir, node_id, node, sc, space, corpus)
+            _dump_node_debug(debug_dir, node_id, sc, space, corpus)
     return tax
 
 
@@ -100,15 +99,15 @@ def _expandable(node, cfg: PipelineConfig) -> bool:
     return len(node.terms) >= cfg.min_terms and len(node.docs) >= cfg.min_docs
 
 
-def _dump_node_debug(debug_dir, node_id, node, sc, space, corpus):
+def _dump_node_debug(debug_dir, node_id, sc, space, corpus):
     os.makedirs(debug_dir, exist_ok=True)
     path = os.path.join(debug_dir, f"node_{node_id}_terms.csv")
+    novel = set(sc.novel_terms.tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write("term,significance,slot,is_novel_term\n")
-        for t in sorted(node.terms):
-            slot = sc.z_term.get(t, -1)
-            f.write(f"{corpus.term(t)},{sc.sig_scores.get(t, 0.0):.6f},"
-                    f"{slot},{int(t in sc.novel_terms)}\n")
+        for t, sig, slot in zip(space.term_ids.tolist(), sc.sig_scores.tolist(),
+                                sc.z_term.tolist()):
+            f.write(f"{corpus.term(t)},{sig:.6f},{slot},{int(t in novel)}\n")
     space.dump(os.path.join(debug_dir, f"node_{node_id}_embedding.txt"),
                corpus, topic_names={k: str(k) for k in space.topic_order})
 

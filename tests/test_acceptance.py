@@ -23,7 +23,9 @@ from scipy import integrate
 import taxoforge.clustering as clustering
 from taxoforge.clustering import (
     KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
     ClusterConfig,
+    _kmeans_once,
     novelty_threshold,
     select_novel_k,
     spherical_kmeans,
@@ -40,8 +42,8 @@ from taxoforge.pipeline import PipelineConfig, complete_taxonomy, run_cli
 from taxoforge.taxonomy import parse_hierarchy
 from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf
 
-from test_clustering import (_planted_node, bm25_score, make_doc_fixture,
-                             reference_bm25, vote)
+from test_clustering import (_known_slots, _planted_node, bm25_score,
+                             make_doc_fixture, reference_bm25, vote)
 from test_corpus import tf
 from test_embedding import collect_instances, dense_gradients
 from test_vmf import vmf_log_density
@@ -99,8 +101,8 @@ def test_criterion_2_novelty_range_and_thresholds(capfd, monkeypatch):
     recorded = []
     original = clustering.novelty_scores
 
-    def recording(space, term_ids, temperature):
-        nov = original(space, term_ids, temperature)
+    def recording(space, temperature):
+        nov = original(space, temperature)
         recorded.append((nov, space.num_topics))
         return nov
 
@@ -128,16 +130,15 @@ def test_criterion_3_spherical_kmeans(capfd):
         rng = np.random.default_rng(seed)
         vecs = rng.standard_normal((40, 6))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        cfg = ClusterConfig(seed=seed)
-        assign, means, history = spherical_kmeans(vecs, 3, cfg, seed=seed,
-                                                  return_history=True)
-        ok &= len(history) <= KMEANS_MAX_ITER + 1
-        ok &= bool(np.all(np.diff(history) >= -1e-9))
+        # every restart of spherical_kmeans, the winning one included
+        for r in range(KMEANS_RESTARTS):
+            _, _, history = _kmeans_once(vecs, 3, np.random.default_rng(seed + r))
+            ok &= len(history) <= KMEANS_MAX_ITER + 1
+            ok &= bool(np.all(np.diff(history) >= -1e-9))
     rng = np.random.default_rng(0)
     vecs = rng.standard_normal((10, 4))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    _, means, _ = spherical_kmeans(vecs, 1, ClusterConfig(), seed=0,
-                                   return_history=True)
+    _, means = spherical_kmeans(vecs, 1, ClusterConfig(), seed=0)
     expect = vecs.sum(axis=0) / np.linalg.norm(vecs.sum(axis=0))
     ok &= bool(np.linalg.norm(means[0] - expect) < 1e-12)
     _report(capfd, 3, "spherical-kmeans", ok)
@@ -173,7 +174,7 @@ def test_criterion_5_bm25_and_assignment_bruteforce(capfd):
         want = reference_bm25(t, sub, corpus, stats, 1.2, 0.75)
         ok &= abs(got - want) <= 1e-9
 
-        z_doc = vote(range(corpus.num_docs), z_term, stats, 3)
+        z_doc = vote(z_term, stats, 3)
         for d in range(corpus.num_docs):
             weights = [0.0, 0.0, 0.0]
             for term in set(corpus.documents[d].tokens.tolist()):
@@ -267,12 +268,7 @@ def test_criterion_9_kstar_balance(capfd):
     picks = []
     for n_novel in (1, 2):
         corpus, sp, stats, labels = _planted_node(n_novel=n_novel)
-        known_assign = {t: g for t, g in labels.items() if g < 2}
-        novel = {t for t, g in labels.items() if g >= 2}
-        known_centers = {0: min(t for t, g in labels.items() if g == 0),
-                         1: min(t for t, g in labels.items() if g == 1)}
-        res = select_novel_k(novel, known_assign, known_centers, sp, stats,
-                             list(labels), range(corpus.num_docs), corpus,
+        res = select_novel_k(_known_slots(labels), 2, sp, stats, corpus,
                              ClusterConfig(tau_sig=0.0))
         picks.append(res.k_star)
     _report(capfd, 9, "kstar-balance", example_ok and picks == [1, 2])

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from taxoforge.clustering import (
     KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
     ClusterConfig,
     UndefinedNoveltyError,
     _bm25_matrix,
+    _kmeans_once,
     _rep_matrix,
     assign_documents,
     assign_known_terms,
@@ -35,6 +37,8 @@ def unit_rows(x):
 
 
 def space_with(target, topic_vecs):
+    """A space whose row i is term i; the split and the known assignment
+    read no center rows, so every topic's is row 0."""
     target = np.asarray(target, dtype=np.float64)
     return EmbeddingSpace(
         term_ids=np.arange(target.shape[0]),
@@ -42,7 +46,12 @@ def space_with(target, topic_vecs):
         topic_order=list(range(topic_vecs.shape[0])),
         topic_vecs=np.asarray(topic_vecs, dtype=np.float64),
         topic_kappa=np.ones(topic_vecs.shape[0]),
+        center_rows=np.zeros(topic_vecs.shape[0], dtype=np.int64),
         dim=target.shape[1])
+
+
+def rows_of(mask):
+    return set(np.flatnonzero(mask).tolist())
 
 
 # --- config validation ---
@@ -70,8 +79,8 @@ def test_beta_per_level_lookup():
 
 
 def novelty_score(t, space, temperature):
-    """Novelty of one term: one entry of the pipeline's novelty_scores."""
-    return float(novelty_scores(space, [t], temperature)[0])
+    """Novelty of the term at row t: one entry of novelty_scores."""
+    return float(novelty_scores(space, temperature)[t])
 
 
 def test_novelty_equidistant_is_max():
@@ -96,7 +105,7 @@ def test_novelty_range_bound():
     for k in (2, 3, 5):
         sp = space_with(unit_rows(rng.standard_normal((50, 6))),
                         unit_rows(rng.standard_normal((k, 6))))
-        scores = novelty_scores(sp, range(50), 0.1)
+        scores = novelty_scores(sp, 0.1)
         assert np.all(scores > 0.0)
         assert np.all(scores <= 1.0 - 1.0 / k + 1e-12)
 
@@ -122,8 +131,7 @@ def test_split_on_mean_directions_no_novel():
     # [TRIVIAL] terms exactly on known means have tiny novelty
     e = np.eye(4)
     sp = space_with(np.stack([e[0], e[0], e[1]]), np.stack([e[0], e[1]]))
-    known, novel = split_terms([0, 1, 2], sp, ClusterConfig(), level=0)
-    assert known == {0, 1, 2} and novel == set()
+    assert not split_terms(sp, ClusterConfig(), level=0).any()
 
 
 def test_split_boundary_goes_novel():
@@ -132,8 +140,7 @@ def test_split_boundary_goes_novel():
     e = np.eye(3)
     sp = space_with(np.array([[0.0, 0.0, 1.0]]), np.stack([e[0], e[1]]))
     # equidistant: score = 0.5 exactly; threshold (1 - 1/2)^1 = 0.5
-    known, novel = split_terms([0], sp, cfg, level=0)
-    assert novel == {0}
+    assert split_terms(sp, cfg, level=0).tolist() == [True]
 
 
 @given(st.floats(1.0, 4.0), st.floats(1.0, 4.0), st.integers(0, 1000))
@@ -144,9 +151,9 @@ def test_split_monotone_in_beta(b1, b2, seed):
     rng = np.random.default_rng(seed)
     sp = space_with(unit_rows(rng.standard_normal((30, 5))),
                     unit_rows(rng.standard_normal((3, 5))))
-    _, novel_lo = split_terms(range(30), sp, ClusterConfig(beta_per_level=(lo,)), 0)
-    _, novel_hi = split_terms(range(30), sp, ClusterConfig(beta_per_level=(hi,)), 0)
-    assert novel_lo <= novel_hi
+    novel_lo = split_terms(sp, ClusterConfig(beta_per_level=(lo,)), 0)
+    novel_hi = split_terms(sp, ClusterConfig(beta_per_level=(hi,)), 0)
+    assert not (novel_lo & ~novel_hi).any()
 
 
 def test_split_recovers_planted_novel_mixture():
@@ -162,7 +169,8 @@ def test_split_recovers_planted_novel_mixture():
     # raw vMF samples have modest cosine gaps; a unit temperature matches
     # that geometry (the sharp default suits trained embeddings instead)
     cfg = ClusterConfig(temperature=1.0)
-    known, novel = split_terms(range(160), sp, cfg, level=0)
+    is_novel = split_terms(sp, cfg, level=0)
+    known, novel = rows_of(~is_novel), rows_of(is_novel)
     planted = {i for i, l in enumerate(labels) if l == 3}
     assert len(novel & planted) >= 0.9 * len(planted)
     truly_known = set(range(120))
@@ -174,7 +182,7 @@ def test_assign_known_exact_and_ties():
     # term 0 sits exactly on topic 2; term 1 ties between slots 1 and 3
     tie = unit_rows((e[1] + e[3])[None, :])[0]
     sp = space_with(np.stack([e[2], tie]), np.stack([e[0], e[1], e[2], e[3]]))
-    z = assign_known_terms({0, 1}, sp)
+    z = assign_known_terms(sp, [0, 1])
     assert z[0] == 2
     assert z[1] == 1  # lowest slot wins the tie
 
@@ -184,7 +192,7 @@ def test_assign_known_matches_bruteforce():
     rng = np.random.default_rng(1)
     sp = space_with(unit_rows(rng.standard_normal((200, 7))),
                     unit_rows(rng.standard_normal((4, 7))))
-    z = assign_known_terms(range(200), sp)
+    z = assign_known_terms(sp, np.arange(200))
     for t in range(200):
         sims = [float(sp.target[t] @ sp.topic_vecs[k]) for k in range(4)]
         assert z[t] == int(np.argmax(sims))
@@ -213,18 +221,17 @@ def test_kmeans_separates_antipodal_bundles():
 
 
 def test_kmeans_objective_monotone_50_instances():
-    # [DERIVED] per-iteration objective non-decreasing, 50 random instances
-    cfg = ClusterConfig()
+    # [DERIVED] per-iteration objective non-decreasing, 50 random instances,
+    # every restart of spherical_kmeans (so also the one that wins)
     for seed in range(50):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 60))
         k = int(rng.integers(1, min(5, n) + 1))
         x = unit_rows(rng.standard_normal((n, 4)))
-        _, _, history = spherical_kmeans(x, k, cfg, seed=seed,
-                                         return_history=True)
-        assert len(history) <= KMEANS_MAX_ITER
-        diffs = np.diff(history)
-        assert np.all(diffs >= -1e-9)
+        for r in range(KMEANS_RESTARTS):
+            _, _, history = _kmeans_once(x, k, np.random.default_rng(seed + r))
+            assert len(history) <= KMEANS_MAX_ITER
+            assert np.all(np.diff(history) >= -1e-9)
 
 
 def test_kmeans_too_few_vectors_error():
@@ -236,14 +243,24 @@ def test_kmeans_too_few_vectors_error():
 # --- document assignment ---
 
 
-def vote(docs, z_term, stats, n_slots, term_arr=None):
-    """assign_documents on the count view of docs, as doc id -> slot for
-    the assigned documents in ascending id order. The view's terms are
-    term_arr, by default the terms with a slot."""
+def slot_array(z_term, term_arr, n_slots):
+    """z_term (term id -> slot) as one slot per position of term_arr,
+    n_slots for a term without one."""
+    pos = {int(t): i for i, t in enumerate(term_arr)}
+    z = np.full(len(term_arr), n_slots, dtype=np.int64)
+    for t, s in z_term.items():
+        z[pos[t]] = s
+    return z
+
+
+def vote(z_term, stats, n_slots, term_arr=None):
+    """assign_documents on the count view of the stats' documents, as
+    doc id -> slot for the assigned documents in ascending id order. The
+    view's terms are term_arr, by default the terms with a slot."""
     if term_arr is None:
         term_arr = sorted(z_term)
-    view = node_counts(docs, term_arr, stats, 1.2, 0.75)
-    slots = assign_documents(view, z_term, n_slots)
+    view = node_counts(stats, term_arr, 1.2, 0.75)
+    slots = assign_documents(view, slot_array(z_term, term_arr, n_slots), n_slots)
     keep = slots < n_slots
     return dict(zip(view.doc_ids[keep].tolist(), slots[keep].tolist()))
 
@@ -279,7 +296,7 @@ def test_assign_documents_single_cluster_doc():
     corpus = corpus_from_lines(["a b\n", "c c\n"])
     stats = compute_term_stats(corpus, {0, 1})
     z_term = {0: 1, 1: 1}  # a, b -> slot 1; c unclustered
-    z_doc = vote({0, 1}, z_term, stats, 2)
+    z_doc = vote(z_term, stats, 2)
     assert z_doc.get(0) == 1
     assert 1 not in z_doc  # [TRIVIAL] no clustered terms -> unassigned
 
@@ -288,7 +305,7 @@ def test_assign_documents_matches_bruteforce():
     # [DERIVED] naive triple-loop oracle on 100 random fixtures
     for seed in range(100):
         corpus, stats, z_term = make_doc_fixture(seed)
-        z_doc = vote(range(corpus.num_docs), z_term, stats, 3)
+        z_doc = vote(z_term, stats, 3)
         for d in range(corpus.num_docs):
             weights = [0.0, 0.0, 0.0]
             for t in corpus.documents[d].tokens.tolist():
@@ -308,14 +325,14 @@ def test_assign_documents_matches_bruteforce():
 
 def test_assign_documents_scale_invariant():
     corpus, stats, z_term = make_doc_fixture(7)
-    z1 = vote(range(corpus.num_docs), z_term, stats, 3)
+    z1 = vote(z_term, stats, 3)
     stats.idf *= 2.0  # same positive factor (exact in floating point)
-    z2 = vote(range(corpus.num_docs), z_term, stats, 3)
+    z2 = vote(z_term, stats, 3)
     assert z1 == z2
 
 
-def loop_assign_documents(docs, z_term, stats, n_slots):
-    """Oracle: the tf-idf vote, one document at a time."""
+def loop_assign_documents(z_term, stats, n_slots):
+    """Oracle: the tf-idf vote, one document of the stats at a time."""
     z_doc = {}
     if not z_term:
         return z_doc
@@ -323,12 +340,8 @@ def loop_assign_documents(docs, z_term, stats, n_slots):
     slot_arr = np.full(max_term, -1, dtype=np.int64)
     for t, s in z_term.items():
         slot_arr[t] = s
-    row_of = {int(d): r for r, d in enumerate(stats.doc_ids)}
     indptr, indices, data = stats.counts.indptr, stats.counts.indices, stats.counts.data
-    for d in sorted(docs):
-        row = row_of.get(int(d))
-        if row is None:
-            continue
+    for row, d in enumerate(stats.doc_ids.tolist()):
         cols = indices[indptr[row]:indptr[row + 1]]
         vals = data[indptr[row]:indptr[row + 1]]
         ok = cols < max_term
@@ -393,34 +406,33 @@ def loop_rep_matrix(term_arr, subcorpora, stats, corpus, k1, b):
 
 
 def vote_cases(seed):
-    """(stats, docs, z_term, n_slots) variants of one doc fixture: a
-    subset with docs outside it, an empty slot, idf-0 terms, no slots."""
+    """(stats, z_term, n_slots) variants of one doc fixture: a document
+    subset, an empty slot, idf-0 terms, no slots."""
     corpus, stats, z_term = make_doc_fixture(seed)
     rng = np.random.default_rng(seed + 500)
-    yield stats, range(corpus.num_docs), z_term, 3
-    yield stats, range(corpus.num_docs), z_term, 4          # slot 3 empty
-    yield stats, range(corpus.num_docs), {}, 0              # n_slots == 0
+    yield stats, z_term, 3
+    yield stats, z_term, 4          # slot 3 empty
+    yield stats, {}, 0              # n_slots == 0
     subset = rng.choice(corpus.num_docs, size=12, replace=False).tolist()
-    sub_stats = compute_term_stats(corpus, subset)
-    yield sub_stats, range(corpus.num_docs), z_term, 3      # docs outside stats
+    yield compute_term_stats(corpus, subset), z_term, 3     # a document subset
     zeroed = compute_term_stats(corpus, range(corpus.num_docs))
     zeroed.idf[rng.choice(corpus.num_terms, size=5, replace=False)] = 0.0
-    yield zeroed, range(corpus.num_docs), z_term, 3          # idf-0 terms
+    yield zeroed, z_term, 3          # idf-0 terms
     one = compute_term_stats(corpus, [int(subset[0])])        # every idf is 0
-    yield one, [int(subset[0])], z_term, 3
+    yield one, z_term, 3
 
 
 def test_assign_documents_bit_equal_to_loop():
     n_unassigned = n_outside = 0
     for seed in range(100):
         rng = np.random.default_rng(seed + 900)
-        for stats, docs, z_term, n_slots in vote_cases(seed):
+        for stats, z_term, n_slots in vote_cases(seed):
             # the view also holds terms without a slot, and leaves some out
             n_terms = stats.counts.shape[1]
             extra = rng.choice(n_terms, size=n_terms // 3, replace=False)
             term_arr = sorted(set(z_term) | set(extra.tolist()))
-            got = vote(docs, z_term, stats, n_slots, term_arr)
-            want = loop_assign_documents(docs, z_term, stats, n_slots)
+            got = vote(z_term, stats, n_slots, term_arr)
+            want = loop_assign_documents(z_term, stats, n_slots)
             assert list(got.items()) == list(want.items())
             n_unassigned += len(stats.doc_ids) - len(got)
             n_outside += n_terms - len(term_arr)
@@ -438,8 +450,8 @@ def test_assign_documents_sums_in_term_order():
     stats.idf[:4] = [0.1, 0.2, 0.3, (0.1 + 0.2) + 0.3]
     z_term = {0: 0, 1: 0, 2: 0, 3: 1}
     assert 0.1 + (0.2 + 0.3) < stats.idf[3]
-    assert vote({0, 1}, z_term, stats, 2) == {0: 0}
-    assert loop_assign_documents({0, 1}, z_term, stats, 2) == {0: 0}
+    assert vote(z_term, stats, 2) == {0: 0}
+    assert loop_assign_documents(z_term, stats, 2) == {0: 0}
 
 
 def test_bm25_and_rep_matrix_bit_equal_to_loop():
@@ -447,14 +459,14 @@ def test_bm25_and_rep_matrix_bit_equal_to_loop():
     for seed in range(100):
         corpus = make_doc_fixture(seed)[0]
         corpus.integrity[:] = np.random.default_rng(seed).random(corpus.num_terms)
-        for stats, docs, z_term, n_slots in vote_cases(seed):
-            z_doc = loop_assign_documents(docs, z_term, stats, n_slots)
+        for stats, z_term, n_slots in vote_cases(seed):
+            z_doc = loop_assign_documents(z_term, stats, n_slots)
             subcorpora = subcorpora_of(z_doc, n_slots)
             rng = np.random.default_rng(seed)
             term_arr = np.sort(rng.choice(corpus.num_terms,
                                           size=corpus.num_terms // 2 + 1,
                                           replace=False))
-            view = node_counts(docs, term_arr, stats, 1.2, 0.75)
+            view = node_counts(stats, term_arr, 1.2, 0.75)
             doc_slot = slots_of(view, z_doc, n_slots)
             got = _bm25_matrix(view, doc_slot, n_slots)
             want = loop_bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
@@ -475,8 +487,8 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
     # and 0.3 in id order: (0.1 + 0.2) + 0.3 is 0.6000000000000001, the
     # descending sum (0.3 + 0.2) + 0.1 is 0.6
     corpus = corpus_from_lines(["a\n", "a\n", "a\n", "b\n"])
-    stats = compute_term_stats(corpus, range(4))
-    view = node_counts([2, 0, 1], [0], stats, 1.2, 0.75)
+    stats = compute_term_stats(corpus, [2, 0, 1])
+    view = node_counts(stats, [0], 1.2, 0.75)
     assert view.doc_ids.tolist() == [0, 1, 2]
     view.bm25[:] = [0.1, 0.2, 0.3]
     bm25, tf_cells = _bm25_matrix(view, np.zeros(3, dtype=np.int64), 1)
@@ -484,36 +496,26 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
     assert tf_cells[0, 0] == 3.0
 
 
-def test_node_counts_leaves_out_docs_outside_stats():
+def test_node_counts_reads_every_document_of_the_stats():
     corpus = corpus_from_lines(["a b\n", "c d\n", "a c\n"])
-    stats = compute_term_stats(corpus, {0, 1})
-    view = node_counts([0, 2], [0, 1], stats, 1.2, 0.75)
-    assert view.doc_ids.tolist() == [0]
-    assert view.row.tolist() == [0, 0]
-    assert view.pos.tolist() == [0, 1]
-    # doc 2 is not counted: "a" occurs once in the slot's documents
-    tf_cells = _bm25_matrix(view, np.zeros(1, dtype=np.int64), 1)[1]
-    assert tf_cells.tolist() == [[1.0], [1.0]]
-
-
-def test_assign_documents_rejects_slot_outside_node_terms():
-    corpus = corpus_from_lines(["a b\n", "c d\n"])
-    stats = compute_term_stats(corpus, {0, 1})
-    view = node_counts([0, 1], [0, 1], stats, 1.2, 0.75)
-    with pytest.raises(ValueError, match="not a node term"):
-        assign_documents(view, {2: 0}, 1)
-    with pytest.raises(ValueError, match="slots"):
-        assign_documents(view, {0: 1}, 1)
+    stats = compute_term_stats(corpus, {0, 2})
+    view = node_counts(stats, [0, 1], 1.2, 0.75)
+    assert view.doc_ids.tolist() == [0, 2]
+    assert view.row.tolist() == [0, 0, 1, 1]
+    # "c" is not a node term: its nonzero goes to the spare position 2
+    assert view.pos.tolist() == [0, 1, 0, 2]
+    tf_cells = _bm25_matrix(view, np.zeros(2, dtype=np.int64), 1)[1]
+    assert tf_cells.tolist() == [[2.0], [1.0]]
 
 
 # --- BM25 ---
 
 
 def bm25_score(t, subcorpus, stats, k1=1.2, b=0.75):
-    """BM25 relevance of term t to one document set: one cell of the
-    pipeline's _bm25_matrix."""
-    view = node_counts(subcorpus, [t], stats, k1, b)
-    slots = np.zeros(view.doc_ids.size, dtype=np.int64)
+    """BM25 relevance of term t to one set of the stats' documents: one
+    cell of the pipeline's _bm25_matrix."""
+    view = node_counts(stats, [t], k1, b)
+    slots = slots_of(view, dict.fromkeys(subcorpus, 0), 1)
     return float(_bm25_matrix(view, slots, 1)[0][0, 0])
 
 
@@ -554,7 +556,7 @@ def representativeness(t, s, z_doc, stats, corpus, node_terms, n_slots,
                        k1=1.2, b=0.75):
     """Representativeness of term t in slot s: one cell of _rep_matrix."""
     term_arr = sorted(int(x) for x in node_terms)
-    view = node_counts(z_doc, term_arr, stats, k1, b)
+    view = node_counts(stats, term_arr, k1, b)
     rep = _rep_matrix(view, slots_of(view, z_doc, n_slots), n_slots, corpus)
     return float(rep[term_arr.index(int(t)), s])
 
@@ -597,77 +599,75 @@ def test_rep_uses_integrity():
     assert got == pytest.approx(base * 0.125 ** (1 / 3), rel=1e-9)
 
 
-def significance_score(t, term_arr, vecs, means, rep):
-    """Significance and best slot of one term: one row of
-    significance_scores."""
-    sig, arg = significance_scores(term_arr, vecs, means, rep)
-    i = list(term_arr).index(int(t))
-    return float(sig[i]), int(arg[i])
-
-
 def test_significance_extremes_and_bruteforce():
     # [TRIVIAL] rel=1, rep=1 -> 1; rep=0 everywhere -> 0
-    term_arr = [0, 1]
     vecs = np.eye(3)[:2]
     means = np.eye(3)[:2]
     rep = np.array([[1.0, 0.3], [0.0, 0.0]])
-    sig, arg = significance_scores(term_arr, vecs, means, rep)
-    assert sig[0] == 1.0 and arg[0] == 0
+    sig = significance_scores(vecs, means, rep)
+    assert sig[0] == 1.0
     assert sig[1] == 0.0
     # [DERIVED] brute-force max over clusters on a random instance
     rng = np.random.default_rng(4)
     vecs = unit_rows(rng.standard_normal((20, 5)))
     means = unit_rows(rng.standard_normal((3, 5)))
     rep = rng.random((20, 3))
-    sig, arg = significance_scores(range(20), vecs, means, rep)
+    sig = significance_scores(vecs, means, rep)
     for i in range(20):
         vals = [max(float(vecs[i] @ means[s]), 0.0) * rep[i, s]
                 for s in range(3)]
         assert sig[i] == pytest.approx(max(vals), rel=1e-12)
-        assert arg[i] == int(np.argmax(vals))
-    s0, a0 = significance_score(5, list(range(20)), vecs, means, rep)
-    assert s0 == pytest.approx(sig[5]) and a0 == arg[5]
 
 
 def test_negative_rel_clamped():
-    term_arr = [0]
     vecs = -np.eye(3)[:1]
     means = np.eye(3)[:1]
     rep = np.array([[0.8]])
-    sig, _ = significance_scores(term_arr, vecs, means, rep)
+    sig = significance_scores(vecs, means, rep)
     assert sig[0] == 0.0
 
 
 # --- anchor selection ---
 
 
+def anchor_sets(anchors):
+    return [rows_of(a) for a in anchors]
+
+
 def test_anchor_selection_thresholds():
-    z_term = {0: 0, 1: 0, 2: 1, 3: 1}
-    scores = {0: 0.31, 1: 0.29, 2: 0.30, 3: 0.05}
-    anchors, warnings = select_anchor_terms(z_term, scores, 0.3, 2)
-    assert anchors[0] == {0}
-    assert anchors[1] == {2}  # boundary 0.30 >= tau survives
+    z_term = np.array([0, 0, 1, 1])
+    scores = np.array([0.31, 0.29, 0.30, 0.05])
+    anchors, warnings = select_anchor_terms(z_term, scores, 0.3, 2, [])
+    assert anchor_sets(anchors) == [{0}, {2}]  # boundary 0.30 >= tau survives
     assert warnings == set()
 
 
 def test_anchor_selection_extreme_taus():
-    z_term = {0: 0, 1: 0, 2: 1}
-    scores = {0: 0.4, 1: 0.6, 2: 0.2}
-    anchors, _ = select_anchor_terms(z_term, scores, 0.0, 2)
-    assert anchors[0] == {0, 1} and anchors[1] == {2}  # [TRIVIAL] no filtering
-    anchors, warnings = select_anchor_terms(z_term, scores, 1.0,
-                                            2, known_centers={0: 1, 1: 2})
-    assert anchors[0] == {1} and anchors[1] == {2}  # centers retained
+    z_term = np.array([0, 0, 1])
+    scores = np.array([0.4, 0.6, 0.2])
+    anchors, _ = select_anchor_terms(z_term, scores, 0.0, 2, [])
+    assert anchor_sets(anchors) == [{0, 1}, {2}]  # [TRIVIAL] no filtering
+    anchors, warnings = select_anchor_terms(z_term, scores, 1.0, 2, [1, 2])
+    assert anchor_sets(anchors) == [{1}, {2}]  # centers retained
     assert warnings == {0, 1}
 
 
 def test_anchor_center_always_retained():
-    z_term = {0: 0, 1: 0}
-    scores = {0: 0.9, 1: 0.1}
-    anchors, warnings = select_anchor_terms(z_term, scores, 0.3, 1,
-                                            known_centers={0: 1})
-    assert anchors[0] == {0, 1}
+    z_term = np.array([0, 0])
+    scores = np.array([0.9, 0.1])
+    anchors, warnings = select_anchor_terms(z_term, scores, 0.3, 1, [1])
+    assert anchor_sets(anchors) == [{0, 1}]
     assert warnings == set()  # slot has a non-center anchor too
+
+
+def test_anchor_center_in_a_second_slot():
+    # row 0, the center of known slot 0, sits in slot 1 and passes tau: it
+    # anchors both slots, and counts as a non-center anchor of slot 1 only
+    z_term = np.array([1, 0, 1, 1])
+    scores = np.array([0.9, 0.1, 0.1, 0.1])
+    anchors, warnings = select_anchor_terms(z_term, scores, 0.3, 2, [0, 2])
+    assert anchor_sets(anchors) == [{0}, {0, 2}]
+    assert warnings == {0}
 
 
 # --- K* selection ---
@@ -705,27 +705,34 @@ def _planted_node(seed=0, n_known=2, n_novel=2, kappa=60.0, per=30):
     target2 = np.empty_like(target)
     for i in range(n_terms):
         target2[corpus.term_id(f"w{i}")] = target[i]
+    labels = {corpus.term_id(f"w{i}"): i // per for i in range(n_terms)}
+    # a known group's center is its lowest term id, which is its row
     sp = EmbeddingSpace(
         term_ids=np.arange(n_terms), target=target2, context=target2.copy(),
         topic_order=list(range(n_known)), topic_vecs=means[:n_known].copy(),
-        topic_kappa=np.full(n_known, kappa), dim=dim)
+        topic_kappa=np.full(n_known, kappa),
+        center_rows=[min(t for t, lab in labels.items() if lab == g)
+                     for g in range(n_known)],
+        dim=dim)
     stats = compute_term_stats(corpus, range(corpus.num_docs))
-    labels = {corpus.term_id(f"w{i}"): i // per for i in range(n_terms)}
     return corpus, sp, stats, labels
 
 
-def _known_centers(labels, n_known=2):
-    return {g: min(t for t, lab in labels.items() if lab == g) for g in range(n_known)}
+def _known_slots(labels, n_known=2):
+    """Slot of each row of _planted_node's space: its group if known, -1
+    (novel) otherwise."""
+    z = np.full(len(labels), -1, dtype=np.int64)
+    for t, g in labels.items():
+        if g < n_known:
+            z[t] = g
+    return z
 
 
 def test_select_novel_k_recovers_two_planted_clusters():
     # [DERIVED] 2 known + 2 planted novel bundles of matched concentration
     corpus, sp, stats, labels = _planted_node()
-    known_assign = {t: g for t, g in labels.items() if g < 2}
-    novel = {t for t, g in labels.items() if g >= 2}
     cfg = ClusterConfig(tau_sig=0.0)
-    res = select_novel_k(novel, known_assign, _known_centers(labels), sp, stats,
-                         list(labels), range(corpus.num_docs), corpus, cfg)
+    res = select_novel_k(_known_slots(labels), 2, sp, stats, corpus, cfg)
     assert res.k_star == 2
     assert len(res.novel) == 2
     assert len(res.known) == 2
@@ -733,58 +740,60 @@ def test_select_novel_k_recovers_two_planted_clusters():
 
 def test_select_novel_k_empty_novel_returns_zero():
     corpus, sp, stats, labels = _planted_node()
-    known_assign = {t: g for t, g in labels.items() if g < 2}
-    cfg = ClusterConfig()
-    res = select_novel_k(set(), known_assign, _known_centers(labels), sp, stats,
-                         list(labels), range(corpus.num_docs), corpus, cfg)
+    z_known = assign_known_terms(sp, np.arange(len(labels)))
+    res = select_novel_k(z_known, 2, sp, stats, corpus, ClusterConfig())
     assert res.k_star == 0 and res.novel == []
     assert len(res.known) == 2
 
 
 def test_select_novel_k_capped_by_novel_count():
     corpus, sp, stats, labels = _planted_node()
-    known_assign = {t: g for t, g in labels.items() if g < 2}
-    novel = set(list({t for t, g in labels.items() if g >= 2})[:3])
+    z_known = assign_known_terms(sp, np.arange(len(labels)))
+    z_known[[t for t, g in labels.items() if g >= 2][:3]] = -1
     cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(novel, known_assign, _known_centers(labels), sp, stats,
-                         list(labels), range(corpus.num_docs), corpus, cfg)
-    assert res.k_star <= 3
+    res = select_novel_k(z_known, 2, sp, stats, corpus, cfg)
+    assert 1 <= res.k_star <= 3
+
+
+def _check_unsupervised_path(n_known):
+    corpus, sp, stats, labels = _planted_node(n_known=n_known, n_novel=3)
+    res = cluster_node(sp, stats, corpus, ClusterConfig(tau_sig=0.0), level=0)
+    assert res.known == []
+    assert res.novel_terms.tolist() == sp.term_ids.tolist() == sorted(labels)
+    assert res.z_term.size == len(labels) and res.z_term.min() >= 0
+    assert res.k_star >= 1
 
 
 def test_cluster_node_zero_known_path():
     # K_c <= 1 routes through the unsupervised path: everything is novel
-    corpus, sp, stats, labels = _planted_node(n_known=0, n_novel=3)
-    sp.topic_order = []
-    sp.topic_vecs = np.zeros((0, sp.dim))
-    sp.topic_kappa = np.zeros(0)
-    cfg = ClusterConfig(tau_sig=0.0)
-    res = cluster_node(list(labels), range(corpus.num_docs), sp, stats,
-                       corpus, cfg, level=0, known_centers={})
-    assert res.known == []
-    assert res.novel_terms == set(res.z_term) == set(labels)
-    assert res.k_star >= 1
+    _check_unsupervised_path(n_known=0)
+
+
+def test_cluster_node_single_known_topic_has_no_known_slot():
+    # one known sub-topic takes the same path: no slot is known
+    _check_unsupervised_path(n_known=1)
 
 
 def test_cluster_node_invariants():
     corpus, sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.2)
-    known_centers = _known_centers(labels)
-    res = cluster_node(list(labels), range(corpus.num_docs), sp, stats,
-                       corpus, cfg, level=0, known_centers=known_centers)
+    res = cluster_node(sp, stats, corpus, cfg, level=0)
+    sig = dict(zip(sp.term_ids.tolist(), res.sig_scores.tolist()))
+    centers = sp.term_ids[sp.center_rows].tolist()
     # every term has a slot; exactly the novel terms sit in novel slots
-    assert set(res.z_term) == set(labels)
-    assert {t for t, s in res.z_term.items() if s >= 2} == res.novel_terms
+    assert res.z_term.size == len(labels)
+    assert sp.term_ids[res.z_term >= 2].tolist() == res.novel_terms.tolist()
     # every emitted anchor passes tau_sig except retained centers
     assert len(res.known) == 2
     for s, (anchors, _, _) in enumerate(res.known):
-        assert known_centers[s] in anchors
+        assert centers[s] in anchors
         for t in anchors:
-            if t != known_centers[s]:
-                assert res.sig_scores[t] >= cfg.tau_sig
+            if t != centers[s]:
+                assert sig[t] >= cfg.tau_sig
     sizes = [len(anchors) for _, anchors, _, _ in res.novel]
     assert sizes == sorted(sizes, reverse=True)
     for center, anchors, _, vmf in res.novel:
         assert center in anchors
         for t in anchors:
-            assert res.sig_scores[t] >= cfg.tau_sig
+            assert sig[t] >= cfg.tau_sig
         assert vmf.kappa >= 0.0

@@ -25,8 +25,9 @@ from taxoforge.embedding import EmbedConfig, _pair_rows, _vocab_rows
 
 def tf(stats, term_id, doc_id):
     """Count of a term in one document of the statistics' subset."""
-    row = int(stats.rows([doc_id])[0])
-    assert row >= 0, f"document {doc_id} is not in the subset"
+    row = int(np.searchsorted(stats.doc_ids, doc_id))
+    assert row < stats.n_docs and stats.doc_ids[row] == doc_id, \
+        f"document {doc_id} is not in the subset"
     return int(stats.counts[row, term_id])
 
 
@@ -209,7 +210,7 @@ def test_stats_counts_match_per_document_build():
             assert np.array_equal(getattr(stats.counts, attr), getattr(want, attr))
         assert np.array_equal(stats.doc_len,
                               [corpus.documents[d].tokens.size for d in subset])
-        assert stats.rows(subset).tolist() == list(range(len(subset)))
+        assert stats.doc_ids.tolist() == subset
 
 
 def test_stats_match_bruteforce_recount():

@@ -39,6 +39,7 @@ def make_space(rng, n_terms=12, dim=6, n_topics=3):
         topic_order=list(range(n_topics)),
         topic_vecs=unit_rows(rng.standard_normal((n_topics, dim))),
         topic_kappa=rng.uniform(0.5, 5.0, size=n_topics),
+        center_rows=np.arange(n_topics),
         dim=dim,
     )
 
@@ -162,7 +163,7 @@ def test_objective_zero_when_all_inactive():
         term_ids=np.arange(2),
         target=e[:2].copy(), context=-e[2:4].copy(),
         topic_order=[0, 1], topic_vecs=np.stack([e[0], e[1]]),
-        topic_kappa=np.ones(2), dim=dim)
+        topic_kappa=np.ones(2), center_rows=[0, 1], dim=dim)
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
                   neg_c=np.array([[1]]),
                   keyword_rows=[np.array([0]), np.array([1])])
@@ -179,7 +180,7 @@ def test_objective_single_pair_hand_value():
         term_ids=np.arange(2), target=e[:2].copy(),
         context=np.stack([e[0], e[2]]),
         topic_order=[], topic_vecs=np.zeros((0, 3)),
-        topic_kappa=np.zeros(0), dim=3)
+        topic_kappa=np.zeros(0), center_rows=[], dim=3)
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
                   neg_c=np.array([[1]]))
     assert objective_value(space, batch, EmbedConfig(dim=3)) == 0.0
@@ -258,7 +259,7 @@ def test_gradient_zero_for_satisfied_keyword():
     space = EmbeddingSpace(
         term_ids=np.arange(2), target=e[:2].copy(), context=e[2:4].copy(),
         topic_order=[0], topic_vecs=e[:1].copy(),
-        topic_kappa=np.ones(1), dim=4)
+        topic_kappa=np.ones(1), center_rows=[0], dim=4)
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
                   neg_c=np.empty((0, 1), dtype=int),
                   keyword_rows=[np.array([0])])  # t0 . s0 = 1 >= m
@@ -272,7 +273,7 @@ def test_gradient_zero_for_separated_topics():
     space = EmbeddingSpace(
         term_ids=np.arange(1), target=e[:1].copy(), context=e[:1].copy(),
         topic_order=[0, 1], topic_vecs=np.stack([e[1], e[2]]),
-        topic_kappa=np.ones(2), dim=4)
+        topic_kappa=np.ones(2), center_rows=[0, 0], dim=4)
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
                   neg_c=np.empty((0, 1), dtype=int), keyword_rows=[[], []])
     _, _, g_s, _ = dense_gradients(space, batch, EmbedConfig(dim=4))
@@ -446,6 +447,21 @@ def test_trainer_rejects_bad_inputs():
         train_node_embedding([], [0, 1], {}, EmbedConfig(dim=4), corpus)
     with pytest.raises(ValueError):
         train_node_embedding([0], [0], {7: {1}}, EmbedConfig(dim=4), corpus)
+    with pytest.raises(ValueError, match="center"):
+        train_node_embedding([0], [0], {7: {0}}, EmbedConfig(dim=4), corpus,
+                             centers={7: 1})
+
+
+def test_trainer_records_center_rows():
+    # one center row per topic, in topic order; row i holds term term_ids[i]
+    corpus = corpus_from_lines(["a b c d\n", "d c b a\n"])
+    keywords = {5: {1, 3}, 2: {0}}
+    space = train_node_embedding([0, 1], [3, 0, 1], keywords,
+                                 EmbedConfig(dim=4), corpus,
+                                 centers={5: 3, 2: 0})
+    assert space.term_ids.tolist() == [0, 1, 3]
+    assert space.topic_order == [2, 5]
+    assert space.center_rows.tolist() == [0, 2]
 
 
 def reference_step(target, context, tb, cb, nb, lr, m):
@@ -698,7 +714,8 @@ def test_trainer_improves_heldout_objective(trained):
         context=unit_rows(rng.standard_normal(space.context.shape)),
         topic_order=space.topic_order,
         topic_vecs=unit_rows(rng.standard_normal(space.topic_vecs.shape)),
-        topic_kappa=np.ones(space.num_topics), dim=space.dim)
+        topic_kappa=np.ones(space.num_topics), center_rows=space.center_rows,
+        dim=space.dim)
     before = objective_value(init, batch, cfg)
     assert after < before
 
@@ -707,11 +724,11 @@ def test_trainer_keyword_attraction_pulls_toward_own_topic(trained):
     corpus, tax, keywords, cfg, space = trained
     # each topic's keywords end up closer to it than the other topic's do
     for k, key in enumerate(space.topic_order):
-        rows = [space.row_of[t] for t in keywords[key]]
+        rows = np.searchsorted(space.term_ids, sorted(keywords[key]))
         own = float((space.target[rows] @ space.topic_vecs[k]).mean())
         other = [o for o in range(space.num_topics) if o != k][0]
-        cross_rows = [space.row_of[t]
-                      for t in keywords[space.topic_order[other]]]
+        cross_rows = np.searchsorted(space.term_ids,
+                                     sorted(keywords[space.topic_order[other]]))
         cross = float((space.target[cross_rows] @ space.topic_vecs[k]).mean())
         assert own > 0.1  # random unit vectors in dim 8 would sit near 0
         assert own > cross + 0.2
@@ -763,6 +780,22 @@ def test_local_corpus_m_zero_is_node_docs(trained):
     assert retrieve_local_corpus(node, space, corpus, 0) == {0, 2}
 
 
+def test_local_corpus_center_without_a_row_is_node_docs(trained):
+    corpus, tax, keywords, cfg, space = trained
+    node = tax.nodes[tax.nodes[tax.root].children[0]]
+    node.docs = {0}
+    # spaces without the center's row: one whose ids skip it, and one
+    # whose ids all lie below it
+    for keep in (space.term_ids != node.center_term,
+                 space.term_ids < node.center_term):
+        sub = EmbeddingSpace(
+            term_ids=space.term_ids[keep], target=space.target[keep],
+            context=space.context[keep], topic_order=[],
+            topic_vecs=np.zeros((0, space.dim)), topic_kappa=np.zeros(0),
+            center_rows=[], dim=space.dim)
+        assert retrieve_local_corpus(node, sub, corpus, 1) == {0}
+
+
 def test_local_corpus_root_gets_all_docs(trained):
     corpus, tax, _, _, _ = trained
     root = tax.nodes[tax.root]
@@ -776,8 +809,10 @@ def test_local_corpus_includes_top_neighbor_docs(trained):
     node = tax.nodes[tax.nodes[tax.root].children[0]]
     node.docs = {0}
     got = retrieve_local_corpus(node, space, corpus, 1)
-    sims = space.target @ space.vec(node.center_term)
-    sims[space.row_of[node.center_term]] = -np.inf
+    row = int(np.searchsorted(space.term_ids, node.center_term))
+    assert space.term_ids[row] == node.center_term
+    sims = space.target @ space.target[row]
+    sims[row] = -np.inf
     best = int(space.term_ids[int(np.argmax(sims))])
     expected = {0} | set(int(d) for d in corpus.docs_containing(best))
     assert got == expected

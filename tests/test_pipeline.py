@@ -3,12 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxoforge.clustering import ClusterConfig
 from taxoforge.embedding import EmbedConfig
-from taxoforge.evaluation import PlantedCorpusSpec, generate_synthetic_corpus, write_synthetic_dataset
+from taxoforge.evaluation import (PlantedCorpusSpec, generate_synthetic_corpus,
+                                  planted_outline, write_synthetic_dataset)
 from taxoforge.pipeline import PipelineConfig, complete_taxonomy, load_config, run_cli
 from taxoforge.taxonomy import parse_hierarchy, serialize
+from taxoforge.vmf import KAPPA_MAX
 
 
 def tiny_setup(seed=0):
@@ -119,6 +123,71 @@ def test_pipeline_tree_invariants():
         seen_terms |= terms
     doc_lists = [d for c in out["children"] for d in c["doc_ids"]]
     assert len(doc_lists) == len(set(doc_lists))
+
+
+@st.composite
+def small_planted_runs(draw):
+    """A small planted corpus, a random partial outline of its hierarchy
+    (any level-1 topic or sub-topic may be missing) and a 1-epoch config."""
+    spec = PlantedCorpusSpec(
+        level1_topics=draw(st.integers(1, 3)),
+        level2_per_topic=draw(st.integers(1, 3)),
+        terms_per_topic=draw(st.integers(2, 8)),
+        docs_per_topic=draw(st.integers(2, 10)),
+        doc_len=draw(st.integers(3, 15)), dim=4,
+        seed=draw(st.integers(0, 2**16)))
+    corpus, truth, _, _ = generate_synthetic_corpus(spec)
+    outline, keep_parent = [], False
+    for line in planted_outline(truth, corpus):
+        if not line.startswith("\t"):
+            keep_parent = draw(st.booleans())
+        if keep_parent and (not line.startswith("\t") or draw(st.booleans())):
+            outline.append(line)
+    seed = draw(st.integers(0, 100))
+    cfg = PipelineConfig(
+        embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256,
+                          seed=seed),
+        cluster=ClusterConfig(seed=seed),
+        min_terms=draw(st.integers(5, 20)), min_docs=draw(st.integers(1, 10)),
+        seed=seed)
+    return corpus, "\n".join(outline), cfg
+
+
+def _run_small(corpus, outline, cfg):
+    tax = complete_taxonomy(corpus, parse_hierarchy(outline, corpus), cfg)
+    return serialize(tax, corpus, cfg.top_k_output)
+
+
+@given(small_planted_runs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_pipeline_properties_on_small_planted_runs(run):
+    corpus, outline, cfg = run
+    try:
+        text = _run_small(corpus, outline, cfg)
+    except ValueError as exc:
+        # bad input may stop a run, but only with one of the named errors
+        assert type(exc) is not ValueError, exc
+        return
+    assert _run_small(corpus, outline, cfg) == text
+    tree = json.loads(text)
+    inputs = [line.strip() for line in outline.splitlines()]
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, parent_docs = stack.pop()
+        assert set(node) == {"name", "is_novel", "terms", "doc_ids", "kappa",
+                             "children"}
+        assert node["doc_ids"] == sorted(set(node["doc_ids"]))
+        if parent_docs is not None:
+            assert set(node["doc_ids"]) <= parent_docs
+        if node is not tree:
+            assert node["terms"][0] == node["name"]
+            assert node["kappa"] is None or 0.0 <= node["kappa"] <= KAPPA_MAX
+            if not node["is_novel"]:
+                found.append(node["name"])
+        docs = None if node is tree else set(node["doc_ids"])
+        stack.extend((c, docs) for c in node["children"])
+    assert sorted(found) == sorted(inputs)
 
 
 def test_pipeline_respects_max_depth():
