@@ -47,26 +47,31 @@ class UndefinedNoveltyError(ValueError):
 
 @dataclass
 class ClusterConfig:
-    beta_per_level: tuple = (1.5, 3.0)
+    beta1: float = 1.5   # novelty beta at the root (level 0)
+    beta2: float = 3.0   # novelty beta at every level below
     temperature: float = 0.1
     tau_sig: float = 0.3
     k_star_max: int = 5
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
-    seed: int = 0
 
     def __post_init__(self):
-        if any(b < 1.0 for b in self.beta_per_level):
-            raise ValueError("beta must be >= 1")
+        # each check is written so that NaN fails it
+        if not (self.beta1 >= 1.0 and self.beta2 >= 1.0):
+            raise ValueError("beta (beta1, beta2) must be >= 1")
         if not 0.0 <= self.tau_sig <= 1.0:
             raise ValueError("tau_sig must lie in [0, 1]")
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise ValueError("temperature must be positive")
         if self.k_star_max < 1:
             raise ValueError("k_star_max (kmax_novel) must be >= 1")
+        if not self.bm25_k1 >= 0.0:
+            raise ValueError("bm25_k1 must be >= 0")
+        if not 0.0 <= self.bm25_b <= 1.0:
+            raise ValueError("bm25_b must lie in [0, 1]")
 
     def beta(self, level: int) -> float:
-        return self.beta_per_level[min(level, len(self.beta_per_level) - 1)]
+        return self.beta1 if level == 0 else self.beta2
 
 
 @dataclass
@@ -120,13 +125,15 @@ def assign_known_terms(space: EmbeddingSpace, rows) -> np.ndarray:
     return (space.target[rows] @ space.topic_vecs.T).argmax(axis=1)
 
 
-def spherical_kmeans(vectors, k: int, cfg: ClusterConfig, seed=None):
-    """Spherical k-means maximizing sum of cosines to unit mean directions."""
+def spherical_kmeans(vectors, k: int, seed: int):
+    """Spherical k-means maximizing sum of cosines to unit mean directions.
+
+    Restart r starts from the generator seeded with seed + r.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
     if n < k:
         raise ValueError(f"{n} vectors cannot form {k} clusters")
-    seed = cfg.seed if seed is None else seed
     best = None
     for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng(seed + r)
@@ -207,6 +214,10 @@ def assign_documents(view: NodeCounts, z_term, n_slots: int) -> np.ndarray:
     term with no slot. Returns one slot per view.doc_ids entry, n_slots for
     a document with no positive vote (unassigned).
     """
+    z_term = np.asarray(z_term)
+    if z_term.size and not 0 <= z_term.min() <= z_term.max() <= n_slots:
+        # a slot out of range would land in another document's cells
+        raise ValueError(f"term slots must lie in [0, {n_slots}]")
     doc_slot = np.full(view.doc_ids.size, n_slots, dtype=np.int64)
     if n_slots == 0:
         return doc_slot
@@ -282,8 +293,8 @@ def select_anchor_terms(z_term, scores, tau_sig, n_slots, centers):
 
 
 def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
-                   stats: TermStats, corpus: Corpus,
-                   cfg: ClusterConfig) -> SubtopicClustering:
+                   stats: TermStats, corpus: Corpus, cfg: ClusterConfig,
+                   seed: int) -> SubtopicClustering:
     """Pick the novel cluster count K* minimizing the stdev of concentrations.
 
     z_known holds the known slot of each row, -1 for a novel row. The
@@ -292,7 +303,8 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
     candidate K* the clustering/assignment/anchor/vMF chain is re-run, and
     the stdev is taken over the kappas of all slots, known (re-estimated)
     and novel. The node's count view, over the documents of stats, is
-    built once, before the search.
+    built once, before the search. Candidate K* clusters the novel rows
+    by spherical k-means seeded with seed + K*.
     """
     centers = space.center_rows[:k_known]
     novel_rows = np.flatnonzero(z_known < 0)
@@ -305,8 +317,7 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
         n_slots = k_known + k_star
         z_term = z_known.copy()
         if k_star > 0:
-            assign, means = spherical_kmeans(novel_vecs, k_star, cfg,
-                                             seed=cfg.seed + k_star)
+            assign, means = spherical_kmeans(novel_vecs, k_star, seed + k_star)
             z_term[novel_rows] = k_known + assign
         else:
             means = np.zeros((0, space.dim))
@@ -350,7 +361,7 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
 
 
 def cluster_node(space: EmbeddingSpace, stats: TermStats, corpus: Corpus,
-                 cfg: ClusterConfig, level: int) -> SubtopicClustering:
+                 cfg: ClusterConfig, level: int, seed: int) -> SubtopicClustering:
     """Known/novel split plus the full K* search for one node.
 
     The node's terms are the rows of space and its documents those of
@@ -359,7 +370,8 @@ def cluster_node(space: EmbeddingSpace, stats: TermStats, corpus: Corpus,
     """
     z_known = np.full(space.term_ids.size, -1, dtype=np.int64)
     if space.num_topics < 2:
-        return select_novel_k(z_known, 0, space, stats, corpus, cfg)
+        return select_novel_k(z_known, 0, space, stats, corpus, cfg, seed)
     known = np.flatnonzero(~split_terms(space, cfg, level))
     z_known[known] = assign_known_terms(space, known)
-    return select_novel_k(z_known, space.num_topics, space, stats, corpus, cfg)
+    return select_novel_k(z_known, space.num_topics, space, stats, corpus, cfg,
+                          seed)

@@ -32,7 +32,6 @@ class EmbedConfig:
     lr: float = 0.025
     neighbors_m: int = 100     # M: local-corpus retrieval neighbors
     batch_size: int = 8192
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.margin < 1.0:
@@ -226,12 +225,13 @@ def _pair_rows(corpus: Corpus, docs, window, vocab_to_row):
 
 
 def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
-                         corpus: Corpus, centers=None) -> EmbeddingSpace:
+                         corpus: Corpus, centers, seed: int) -> EmbeddingSpace:
     """Train a node-local embedding space.
 
     docs: document ids of the local sub-corpus; terms: term ids with vectors;
     keywords: sub-topic key -> keyword term set (may be empty); centers:
-    sub-topic key -> center term, used to initialize sub-topic vectors.
+    sub-topic key -> center term, used to initialize sub-topic vectors;
+    seed: seeds the initialization, the pair order and the negatives.
     """
     if not docs:
         raise ValueError("cannot train on an empty document set")
@@ -241,7 +241,7 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
 
     term_ids = np.asarray(sorted(int(t) for t in terms))
     n = term_ids.size
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     # target rows 0..n-1 over context rows n..2n-1; one matrix to gather from
     # and scatter into
     params = np.empty((2 * n, cfg.dim))
@@ -250,8 +250,6 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     context[:] = _unit(rng.standard_normal((n, cfg.dim)))
 
     topic_order = sorted(keywords)
-    if centers is None:
-        centers = {key: min(keywords[key]) for key in topic_order}
     vocab_to_row = _vocab_rows(corpus, term_ids)
     center_rows = vocab_to_row[np.asarray([centers[key] for key in topic_order],
                                           dtype=np.int64)]
@@ -417,9 +415,8 @@ class _TrainState:
 
 
 def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
-                 keywords=None, rng=None, max_pairs=2048) -> Batch:
+                 rng, keywords=None, max_pairs=2048) -> Batch:
     """A fixed held-out batch over the node's documents, for objective tracking."""
-    rng = rng or np.random.default_rng(cfg.seed + 1)
     vocab_to_row = _vocab_rows(corpus, space.term_ids)
     tr, cr = _pair_rows(corpus, docs, cfg.window, vocab_to_row)
     if tr.size > max_pairs:

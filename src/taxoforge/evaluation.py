@@ -145,11 +145,8 @@ def planted_pipeline_config(seed: int) -> PipelineConfig:
     # so topics that sit asymmetrically between the surviving siblings are
     # still flagged
     return PipelineConfig(
-        embed=EmbedConfig(dim=8, epochs=10, lr=0.05, seed=seed),
-        embed_child=EmbedConfig(dim=8, epochs=10, lr=0.05, batch_size=2048,
-                                seed=seed),
-        cluster=ClusterConfig(beta_per_level=(5.0, 5.0), seed=seed),
-        seed=seed)
+        embed=EmbedConfig(dim=8, epochs=10, lr=0.05), child_batch_size=2048,
+        cluster=ClusterConfig(beta1=5.0, beta2=5.0), seed=seed)
 
 
 def run_planted(seed: int, delete: str):

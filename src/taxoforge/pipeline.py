@@ -2,10 +2,9 @@
 
 import argparse
 import collections
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .clustering import ClusterConfig, cluster_node
 from .corpus import Corpus, compute_term_stats, load_corpus
@@ -16,21 +15,25 @@ from .taxonomy import Taxonomy, insert_children, parse_hierarchy, serialize, sub
 @dataclass
 class PipelineConfig:
     embed: EmbedConfig = field(default_factory=EmbedConfig)
-    # sub-corpora below the root are much smaller and their sibling topics
-    # far closer; they may use their own embedding settings
-    embed_child: EmbedConfig | None = None
+    # sub-corpora below the root are much smaller; nodes below the root may
+    # train on smaller batches (more SGD steps). None: embed.batch_size
+    child_batch_size: int | None = None
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     max_depth: int | None = None   # None: depth of the input hierarchy
     min_terms: int = 50
     min_docs: int = 20
     top_k_output: int = 10
-    seed: int = 0
+    seed: int = 0   # node n trains and clusters with seed + 7919 * n
 
     def __post_init__(self):
+        if self.child_batch_size is not None and self.child_batch_size < 1:
+            raise ValueError("child_batch_size must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_terms < self.cluster.k_star_max:
             raise ValueError("min_terms must cover the largest novel K searched")
+        if self.top_k_output < 1:
+            raise ValueError("top_k must be >= 1")
 
 
 def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
@@ -47,6 +50,8 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
     root.terms = set(range(corpus.num_terms))
     root.docs = set(range(corpus.num_docs))
 
+    child_embed = cfg.embed if cfg.child_batch_size is None else \
+        replace(cfg.embed, batch_size=cfg.child_batch_size)
     spaces = {}  # node id -> trained space, for child local-corpus retrieval
     queue = collections.deque([(tax.root, 0)])
     while queue:
@@ -59,16 +64,14 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
                                            cfg.embed.neighbors_m)
         keywords = subtree_keywords(tax, node_id)
         centers = {c: tax.nodes[c].center_term for c in node.children}
-        base_embed = cfg.embed if depth == 0 or cfg.embed_child is None \
-            else cfg.embed_child
-        embed_cfg = dataclasses.replace(base_embed, seed=cfg.seed + 7919 * node_id)
+        seed = cfg.seed + 7919 * node_id
+        embed_cfg = cfg.embed if depth == 0 else child_embed
         space = train_node_embedding(local_docs, node.terms, keywords,
-                                     embed_cfg, corpus, centers=centers)
+                                     embed_cfg, corpus, centers, seed)
         spaces[node_id] = space
 
         stats = compute_term_stats(corpus, node.docs)
-        cluster_cfg = dataclasses.replace(cfg.cluster, seed=cfg.seed + 7919 * node_id)
-        sc = cluster_node(space, stats, corpus, cluster_cfg, level=depth)
+        sc = cluster_node(space, stats, corpus, cfg.cluster, depth, seed)
 
         all_keywords = set().union(*keywords.values()) if keywords else set()
         # sub-tree topic names surely belong to their own sub-topic
@@ -128,12 +131,7 @@ CONFIG_KEYS = {
     "kmax_novel": ("cluster", "k_star_max", int),
     "bm25_k1": ("cluster", "bm25_k1", float),
     "bm25_b": ("cluster", "bm25_b", float),
-    "child_dim": ("child", "dim", int),
-    "child_margin": ("child", "margin", float),
-    "child_negatives": ("child", "negatives", int),
-    "child_epochs": ("child", "epochs", int),
-    "child_lr": ("child", "lr", float),
-    "child_batch_size": ("child", "batch_size", int),
+    "child_batch_size": ("", "child_batch_size", int),
     "max_depth": ("", "max_depth", int),
     "min_terms": ("", "min_terms", int),
     "min_docs": ("", "min_docs", int),
@@ -149,8 +147,7 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
     """
     if workers != 1:
         raise ValueError("workers must be 1: training is single-threaded")
-    embed_kw, cluster_kw, top_kw, child_kw = {}, {}, {}, {}
-    betas = {}
+    kw = {"embed": {}, "cluster": {}, "": {}}
     if path:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -163,28 +160,10 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
                 if key not in CONFIG_KEYS:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
                 group, attr, typ = CONFIG_KEYS[key]
-                if key in ("beta1", "beta2"):
-                    betas[key] = float(val)
-                elif group == "embed":
-                    embed_kw[attr] = typ(val)
-                elif group == "child":
-                    child_kw[attr] = typ(val)
-                elif group == "cluster":
-                    cluster_kw[attr] = typ(val)
-                else:
-                    top_kw[attr] = typ(val)
-    if betas:
-        default = ClusterConfig().beta_per_level
-        cluster_kw["beta_per_level"] = (betas.get("beta1", default[0]),
-                                        betas.get("beta2", default[1]))
-    embed_child = None
-    if child_kw:
-        embed_child = EmbedConfig(seed=seed, **{**embed_kw, **child_kw})
-    return PipelineConfig(
-        embed=EmbedConfig(seed=seed, **embed_kw),
-        embed_child=embed_child,
-        cluster=ClusterConfig(seed=seed, **cluster_kw),
-        seed=seed, **top_kw)
+                kw[group][attr] = typ(val)
+    return PipelineConfig(embed=EmbedConfig(**kw["embed"]),
+                          cluster=ClusterConfig(**kw["cluster"]),
+                          seed=seed, **kw[""])
 
 
 def run_cli(argv=None) -> int:

@@ -110,8 +110,7 @@ def test_criterion_2_novelty_range_and_thresholds(capfd, monkeypatch):
     corpus = load_corpus(f"{DATA}/corpus.txt")
     with open(f"{DATA}/partial.txt", encoding="utf-8") as f:
         partial = parse_hierarchy(f.read(), corpus)
-    cfg = PipelineConfig(embed=EmbedConfig(dim=8, epochs=2, lr=0.05, seed=0),
-                         cluster=ClusterConfig(seed=0),
+    cfg = PipelineConfig(embed=EmbedConfig(dim=8, epochs=2, lr=0.05),
                          min_terms=10, min_docs=5, seed=0)
     complete_taxonomy(corpus, partial, cfg)
     in_range = bool(recorded) and all(
@@ -138,7 +137,7 @@ def test_criterion_3_spherical_kmeans(capfd):
     rng = np.random.default_rng(0)
     vecs = rng.standard_normal((10, 4))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    _, means = spherical_kmeans(vecs, 1, ClusterConfig(), seed=0)
+    _, means = spherical_kmeans(vecs, 1, 0)
     expect = vecs.sum(axis=0) / np.linalg.norm(vecs.sum(axis=0))
     ok &= bool(np.linalg.norm(means[0] - expect) < 1e-12)
     _report(capfd, 3, "spherical-kmeans", ok)
@@ -269,6 +268,6 @@ def test_criterion_9_kstar_balance(capfd):
     for n_novel in (1, 2):
         corpus, sp, stats, labels = _planted_node(n_novel=n_novel)
         res = select_novel_k(_known_slots(labels), 2, sp, stats, corpus,
-                             ClusterConfig(tau_sig=0.0))
+                             ClusterConfig(tau_sig=0.0), 0)
         picks.append(res.k_star)
     _report(capfd, 9, "kstar-balance", example_ok and picks == [1, 2])

@@ -59,7 +59,7 @@ def rows_of(mask):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ClusterConfig(beta_per_level=(0.5,))
+        ClusterConfig(beta1=0.5)
     with pytest.raises(ValueError):
         ClusterConfig(tau_sig=1.5)
     with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ def test_config_validation():
 
 
 def test_beta_per_level_lookup():
-    cfg = ClusterConfig(beta_per_level=(1.5, 3.0))
+    cfg = ClusterConfig(beta1=1.5, beta2=3.0)
     assert cfg.beta(0) == 1.5
     assert cfg.beta(1) == 3.0
     assert cfg.beta(7) == 3.0  # deeper levels reuse the last beta
@@ -136,7 +136,7 @@ def test_split_on_mean_directions_no_novel():
 
 def test_split_boundary_goes_novel():
     # a score exactly at the threshold is classified novel
-    cfg = ClusterConfig(beta_per_level=(1.0,), temperature=1.0)
+    cfg = ClusterConfig(beta1=1.0, temperature=1.0)
     e = np.eye(3)
     sp = space_with(np.array([[0.0, 0.0, 1.0]]), np.stack([e[0], e[1]]))
     # equidistant: score = 0.5 exactly; threshold (1 - 1/2)^1 = 0.5
@@ -151,8 +151,8 @@ def test_split_monotone_in_beta(b1, b2, seed):
     rng = np.random.default_rng(seed)
     sp = space_with(unit_rows(rng.standard_normal((30, 5))),
                     unit_rows(rng.standard_normal((3, 5))))
-    novel_lo = split_terms(sp, ClusterConfig(beta_per_level=(lo,)), 0)
-    novel_hi = split_terms(sp, ClusterConfig(beta_per_level=(hi,)), 0)
+    novel_lo = split_terms(sp, ClusterConfig(beta1=lo), 0)
+    novel_hi = split_terms(sp, ClusterConfig(beta1=hi), 0)
     assert not (novel_lo & ~novel_hi).any()
 
 
@@ -205,7 +205,7 @@ def test_kmeans_k1_closed_form():
     # [TRIVIAL] K=1 mean is the normalized vector sum, to 1e-12
     rng = np.random.default_rng(2)
     x = unit_rows(rng.standard_normal((40, 5)))
-    _, means = spherical_kmeans(x, 1, ClusterConfig())
+    _, means = spherical_kmeans(x, 1, 0)
     expected = x.sum(axis=0) / np.linalg.norm(x.sum(axis=0))
     assert np.abs(means[0] - expected).max() < 1e-12
 
@@ -215,7 +215,7 @@ def test_kmeans_separates_antipodal_bundles():
     mu = np.array([1.0, 0.0, 0.0])
     x = np.vstack([sample_vmf(mu, 100.0, 25, rng),
                    sample_vmf(-mu, 100.0, 25, rng)])
-    assign, means = spherical_kmeans(x, 2, ClusterConfig())
+    assign, means = spherical_kmeans(x, 2, 0)
     assert len(set(assign[:25])) == 1 and len(set(assign[25:])) == 1
     assert assign[0] != assign[25]
 
@@ -237,7 +237,7 @@ def test_kmeans_objective_monotone_50_instances():
 def test_kmeans_too_few_vectors_error():
     x = np.eye(3)[:2]
     with pytest.raises(ValueError):
-        spherical_kmeans(x, 3, ClusterConfig())
+        spherical_kmeans(x, 3, 0)
 
 
 # --- document assignment ---
@@ -299,6 +299,17 @@ def test_assign_documents_single_cluster_doc():
     z_doc = vote(z_term, stats, 2)
     assert z_doc.get(0) == 1
     assert 1 not in z_doc  # [TRIVIAL] no clustered terms -> unassigned
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_assign_documents_rejects_slots_out_of_range(bad):
+    # slot 3 of 2 would hand document 0's votes to document 1
+    corpus = corpus_from_lines(["a b\n", "c\n"])
+    view = node_counts(compute_term_stats(corpus, {0, 1}), [0, 1, 2], 1.2, 0.75)
+    with pytest.raises(ValueError, match="slots"):
+        assign_documents(view, np.array([bad, bad, 0]), 2)
+    # n_slots itself marks a term with no slot
+    assert assign_documents(view, np.array([2, 2, 0]), 2).tolist() == [2, 0]
 
 
 def test_assign_documents_matches_bruteforce():
@@ -732,7 +743,7 @@ def test_select_novel_k_recovers_two_planted_clusters():
     # [DERIVED] 2 known + 2 planted novel bundles of matched concentration
     corpus, sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.0)
-    res = select_novel_k(_known_slots(labels), 2, sp, stats, corpus, cfg)
+    res = select_novel_k(_known_slots(labels), 2, sp, stats, corpus, cfg, 0)
     assert res.k_star == 2
     assert len(res.novel) == 2
     assert len(res.known) == 2
@@ -741,7 +752,7 @@ def test_select_novel_k_recovers_two_planted_clusters():
 def test_select_novel_k_empty_novel_returns_zero():
     corpus, sp, stats, labels = _planted_node()
     z_known = assign_known_terms(sp, np.arange(len(labels)))
-    res = select_novel_k(z_known, 2, sp, stats, corpus, ClusterConfig())
+    res = select_novel_k(z_known, 2, sp, stats, corpus, ClusterConfig(), 0)
     assert res.k_star == 0 and res.novel == []
     assert len(res.known) == 2
 
@@ -751,13 +762,14 @@ def test_select_novel_k_capped_by_novel_count():
     z_known = assign_known_terms(sp, np.arange(len(labels)))
     z_known[[t for t, g in labels.items() if g >= 2][:3]] = -1
     cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(z_known, 2, sp, stats, corpus, cfg)
+    res = select_novel_k(z_known, 2, sp, stats, corpus, cfg, 0)
     assert 1 <= res.k_star <= 3
 
 
 def _check_unsupervised_path(n_known):
     corpus, sp, stats, labels = _planted_node(n_known=n_known, n_novel=3)
-    res = cluster_node(sp, stats, corpus, ClusterConfig(tau_sig=0.0), level=0)
+    res = cluster_node(sp, stats, corpus, ClusterConfig(tau_sig=0.0), level=0,
+                       seed=0)
     assert res.known == []
     assert res.novel_terms.tolist() == sp.term_ids.tolist() == sorted(labels)
     assert res.z_term.size == len(labels) and res.z_term.min() >= 0
@@ -777,7 +789,7 @@ def test_cluster_node_single_known_topic_has_no_known_slot():
 def test_cluster_node_invariants():
     corpus, sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.2)
-    res = cluster_node(sp, stats, corpus, cfg, level=0)
+    res = cluster_node(sp, stats, corpus, cfg, level=0, seed=0)
     sig = dict(zip(sp.term_ids.tolist(), res.sig_scores.tolist()))
     centers = sp.term_ids[sp.center_rows].tolist()
     # every term has a slot; exactly the novel terms sit in novel slots

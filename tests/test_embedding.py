@@ -428,28 +428,32 @@ def two_topic_corpus():
     return corpus_from_lines(lines)
 
 
+TRAINED_SEED = 3   # the seed of the trained fixture
+
+
 @pytest.fixture(scope="module")
 def trained():
     corpus = two_topic_corpus()
     tax = parse_hierarchy("alpha0\n\talpha1\nbeta0\n\tbeta1", corpus)
     keywords = subtree_keywords(tax, tax.root)
     centers = {k: tax.nodes[k].center_term for k in keywords}
-    cfg = EmbedConfig(dim=8, epochs=8, lr=0.05, seed=3)
+    cfg = EmbedConfig(dim=8, epochs=8, lr=0.05)
     space = train_node_embedding(range(corpus.num_docs),
                                  range(corpus.num_terms),
-                                 keywords, cfg, corpus, centers=centers)
+                                 keywords, cfg, corpus, centers, TRAINED_SEED)
     return corpus, tax, keywords, cfg, space
 
 
 def test_trainer_rejects_bad_inputs():
     corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(ValueError):
-        train_node_embedding([], [0, 1], {}, EmbedConfig(dim=4), corpus)
+        train_node_embedding([], [0, 1], {}, EmbedConfig(dim=4), corpus, {}, 0)
     with pytest.raises(ValueError):
-        train_node_embedding([0], [0], {7: {1}}, EmbedConfig(dim=4), corpus)
+        train_node_embedding([0], [0], {7: {1}}, EmbedConfig(dim=4), corpus,
+                             {7: 0}, 0)
     with pytest.raises(ValueError, match="center"):
         train_node_embedding([0], [0], {7: {0}}, EmbedConfig(dim=4), corpus,
-                             centers={7: 1})
+                             {7: 1}, 0)
 
 
 def test_trainer_records_center_rows():
@@ -458,7 +462,7 @@ def test_trainer_records_center_rows():
     keywords = {5: {1, 3}, 2: {0}}
     space = train_node_embedding([0, 1], [3, 0, 1], keywords,
                                  EmbedConfig(dim=4), corpus,
-                                 centers={5: 3, 2: 0})
+                                 centers={5: 3, 2: 0}, seed=0)
     assert space.term_ids.tolist() == [0, 1, 3]
     assert space.topic_order == [2, 5]
     assert space.center_rows.tolist() == [0, 2]
@@ -614,7 +618,7 @@ def test_topic_step_with_every_gate_shut_skips_bessel_ratio(monkeypatch):
     assert state.topic_kappa[[0, 2]].tobytes() == kappa[[0, 2]].tobytes()
 
 
-def reference_train(docs, terms, keywords, cfg, corpus, centers):
+def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     """The trainer as a plain loop, the oracle for train_node_embedding.
 
     Pairs built one document at a time, np.searchsorted negatives drawn for
@@ -623,7 +627,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers):
     """
     term_ids = np.asarray(sorted(int(t) for t in terms))
     n = term_ids.size
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     target = _unit(rng.standard_normal((n, cfg.dim)))
     context = _unit(rng.standard_normal((n, cfg.dim)))
     # the topic step of _TrainState updates the target view of one matrix
@@ -682,13 +686,14 @@ def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known)
     # the node has fewer terms than the corpus: pairs with an outside term drop
     terms = [t for t in range(corpus.num_terms) if corpus.term(t) != "w7"]
     cfg = EmbedConfig(dim=5, epochs=2, lr=0.05, negatives=negatives,
-                      batch_size=batch_size, window=3, seed=11)
+                      batch_size=batch_size, window=3)
     n_pairs = loop_pair_arrays(corpus.documents, cfg.window)[0].size
     assert n_pairs % batch_size
     assert (n_pairs > SAMPLE_CHUNK) == (docs > 1000)
     space = train_node_embedding(range(docs), terms, keywords, cfg, corpus,
-                                 centers=centers)
-    expected = reference_train(range(docs), terms, keywords, cfg, corpus, centers)
+                                 centers, 11)
+    expected = reference_train(range(docs), terms, keywords, cfg, corpus,
+                               centers, 11)
     for got, want in zip((space.target, space.context, space.topic_vecs,
                           space.topic_kappa), expected):
         assert np.array_equal(got, want)
@@ -705,9 +710,10 @@ def test_trainer_unit_norms(trained):
 def test_trainer_improves_heldout_objective(trained):
     corpus, tax, keywords, cfg, space = trained
     batch = sample_batch(space, range(corpus.num_docs), cfg, corpus,
+                         np.random.default_rng(TRAINED_SEED + 1),
                          keywords=keywords)
     after = objective_value(space, batch, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(TRAINED_SEED)
     init = EmbeddingSpace(
         term_ids=space.term_ids,
         target=unit_rows(rng.standard_normal(space.target.shape)),
@@ -745,7 +751,7 @@ def test_trainer_deterministic_single_worker(trained):
     centers = {k: tax.nodes[k].center_term for k in keywords}
     space2 = train_node_embedding(range(corpus.num_docs),
                                   range(corpus.num_terms),
-                                  keywords, cfg, corpus, centers=centers)
+                                  keywords, cfg, corpus, centers, TRAINED_SEED)
     assert np.array_equal(space.target, space2.target)
     assert np.array_equal(space.context, space2.context)
     assert np.array_equal(space.topic_vecs, space2.topic_vecs)
@@ -754,8 +760,8 @@ def test_trainer_deterministic_single_worker(trained):
 
 def test_trainer_no_pairs_returns_initialization():
     corpus = corpus_from_lines(["a\n", "b\n"])  # one-token docs: no pairs
-    cfg = EmbedConfig(dim=4, seed=9)
-    space = train_node_embedding([0, 1], [0, 1], {}, cfg, corpus)
+    space = train_node_embedding([0, 1], [0, 1], {}, EmbedConfig(dim=4), corpus,
+                                 {}, 9)
     assert np.abs(np.linalg.norm(space.target, axis=1) - 1.0).max() < 1e-9
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxoforge.clustering import ClusterConfig
-from taxoforge.embedding import EmbedConfig
+from taxoforge import pipeline
+from taxoforge.embedding import EmbedConfig, train_node_embedding
 from taxoforge.evaluation import (PlantedCorpusSpec, generate_synthetic_corpus,
                                   planted_outline, write_synthetic_dataset)
-from taxoforge.pipeline import PipelineConfig, complete_taxonomy, load_config, run_cli
+from taxoforge.pipeline import (CONFIG_KEYS, PipelineConfig, complete_taxonomy,
+                                load_config, run_cli)
 from taxoforge.taxonomy import parse_hierarchy, serialize
 from taxoforge.vmf import KAPPA_MAX
 
@@ -21,8 +22,7 @@ def tiny_setup(seed=0):
                              doc_len=20, dim=8, seed=seed)
     corpus, truth, _, _ = generate_synthetic_corpus(spec)
     partial = parse_hierarchy("topic0\ntopic1", corpus)
-    cfg = PipelineConfig(embed=EmbedConfig(dim=8, epochs=2, lr=0.05, seed=seed),
-                         cluster=ClusterConfig(seed=seed),
+    cfg = PipelineConfig(embed=EmbedConfig(dim=8, epochs=2, lr=0.05),
                          min_terms=10, min_docs=5, seed=seed)
     return corpus, partial, cfg
 
@@ -39,8 +39,7 @@ def test_pipeline_config_validation():
 
 def test_load_config_defaults():
     cfg = load_config(None, seed=7)
-    assert cfg == PipelineConfig(embed=EmbedConfig(seed=7),
-                                 cluster=ClusterConfig(seed=7), seed=7)
+    assert cfg == PipelineConfig(seed=7)
     assert load_config(None, seed=7, workers=1) == cfg
     with pytest.raises(ValueError, match="workers"):
         load_config(None, workers=2)
@@ -58,7 +57,7 @@ def test_load_config_overrides(tmp_path):
     cfg = load_config(str(path))
     assert cfg.embed.dim == 16
     assert cfg.embed.lr == 0.1
-    assert cfg.cluster.beta_per_level == (1.5, 4.0)
+    assert (cfg.cluster.beta1, cfg.cluster.beta2) == (1.5, 4.0)
     assert cfg.cluster.tau_sig == 0.5
     assert cfg.max_depth == 3
 
@@ -82,17 +81,50 @@ def test_load_config_rejects_malformed_line(tmp_path):
                                         ("child_batch_size=0", "batch_size"),
                                         ("kmax_novel=0", "kmax_novel"),
                                         ("epochs=0", "epochs"),
-                                        ("child_epochs=0", "epochs"),
                                         ("lr=0", "lr"),
-                                        ("dim=1", "dim")])
+                                        ("dim=1", "dim"),
+                                        ("temperature=nan", "temperature"),
+                                        ("bm25_k1=-2", "bm25_k1"),
+                                        ("bm25_b=3", "bm25_b"),
+                                        ("bm25_b=nan", "bm25_b"),
+                                        ("top_k=-1", "top_k"),
+                                        ("beta1=nan", "beta"),
+                                        ("beta2=nan", "beta")])
 def test_load_config_rejects_bad_training_values(tmp_path, line, field):
     # the pipeline would otherwise train on no pairs, divide by zero deep
-    # in the trainer, make one novel cluster per novel term, or keep the
-    # random initialization as the trained embedding
+    # in the trainer, make one novel cluster per novel term, keep the
+    # random initialization as the trained embedding, find no novel term
+    # (a NaN temperature or beta), drop terms from every output node (a
+    # negative top_k) or score terms with a negative BM25 denominator
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("key", ["child_dim", "child_margin", "child_negatives",
+                                 "child_epochs", "child_lr"])
+def test_load_config_rejects_removed_child_keys(tmp_path, key):
+    # nodes below the root share every embedding setting but the batch size
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key}=1\n")
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_each_config_key_sets_one_field(tmp_path, key):
+    # a valid value of the key's type that differs from the default
+    group, attr, typ = CONFIG_KEYS[key]
+    value = typ("2.5" if key.startswith("beta") else
+                {int: "7", float: "0.5"}[typ])
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key}={value}\n")
+    got, want = load_config(str(path)), load_config(None)
+    owner = getattr(want, group) if group else want
+    assert getattr(owner, attr) != value
+    setattr(owner, attr, value)
+    assert got == want
 
 
 # --- complete_taxonomy ---
@@ -145,9 +177,7 @@ def small_planted_runs(draw):
             outline.append(line)
     seed = draw(st.integers(0, 100))
     cfg = PipelineConfig(
-        embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256,
-                          seed=seed),
-        cluster=ClusterConfig(seed=seed),
+        embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256),
         min_terms=draw(st.integers(5, 20)), min_docs=draw(st.integers(1, 10)),
         seed=seed)
     return corpus, "\n".join(outline), cfg
@@ -188,6 +218,27 @@ def test_pipeline_properties_on_small_planted_runs(run):
         docs = None if node is tree else set(node["doc_ids"])
         stack.extend((c, docs) for c in node["children"])
     assert sorted(found) == sorted(inputs)
+
+
+@pytest.mark.parametrize("child_batch_size", [None, 64])
+def test_child_batch_size_below_the_root(monkeypatch, child_batch_size):
+    # the root trains with embed.batch_size, every node below it with
+    # child_batch_size, or with embed.batch_size when that is None
+    corpus, partial, cfg = tiny_setup()
+    cfg = PipelineConfig(embed=cfg.embed, child_batch_size=child_batch_size,
+                         min_terms=10, min_docs=5, seed=cfg.seed, max_depth=2)
+    sizes = []
+
+    def recording(docs, terms, keywords, embed_cfg, corpus, centers, seed):
+        sizes.append(embed_cfg.batch_size)
+        return train_node_embedding(docs, terms, keywords, embed_cfg, corpus,
+                                    centers, seed)
+
+    monkeypatch.setattr(pipeline, "train_node_embedding", recording)
+    complete_taxonomy(corpus, partial, cfg)
+    child = cfg.embed.batch_size if child_batch_size is None else child_batch_size
+    assert len(sizes) > 1   # some node below the root was expanded
+    assert sizes == [cfg.embed.batch_size] + [child] * (len(sizes) - 1)
 
 
 def test_pipeline_respects_max_depth():
