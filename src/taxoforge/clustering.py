@@ -78,15 +78,15 @@ class ClusterConfig:
 class SubtopicClustering:
     """Full clustering result for one node.
 
-    Per-term arrays run over the rows of the node's embedding space.
-    Document sets come from the re-assignment by anchor terms only.
+    Per-term arrays run over the rows of the node's embedding space. known
+    and novel hold each child as it is inserted (see child_split).
     """
 
     z_term: np.ndarray       # slot of each row
     novel_terms: np.ndarray  # ids of the terms split off as novel, ascending
-    known: list         # (anchor set, doc set, VmfParams) per known slot, in slot order
-    novel: list         # (center term, anchor set, doc set, VmfParams) per novel
-                        # cluster with anchors, largest first, ties in slot order
+    known: list         # (child key, terms, docs, kappa) per known slot, in slot order
+    novel: list         # (center term, terms, docs, kappa) per kept novel slot, by
+                        # anchor count (keywords included) descending, ties in slot order
     k_star: int
     sig_scores: np.ndarray   # significance of each row
     warnings: set       # known slots left with only their center
@@ -327,16 +327,16 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
             space.target, np.vstack([space.topic_vecs[:k_known], means]), rep)
         anchors, warnings = select_anchor_terms(z_term, sig, cfg.tau_sig,
                                                 n_slots, centers)
-        vmfs = []
+        kappas = []
         for s in range(n_slots):
             pool = anchors[s] if anchors[s].sum() >= 2 else anchors[s] | (z_term == s)
             rows = np.flatnonzero(pool)
             pv = space.target[rows] if rows.size else np.zeros((1, space.dim))
-            vmfs.append(estimate_vmf(pv, space.dim))
-        stdev = float(np.std([p.kappa for p in vmfs]))
+            kappas.append(estimate_vmf(pv, space.dim).kappa)
+        stdev = float(np.std(kappas))
         if best is None or stdev < best[0] - 1e-12:
-            best = (stdev, k_star, means, z_term, sig, anchors, warnings, vmfs)
-    _, k_star, means, z_term, sig, anchors, warnings, vmfs = best
+            best = (stdev, k_star, means, z_term, sig, anchors, warnings, kappas)
+    _, k_star, means, z_term, sig, anchors, warnings, kappas = best
 
     # cleaned document assignment from anchor terms only, inherited by
     # children; a row anchoring two slots (a known center) votes for the higher
@@ -345,19 +345,47 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
     for s in range(n_slots):
         z_anchor[anchors[s]] = s
     doc_slot = assign_documents(view, z_anchor, n_slots)
-    doc_sets = [set(view.doc_ids[doc_slot == s].tolist()) for s in range(n_slots)]
-    terms = [set(space.term_ids[anchors[s]].tolist()) for s in range(n_slots)]
-    novel = []
-    for s, mean in enumerate(means, start=k_known):
-        rows = np.flatnonzero(anchors[s])
-        if rows.size:  # the anchor closest to the mean, over the anchor rows only
-            center = int(space.term_ids[rows[int(np.argmax(space.target[rows] @ mean))]])
-            novel.append((center, terms[s], doc_sets[s], vmfs[s]))
-    novel.sort(key=lambda c: -len(c[1]))  # stable: ties keep slot order
+    docs = [view.doc_ids[doc_slot == s] for s in range(n_slots)]
+    known, novel = child_split(space, k_known, anchors, sig, docs, kappas, means)
     return SubtopicClustering(
-        z_term=z_term, novel_terms=space.term_ids[novel_rows],
-        known=[(terms[s], doc_sets[s], vmfs[s]) for s in range(k_known)],
+        z_term=z_term, novel_terms=space.term_ids[novel_rows], known=known,
         novel=novel, k_star=k_star, sig_scores=sig, warnings=warnings)
+
+
+def child_split(space: EmbeddingSpace, k_known, anchors, sig, docs, kappas, means):
+    """What each child inherits: (known, novel) as in SubtopicClustering.
+
+    Slot s has the anchor rows anchors[s], document ids docs[s], kappa
+    kappas[s] and, if novel, mean direction means[s - k_known]. A child's
+    terms are its anchor rows less every keyword row of the space, plus a
+    known child's own keyword rows, ranked by sig descending, ties by id. A
+    novel slot left with no terms or documents is dropped; a novel center
+    is the anchor closest to the mean, or the lowest term if that is a keyword.
+    """
+    keyword = np.zeros((space.num_topics, space.term_ids.size), dtype=bool)
+    for k, rows in enumerate(space.keyword_rows):
+        keyword[k, rows] = True
+    terms = anchors & ~keyword.any(axis=0)
+    terms[:k_known] |= keyword[:k_known]
+
+    def ranked(rows):
+        return space.term_ids[rows[np.lexsort((rows, -sig[rows]))]]
+
+    known = [(space.topic_order[s], ranked(np.flatnonzero(terms[s])), docs[s],
+              kappas[s]) for s in range(k_known)]
+    novel = []
+    for s in sorted(range(k_known, anchors.shape[0]), key=lambda s: -anchors[s].sum()):
+        rows = np.flatnonzero(terms[s])
+        if not rows.size or not docs[s].size:
+            continue
+        # a product over the anchor rows themselves: rows of the full
+        # product can differ from it in the last bit
+        pool = np.flatnonzero(anchors[s])
+        center = pool[np.argmax(space.target[pool] @ means[s - k_known])]
+        if not terms[s, center]:
+            center = rows[0]
+        novel.append((int(space.term_ids[center]), ranked(rows), docs[s], kappas[s]))
+    return known, novel
 
 
 def cluster_node(space: EmbeddingSpace, stats: TermStats, corpus: Corpus,

@@ -7,7 +7,7 @@ keyword terms toward their sub-topic vector (gated while cos < margin).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +53,12 @@ class EmbedConfig:
 class EmbeddingSpace:
     """Trained vectors for one node: per-term target/context plus sub-topic vMF.
 
-    Row i holds term term_ids[i]; term_ids ascend. center_rows[k] is the
-    row of the center term of sub-topic topic_order[k].
+    Row i holds term term_ids[i]; term_ids ascend. Sub-topic topic_order[k]
+    has its center term on row center_rows[k], its keywords on keyword_rows[k].
     """
 
     def __init__(self, term_ids, target, context, topic_order, topic_vecs,
-                 topic_kappa, center_rows, dim):
+                 topic_kappa, center_rows, keyword_rows, dim):
         self.term_ids = np.asarray(term_ids)
         self.target = target
         self.context = context
@@ -66,6 +66,7 @@ class EmbeddingSpace:
         self.topic_vecs = topic_vecs
         self.topic_kappa = topic_kappa
         self.center_rows = np.asarray(center_rows, dtype=np.int64)
+        self.keyword_rows = [np.asarray(rows, dtype=np.int64) for rows in keyword_rows]
         self.dim = dim
 
     @property
@@ -86,16 +87,14 @@ class EmbeddingSpace:
 
 @dataclass
 class Batch:
-    """One evaluation batch: positive pairs, negatives, and keyword rows.
+    """One evaluation batch of positive pairs and negatives.
 
-    Indices are rows into the space's target/context arrays; keyword_rows is
-    aligned with the space's topic order.
+    Indices are rows into the space's target/context arrays.
     """
 
     pos_t: np.ndarray
     pos_c: np.ndarray
     neg_c: np.ndarray                  # (P, negatives)
-    keyword_rows: list = field(default_factory=list)
 
 
 def _unit(x, axis=-1):
@@ -159,7 +158,7 @@ def _draw_rows(cum, guide, u):
 
 
 def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> float:
-    """Summed objective on the batch; deterministic given batch and space."""
+    """Summed objective on the batch and the space's keyword rows."""
     m = cfg.margin
     val = 0.0
     if batch.pos_t.size:
@@ -175,8 +174,8 @@ def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> fl
         sims = s @ s.T
         iu = np.triu_indices(k_cnt, 1)
         val += float(np.maximum(sims[iu] - m, 0.0).sum())
-    for k, rows in enumerate(batch.keyword_rows):
-        if rows is None or len(rows) == 0:
+    for k, rows in enumerate(space.keyword_rows):
+        if len(rows) == 0:
             continue
         sims = space.target[rows] @ s[k]
         gate = sims < m
@@ -235,10 +234,6 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     """
     if not docs:
         raise ValueError("cannot train on an empty document set")
-    for key, kws in keywords.items():
-        if not set(kws) <= set(terms):
-            raise ValueError(f"keywords of sub-topic {key} are not all node terms")
-
     term_ids = np.asarray(sorted(int(t) for t in terms))
     n = term_ids.size
     rng = np.random.default_rng(seed)
@@ -255,17 +250,19 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
                                           dtype=np.int64)]
     if (center_rows < 0).any():
         raise ValueError("a sub-topic center is not a node term")
+    keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]), dtype=np.int64)]
+                    for key in topic_order]
+    if any((rows < 0).any() for rows in keyword_rows):
+        raise ValueError("a sub-topic keyword is not a node term")
     topic_vecs = target[center_rows]
     topic_kappa = np.ones(len(topic_order))
-    keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]))]
-                    for key in topic_order]
 
     tr, cr = _pair_rows(corpus, docs, cfg.window, vocab_to_row)
     n_pairs = tr.size
     if n_pairs == 0:
         # nothing to train on; return the seeded initialization
-        return EmbeddingSpace(term_ids, target, context, topic_order,
-                              topic_vecs, topic_kappa, center_rows, cfg.dim)
+        return EmbeddingSpace(term_ids, target, context, topic_order, topic_vecs,
+                              topic_kappa, center_rows, keyword_rows, cfg.dim)
 
     cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
     # rows of params: (target, context) per pair, and this epoch's negatives
@@ -298,7 +295,7 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
         if len(topic_order):
             topic_vecs[:] = _unit(topic_vecs)
     return EmbeddingSpace(term_ids, target, context, topic_order, topic_vecs,
-                          topic_kappa, center_rows, cfg.dim)
+                          topic_kappa, center_rows, keyword_rows, cfg.dim)
 
 
 class _TrainState:
@@ -415,7 +412,7 @@ class _TrainState:
 
 
 def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
-                 rng, keywords=None, max_pairs=2048) -> Batch:
+                 rng, max_pairs=2048) -> Batch:
     """A fixed held-out batch over the node's documents, for objective tracking."""
     vocab_to_row = _vocab_rows(corpus, space.term_ids)
     tr, cr = _pair_rows(corpus, docs, cfg.window, vocab_to_row)
@@ -423,8 +420,4 @@ def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
         pick = rng.choice(tr.size, size=max_pairs, replace=False)
         tr, cr = tr[pick], cr[pick]
     negs = rng.integers(0, space.term_ids.size, size=(tr.size, cfg.negatives))
-    keyword_rows = []
-    if keywords:
-        for key in space.topic_order:
-            keyword_rows.append(vocab_to_row[np.asarray(sorted(keywords[key]))])
-    return Batch(pos_t=tr, pos_c=cr, neg_c=negs, keyword_rows=keyword_rows)
+    return Batch(pos_t=tr, pos_c=cr, neg_c=negs)

@@ -114,11 +114,11 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
     root = truth.add_node(center_term=None)
     for i, l1 in enumerate(l1_names):
         n_l1 = truth.add_node(center_term=corpus.term_id(l1), parent=root.id)
-        n_l1.terms = set(int(t) for t in pools[l1])
+        n_l1.terms = pools[l1]
         for j in range(n2):
             leaf = f"{l1}_{j}"
             n_l2 = truth.add_node(center_term=corpus.term_id(leaf), parent=n_l1.id)
-            n_l2.terms = set(int(t) for t in pools[leaf])
+            n_l2.terms = pools[leaf]
     return corpus, truth, doc_labels, term_labels
 
 

@@ -34,6 +34,8 @@ class PipelineConfig:
             raise ValueError("min_terms must cover the largest novel K searched")
         if self.top_k_output < 1:
             raise ValueError("top_k must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
@@ -47,8 +49,8 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         raise ValueError("input hierarchy is deeper than max_depth")
 
     root = tax.nodes[tax.root]
-    root.terms = set(range(corpus.num_terms))
-    root.docs = set(range(corpus.num_docs))
+    root.terms = range(corpus.num_terms)
+    root.docs = range(corpus.num_docs)
 
     child_embed = cfg.embed if cfg.child_batch_size is None else \
         replace(cfg.embed, batch_size=cfg.child_batch_size)
@@ -73,25 +75,8 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         stats = compute_term_stats(corpus, node.docs)
         sc = cluster_node(space, stats, corpus, cfg.cluster, depth, seed)
 
-        all_keywords = set().union(*keywords.values()) if keywords else set()
-        # sub-tree topic names surely belong to their own sub-topic
-        known = [(key, (anchors - all_keywords) | keywords[key], docs, params.kappa)
-                 for key, (anchors, docs, params) in zip(space.topic_order, sc.known)]
-        novel = []
-        for center, anchors, docs, params in sc.novel:
-            anchors = anchors - all_keywords
-            if not anchors or not docs:
-                continue
-            if center not in anchors:
-                center = min(anchors)
-            novel.append((center, anchors, docs, params.kappa))
-        insert_children(tax, node_id, known, novel)
-
-        scores = dict(zip(space.term_ids.tolist(), sc.sig_scores.tolist()))
-        for child in tax.nodes[node_id].children:
-            cnode = tax.nodes[child]
-            cnode.term_scores = {t: scores[t] for t in cnode.terms}
-            queue.append((child, depth + 1))
+        insert_children(tax, node_id, sc.known, sc.novel)
+        queue.extend((child, depth + 1) for child in node.children)
 
         if debug_dir:
             _dump_node_debug(debug_dir, node_id, sc, space, corpus)

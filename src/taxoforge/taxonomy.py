@@ -1,6 +1,7 @@
 """Topic tree: parsing the partial hierarchy, keyword sets, serialization."""
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
@@ -27,11 +28,10 @@ class TopicNode:
     id: int
     center_term: int | None          # None only for the root
     children: list = field(default_factory=list)
-    terms: set = field(default_factory=set)
-    docs: set = field(default_factory=set)
+    terms: Sequence = ()             # term ids, in output order (center aside)
+    docs: Sequence = ()              # document ids, ascending
     is_novel: bool = False
     kappa: float | None = None       # vMF concentration, set by the pipeline
-    term_scores: dict | None = None  # term id -> significance, set by the pipeline
     parent: int | None = None
 
 
@@ -81,12 +81,13 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
     """Parse a tab-indented outline of topic names into a taxonomy.
 
     Tab depth equals tree depth; the root is implicit. Names are lower-cased
-    and space->underscore normalized before vocabulary lookup.
+    and space->underscore normalized before vocabulary lookup. No name repeats.
     """
     tax = Taxonomy()
     root = tax.add_node(center_term=None)
     stack = [root.id]  # stack[d] = last node at depth d (root at 0)
     unknown = []
+    first_line = {}   # name -> line it first appears on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -95,13 +96,16 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
         if depth + 1 > len(stack):
             raise MalformedHierarchyError(
                 f"line {lineno}: indentation jumps more than one level")
+        if first_line.setdefault(name, lineno) != lineno:
+            raise MalformedHierarchyError(f"line {lineno}: topic {name!r} repeats "
+                                          f"the topic of line {first_line[name]}")
         tid = corpus.index.get(name)
         if tid is None:
             unknown.append(name)
             continue
         parent = stack[depth]
         node = tax.add_node(center_term=tid, parent=parent)
-        node.terms = {tid}
+        node.terms = [tid]
         del stack[depth + 1:]
         stack.append(node.id)
     if unknown:
@@ -130,43 +134,32 @@ def subtree_keywords(tax: Taxonomy, node_id: int) -> dict:
     return out
 
 
-def insert_children(tax: Taxonomy, parent: int, known, novel) -> list:
+def insert_children(tax: Taxonomy, parent: int, known, novel) -> None:
     """Apply one node's clustering output to the tree.
 
-    known: (child id, term set, doc set, kappa) per existing child, updated
-    in place. novel: (center term, term set, doc set, kappa) per new child,
-    appended in order. Returns the new node ids.
+    known: (child id, terms, docs, kappa) per existing child, updated in
+    place. novel: (center term, terms, docs, kappa) per new child, appended
+    to the parent's children in order. terms and docs are stored as given.
     """
     for child, terms, docs, kappa in known:
         node = tax.nodes[child]
-        node.terms = set(terms)
-        node.docs = set(docs)
-        node.kappa = kappa
+        node.terms, node.docs, node.kappa = terms, docs, kappa
     centers = {tax.nodes[c].center_term for c in tax.nodes[parent].children}
-    new_ids = []
     for center, terms, docs, kappa in novel:
         if center in centers:
             raise CenterTermCollisionError(
                 f"novel center term {center} collides with an existing child")
         node = tax.add_node(center_term=center, parent=parent, is_novel=True)
-        node.terms = set(terms)
-        node.docs = set(docs)
-        node.kappa = kappa
+        node.terms, node.docs, node.kappa = terms, docs, kappa
         centers.add(center)
-        new_ids.append(node.id)
-    return new_ids
 
 
 def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:
-    """JSON dump of the tree; top_k terms per node by significance descending."""
+    """JSON dump of the tree; per node top_k terms, center first, in stored order."""
 
-    def ranked_terms(node: TopicNode):
-        terms = list(node.terms)
-        if node.term_scores:
-            terms.sort(key=lambda t: (-node.term_scores.get(t, 0.0), t))
-        else:
-            terms.sort()
-        if node.center_term is not None and node.center_term in node.terms:
+    def top_terms(node: TopicNode):
+        terms = [int(t) for t in node.terms]
+        if node.center_term in terms:
             terms.remove(node.center_term)
             terms.insert(0, node.center_term)
         return [corpus.term(t) for t in terms[:top_k]]
@@ -176,8 +169,8 @@ def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:
         return {
             "name": corpus.term(node.center_term) if node.center_term is not None else "root",
             "is_novel": node.is_novel,
-            "terms": ranked_terms(node),
-            "doc_ids": sorted(int(d) for d in node.docs),
+            "terms": top_terms(node),
+            "doc_ids": [int(d) for d in node.docs],
             "kappa": node.kappa,
             "children": [encode(c) for c in node.children],
         }

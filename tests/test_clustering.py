@@ -15,6 +15,7 @@ from taxoforge.clustering import (
     _rep_matrix,
     assign_documents,
     assign_known_terms,
+    child_split,
     cluster_node,
     node_counts,
     novelty_scores,
@@ -38,15 +39,18 @@ def unit_rows(x):
 
 def space_with(target, topic_vecs):
     """A space whose row i is term i; the split and the known assignment
-    read no center rows, so every topic's is row 0."""
+    read no center or keyword rows, so every topic's center is row 0 and
+    it has no keywords."""
     target = np.asarray(target, dtype=np.float64)
+    k = topic_vecs.shape[0]
     return EmbeddingSpace(
         term_ids=np.arange(target.shape[0]),
         target=target, context=target.copy(),
-        topic_order=list(range(topic_vecs.shape[0])),
+        topic_order=list(range(k)),
         topic_vecs=np.asarray(topic_vecs, dtype=np.float64),
-        topic_kappa=np.ones(topic_vecs.shape[0]),
-        center_rows=np.zeros(topic_vecs.shape[0], dtype=np.int64),
+        topic_kappa=np.ones(k),
+        center_rows=np.zeros(k, dtype=np.int64),
+        keyword_rows=[[]] * k,
         dim=target.shape[1])
 
 
@@ -717,14 +721,15 @@ def _planted_node(seed=0, n_known=2, n_novel=2, kappa=60.0, per=30):
     for i in range(n_terms):
         target2[corpus.term_id(f"w{i}")] = target[i]
     labels = {corpus.term_id(f"w{i}"): i // per for i in range(n_terms)}
-    # a known group's center is its lowest term id, which is its row
+    # a known group's center is its lowest term id, which is its row, and
+    # its only keyword, as for a leaf sub-topic
+    centers = [min(t for t, lab in labels.items() if lab == g)
+               for g in range(n_known)]
     sp = EmbeddingSpace(
         term_ids=np.arange(n_terms), target=target2, context=target2.copy(),
         topic_order=list(range(n_known)), topic_vecs=means[:n_known].copy(),
-        topic_kappa=np.full(n_known, kappa),
-        center_rows=[min(t for t, lab in labels.items() if lab == g)
-                     for g in range(n_known)],
-        dim=dim)
+        topic_kappa=np.full(n_known, kappa), center_rows=centers,
+        keyword_rows=[[c] for c in centers], dim=dim)
     stats = compute_term_stats(corpus, range(corpus.num_docs))
     return corpus, sp, stats, labels
 
@@ -786,6 +791,12 @@ def test_cluster_node_single_known_topic_has_no_known_slot():
     _check_unsupervised_path(n_known=1)
 
 
+def assert_ranked(terms, sig):
+    """terms run by significance descending, ties by id ascending."""
+    for a, b in zip(terms[:-1], terms[1:]):
+        assert sig[a] > sig[b] or (sig[a] == sig[b] and a < b)
+
+
 def test_cluster_node_invariants():
     corpus, sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.2)
@@ -795,17 +806,114 @@ def test_cluster_node_invariants():
     # every term has a slot; exactly the novel terms sit in novel slots
     assert res.z_term.size == len(labels)
     assert sp.term_ids[res.z_term >= 2].tolist() == res.novel_terms.tolist()
-    # every emitted anchor passes tau_sig except retained centers
+    # every emitted term passes tau_sig except retained centers
     assert len(res.known) == 2
-    for s, (anchors, _, _) in enumerate(res.known):
-        assert centers[s] in anchors
-        for t in anchors:
+    for s, (key, terms, docs, kappa) in enumerate(res.known):
+        assert key == sp.topic_order[s]
+        assert centers[s] in terms.tolist()
+        for t in terms.tolist():
             if t != centers[s]:
                 assert sig[t] >= cfg.tau_sig
-    sizes = [len(anchors) for _, anchors, _, _ in res.novel]
-    assert sizes == sorted(sizes, reverse=True)
-    for center, anchors, _, vmf in res.novel:
-        assert center in anchors
-        for t in anchors:
+        assert_ranked(terms.tolist(), sig)
+        assert np.all(np.diff(docs) > 0) and kappa >= 0.0
+    assert res.novel
+    for center, terms, docs, kappa in res.novel:
+        assert center in terms.tolist()
+        for t in terms.tolist():
             assert sig[t] >= cfg.tau_sig
-        assert vmf.kappa >= 0.0
+            assert t not in centers   # sub-tree keywords stay with their topic
+        assert_ranked(terms.tolist(), sig)
+        assert docs.size and kappa >= 0.0
+
+
+# --- what each child inherits ---
+
+
+def test_child_split_hand_built_node():
+    # rows 0..12 hold terms 100..112; known topics "a" (center row 0,
+    # sub-tree keyword row 1) and "b" (center row 2, keyword row 3); slots
+    # 2..5 are novel
+    target = np.tile(np.eye(4)[1], (13, 1))
+    target[3] = [1.0, 0.0, 0.0, 0.0]       # slot 3's nearest anchor
+    target[8] = unit_rows(np.array([0.9, 0.3, 0.0, 0.0]))
+    target[7] = unit_rows(np.array([0.5, 0.5, 0.0, 0.0]))
+    target[6] = unit_rows(np.array([0.1, 0.9, 0.0, 0.0]))
+    target[10] = np.eye(4)[2]              # slot 2's nearest anchor
+    space = EmbeddingSpace(
+        term_ids=np.arange(13) + 100, target=target, context=target.copy(),
+        topic_order=["a", "b"], topic_vecs=np.eye(4)[:2], topic_kappa=np.ones(2),
+        center_rows=[0, 2], keyword_rows=[[0, 1], [2, 3]], dim=4)
+    anchors = np.zeros((6, 13), dtype=bool)
+    for s, rows in enumerate([[0, 4], [1, 2, 5], [9, 10, 11], [3, 6, 7, 8],
+                              [1], [12]]):
+        anchors[s, rows] = True
+    sig = np.full(13, 0.5)
+    sig[[1, 4, 7, 11]] = 0.7
+    sig[0] = 0.2
+    docs = [np.array(d, dtype=np.int64) for d in
+            [[0, 1], [2], [3], [4, 5], [6], []]]
+    means = np.array([np.eye(4)[2], np.eye(4)[0], np.eye(4)[3], np.eye(4)[3]])
+    known, novel = child_split(space, 2, anchors, sig, docs,
+                               [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], means)
+
+    def plain(children):
+        return [(c, t.tolist(), d.tolist(), k) for c, t, d, k in children]
+
+    assert plain(known) == [
+        # "a" gets back its keyword 101, which slot 1 anchored; ties by id
+        ("a", [101, 104, 100], [0, 1], 1.0),
+        # "b" loses 101 and keeps its own keyword 103, anchored by slot 3
+        ("b", [102, 103, 105], [2], 2.0),
+    ]
+    assert plain(novel) == [
+        # slot 3 comes first: 4 anchors before its keyword leaves, to slot
+        # 2's 3; its nearest anchor, 103, is a keyword, so the center is
+        # its lowest remaining id, not the next nearest (108)
+        (106, [107, 106, 108], [4, 5], 4.0),
+        (110, [111, 109, 110], [3], 3.0),
+        # slot 4 (keywords only) and slot 5 (no documents) are dropped
+    ]
+
+
+def test_assign_known_terms_takes_the_product_over_the_rows():
+    # rows on which the two known topics tie in exact arithmetic (s1
+    # permutes s0; each row is the unit sum s0 + s1): the last bit decides
+    # the argmax, and a product over the rows themselves can round
+    # differently from the same rows of the full product
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        s0 = unit_rows(rng.standard_normal(50))
+        topic_vecs = np.stack([s0, s0[rng.permutation(50)]])
+        target = unit_rows(rng.standard_normal((40, 50)))
+        rows = np.arange(0, 40, 3)
+        target[rows] = unit_rows(topic_vecs.sum(axis=0))
+        want = (target[rows] @ topic_vecs.T).argmax(axis=1)
+        if not np.array_equal(want, (target @ topic_vecs.T)[rows].argmax(axis=1)):
+            break
+    else:
+        pytest.fail("no case tells the two products apart")
+    got = assign_known_terms(space_with(target, topic_vecs), rows)
+    assert np.array_equal(got, want)
+
+
+def test_child_split_novel_center_takes_the_product_over_the_anchor_rows():
+    # two anchors of a novel slot hold the same vector, the one closest to
+    # the mean: the last bit decides the center, and a product over the
+    # anchor rows themselves can round differently from the same rows of
+    # the full product
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        mean = unit_rows(rng.standard_normal(50))
+        target = unit_rows(rng.standard_normal((20, 50)) - 2.0 * mean)
+        pool = np.arange(1, 20, 2)
+        target[[pool[0], pool[-1]]] = unit_rows(mean + 0.2 * rng.standard_normal(50))
+        want = int(pool[np.argmax(target[pool] @ mean)])
+        if want != pool[np.argmax((target @ mean)[pool])]:
+            break
+    else:
+        pytest.fail("no case tells the two products apart")
+    anchors = np.zeros((1, 20), dtype=bool)
+    anchors[0, pool] = True
+    _, novel = child_split(space_with(target, np.zeros((0, 50))), 0, anchors,
+                           np.zeros(20), [np.array([0])], [1.0], mean[None])
+    assert novel[0][0] == want

@@ -32,6 +32,7 @@ def unit_rows(x):
 
 
 def make_space(rng, n_terms=12, dim=6, n_topics=3):
+    """A random space with three random keyword rows per topic."""
     return EmbeddingSpace(
         term_ids=np.arange(n_terms),
         target=unit_rows(rng.standard_normal((n_terms, dim))),
@@ -40,19 +41,18 @@ def make_space(rng, n_terms=12, dim=6, n_topics=3):
         topic_vecs=unit_rows(rng.standard_normal((n_topics, dim))),
         topic_kappa=rng.uniform(0.5, 5.0, size=n_topics),
         center_rows=np.arange(n_topics),
+        keyword_rows=[rng.choice(n_terms, size=3, replace=False)
+                      for _ in range(n_topics)],
         dim=dim,
     )
 
 
 def make_batch(rng, space, n_pairs=8, negatives=2):
     n = space.term_ids.size
-    keyword_rows = [rng.choice(n, size=3, replace=False)
-                    for _ in range(space.num_topics)]
     return Batch(
         pos_t=rng.integers(0, n, size=n_pairs),
         pos_c=rng.integers(0, n, size=n_pairs),
         neg_c=rng.integers(0, n, size=(n_pairs, negatives)),
-        keyword_rows=keyword_rows,
     )
 
 
@@ -70,7 +70,7 @@ def naive_objective(space, batch, cfg):
     for i in range(space.num_topics):
         for j in range(i + 1, space.num_topics):
             val += max(float(space.topic_vecs[i] @ space.topic_vecs[j]) - m, 0.0)
-    for k, rows in enumerate(batch.keyword_rows):
+    for k, rows in enumerate(space.keyword_rows):
         kap = float(space.topic_kappa[k])
         log_c = log_norm_const(kap, space.dim)
         for r in rows:
@@ -112,10 +112,9 @@ def dense_gradients(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig):
         active = np.triu(sims - m > 0.0, 1)
         both = active | active.T
         g_s += both @ s
-    for k, rows in enumerate(batch.keyword_rows):
-        if rows is None or len(rows) == 0:
+    for k, rows in enumerate(space.keyword_rows):
+        if len(rows) == 0:
             continue
-        rows = np.asarray(rows)
         tk = space.target[rows]
         sims = tk @ s[k]
         gate = sims < m
@@ -163,10 +162,10 @@ def test_objective_zero_when_all_inactive():
         term_ids=np.arange(2),
         target=e[:2].copy(), context=-e[2:4].copy(),
         topic_order=[0, 1], topic_vecs=np.stack([e[0], e[1]]),
-        topic_kappa=np.ones(2), center_rows=[0, 1], dim=dim)
+        topic_kappa=np.ones(2), center_rows=[0, 1], keyword_rows=[[0], [1]],
+        dim=dim)
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
-                  neg_c=np.array([[1]]),
-                  keyword_rows=[np.array([0]), np.array([1])])
+                  neg_c=np.array([[1]]))
     cfg = EmbedConfig(dim=dim, margin=0.3)
     # t0.vneg - t0.vpos + m = 0 - 0 + 0.3 > 0 would activate; use aligned pos
     space.context = np.stack([e[0], -e[0]])  # vpos = t0, vneg = -t0
@@ -180,7 +179,7 @@ def test_objective_single_pair_hand_value():
         term_ids=np.arange(2), target=e[:2].copy(),
         context=np.stack([e[0], e[2]]),
         topic_order=[], topic_vecs=np.zeros((0, 3)),
-        topic_kappa=np.zeros(0), center_rows=[], dim=3)
+        topic_kappa=np.zeros(0), center_rows=[], keyword_rows=[], dim=3)
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
                   neg_c=np.array([[1]]))
     assert objective_value(space, batch, EmbedConfig(dim=3)) == 0.0
@@ -216,7 +215,7 @@ def _safe_instance(seed, margin=0.3, eps=1e-3):
     s = space.topic_vecs
     iu = np.triu_indices(space.num_topics, 1)
     margins.append(np.abs((s @ s.T)[iu] - margin).min())
-    for k, rows in enumerate(batch.keyword_rows):
+    for k, rows in enumerate(space.keyword_rows):
         margins.append(np.abs(space.target[rows] @ s[k] - margin).min())
     return (space, batch) if min(margins) > eps else None
 
@@ -259,10 +258,10 @@ def test_gradient_zero_for_satisfied_keyword():
     space = EmbeddingSpace(
         term_ids=np.arange(2), target=e[:2].copy(), context=e[2:4].copy(),
         topic_order=[0], topic_vecs=e[:1].copy(),
-        topic_kappa=np.ones(1), center_rows=[0], dim=4)
+        topic_kappa=np.ones(1), center_rows=[0],
+        keyword_rows=[[0]], dim=4)  # t0 . s0 = 1 >= m
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
-                  neg_c=np.empty((0, 1), dtype=int),
-                  keyword_rows=[np.array([0])])  # t0 . s0 = 1 >= m
+                  neg_c=np.empty((0, 1), dtype=int))
     g_t, g_v, g_s, g_k = dense_gradients(space, batch, EmbedConfig(dim=4))
     assert not g_t.any() and not g_v.any() and not g_s.any() and not g_k.any()
 
@@ -273,9 +272,10 @@ def test_gradient_zero_for_separated_topics():
     space = EmbeddingSpace(
         term_ids=np.arange(1), target=e[:1].copy(), context=e[:1].copy(),
         topic_order=[0, 1], topic_vecs=np.stack([e[1], e[2]]),
-        topic_kappa=np.ones(2), center_rows=[0, 0], dim=4)
+        topic_kappa=np.ones(2), center_rows=[0, 0], keyword_rows=[[], []],
+        dim=4)
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
-                  neg_c=np.empty((0, 1), dtype=int), keyword_rows=[[], []])
+                  neg_c=np.empty((0, 1), dtype=int))
     _, _, g_s, _ = dense_gradients(space, batch, EmbedConfig(dim=4))
     assert not g_s.any()
 
@@ -448,7 +448,7 @@ def test_trainer_rejects_bad_inputs():
     corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(ValueError):
         train_node_embedding([], [0, 1], {}, EmbedConfig(dim=4), corpus, {}, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="keyword"):
         train_node_embedding([0], [0], {7: {1}}, EmbedConfig(dim=4), corpus,
                              {7: 0}, 0)
     with pytest.raises(ValueError, match="center"):
@@ -457,7 +457,8 @@ def test_trainer_rejects_bad_inputs():
 
 
 def test_trainer_records_center_rows():
-    # one center row per topic, in topic order; row i holds term term_ids[i]
+    # one center row and one keyword row array per topic, in topic order;
+    # row i holds term term_ids[i]
     corpus = corpus_from_lines(["a b c d\n", "d c b a\n"])
     keywords = {5: {1, 3}, 2: {0}}
     space = train_node_embedding([0, 1], [3, 0, 1], keywords,
@@ -466,6 +467,7 @@ def test_trainer_records_center_rows():
     assert space.term_ids.tolist() == [0, 1, 3]
     assert space.topic_order == [2, 5]
     assert space.center_rows.tolist() == [0, 2]
+    assert [rows.tolist() for rows in space.keyword_rows] == [[0], [1, 2]]
 
 
 def reference_step(target, context, tb, cb, nb, lr, m):
@@ -710,8 +712,7 @@ def test_trainer_unit_norms(trained):
 def test_trainer_improves_heldout_objective(trained):
     corpus, tax, keywords, cfg, space = trained
     batch = sample_batch(space, range(corpus.num_docs), cfg, corpus,
-                         np.random.default_rng(TRAINED_SEED + 1),
-                         keywords=keywords)
+                         np.random.default_rng(TRAINED_SEED + 1))
     after = objective_value(space, batch, cfg)
     rng = np.random.default_rng(TRAINED_SEED)
     init = EmbeddingSpace(
@@ -721,7 +722,7 @@ def test_trainer_improves_heldout_objective(trained):
         topic_order=space.topic_order,
         topic_vecs=unit_rows(rng.standard_normal(space.topic_vecs.shape)),
         topic_kappa=np.ones(space.num_topics), center_rows=space.center_rows,
-        dim=space.dim)
+        keyword_rows=space.keyword_rows, dim=space.dim)
     before = objective_value(init, batch, cfg)
     assert after < before
 
@@ -798,7 +799,7 @@ def test_local_corpus_center_without_a_row_is_node_docs(trained):
             term_ids=space.term_ids[keep], target=space.target[keep],
             context=space.context[keep], topic_order=[],
             topic_vecs=np.zeros((0, space.dim)), topic_kappa=np.zeros(0),
-            center_rows=[], dim=space.dim)
+            center_rows=[], keyword_rows=[], dim=space.dim)
         assert retrieve_local_corpus(node, sub, corpus, 1) == {0}
 
 

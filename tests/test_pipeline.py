@@ -35,6 +35,8 @@ def test_pipeline_config_validation():
         PipelineConfig(max_depth=0)
     with pytest.raises(ValueError):
         PipelineConfig(min_terms=3)  # below the largest novel K searched
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        PipelineConfig(seed=-1)
 
 
 def test_load_config_defaults():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from taxoforge.corpus import corpus_from_lines
@@ -63,6 +64,20 @@ def test_parse_indent_jump_error(corpus):
         parse_hierarchy("politics\n\t\tsoccer", corpus)
 
 
+def test_parse_repeated_name_under_two_parents_error(corpus):
+    # cousins: one name under two level-1 topics
+    with pytest.raises(MalformedHierarchyError,
+                       match="line 4: topic 'soccer' repeats the topic of line 2"):
+        parse_hierarchy("politics\n\tsoccer\nsports\n\tsoccer", corpus)
+
+
+def test_parse_repeated_name_under_itself_error(corpus):
+    # a topic repeated below itself, after normalization
+    with pytest.raises(MalformedHierarchyError,
+                       match="line 3: topic 'soccer' repeats the topic of line 2"):
+        parse_hierarchy("sports\n\tsoccer\n\t\tSoccer", corpus)
+
+
 def test_depth_and_max_depth(corpus):
     tax = parse_hierarchy("a\n\tb\n\t\tc", corpus)
     assert tax.max_depth() == 3
@@ -118,11 +133,12 @@ def test_update_known_child_in_place(corpus):
     tax = parse_hierarchy("sports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[0]
     soccer_id = tax.nodes[sports].children[0]
-    terms = set(range(5))
-    insert_children(tax, sports, [(soccer_id, terms, {0}, 3.5)], [])
+    terms, docs = np.arange(5), np.array([0])
+    insert_children(tax, sports, [(soccer_id, terms, docs, 3.5)], [])
     assert tax.nodes[sports].children == [soccer_id]
-    assert tax.nodes[soccer_id].terms == terms
-    assert tax.nodes[soccer_id].docs == {0}
+    # stored as given, not copied
+    assert tax.nodes[soccer_id].terms is terms
+    assert tax.nodes[soccer_id].docs is docs
     assert tax.nodes[soccer_id].kappa == 3.5
 
 
@@ -130,10 +146,10 @@ def test_insert_novel_child(corpus):
     # [PAPER-style fixture] novel "hockey" under sports
     tax = parse_hierarchy("sports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[0]
-    new = insert_children(
-        tax, sports, [], [(corpus.term_id("hockey"), {1, 2}, {0, 1}, None)])
-    assert len(new) == 1
-    node = tax.nodes[new[0]]
+    insert_children(
+        tax, sports, [], [(corpus.term_id("hockey"), [1, 2], [0, 1], None)])
+    assert len(tax.nodes[sports].children) == 2
+    node = tax.nodes[tax.nodes[sports].children[1]]
     assert node.is_novel and node.parent == sports
     assert corpus.term(node.center_term) == "hockey"
 
@@ -142,18 +158,18 @@ def test_novel_center_collision_error(corpus):
     tax = parse_hierarchy("sports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[0]
     hockey = corpus.term_id("hockey")
-    insert_children(tax, sports, [], [(hockey, {1}, set(), None)])
+    insert_children(tax, sports, [], [(hockey, [1], [], None)])
     with pytest.raises(CenterTermCollisionError):
-        insert_children(tax, sports, [], [(hockey, {2}, set(), None)])
+        insert_children(tax, sports, [], [(hockey, [2], [], None)])
     with pytest.raises(CenterTermCollisionError):
-        insert_children(tax, sports, [], [(corpus.term_id("soccer"), {2}, set(), None)])
+        insert_children(tax, sports, [], [(corpus.term_id("soccer"), [2], [], None)])
 
 
 def test_tree_invariant_after_inserts(corpus):
     tax = parse_hierarchy("politics\nsports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[1]
-    insert_children(tax, sports, [], [(corpus.term_id("hockey"), {1}, set(), None)])
-    insert_children(tax, tax.root, [], [(corpus.term_id("extra"), {2}, set(), None)])
+    insert_children(tax, sports, [], [(corpus.term_id("hockey"), [1], [], None)])
+    insert_children(tax, tax.root, [], [(corpus.term_id("extra"), [2], [], None)])
     edges = sum(len(n.children) for n in tax.nodes.values())
     assert edges == len(tax.nodes) - 1
     assert sorted(tax.subtree_ids(tax.root)) == sorted(tax.nodes)
@@ -164,8 +180,8 @@ def test_tree_invariant_after_inserts(corpus):
 
 def _populate(tax, corpus):
     for node in tax.nodes.values():
-        if node.center_term is not None and not node.terms:
-            node.terms = {node.center_term}
+        if node.center_term is not None and not len(node.terms):
+            node.terms = [node.center_term]
 
 
 def test_serialize_single_root(corpus):
@@ -200,20 +216,21 @@ def test_serialize_round_trip_shape(corpus):
 def test_serialize_truncates_to_top_k(corpus):
     tax = parse_hierarchy("politics", corpus)
     node = tax.nodes[tax.nodes[tax.root].children[0]]
-    node.terms = set(range(8))
-    node.term_scores = {t: float(t) for t in node.terms}
+    node.terms = np.arange(8)[::-1]
     out = json.loads(serialize(tax, corpus, 3))
     child = out["children"][0]
-    assert len(child["terms"]) == 3
-    # center first, then significance-descending
-    assert child["terms"][0] == "politics"
+    # center first, then the stored order
+    assert child["terms"] == [corpus.term(t) for t in (corpus.term_id("politics"), 7, 6)]
 
 
-def test_serialize_orders_by_significance(corpus):
+def test_serialize_keeps_stored_order_center_first(corpus):
+    # the clustering ranks a child's terms; serialize only moves the center
+    # to the front
     tax = parse_hierarchy("a", corpus)
     node = tax.nodes[tax.nodes[tax.root].children[0]]
     a, b, c = (corpus.term_id(x) for x in "abc")
-    node.terms = {a, b, c}
-    node.term_scores = {a: 0.1, b: 0.5, c: 0.9}
+    node.terms = np.array([c, a, b])
+    node.docs = np.array([1, 0])
     out = json.loads(serialize(tax, corpus, 10))
     assert out["children"][0]["terms"] == ["a", "c", "b"]
+    assert out["children"][0]["doc_ids"] == [1, 0]
