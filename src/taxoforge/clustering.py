@@ -311,7 +311,15 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
     novel_vecs = space.target[novel_rows]
     view = node_counts(stats, space.term_ids, cfg.bm25_k1, cfg.bm25_b)
     n_novel = novel_rows.size
-    candidates = range(1, min(cfg.k_star_max, n_novel) + 1) if n_novel else [0]
+    if not n_novel:
+        candidates = [0]
+    elif k_known == 0:
+        # no known slot: K* = 1 has a single kappa, stdev exactly 0, which no
+        # larger K* beats by the 1e-12 asked below; each K* has its own seed,
+        # so skipping the others moves no bit
+        candidates = [1]
+    else:
+        candidates = range(1, min(cfg.k_star_max, n_novel) + 1)
     best = None
     for k_star in candidates:
         n_slots = k_known + k_star

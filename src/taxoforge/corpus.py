@@ -131,22 +131,16 @@ def load_corpus(path, integrity_path=None) -> Corpus:
 
 
 def corpus_from_lines(lines, integrity_path=None) -> Corpus:
-    vocab = []
-    index = {}
+    index = {}   # term -> id, in first-occurrence order
     documents = []
     for line in lines:
         tokens = line.split()
         if not tokens:
             continue
-        ids = np.empty(len(tokens), dtype=np.int64)
-        for k, tok in enumerate(tokens):
-            tid = index.get(tok)
-            if tid is None:
-                tid = len(vocab)
-                index[tok] = tid
-                vocab.append(tok)
-            ids[k] = tid
+        ids = np.array([index.setdefault(tok, len(index)) for tok in tokens],
+                       dtype=np.int64)
         documents.append(Document(id=len(documents), tokens=ids))
+    vocab = list(index)
     if not documents:
         raise EmptyCorpusError("corpus contains no non-empty documents")
     integrity = None

@@ -48,26 +48,36 @@ class EmbedConfig:
             raise ValueError("epochs must be >= 1")
         if not self.lr > 0.0:
             raise ValueError("lr must be > 0")
+        if self.neighbors_m < 0:
+            raise ValueError(f"M (neighbors_m) must be >= 0, got {self.neighbors_m}")
 
 
 class EmbeddingSpace:
     """Trained vectors for one node: per-term target/context plus sub-topic vMF.
 
-    Row i holds term term_ids[i]; term_ids ascend. Sub-topic topic_order[k]
-    has its center term on row center_rows[k], its keywords on keyword_rows[k].
+    Row i holds term term_ids[i]; term_ids ascend, and row_of maps a
+    vocabulary id to its row (-1 for a term without one). params stacks the
+    n target rows over the n context rows; target and context are views of
+    it. Sub-topic topic_order[k] has its center term on row center_rows[k],
+    its keywords on keyword_rows[k]. The trainer steps the space in place.
     """
 
-    def __init__(self, term_ids, target, context, topic_order, topic_vecs,
-                 topic_kappa, center_rows, keyword_rows, dim):
+    def __init__(self, term_ids, row_of, params, topic_order, topic_vecs,
+                 topic_kappa, center_rows, keyword_rows):
         self.term_ids = np.asarray(term_ids)
-        self.target = target
-        self.context = context
+        self.row_of = row_of
+        self.params = params
+        self.target = params[:self.term_ids.size]
+        self.context = params[self.term_ids.size:]
         self.topic_order = list(topic_order)
         self.topic_vecs = topic_vecs
         self.topic_kappa = topic_kappa
         self.center_rows = np.asarray(center_rows, dtype=np.int64)
         self.keyword_rows = [np.asarray(rows, dtype=np.int64) for rows in keyword_rows]
-        self.dim = dim
+
+    @property
+    def dim(self):
+        return self.params.shape[1]
 
     @property
     def num_topics(self):
@@ -191,9 +201,8 @@ def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
     if space is None or node.center_term is None:
         return set(range(corpus.num_docs))
     docs = set(node.docs)
-    center = int(np.searchsorted(space.term_ids, node.center_term))
-    if (m_neighbors <= 0 or center == space.term_ids.size
-            or space.term_ids[center] != node.center_term):
+    center = int(space.row_of[node.center_term])
+    if m_neighbors <= 0 or center < 0:
         return docs
     sims = space.target @ space.target[center]
     sims[center] = -np.inf
@@ -204,21 +213,15 @@ def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
     return docs
 
 
-def _vocab_rows(corpus: Corpus, term_ids):
-    """Vocabulary id -> row in term_ids (int32); -1 for a term without a row."""
-    vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int32)
-    vocab_to_row[term_ids] = np.arange(term_ids.size)
-    return vocab_to_row
-
-
-def _pair_rows(corpus: Corpus, docs, window, vocab_to_row):
+def _pair_rows(corpus: Corpus, docs, window, row_of):
     """Target and context rows (int32) of the docs' skip-gram pairs.
 
-    Tokens are mapped to rows before pairing, so the pairs are built in
-    int32. Pairs with a term that has no row are dropped.
+    row_of maps a vocabulary id to its row (int32, -1 for none). Tokens are
+    mapped to rows before pairing, so the pairs are built in int32. Pairs
+    with a term that has no row are dropped.
     """
     tokens, lengths = corpus.doc_tokens(sorted(docs))
-    tr, cr = context_pair_arrays(vocab_to_row[tokens], lengths, window)
+    tr, cr = context_pair_arrays(row_of[tokens], lengths, window)
     keep = (tr >= 0) & (cr >= 0)
     return tr[keep], cr[keep]
 
@@ -240,30 +243,36 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     # target rows 0..n-1 over context rows n..2n-1; one matrix to gather from
     # and scatter into
     params = np.empty((2 * n, cfg.dim))
-    target, context = params[:n], params[n:]
-    target[:] = _unit(rng.standard_normal((n, cfg.dim)))
-    context[:] = _unit(rng.standard_normal((n, cfg.dim)))
+    params[:n] = _unit(rng.standard_normal((n, cfg.dim)))
+    params[n:] = _unit(rng.standard_normal((n, cfg.dim)))
+    row_of = np.full(corpus.num_terms, -1, dtype=np.int32)
+    row_of[term_ids] = np.arange(n)
 
     topic_order = sorted(keywords)
-    vocab_to_row = _vocab_rows(corpus, term_ids)
-    center_rows = vocab_to_row[np.asarray([centers[key] for key in topic_order],
-                                          dtype=np.int64)]
+    center_rows = row_of[np.asarray([centers[key] for key in topic_order],
+                                    dtype=np.int64)]
     if (center_rows < 0).any():
         raise ValueError("a sub-topic center is not a node term")
-    keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]), dtype=np.int64)]
+    keyword_rows = [row_of[np.asarray(sorted(keywords[key]), dtype=np.int64)]
                     for key in topic_order]
     if any((rows < 0).any() for rows in keyword_rows):
         raise ValueError("a sub-topic keyword is not a node term")
-    topic_vecs = target[center_rows]
-    topic_kappa = np.ones(len(topic_order))
+    space = EmbeddingSpace(term_ids, row_of, params, topic_order,
+                           params[center_rows], np.ones(len(topic_order)),
+                           center_rows, keyword_rows)
+    _sgd_epochs(space, docs, corpus, cfg, rng)
+    return space
 
-    tr, cr = _pair_rows(corpus, docs, cfg.window, vocab_to_row)
-    n_pairs = tr.size
+
+def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, rng):
+    """cfg.epochs passes of projected SGD over the docs' pairs, in place.
+
+    A space with no pairs keeps its seeded initialization.
+    """
+    tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
+    n, n_pairs = space.term_ids.size, tr.size
     if n_pairs == 0:
-        # nothing to train on; return the seeded initialization
-        return EmbeddingSpace(term_ids, target, context, topic_order, topic_vecs,
-                              topic_kappa, center_rows, keyword_rows, cfg.dim)
-
+        return
     cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
     # rows of params: (target, context) per pair, and this epoch's negatives
     pairs = np.empty((n_pairs, 2), dtype=np.int32)
@@ -275,7 +284,6 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
 
     n_batches = math.ceil(n_pairs / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
-    state = _TrainState(params, topic_vecs, topic_kappa, keyword_rows, cfg)
     step = 0
     for _ in range(cfg.epochs):
         # the order and generator state of rng.permutation(n_pairs), in int32
@@ -289,133 +297,114 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
             sel = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             pb = np.take(pairs, sel, axis=0)
             lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-            state.sgd_batch(pb[:, 0], pb[:, 1], np.take(negs, sel, axis=0), lr)
+            sgd_batch(space, pb[:, 0], pb[:, 1], np.take(negs, sel, axis=0), lr,
+                      cfg.margin)
             step += 1
-        params[:] = _unit(params)
-        if len(topic_order):
-            topic_vecs[:] = _unit(topic_vecs)
-    return EmbeddingSpace(term_ids, target, context, topic_order, topic_vecs,
-                          topic_kappa, center_rows, keyword_rows, cfg.dim)
+        space.params[:] = _unit(space.params)
+        if space.num_topics:
+            space.topic_vecs[:] = _unit(space.topic_vecs)
 
 
-class _TrainState:
-    """The arrays one node's SGD updates in place, and the per-batch step.
+def sgd_batch(space: EmbeddingSpace, tb, cb, nb, lr, margin):
+    """One projected SGD step on pairs (tb[p], cb[p]) with negatives nb[p].
 
-    params stacks the n target rows over the n context rows; target is the
-    view params[:n]. sgd_batch takes one projected SGD step on a batch of
-    (target, context, negatives) row triples: it gathers their rows of
-    params at once, adds the hinge gradients through one _scatter_unit,
-    which also puts every touched row back on the sphere, then runs the
-    topic/kappa step.
+    The indices are rows of space.params: cb and nb are context rows, i.e.
+    already offset by n. The step gathers the rows at once, adds the hinge
+    gradients through one _scatter_unit, which also puts every touched row
+    back on the sphere, then runs the topic/kappa step. Target and context
+    rows are disjoint bins of one scatter, so each row gets the same
+    left-to-right sum as a target scatter followed by a context scatter:
+    target updates in pair order, then positive contexts in pair order,
+    then negatives in (pair, negative) order.
+
+    Only the updates that can be nonzero are fed: the target and
+    positive-context updates of pairs with an active hinge, and the
+    negative-context updates of active (pair, negative) terms. The others
+    are exact zeros (+0.0 or -0.0), and skipping them moves no bit:
+    np.bincount starts every bin at +0.0, and a round-to-nearest sum is
+    -0.0 only when both addends are, so no bin ever holds -0.0 (whatever
+    the stored rows hold), and x + (+-0.0) == x for every other x. Every
+    row the batch names is still rescaled, even one only zero updates touch.
     """
+    params, dim = space.params, space.dim
+    n_p, n_neg = nb.shape
+    idx = np.concatenate([tb, cb, nb.ravel()])
+    vecs = np.take(params, idx, axis=0)
+    t = vecs[:n_p]
+    vp = vecs[n_p:2 * n_p]
+    vn = vecs[2 * n_p:].reshape(n_p, n_neg, dim)
+    sn = np.einsum("pd,pnd->pn", t, vn)
+    sp = np.einsum("pd,pd->p", t, vp)
+    hit = (sn - sp[:, None] + margin) > 0.0
+    # a float mask: einsum over a bool operand is several times slower
+    act = hit.astype(np.float64)
+    # act.sum(axis=1), which is slow on a short axis; sums of 0 and 1
+    # are exact in any order
+    n_act = act @ np.ones(n_neg)
+    g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
+    pa = np.flatnonzero(n_act > 0.0)    # pairs with an active hinge
+    na = np.flatnonzero(hit)            # active (pair, negative) terms
+    n_rows = params.shape[0]
+    a, b = n_rows + pa.size, n_rows + 2 * pa.size
+    w = np.empty((dim, b + na.size))
+    # np.take: fancy indexing gathers rows several times slower
+    np.multiply(np.take(g_t, pa, axis=0).T, -lr, out=w[:, n_rows:a])
+    np.multiply(np.take(t, pa, axis=0).T, lr * n_act[pa], out=w[:, a:b])
+    # an active term's factor is -lr * 1.0 == -lr
+    np.multiply(np.take(t, na // n_neg, axis=0).T, -lr, out=w[:, b:])
+    touched = np.flatnonzero(np.bincount(idx, minlength=n_rows))
+    _scatter_unit(params, touched,
+                  np.concatenate([tb[pa], cb[pa], nb.ravel()[na]]), w)
+    _topic_step(space, lr, margin)
 
-    def __init__(self, params, topic_vecs, topic_kappa, keyword_rows, cfg):
-        self.params = params
-        self.target = params[:params.shape[0] // 2]
-        self.topic_vecs = topic_vecs
-        self.topic_kappa = topic_kappa
-        self.keyword_rows = keyword_rows
-        self.cfg = cfg
-        self.dim = params.shape[1]
 
-    def sgd_batch(self, tb, cb, nb, lr):
-        """One step on pairs (tb[p], cb[p]) with negatives nb[p], rows of params.
+def _topic_step(space: EmbeddingSpace, lr, margin):
+    """Repulsion between sub-topic vectors and the gated keyword pull.
 
-        cb and nb are context rows, i.e. already offset by n. Target and
-        context rows are disjoint bins of one scatter, so each row gets the
-        same left-to-right sum as a target scatter followed by a context
-        scatter: target updates in pair order, then positive contexts in
-        pair order, then negatives in (pair, negative) order.
-
-        Only the updates that can be nonzero are fed: the target and
-        positive-context updates of pairs with an active hinge, and the
-        negative-context updates of active (pair, negative) terms. The
-        others are exact zeros (+0.0 or -0.0), and skipping them moves no
-        bit: np.bincount starts every bin at +0.0, and a round-to-nearest
-        sum is -0.0 only when both addends are, so no bin ever holds -0.0
-        (whatever the stored rows hold), and x + (+-0.0) == x for every
-        other x. Every row the batch names is still rescaled, even one only
-        zero updates touch.
-        """
-        m = self.cfg.margin
-        n_p, n_neg = nb.shape
-        idx = np.concatenate([tb, cb, nb.ravel()])
-        vecs = np.take(self.params, idx, axis=0)
-        t = vecs[:n_p]
-        vp = vecs[n_p:2 * n_p]
-        vn = vecs[2 * n_p:].reshape(n_p, n_neg, self.dim)
-        sn = np.einsum("pd,pnd->pn", t, vn)
-        sp = np.einsum("pd,pd->p", t, vp)
-        hit = (sn - sp[:, None] + m) > 0.0
-        # a float mask: einsum over a bool operand is several times slower
-        act = hit.astype(np.float64)
-        # act.sum(axis=1), which is slow on a short axis; sums of 0 and 1
-        # are exact in any order
-        n_act = act @ np.ones(n_neg)
-        g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
-        pa = np.flatnonzero(n_act > 0.0)    # pairs with an active hinge
-        na = np.flatnonzero(hit)            # active (pair, negative) terms
-        n_rows = self.params.shape[0]
-        a, b = n_rows + pa.size, n_rows + 2 * pa.size
-        w = np.empty((self.dim, b + na.size))
-        # np.take: fancy indexing gathers rows several times slower
-        np.multiply(np.take(g_t, pa, axis=0).T, -lr, out=w[:, n_rows:a])
-        np.multiply(np.take(t, pa, axis=0).T, lr * n_act[pa], out=w[:, a:b])
-        # an active term's factor is -lr * 1.0 == -lr
-        np.multiply(np.take(t, na // n_neg, axis=0).T, -lr, out=w[:, b:])
-        touched = np.flatnonzero(np.bincount(idx, minlength=n_rows))
-        _scatter_unit(self.params, touched,
-                      np.concatenate([tb[pa], cb[pa], nb.ravel()[na]]), w)
-        self._topic_step(lr)
-
-    def _topic_step(self, lr):
-        """Repulsion between sub-topic vectors and the gated keyword pull.
-
-        Work that would add only zeros is skipped, which moves no bit: the
-        repulsion matmul runs only when some pair of topics is closer than
-        the margin, the Bessel ratios are computed on the first open
-        keyword gate, and kappa moves only when a gate was open.
-        """
-        s = self.topic_vecs
-        k_cnt = s.shape[0]
-        if k_cnt == 0:
-            return
-        m = self.cfg.margin
-        g_s = np.zeros_like(s)
-        if k_cnt >= 2:
-            sims = s @ s.T
-            active = np.triu(sims - m > 0.0, 1)
-            if active.any():
-                g_s += (active | active.T) @ s
-        ratios = None
-        g_k = np.zeros(k_cnt)
-        for k, rows in enumerate(self.keyword_rows):
-            if len(rows) == 0:
-                continue
-            tk = self.target[rows]
-            kw_sims = tk @ s[k]
-            gate = kw_sims < m
-            if not gate.any():
-                continue
-            if ratios is None:
-                ratios = bessel_ratio(self.topic_kappa, self.dim)
-            kap = self.topic_kappa[k]
-            g_s[k] += -kap * tk[gate].sum(axis=0)
-            self.target[rows[gate]] += lr * kap * s[k]
-            self.target[rows[gate]] = _unit(self.target[rows[gate]])
-            g_k[k] = gate.sum() * ratios[k] - kw_sims[gate].sum()
-        s -= lr * g_s
-        s[:] = _unit(s)
-        if ratios is not None:
-            self.topic_kappa -= lr * g_k
-            np.clip(self.topic_kappa, 0.0, KAPPA_MAX, out=self.topic_kappa)
+    Work that would add only zeros is skipped, which moves no bit: the
+    repulsion matmul runs only when some pair of topics is closer than
+    the margin, the Bessel ratios are computed on the first open
+    keyword gate, and kappa moves only when a gate was open.
+    """
+    s = space.topic_vecs
+    k_cnt = s.shape[0]
+    if k_cnt == 0:
+        return
+    target, kappa = space.target, space.topic_kappa
+    g_s = np.zeros_like(s)
+    if k_cnt >= 2:
+        sims = s @ s.T
+        active = np.triu(sims - margin > 0.0, 1)
+        if active.any():
+            g_s += (active | active.T) @ s
+    ratios = None
+    g_k = np.zeros(k_cnt)
+    for k, rows in enumerate(space.keyword_rows):
+        if len(rows) == 0:
+            continue
+        tk = target[rows]
+        kw_sims = tk @ s[k]
+        gate = kw_sims < margin
+        if not gate.any():
+            continue
+        if ratios is None:
+            ratios = bessel_ratio(kappa, space.dim)
+        kap = kappa[k]
+        g_s[k] += -kap * tk[gate].sum(axis=0)
+        target[rows[gate]] += lr * kap * s[k]
+        target[rows[gate]] = _unit(target[rows[gate]])
+        g_k[k] = gate.sum() * ratios[k] - kw_sims[gate].sum()
+    s -= lr * g_s
+    s[:] = _unit(s)
+    if ratios is not None:
+        kappa -= lr * g_k
+        np.clip(kappa, 0.0, KAPPA_MAX, out=kappa)
 
 
 def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
                  rng, max_pairs=2048) -> Batch:
     """A fixed held-out batch over the node's documents, for objective tracking."""
-    vocab_to_row = _vocab_rows(corpus, space.term_ids)
-    tr, cr = _pair_rows(corpus, docs, cfg.window, vocab_to_row)
+    tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
     if tr.size > max_pairs:
         pick = rng.choice(tr.size, size=max_pairs, replace=False)
         tr, cr = tr[pick], cr[pick]

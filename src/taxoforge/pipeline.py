@@ -30,6 +30,8 @@ class PipelineConfig:
             raise ValueError("child_batch_size must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if self.min_docs < 0:
+            raise ValueError(f"min_docs must be >= 0, got {self.min_docs}")
         if self.min_terms < self.cluster.k_star_max:
             raise ValueError("min_terms must cover the largest novel K searched")
         if self.top_k_output < 1:

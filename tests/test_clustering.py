@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taxoforge.clustering as clustering
 from taxoforge.clustering import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -45,13 +46,13 @@ def space_with(target, topic_vecs):
     k = topic_vecs.shape[0]
     return EmbeddingSpace(
         term_ids=np.arange(target.shape[0]),
-        target=target, context=target.copy(),
+        row_of=np.arange(target.shape[0], dtype=np.int32),
+        params=np.vstack([target, target]),
         topic_order=list(range(k)),
         topic_vecs=np.asarray(topic_vecs, dtype=np.float64),
         topic_kappa=np.ones(k),
         center_rows=np.zeros(k, dtype=np.int64),
-        keyword_rows=[[]] * k,
-        dim=target.shape[1])
+        keyword_rows=[[]] * k)
 
 
 def rows_of(mask):
@@ -726,10 +727,11 @@ def _planted_node(seed=0, n_known=2, n_novel=2, kappa=60.0, per=30):
     centers = [min(t for t, lab in labels.items() if lab == g)
                for g in range(n_known)]
     sp = EmbeddingSpace(
-        term_ids=np.arange(n_terms), target=target2, context=target2.copy(),
+        term_ids=np.arange(n_terms), row_of=np.arange(n_terms, dtype=np.int32),
+        params=np.vstack([target2, target2]),
         topic_order=list(range(n_known)), topic_vecs=means[:n_known].copy(),
         topic_kappa=np.full(n_known, kappa), center_rows=centers,
-        keyword_rows=[[c] for c in centers], dim=dim)
+        keyword_rows=[[c] for c in centers])
     stats = compute_term_stats(corpus, range(corpus.num_docs))
     return corpus, sp, stats, labels
 
@@ -769,6 +771,24 @@ def test_select_novel_k_capped_by_novel_count():
     cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
     res = select_novel_k(z_known, 2, sp, stats, corpus, cfg, 0)
     assert 1 <= res.k_star <= 3
+
+
+def test_select_novel_k_zero_known_clusters_once(monkeypatch):
+    # with no known slot K* = 1 has a single kappa, stdev 0, which no
+    # larger K* beats: the search runs k-means once
+    corpus, sp, stats, labels = _planted_node(n_known=0, n_novel=3)
+    calls = []
+
+    def counted(vecs, k, seed):
+        calls.append(k)
+        return spherical_kmeans(vecs, k, seed)
+
+    monkeypatch.setattr(clustering, "spherical_kmeans", counted)
+    z_known = np.full(len(labels), -1, dtype=np.int64)
+    cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
+    res = select_novel_k(z_known, 0, sp, stats, corpus, cfg, 0)
+    assert calls == [1]
+    assert res.k_star == 1
 
 
 def _check_unsupervised_path(n_known):
@@ -839,10 +859,13 @@ def test_child_split_hand_built_node():
     target[7] = unit_rows(np.array([0.5, 0.5, 0.0, 0.0]))
     target[6] = unit_rows(np.array([0.1, 0.9, 0.0, 0.0]))
     target[10] = np.eye(4)[2]              # slot 2's nearest anchor
+    row_of = np.full(113, -1, dtype=np.int32)
+    row_of[100:] = np.arange(13)
     space = EmbeddingSpace(
-        term_ids=np.arange(13) + 100, target=target, context=target.copy(),
+        term_ids=np.arange(13) + 100, row_of=row_of,
+        params=np.vstack([target, target]),
         topic_order=["a", "b"], topic_vecs=np.eye(4)[:2], topic_kappa=np.ones(2),
-        center_rows=[0, 2], keyword_rows=[[0, 1], [2, 3]], dim=4)
+        center_rows=[0, 2], keyword_rows=[[0, 1], [2, 3]])
     anchors = np.zeros((6, 13), dtype=bool)
     for s, rows in enumerate([[0, 4], [1, 2, 5], [9, 10, 11], [3, 6, 7, 8],
                               [1], [12]]):

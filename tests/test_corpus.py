@@ -20,7 +20,7 @@ from taxoforge.corpus import (
     corpus_from_lines,
     load_corpus,
 )
-from taxoforge.embedding import EmbedConfig, _pair_rows, _vocab_rows
+from taxoforge.embedding import EmbedConfig, _pair_rows
 
 
 def tf(stats, term_id, doc_id):
@@ -374,7 +374,8 @@ def test_pair_arrays_order_equals_per_doc_loop(token_lists, window, chunk, data)
     rowless = data.draw(st.sets(st.sampled_from(range(corpus.num_terms))))
     term_ids = np.asarray([t for t in range(corpus.num_terms) if t not in rowless],
                           dtype=np.int64)
-    vocab_to_row = _vocab_rows(corpus, term_ids)
+    vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int32)
+    vocab_to_row[term_ids] = np.arange(term_ids.size)
     row_docs = [Document(d, vocab_to_row[corpus.documents[d].tokens])
                 for d in sorted(subset)]
     want_t, want_c = loop_pair_arrays(row_docs, window)

@@ -14,11 +14,12 @@ from taxoforge.embedding import (
     _draw_rows,
     _negative_table,
     _scatter_unit,
-    _TrainState,
+    _topic_step,
     _unit,
     objective_value,
     retrieve_local_corpus,
     sample_batch,
+    sgd_batch,
     train_node_embedding,
 )
 from taxoforge.taxonomy import parse_hierarchy, subtree_keywords
@@ -35,16 +36,25 @@ def make_space(rng, n_terms=12, dim=6, n_topics=3):
     """A random space with three random keyword rows per topic."""
     return EmbeddingSpace(
         term_ids=np.arange(n_terms),
-        target=unit_rows(rng.standard_normal((n_terms, dim))),
-        context=unit_rows(rng.standard_normal((n_terms, dim))),
+        row_of=np.arange(n_terms, dtype=np.int32),
+        params=np.vstack([unit_rows(rng.standard_normal((n_terms, dim))),
+                          unit_rows(rng.standard_normal((n_terms, dim)))]),
         topic_order=list(range(n_topics)),
         topic_vecs=unit_rows(rng.standard_normal((n_topics, dim))),
         topic_kappa=rng.uniform(0.5, 5.0, size=n_topics),
         center_rows=np.arange(n_topics),
         keyword_rows=[rng.choice(n_terms, size=3, replace=False)
                       for _ in range(n_topics)],
-        dim=dim,
     )
+
+
+def space_over(params, topic_vecs, topic_kappa, keyword_rows):
+    """The space of the n = len(params) // 2 terms whose rows params stacks,
+    as the SGD step functions update it."""
+    n, k_cnt = params.shape[0] // 2, topic_vecs.shape[0]
+    return EmbeddingSpace(np.arange(n), np.arange(n, dtype=np.int32), params,
+                          range(k_cnt), topic_vecs, topic_kappa,
+                          np.zeros(k_cnt, dtype=np.int64), keyword_rows)
 
 
 def make_batch(rng, space, n_pairs=8, negatives=2):
@@ -159,11 +169,10 @@ def test_objective_zero_when_all_inactive():
     dim = 4
     e = np.eye(dim)
     space = EmbeddingSpace(
-        term_ids=np.arange(2),
-        target=e[:2].copy(), context=-e[2:4].copy(),
+        term_ids=np.arange(2), row_of=np.arange(2),
+        params=np.vstack([e[:2], -e[2:4]]),
         topic_order=[0, 1], topic_vecs=np.stack([e[0], e[1]]),
-        topic_kappa=np.ones(2), center_rows=[0, 1], keyword_rows=[[0], [1]],
-        dim=dim)
+        topic_kappa=np.ones(2), center_rows=[0, 1], keyword_rows=[[0], [1]])
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
                   neg_c=np.array([[1]]))
     cfg = EmbedConfig(dim=dim, margin=0.3)
@@ -176,10 +185,10 @@ def test_objective_single_pair_hand_value():
     # [TRIVIAL] t.vneg=0, t.vpos=1, m=0.3 -> [0 - 1 + 0.3]+ = 0
     e = np.eye(3)
     space = EmbeddingSpace(
-        term_ids=np.arange(2), target=e[:2].copy(),
-        context=np.stack([e[0], e[2]]),
+        term_ids=np.arange(2), row_of=np.arange(2),
+        params=np.vstack([e[:2], e[0], e[2]]),
         topic_order=[], topic_vecs=np.zeros((0, 3)),
-        topic_kappa=np.zeros(0), center_rows=[], keyword_rows=[], dim=3)
+        topic_kappa=np.zeros(0), center_rows=[], keyword_rows=[])
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
                   neg_c=np.array([[1]]))
     assert objective_value(space, batch, EmbedConfig(dim=3)) == 0.0
@@ -256,10 +265,10 @@ def test_gradient_zero_for_satisfied_keyword():
     # [TRIVIAL] keyword with t.s >= m contributes no gradient
     e = np.eye(4)
     space = EmbeddingSpace(
-        term_ids=np.arange(2), target=e[:2].copy(), context=e[2:4].copy(),
+        term_ids=np.arange(2), row_of=np.arange(2), params=e.copy(),
         topic_order=[0], topic_vecs=e[:1].copy(),
         topic_kappa=np.ones(1), center_rows=[0],
-        keyword_rows=[[0]], dim=4)  # t0 . s0 = 1 >= m
+        keyword_rows=[[0]])  # t0 . s0 = 1 >= m
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
                   neg_c=np.empty((0, 1), dtype=int))
     g_t, g_v, g_s, g_k = dense_gradients(space, batch, EmbedConfig(dim=4))
@@ -270,10 +279,10 @@ def test_gradient_zero_for_separated_topics():
     # [TRIVIAL] s_i . s_j <= m -> no repulsion gradient
     e = np.eye(4)
     space = EmbeddingSpace(
-        term_ids=np.arange(1), target=e[:1].copy(), context=e[:1].copy(),
+        term_ids=np.arange(1), row_of=np.arange(1),
+        params=np.vstack([e[:1], e[:1]]),
         topic_order=[0, 1], topic_vecs=np.stack([e[1], e[2]]),
-        topic_kappa=np.ones(2), center_rows=[0, 0], keyword_rows=[[], []],
-        dim=4)
+        topic_kappa=np.ones(2), center_rows=[0, 0], keyword_rows=[[], []])
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
                   neg_c=np.empty((0, 1), dtype=int))
     _, _, g_s, _ = dense_gradients(space, batch, EmbedConfig(dim=4))
@@ -401,8 +410,8 @@ def test_sgd_batch_matches_dense_gradient_step():
     assert g_t.any() and g_v.any()
     params = np.concatenate([space.target, space.context])
     target, context = params[:n], params[n:]
-    state = _TrainState(params, space.topic_vecs, space.topic_kappa, [], cfg)
-    state.sgd_batch(batch.pos_t, batch.pos_c + n, batch.neg_c + n, lr)
+    sgd_batch(space_over(params, space.topic_vecs, space.topic_kappa, []),
+              batch.pos_t, batch.pos_c + n, batch.neg_c + n, lr, cfg.margin)
     for new, old, grad, rows in (
             (target, space.target, g_t, np.unique(batch.pos_t)),
             (context, space.context, g_v,
@@ -508,8 +517,8 @@ def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
     expected_t, expected_c = target.copy(), context.copy()
     reference_step(expected_t, expected_c, tb, cb, nb, lr, cfg.margin)
     params = np.concatenate([target, context])
-    state = _TrainState(params, np.zeros((0, dim)), np.zeros(0), [], cfg)
-    state.sgd_batch(tb, cb + n, nb + n, lr)
+    sgd_batch(space_over(params, np.zeros((0, dim)), np.zeros(0), []),
+              tb, cb + n, nb + n, lr, cfg.margin)
     assert np.array_equal(params[:n], expected_t)
     assert np.array_equal(params[n:], expected_c)
     # the inactive pair's rows were rescaled, not left as they were
@@ -524,15 +533,14 @@ def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
     assert (act.any(axis=1) & ~act.all(axis=1)).any()
 
 
-def reference_topic_step(state, lr):
-    """The topic/kappa step of a _TrainState as a plain loop: every Bessel
-    ratio computed, the repulsion matmul run and kappa updated on every
-    step, gates open or not."""
+def reference_topic_step(state, lr, m):
+    """The topic/kappa step of a space as a plain loop: every Bessel ratio
+    computed, the repulsion matmul run and kappa updated on every step,
+    gates open or not."""
     s = state.topic_vecs
     k_cnt = s.shape[0]
     if k_cnt == 0:
         return
-    m = state.cfg.margin
     g_s = np.zeros_like(s)
     if k_cnt >= 2:
         sims = s @ s.T
@@ -559,12 +567,14 @@ def reference_topic_step(state, lr):
     np.clip(state.topic_kappa, 0.0, KAPPA_MAX, out=state.topic_kappa)
 
 
-def topic_state(seed, n=20, dim=5, k_cnt=3, closed=(), far=False, cfg=None):
-    """A _TrainState with keyword rows per topic; the keywords of the topics
-    in closed sit on their topic vector (gate shut), and with far the topic
+MARGIN = 0.3   # the margin of the topic-step tests
+
+
+def topic_state(seed, n=20, dim=5, k_cnt=3, closed=(), far=False):
+    """A space with keyword rows per topic; the keywords of the topics in
+    closed sit on their topic vector (gate shut), and with far the topic
     vectors are orthogonal (no repulsion)."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or EmbedConfig(dim=dim, margin=0.3)
     params = unit_rows(rng.standard_normal((2 * n, dim)))
     topic_vecs = (np.eye(dim)[:k_cnt].copy() if far
                   else unit_rows(rng.standard_normal((k_cnt, dim)) + 2.0))
@@ -573,13 +583,13 @@ def topic_state(seed, n=20, dim=5, k_cnt=3, closed=(), far=False, cfg=None):
     for k in closed:
         params[keyword_rows[k]] = topic_vecs[k]
     kappa = rng.uniform(0.5, 30.0, size=k_cnt)
-    return _TrainState(params, topic_vecs, kappa, keyword_rows, cfg)
+    return space_over(params, topic_vecs, kappa, keyword_rows)
 
 
 def copy_state(state):
-    return _TrainState(state.params.copy(), state.topic_vecs.copy(),
-                       state.topic_kappa.copy(),
-                       [r.copy() for r in state.keyword_rows], state.cfg)
+    return space_over(state.params.copy(), state.topic_vecs.copy(),
+                      state.topic_kappa.copy(),
+                      [r.copy() for r in state.keyword_rows])
 
 
 @pytest.mark.parametrize("closed,far", [
@@ -590,8 +600,8 @@ def test_topic_step_bit_equal_to_reference(closed, far):
     for seed in range(20):
         state = topic_state(seed, closed=closed, far=far)
         want = copy_state(state)
-        state._topic_step(0.05)
-        reference_topic_step(want, 0.05)
+        _topic_step(state, 0.05, MARGIN)
+        reference_topic_step(want, 0.05, MARGIN)
         for got, expected in ((state.params, want.params),
                               (state.topic_vecs, want.topic_vecs),
                               (state.topic_kappa, want.topic_kappa)):
@@ -608,13 +618,13 @@ def test_topic_step_with_every_gate_shut_skips_bessel_ratio(monkeypatch):
     monkeypatch.setattr(embedding, "bessel_ratio", counted)
     state = topic_state(3, closed=(0, 1, 2))
     kappa = state.topic_kappa.copy()
-    state._topic_step(0.05)
+    _topic_step(state, 0.05, MARGIN)
     assert calls == []
     assert state.topic_kappa.tobytes() == kappa.tobytes()
     # one open gate: one call for the step, and kappa moves
     state = topic_state(3, closed=(0, 2))
     kappa = state.topic_kappa.copy()
-    state._topic_step(0.05)
+    _topic_step(state, 0.05, MARGIN)
     assert calls == [state.dim]
     assert state.topic_kappa[1] != kappa[1]
     assert state.topic_kappa[[0, 2]].tobytes() == kappa[[0, 2]].tobytes()
@@ -632,7 +642,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     rng = np.random.default_rng(seed)
     target = _unit(rng.standard_normal((n, cfg.dim)))
     context = _unit(rng.standard_normal((n, cfg.dim)))
-    # the topic step of _TrainState updates the target view of one matrix
+    # the topic step updates the target view of the space's one matrix
     params = np.concatenate([target, context])
     target, context = params[:n], params[n:]
     topic_order = sorted(keywords)
@@ -650,7 +660,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     tr, cr = tr[keep], cr[keep]
     probs = np.bincount(cr, minlength=n).astype(np.float64) ** 0.75
     cum = np.cumsum(probs / probs.sum())
-    state = _TrainState(params, topic_vecs, topic_kappa, keyword_rows, cfg)
+    state = space_over(params, topic_vecs, topic_kappa, keyword_rows)
     m = cfg.margin
     n_batches = -(-tr.size // cfg.batch_size)
     step = 0
@@ -662,7 +672,7 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
             tb, cb, nb = tr[sl], cr[sl], negs[sl]
             lr = cfg.lr * max(1.0 - step / (cfg.epochs * n_batches), 1e-4)
             reference_step(target, context, tb, cb, nb, lr, m)
-            reference_topic_step(state, lr)
+            reference_topic_step(state, lr, m)
             step += 1
         target[:] = _unit(target)
         context[:] = _unit(context)
@@ -716,13 +726,13 @@ def test_trainer_improves_heldout_objective(trained):
     after = objective_value(space, batch, cfg)
     rng = np.random.default_rng(TRAINED_SEED)
     init = EmbeddingSpace(
-        term_ids=space.term_ids,
-        target=unit_rows(rng.standard_normal(space.target.shape)),
-        context=unit_rows(rng.standard_normal(space.context.shape)),
+        term_ids=space.term_ids, row_of=space.row_of,
+        params=np.vstack([unit_rows(rng.standard_normal(space.target.shape)),
+                          unit_rows(rng.standard_normal(space.context.shape))]),
         topic_order=space.topic_order,
         topic_vecs=unit_rows(rng.standard_normal(space.topic_vecs.shape)),
         topic_kappa=np.ones(space.num_topics), center_rows=space.center_rows,
-        keyword_rows=space.keyword_rows, dim=space.dim)
+        keyword_rows=space.keyword_rows)
     before = objective_value(init, batch, cfg)
     assert after < before
 
@@ -795,11 +805,13 @@ def test_local_corpus_center_without_a_row_is_node_docs(trained):
     # whose ids all lie below it
     for keep in (space.term_ids != node.center_term,
                  space.term_ids < node.center_term):
+        row_of = np.full(corpus.num_terms, -1, dtype=np.int32)
+        row_of[space.term_ids[keep]] = np.arange(keep.sum())
         sub = EmbeddingSpace(
-            term_ids=space.term_ids[keep], target=space.target[keep],
-            context=space.context[keep], topic_order=[],
-            topic_vecs=np.zeros((0, space.dim)), topic_kappa=np.zeros(0),
-            center_rows=[], keyword_rows=[], dim=space.dim)
+            term_ids=space.term_ids[keep], row_of=row_of,
+            params=np.vstack([space.target[keep], space.context[keep]]),
+            topic_order=[], topic_vecs=np.zeros((0, space.dim)),
+            topic_kappa=np.zeros(0), center_rows=[], keyword_rows=[])
         assert retrieve_local_corpus(node, sub, corpus, 1) == {0}
 
 

@@ -91,13 +91,16 @@ def test_load_config_rejects_malformed_line(tmp_path):
                                         ("bm25_b=nan", "bm25_b"),
                                         ("top_k=-1", "top_k"),
                                         ("beta1=nan", "beta"),
-                                        ("beta2=nan", "beta")])
+                                        ("beta2=nan", "beta"),
+                                        ("M=-3", r"M \(neighbors_m\)"),
+                                        ("min_docs=-4", "min_docs")])
 def test_load_config_rejects_bad_training_values(tmp_path, line, field):
     # the pipeline would otherwise train on no pairs, divide by zero deep
     # in the trainer, make one novel cluster per novel term, keep the
     # random initialization as the trained embedding, find no novel term
     # (a NaN temperature or beta), drop terms from every output node (a
-    # negative top_k) or score terms with a negative BM25 denominator
+    # negative top_k) or score terms with a negative BM25 denominator; a
+    # negative M or min_docs would silently act as 0
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):
