@@ -292,34 +292,24 @@ def select_anchor_terms(z_term, scores, tau_sig, n_slots, centers):
     return anchors, set(np.flatnonzero(others == 0).tolist())
 
 
-def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
-                   stats: TermStats, corpus: Corpus, cfg: ClusterConfig,
-                   seed: int) -> SubtopicClustering:
+def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
+                   corpus: Corpus, cfg: ClusterConfig, seed: int) -> SubtopicClustering:
     """Pick the novel cluster count K* minimizing the stdev of concentrations.
 
     z_known holds the known slot of each row, -1 for a novel row. The
-    known slots are the first k_known topics of the space (none or all of
-    them), with their center rows; the novel slots follow. For each
-    candidate K* the clustering/assignment/anchor/vMF chain is re-run, and
-    the stdev is taken over the kappas of all slots, known (re-estimated)
-    and novel. The node's count view, over the documents of stats, is
-    built once, before the search. Candidate K* clusters the novel rows
-    by spherical k-means seeded with seed + K*.
+    known slots are the topics of the space, with their center rows; the
+    novel slots follow. For each candidate K* the clustering/assignment/
+    anchor/vMF chain is re-run, and the stdev is taken over the kappas of
+    all slots, known (re-estimated) and novel. The node's count view, over
+    the documents of stats, is built once, before the search. Candidate K*
+    clusters the novel rows by spherical k-means seeded with seed + K*.
     """
-    centers = space.center_rows[:k_known]
+    k_known = space.num_topics
     novel_rows = np.flatnonzero(z_known < 0)
     novel_vecs = space.target[novel_rows]
     view = node_counts(stats, space.term_ids, cfg.bm25_k1, cfg.bm25_b)
     n_novel = novel_rows.size
-    if not n_novel:
-        candidates = [0]
-    elif k_known == 0:
-        # no known slot: K* = 1 has a single kappa, stdev exactly 0, which no
-        # larger K* beats by the 1e-12 asked below; each K* has its own seed,
-        # so skipping the others moves no bit
-        candidates = [1]
-    else:
-        candidates = range(1, min(cfg.k_star_max, n_novel) + 1)
+    candidates = range(1, min(cfg.k_star_max, n_novel) + 1) if n_novel else [0]
     best = None
     for k_star in candidates:
         n_slots = k_known + k_star
@@ -332,9 +322,9 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
         doc_slot = assign_documents(view, z_term, n_slots)
         rep = _rep_matrix(view, doc_slot, n_slots, corpus)
         sig = significance_scores(
-            space.target, np.vstack([space.topic_vecs[:k_known], means]), rep)
+            space.target, np.vstack([space.topic_vecs, means]), rep)
         anchors, warnings = select_anchor_terms(z_term, sig, cfg.tau_sig,
-                                                n_slots, centers)
+                                                n_slots, space.center_rows)
         kappas = []
         for s in range(n_slots):
             pool = anchors[s] if anchors[s].sum() >= 2 else anchors[s] | (z_term == s)
@@ -354,27 +344,29 @@ def select_novel_k(z_known, k_known: int, space: EmbeddingSpace,
         z_anchor[anchors[s]] = s
     doc_slot = assign_documents(view, z_anchor, n_slots)
     docs = [view.doc_ids[doc_slot == s] for s in range(n_slots)]
-    known, novel = child_split(space, k_known, anchors, sig, docs, kappas, means)
+    known, novel = child_split(space, anchors, sig, docs, kappas, means)
     return SubtopicClustering(
         z_term=z_term, novel_terms=space.term_ids[novel_rows], known=known,
         novel=novel, k_star=k_star, sig_scores=sig, warnings=warnings)
 
 
-def child_split(space: EmbeddingSpace, k_known, anchors, sig, docs, kappas, means):
+def child_split(space: EmbeddingSpace, anchors, sig, docs, kappas, means):
     """What each child inherits: (known, novel) as in SubtopicClustering.
 
-    Slot s has the anchor rows anchors[s], document ids docs[s], kappa
-    kappas[s] and, if novel, mean direction means[s - k_known]. A child's
-    terms are its anchor rows less every keyword row of the space, plus a
-    known child's own keyword rows, ranked by sig descending, ties by id. A
-    novel slot left with no terms or documents is dropped; a novel center
-    is the anchor closest to the mean, or the lowest term if that is a keyword.
+    The space's k_known topics are slots 0..k_known-1. Slot s has the
+    anchor rows anchors[s], document ids docs[s], kappa kappas[s] and, if
+    novel, mean direction means[s - k_known]. A child's terms are its
+    anchor rows less every keyword row of the space, plus a known child's
+    own keyword rows, ranked by sig descending, ties by id. A novel slot
+    left with no terms or documents is dropped; a novel center is the
+    anchor closest to the mean, or the lowest term if that is a keyword.
     """
-    keyword = np.zeros((space.num_topics, space.term_ids.size), dtype=bool)
+    k_known = space.num_topics
+    keyword = np.zeros((k_known, space.term_ids.size), dtype=bool)
     for k, rows in enumerate(space.keyword_rows):
         keyword[k, rows] = True
     terms = anchors & ~keyword.any(axis=0)
-    terms[:k_known] |= keyword[:k_known]
+    terms[:k_known] |= keyword
 
     def ranked(rows):
         return space.term_ids[rows[np.lexsort((rows, -sig[rows]))]]
@@ -401,13 +393,10 @@ def cluster_node(space: EmbeddingSpace, stats: TermStats, corpus: Corpus,
     """Known/novel split plus the full K* search for one node.
 
     The node's terms are the rows of space and its documents those of
-    stats. A node with fewer than 2 known sub-topics takes the unsupervised
-    path: every term is novel and no slot is known.
+    stats. The split needs at least 2 known sub-topics; with fewer it
+    raises ValueError (the pipeline expands no such node).
     """
     z_known = np.full(space.term_ids.size, -1, dtype=np.int64)
-    if space.num_topics < 2:
-        return select_novel_k(z_known, 0, space, stats, corpus, cfg, seed)
     known = np.flatnonzero(~split_terms(space, cfg, level))
     z_known[known] = assign_known_terms(space, known)
-    return select_novel_k(z_known, space.num_topics, space, stats, corpus, cfg,
-                          seed)
+    return select_novel_k(z_known, space, stats, corpus, cfg, seed)

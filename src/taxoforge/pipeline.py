@@ -19,7 +19,6 @@ class PipelineConfig:
     # train on smaller batches (more SGD steps). None: embed.batch_size
     child_batch_size: int | None = None
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    max_depth: int | None = None   # None: depth of the input hierarchy
     min_terms: int = 50
     min_docs: int = 20
     top_k_output: int = 10
@@ -28,8 +27,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.child_batch_size is not None and self.child_batch_size < 1:
             raise ValueError("child_batch_size must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
         if self.min_docs < 0:
             raise ValueError(f"min_docs must be >= 0, got {self.min_docs}")
         if self.min_terms < self.cluster.k_star_max:
@@ -42,14 +39,12 @@ class PipelineConfig:
 
 def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
                       debug_dir=None) -> Taxonomy:
-    """Breadth-first expansion of the partial hierarchy over the corpus."""
-    tax = partial
-    max_depth = cfg.max_depth
-    if max_depth is None:
-        max_depth = max(1, tax.max_depth())
-    if tax.max_depth() > max_depth:
-        raise ValueError("input hierarchy is deeper than max_depth")
+    """Breadth-first expansion of the partial hierarchy over the corpus.
 
+    A node is expanded only under at least two known sub-topics, so the
+    tree grows at most one level below the input hierarchy.
+    """
+    tax = partial
     root = tax.nodes[tax.root]
     root.terms = range(corpus.num_terms)
     root.docs = range(corpus.num_docs)
@@ -61,7 +56,7 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
     while queue:
         node_id, depth = queue.popleft()
         node = tax.nodes[node_id]
-        if depth >= max_depth or not _expandable(node, cfg):
+        if _unmet_conditions(node, cfg):
             continue
         parent_space = spaces.get(node.parent)
         local_docs = retrieve_local_corpus(node, parent_space, corpus,
@@ -85,8 +80,16 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
     return tax
 
 
-def _expandable(node, cfg: PipelineConfig) -> bool:
-    return len(node.terms) >= cfg.min_terms and len(node.docs) >= cfg.min_docs
+def _unmet_conditions(node, cfg: PipelineConfig) -> list:
+    """The expansion conditions node fails, by name; empty if it expands.
+
+    Novel children are inserted only by expanding, so every child of a
+    node not yet expanded is a known sub-topic.
+    """
+    return [name for name, ok in (
+        ("fewer than two known sub-topics", len(node.children) >= 2),
+        ("min_terms", len(node.terms) >= cfg.min_terms),
+        ("min_docs", len(node.docs) >= cfg.min_docs)) if not ok]
 
 
 def _dump_node_debug(debug_dir, node_id, sc, space, corpus):
@@ -119,7 +122,6 @@ CONFIG_KEYS = {
     "bm25_k1": ("cluster", "bm25_k1", float),
     "bm25_b": ("cluster", "bm25_b", float),
     "child_batch_size": ("", "child_batch_size", int),
-    "max_depth": ("", "max_depth", int),
     "min_terms": ("", "min_terms", int),
     "min_docs": ("", "min_docs", int),
     "top_k": ("", "top_k_output", int),
@@ -147,7 +149,11 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
                 if key not in CONFIG_KEYS:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
                 group, attr, typ = CONFIG_KEYS[key]
-                kw[group][attr] = typ(val)
+                try:
+                    kw[group][attr] = typ(val)
+                except ValueError:
+                    raise ValueError(f"config line {lineno}: {key} expects "
+                                     f"{typ.__name__}, got {val!r}") from None
     return PipelineConfig(embed=EmbedConfig(**kw["embed"]),
                           cluster=ClusterConfig(**kw["cluster"]),
                           seed=seed, **kw[""])
@@ -172,8 +178,11 @@ def run_cli(argv=None) -> int:
             partial = parse_hierarchy(f.read(), corpus)
         tax = complete_taxonomy(corpus, partial, cfg, debug_dir=args.dump_debug)
         root = tax.nodes[tax.root]
-        if not _expandable(root, cfg):
-            print(f"taxoforge: warning: the root was not expanded: "
+        unmet = _unmet_conditions(root, cfg)
+        if unmet:
+            print(f"taxoforge: warning: the root was not expanded "
+                  f"({', '.join(unmet)}): "
+                  f"{len(root.children)} top-level topics (at least 2), "
                   f"{len(root.terms)} terms (min_terms={cfg.min_terms}), "
                   f"{len(root.docs)} documents (min_docs={cfg.min_docs}); "
                   f"the input topics get no documents", file=sys.stderr)

@@ -56,16 +56,6 @@ class Taxonomy:
             self.nodes[parent].children.append(node.id)
         return node
 
-    def depth(self, node_id) -> int:
-        d = 0
-        while self.nodes[node_id].parent is not None:
-            node_id = self.nodes[node_id].parent
-            d += 1
-        return d
-
-    def max_depth(self) -> int:
-        return max(self.depth(nid) for nid in self.nodes)
-
     def subtree_ids(self, node_id):
         out = [node_id]
         for c in self.nodes[node_id].children:

@@ -267,7 +267,7 @@ def test_criterion_9_kstar_balance(capfd):
     picks = []
     for n_novel in (1, 2):
         corpus, sp, stats, labels = _planted_node(n_novel=n_novel)
-        res = select_novel_k(_known_slots(labels), 2, sp, stats, corpus,
+        res = select_novel_k(_known_slots(labels), sp, stats, corpus,
                              ClusterConfig(tau_sig=0.0), 0)
         picks.append(res.k_star)
     _report(capfd, 9, "kstar-balance", example_ok and picks == [1, 2])

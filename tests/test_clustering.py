@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import taxoforge.clustering as clustering
 from taxoforge.clustering import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -750,7 +749,7 @@ def test_select_novel_k_recovers_two_planted_clusters():
     # [DERIVED] 2 known + 2 planted novel bundles of matched concentration
     corpus, sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.0)
-    res = select_novel_k(_known_slots(labels), 2, sp, stats, corpus, cfg, 0)
+    res = select_novel_k(_known_slots(labels), sp, stats, corpus, cfg, 0)
     assert res.k_star == 2
     assert len(res.novel) == 2
     assert len(res.known) == 2
@@ -759,7 +758,7 @@ def test_select_novel_k_recovers_two_planted_clusters():
 def test_select_novel_k_empty_novel_returns_zero():
     corpus, sp, stats, labels = _planted_node()
     z_known = assign_known_terms(sp, np.arange(len(labels)))
-    res = select_novel_k(z_known, 2, sp, stats, corpus, ClusterConfig(), 0)
+    res = select_novel_k(z_known, sp, stats, corpus, ClusterConfig(), 0)
     assert res.k_star == 0 and res.novel == []
     assert len(res.known) == 2
 
@@ -769,46 +768,18 @@ def test_select_novel_k_capped_by_novel_count():
     z_known = assign_known_terms(sp, np.arange(len(labels)))
     z_known[[t for t, g in labels.items() if g >= 2][:3]] = -1
     cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(z_known, 2, sp, stats, corpus, cfg, 0)
+    res = select_novel_k(z_known, sp, stats, corpus, cfg, 0)
     assert 1 <= res.k_star <= 3
 
 
-def test_select_novel_k_zero_known_clusters_once(monkeypatch):
-    # with no known slot K* = 1 has a single kappa, stdev 0, which no
-    # larger K* beats: the search runs k-means once
-    corpus, sp, stats, labels = _planted_node(n_known=0, n_novel=3)
-    calls = []
-
-    def counted(vecs, k, seed):
-        calls.append(k)
-        return spherical_kmeans(vecs, k, seed)
-
-    monkeypatch.setattr(clustering, "spherical_kmeans", counted)
-    z_known = np.full(len(labels), -1, dtype=np.int64)
-    cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(z_known, 0, sp, stats, corpus, cfg, 0)
-    assert calls == [1]
-    assert res.k_star == 1
-
-
-def _check_unsupervised_path(n_known):
-    corpus, sp, stats, labels = _planted_node(n_known=n_known, n_novel=3)
-    res = cluster_node(sp, stats, corpus, ClusterConfig(tau_sig=0.0), level=0,
-                       seed=0)
-    assert res.known == []
-    assert res.novel_terms.tolist() == sp.term_ids.tolist() == sorted(labels)
-    assert res.z_term.size == len(labels) and res.z_term.min() >= 0
-    assert res.k_star >= 1
-
-
-def test_cluster_node_zero_known_path():
-    # K_c <= 1 routes through the unsupervised path: everything is novel
-    _check_unsupervised_path(n_known=0)
-
-
-def test_cluster_node_single_known_topic_has_no_known_slot():
-    # one known sub-topic takes the same path: no slot is known
-    _check_unsupervised_path(n_known=1)
+@pytest.mark.parametrize("n_known", [0, 1])
+def test_cluster_node_needs_two_known_topics(n_known):
+    # the known/novel split is defined from K_c = 2 on; the pipeline
+    # expands no node with fewer known sub-topics
+    corpus, sp, stats, _ = _planted_node(n_known=n_known, n_novel=3)
+    with pytest.raises(ValueError, match="at least 2 known sub-topics"):
+        cluster_node(sp, stats, corpus, ClusterConfig(tau_sig=0.0), level=0,
+                     seed=0)
 
 
 def assert_ranked(terms, sig):
@@ -876,7 +847,7 @@ def test_child_split_hand_built_node():
     docs = [np.array(d, dtype=np.int64) for d in
             [[0, 1], [2], [3], [4, 5], [6], []]]
     means = np.array([np.eye(4)[2], np.eye(4)[0], np.eye(4)[3], np.eye(4)[3]])
-    known, novel = child_split(space, 2, anchors, sig, docs,
+    known, novel = child_split(space, anchors, sig, docs,
                                [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], means)
 
     def plain(children):
@@ -937,6 +908,6 @@ def test_child_split_novel_center_takes_the_product_over_the_anchor_rows():
         pytest.fail("no case tells the two products apart")
     anchors = np.zeros((1, 20), dtype=bool)
     anchors[0, pool] = True
-    _, novel = child_split(space_with(target, np.zeros((0, 50))), 0, anchors,
+    _, novel = child_split(space_with(target, np.zeros((0, 50))), anchors,
                            np.zeros(20), [np.array([0])], [1.0], mean[None])
     assert novel[0][0] == want

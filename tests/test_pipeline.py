@@ -1,6 +1,8 @@
 """End-to-end pipeline behaviour, config parsing, and the CLI."""
 
 import json
+import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,6 @@ def tiny_setup(seed=0):
 
 def test_pipeline_config_validation():
     with pytest.raises(ValueError):
-        PipelineConfig(max_depth=0)
-    with pytest.raises(ValueError):
         PipelineConfig(min_terms=3)  # below the largest novel K searched
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         PipelineConfig(seed=-1)
@@ -55,13 +55,13 @@ def test_load_config_overrides(tmp_path):
         "lr=0.1\n"
         "beta2=4.0\n"
         "tau_sig=0.5\n"
-        "max_depth=3\n")
+        "min_docs=3\n")
     cfg = load_config(str(path))
     assert cfg.embed.dim == 16
     assert cfg.embed.lr == 0.1
     assert (cfg.cluster.beta1, cfg.cluster.beta2) == (1.5, 4.0)
     assert cfg.cluster.tau_sig == 0.5
-    assert cfg.max_depth == 3
+    assert cfg.min_docs == 3
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -93,14 +93,19 @@ def test_load_config_rejects_malformed_line(tmp_path):
                                         ("beta1=nan", "beta"),
                                         ("beta2=nan", "beta"),
                                         ("M=-3", r"M \(neighbors_m\)"),
-                                        ("min_docs=-4", "min_docs")])
+                                        ("min_docs=-4", "min_docs"),
+                                        ("dim=abc", "config line 1: dim expects "
+                                                    "int, got 'abc'"),
+                                        ("lr=fast", "config line 1: lr expects "
+                                                    "float, got 'fast'")])
 def test_load_config_rejects_bad_training_values(tmp_path, line, field):
     # the pipeline would otherwise train on no pairs, divide by zero deep
     # in the trainer, make one novel cluster per novel term, keep the
     # random initialization as the trained embedding, find no novel term
     # (a NaN temperature or beta), drop terms from every output node (a
     # negative top_k) or score terms with a negative BM25 denominator; a
-    # negative M or min_docs would silently act as 0
+    # negative M or min_docs would silently act as 0; a value of the wrong
+    # type is named with its line and key
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):
@@ -108,9 +113,10 @@ def test_load_config_rejects_bad_training_values(tmp_path, line, field):
 
 
 @pytest.mark.parametrize("key", ["child_dim", "child_margin", "child_negatives",
-                                 "child_epochs", "child_lr"])
+                                 "child_epochs", "child_lr", "max_depth"])
 def test_load_config_rejects_removed_child_keys(tmp_path, key):
-    # nodes below the root share every embedding setting but the batch size
+    # nodes below the root share every embedding setting but the batch size;
+    # no depth limit is needed: only nodes with two known sub-topics expand
     path = tmp_path / "cfg.txt"
     path.write_text(f"{key}=1\n")
     with pytest.raises(ValueError, match=f"unknown key '{key}'"):
@@ -130,6 +136,14 @@ def test_each_config_key_sets_one_field(tmp_path, key):
     assert getattr(owner, attr) != value
     setattr(owner, attr, value)
     assert got == want
+
+
+def test_readme_lists_every_config_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    keys = re.search(r"Keys: `([^`]*)`", text).group(1).split()
+    assert sorted(keys) == sorted(CONFIG_KEYS)
 
 
 # --- complete_taxonomy ---
@@ -223,15 +237,28 @@ def test_pipeline_properties_on_small_planted_runs(run):
         docs = None if node is tree else set(node["doc_ids"])
         stack.extend((c, docs) for c in node["children"])
     assert sorted(found) == sorted(inputs)
+    # only a node with two known sub-topics is expanded, and a novel node
+    # never is
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        known = [c for c in node["children"] if not c["is_novel"]]
+        if node["is_novel"]:
+            assert node["children"] == []
+        if len(known) < len(node["children"]):
+            assert len(known) >= 2
+        stack.extend(node["children"])
 
 
 @pytest.mark.parametrize("child_batch_size", [None, 64])
 def test_child_batch_size_below_the_root(monkeypatch, child_batch_size):
     # the root trains with embed.batch_size, every node below it with
     # child_batch_size, or with embed.batch_size when that is None
-    corpus, partial, cfg = tiny_setup()
+    # topic0 keeps both of its sub-topics, so it is expanded below the root
+    corpus, _, cfg = tiny_setup()
+    partial = parse_hierarchy("topic0\n\ttopic0_0\n\ttopic0_1\ntopic1", corpus)
     cfg = PipelineConfig(embed=cfg.embed, child_batch_size=child_batch_size,
-                         min_terms=10, min_docs=5, seed=cfg.seed, max_depth=2)
+                         min_terms=5, min_docs=5, seed=cfg.seed)
     sizes = []
 
     def recording(docs, terms, keywords, embed_cfg, corpus, centers, seed):
@@ -244,25 +271,6 @@ def test_child_batch_size_below_the_root(monkeypatch, child_batch_size):
     child = cfg.embed.batch_size if child_batch_size is None else child_batch_size
     assert len(sizes) > 1   # some node below the root was expanded
     assert sizes == [cfg.embed.batch_size] + [child] * (len(sizes) - 1)
-
-
-def test_pipeline_respects_max_depth():
-    corpus, partial, cfg = tiny_setup()
-    cfg = PipelineConfig(embed=cfg.embed, cluster=cfg.cluster,
-                         min_terms=10, min_docs=5, seed=cfg.seed, max_depth=1)
-    tax = complete_taxonomy(corpus, partial, cfg)
-    out = json.loads(serialize(tax, corpus, 10))
-    for c in out["children"]:
-        assert c["children"] == []
-
-
-def test_pipeline_rejects_too_deep_input():
-    corpus, _, cfg = tiny_setup()
-    deep = parse_hierarchy("topic0\n\ttopic0_0", corpus)
-    cfg = PipelineConfig(embed=cfg.embed, cluster=cfg.cluster,
-                         min_terms=10, min_docs=5, max_depth=1)
-    with pytest.raises(ValueError, match="deeper"):
-        complete_taxonomy(corpus, deep, cfg)
 
 
 def test_pipeline_skips_small_nodes():
@@ -349,6 +357,27 @@ def test_cli_warns_when_root_not_expanded(tmp_path, capsys):
     assert "(min_docs=20)" in err
     tree = json.loads(result.read_text())
     assert all(not c["doc_ids"] for c in tree["children"])
+
+
+def test_cli_warns_when_root_has_one_topic(tmp_path, capsys):
+    # big enough to expand, but the novelty split needs two known topics:
+    # the root is left as it is, without a novel copy of topic0
+    data = "data/synthetic_small"
+    hier = tmp_path / "partial.txt"
+    hier.write_text("topic0\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("dim=8\nepochs=2\nmin_terms=10\nmin_docs=5\n")
+    result = tmp_path / "taxonomy.json"
+    rc = run_cli(["--corpus", f"{data}/corpus.txt", "--hierarchy", str(hier),
+                  "--config", str(cfg), "--out", str(result), "--seed", "1"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "the root was not expanded (fewer than two known sub-topics): " \
+        "1 top-level topics (at least 2), 36 terms (min_terms=10), " \
+        "40 documents (min_docs=5)" in err
+    tree = json.loads(result.read_text())
+    assert [(c["name"], c["doc_ids"], c["children"])
+            for c in tree["children"]] == [("topic0", [], [])]
 
 
 def test_cli_missing_corpus_is_error(dataset, tmp_path):

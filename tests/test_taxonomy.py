@@ -78,12 +78,6 @@ def test_parse_repeated_name_under_itself_error(corpus):
         parse_hierarchy("sports\n\tsoccer\n\t\tSoccer", corpus)
 
 
-def test_depth_and_max_depth(corpus):
-    tax = parse_hierarchy("a\n\tb\n\t\tc", corpus)
-    assert tax.max_depth() == 3
-    assert tax.depth(tax.root) == 0
-
-
 # --- subtree keywords ---
 
 
