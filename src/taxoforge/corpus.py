@@ -185,7 +185,8 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
 
     idf(t) = log(|subset| / df(t)) with df over the subset only; terms absent
     from the subset get df 0 and idf 0. The counts are the subset's rows of
-    the corpus's root count matrix.
+    the corpus's root count matrix, or that cached matrix itself when the
+    subset is every document: it is read, never written.
     """
     doc_ids = np.asarray(sorted(doc_subset), dtype=np.int64)
     if doc_ids.size == 0:
@@ -194,10 +195,13 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
         raise UnknownDocumentError(
             f"document ids {doc_ids[0]}..{doc_ids[-1]} reach outside "
             f"[0, {corpus.num_docs})")
-    counts = corpus.counts()[doc_ids]
+    counts = corpus.counts()
+    if not np.array_equal(doc_ids, np.arange(corpus.num_docs)):
+        counts = counts[doc_ids]
     offsets = corpus.token_array()[1]
     doc_len = offsets[doc_ids + 1] - offsets[doc_ids]
-    df = np.asarray((counts > 0).sum(axis=0)).ravel()
+    # every stored count is >= 1, so a term's nonzeros are its documents
+    df = np.bincount(counts.indices, minlength=corpus.num_terms)
     idf = np.zeros(corpus.num_terms)
     present = df > 0
     idf[present] = np.log(doc_ids.size / df[present])

@@ -56,10 +56,12 @@ class EmbeddingSpace:
     """Trained vectors for one node: per-term target/context plus sub-topic vMF.
 
     Row i holds term term_ids[i]; term_ids ascend, and row_of maps a
-    vocabulary id to its row (-1 for a term without one). params stacks the
-    n target rows over the n context rows; target and context are views of
-    it. Sub-topic topic_order[k] has its center term on row center_rows[k],
-    its keywords on keyword_rows[k]. The trainer steps the space in place.
+    vocabulary id to its row (-1 for a term without one), in int16 when
+    2n <= 32 767 and int32 above; the trainer's pair rows take its dtype.
+    params stacks the n target rows over the n context rows; target and
+    context are views of it. Sub-topic topic_order[k] has its center term
+    on row center_rows[k], its keywords on keyword_rows[k]. The trainer
+    steps the space in place.
     """
 
     def __init__(self, term_ids, row_of, params, topic_order, topic_vecs,
@@ -214,15 +216,19 @@ def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
 
 
 def _pair_rows(corpus: Corpus, docs, window, row_of):
-    """Target and context rows (int32) of the docs' skip-gram pairs.
+    """Target and context rows of the docs' skip-gram pairs, in row_of's dtype.
 
-    row_of maps a vocabulary id to its row (int32, -1 for none). Tokens are
-    mapped to rows before pairing, so the pairs are built in int32. Pairs
-    with a term that has no row are dropped.
+    row_of maps a vocabulary id to its row (-1 for none). Tokens are mapped
+    to rows before pairing, so the pairs are built in row_of's dtype. Pairs
+    with a term that has no row are dropped; when every pair is kept, the
+    paired arrays are returned as they are.
     """
     tokens, lengths = corpus.doc_tokens(sorted(docs))
     tr, cr = context_pair_arrays(row_of[tokens], lengths, window)
-    keep = (tr >= 0) & (cr >= 0)
+    keep = tr >= 0
+    keep &= cr >= 0
+    if keep.all():
+        return tr, cr
     return tr[keep], cr[keep]
 
 
@@ -245,7 +251,10 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     params = np.empty((2 * n, cfg.dim))
     params[:n] = _unit(rng.standard_normal((n, cfg.dim)))
     params[n:] = _unit(rng.standard_normal((n, cfg.dim)))
-    row_of = np.full(corpus.num_terms, -1, dtype=np.int32)
+    # int16 while it holds every params row and the -1 marker, which halves
+    # the per-pair table of a node with at most 16 383 terms
+    row_dtype = np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32
+    row_of = np.full(corpus.num_terms, -1, dtype=row_dtype)
     row_of[term_ids] = np.arange(n)
 
     topic_order = sorted(keywords)
@@ -267,20 +276,21 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
 def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, rng):
     """cfg.epochs passes of projected SGD over the docs' pairs, in place.
 
-    A space with no pairs keeps its seeded initialization.
+    A space with no pairs keeps its seeded initialization. Each pair is one
+    row of a table in row_of's dtype: its target row, its context row, then
+    this epoch's negatives, all rows of params; one np.take gathers a batch.
     """
     tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
     n, n_pairs = space.term_ids.size, tr.size
     if n_pairs == 0:
         return
     cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
-    # rows of params: (target, context) per pair, and this epoch's negatives
-    pairs = np.empty((n_pairs, 2), dtype=np.int32)
-    pairs[:, 0] = tr
-    pairs[:, 1] = cr
-    pairs[:, 1] += n
+    table = np.empty((n_pairs, 2 + cfg.negatives), dtype=space.row_of.dtype)
+    table[:, 0] = tr
+    table[:, 1] = cr
+    table[:, 1] += n
     del tr, cr
-    negs = np.empty((n_pairs, cfg.negatives), dtype=np.int32)
+    negs = table[:, 2:]
 
     n_batches = math.ceil(n_pairs / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -294,12 +304,13 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, r
             chunk[:] = (_draw_rows(cum, guide, rng.random(chunk.size))
                         + n).reshape(chunk.shape)
         for b in range(n_batches):
-            sel = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            pb = np.take(pairs, sel, axis=0)
+            pb = np.take(table, perm[b * cfg.batch_size:(b + 1) * cfg.batch_size],
+                         axis=0)
             lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-            sgd_batch(space, pb[:, 0], pb[:, 1], np.take(negs, sel, axis=0), lr,
-                      cfg.margin)
+            sgd_batch(space, pb[:, 0], pb[:, 1], pb[:, 2:], lr, cfg.margin)
             step += 1
+        # freed before the next epoch allocates its own
+        del perm
         space.params[:] = _unit(space.params)
         if space.num_topics:
             space.topic_vecs[:] = _unit(space.topic_vecs)

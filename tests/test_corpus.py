@@ -365,8 +365,8 @@ def test_pair_arrays_match_per_doc_pairs(token_lists, window):
 @settings(max_examples=200, deadline=None)
 def test_pair_arrays_order_equals_per_doc_loop(token_lists, window, chunk, data):
     # 1-token documents, documents no longer than the window, a subset with
-    # gaps, terms without a row (-1), and pairs gathered over several
-    # chunks all occur
+    # gaps, terms without a row (-1), pairs gathered over several chunks,
+    # and both row dtypes of the trainer all occur
     corpus = corpus_from_lines([" ".join(f"w{t}" for t in doc)
                                 for doc in token_lists])
     subset = data.draw(st.lists(st.sampled_from(range(corpus.num_docs)),
@@ -374,7 +374,8 @@ def test_pair_arrays_order_equals_per_doc_loop(token_lists, window, chunk, data)
     rowless = data.draw(st.sets(st.sampled_from(range(corpus.num_terms))))
     term_ids = np.asarray([t for t in range(corpus.num_terms) if t not in rowless],
                           dtype=np.int64)
-    vocab_to_row = np.full(corpus.num_terms, -1, dtype=np.int32)
+    dtype = data.draw(st.sampled_from([np.int16, np.int32]))
+    vocab_to_row = np.full(corpus.num_terms, -1, dtype=dtype)
     vocab_to_row[term_ids] = np.arange(term_ids.size)
     row_docs = [Document(d, vocab_to_row[corpus.documents[d].tokens])
                 for d in sorted(subset)]
@@ -382,12 +383,14 @@ def test_pair_arrays_order_equals_per_doc_loop(token_lists, window, chunk, data)
     tokens, lengths = corpus.doc_tokens(sorted(subset))
     with mock.patch.object(corpus_mod, "PAIR_CHUNK", chunk):
         got_t, got_c = context_pair_arrays(vocab_to_row[tokens], lengths, window)
-    assert got_t.dtype == got_c.dtype == np.int32
+    assert got_t.dtype == got_c.dtype == dtype
     assert got_t.tolist() == want_t.tolist()
     assert got_c.tolist() == want_c.tolist()
-    # pairs touching a -1 row are dropped after pairing, order kept
+    # pairs touching a -1 row are kept by pairing, and dropped by
+    # _pair_rows, order and dtype kept
     keep = (want_t >= 0) & (want_c >= 0)
     tr, cr = _pair_rows(corpus, set(subset), window, vocab_to_row)
+    assert tr.dtype == cr.dtype == dtype
     assert tr.tolist() == want_t[keep].tolist()
     assert cr.tolist() == want_c[keep].tolist()
 

@@ -1,5 +1,7 @@
 """Objective value, analytic gradients, and the spherical trainer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from taxoforge.embedding import (
     EmbeddingSpace,
     _draw_rows,
     _negative_table,
+    _pair_rows,
     _scatter_unit,
     _topic_step,
     _unit,
@@ -680,17 +683,23 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     return target, context, topic_vecs, topic_kappa
 
 
-@pytest.mark.parametrize("negatives,batch_size,docs,known", [
-    (1, 700, 120, True),      # batch size does not divide the pair count
-    (3, 512, 120, True),
-    (2, 8192, 1200, True),    # more pairs than one sampling chunk
-    (2, 700, 120, False),     # no known sub-topics: no topic/kappa step
-], ids=["1-700-120", "3-512-120", "2-8192-1200", "no-known"])
-def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known):
+@pytest.mark.parametrize("negatives,batch_size,docs,known,wide", [
+    (1, 700, 120, True, False),      # batch size does not divide the pair count
+    (3, 512, 120, True, False),
+    (2, 8192, 1200, True, False),    # more pairs than one sampling chunk
+    (2, 700, 120, False, False),     # no known sub-topics: no topic/kappa step
+    (2, 700, 120, True, True),       # more than 16 383 terms: int32 rows
+], ids=["1-700-120", "3-512-120", "2-8192-1200", "no-known", "wide-int32"])
+def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known,
+                                             wide):
     rng = np.random.default_rng(negatives)
     vocab = [f"w{i}" for i in range(60)]
     lines = [" ".join(rng.choice(vocab[:35] if d % 2 else vocab[25:], size=14))
              + "\n" for d in range(docs)]
+    if wide:
+        # 16 400 more terms in two-token documents put first: the w terms
+        # get the last rows, so their context rows do not fit in int16
+        lines = [f"x{i} x{i + 1}\n" for i in range(0, 16_400, 2)] + lines
     corpus = corpus_from_lines(lines)
     tax = parse_hierarchy("w0\n\tw1\nw40\n\tw41", corpus)
     keywords = subtree_keywords(tax, tax.root) if known else {}
@@ -702,9 +711,13 @@ def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known)
     n_pairs = loop_pair_arrays(corpus.documents, cfg.window)[0].size
     assert n_pairs % batch_size
     assert (n_pairs > SAMPLE_CHUNK) == (docs > 1000)
-    space = train_node_embedding(range(docs), terms, keywords, cfg, corpus,
+    all_docs = range(corpus.num_docs)
+    space = train_node_embedding(all_docs, terms, keywords, cfg, corpus,
                                  centers, 11)
-    expected = reference_train(range(docs), terms, keywords, cfg, corpus,
+    tr, cr = _pair_rows(corpus, all_docs, cfg.window, space.row_of)
+    assert tr.dtype == cr.dtype == (np.int32 if wide else np.int16)
+    assert (cr.max() + len(terms) > np.iinfo(np.int16).max) == wide
+    expected = reference_train(all_docs, terms, keywords, cfg, corpus,
                                centers, 11)
     for got, want in zip((space.target, space.context, space.topic_vecs,
                           space.topic_kappa), expected):
@@ -767,6 +780,50 @@ def test_trainer_deterministic_single_worker(trained):
     assert np.array_equal(space.context, space2.context)
     assert np.array_equal(space.topic_vecs, space2.topic_vecs)
     assert np.array_equal(space.topic_kappa, space2.topic_kappa)
+
+
+def traced_peak(fn):
+    """fn's result and its tracemalloc peak in bytes above the memory
+    traced when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_trainer_memory_per_pair(monkeypatch):
+    # a 480-term node (int16 rows) with about 1 M pairs, two epochs: the
+    # per-pair memory is the (target, context, 2 negatives) table in int16
+    # (8 B) and one int32 permutation (4 B). int32 rows (16 + 4 B), an
+    # int64 permutation or the first epoch's permutation still alive when
+    # the second's is made (8 + 8 B) break the 13 B bound. The fixed
+    # allowance is the guide table and one batch's gathers and scatter
+    # weights, about 1.6 MiB at dim 8, batch 1024 and 4 096-row sampling
+    # chunks (at batch 8192 and full chunks it is about 7 MiB, more than
+    # the 4 B a second permutation adds at this size)
+    monkeypatch.setattr(embedding, "SAMPLE_CHUNK", 1 << 12)
+    rng = np.random.default_rng(0)
+    corpus = corpus_from_lines([" ".join(f"t{t}" for t in row)
+                                for row in rng.integers(0, 480, (1050, 100))])
+    corpus.token_array()    # cached by the corpus: built before tracing
+    docs, terms = range(corpus.num_docs), range(corpus.num_terms)
+    cfg = EmbedConfig(dim=8, epochs=2, negatives=2, window=5, batch_size=1024)
+    row_of = np.arange(corpus.num_terms, dtype=np.int16)
+    (tr, _), rows_peak = traced_peak(
+        lambda: _pair_rows(corpus, docs, cfg.window, row_of))
+    n_pairs = tr.size
+    assert 1_000_000 < n_pairs < 1_050_000
+    # every pair kept: the paired rows (4 B) and the keep mask with one
+    # temporary (2 B), no kept copies (another 4 B)
+    assert rows_peak < 7.5 * n_pairs + (1 << 20)
+    del tr
+    space, train_peak = traced_peak(
+        lambda: train_node_embedding(docs, terms, {}, cfg, corpus, {}, 1))
+    assert space.row_of.dtype == np.int16
+    assert train_peak < 13 * n_pairs + 2 * (1 << 20)
 
 
 def test_trainer_no_pairs_returns_initialization():
