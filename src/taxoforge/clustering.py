@@ -39,6 +39,8 @@ from .vmf import estimate_vmf
 KMEANS_TOL = 1e-9   # k-means stops once its objective moves less than this
 KMEANS_MAX_ITER = 100
 KMEANS_RESTARTS = 4  # the best objective over this many seeded starts wins
+BM25_K1 = 1.2   # the standard BM25 term-frequency saturation
+BM25_B = 0.75   # the standard BM25 document-length normalisation
 
 
 class UndefinedNoveltyError(ValueError):
@@ -52,8 +54,6 @@ class ClusterConfig:
     temperature: float = 0.1
     tau_sig: float = 0.3
     k_star_max: int = 5
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -65,10 +65,6 @@ class ClusterConfig:
             raise ValueError("temperature must be positive")
         if self.k_star_max < 1:
             raise ValueError("k_star_max (kmax_novel) must be >= 1")
-        if not self.bm25_k1 >= 0.0:
-            raise ValueError("bm25_k1 must be >= 0")
-        if not 0.0 <= self.bm25_b <= 1.0:
-            raise ValueError("bm25_b must lie in [0, 1]")
 
     def beta(self, level: int) -> float:
         return self.beta1 if level == 0 else self.beta2
@@ -190,7 +186,7 @@ class NodeCounts:
     pos: np.ndarray        # index of the term in term_arr; term_arr.size if absent
 
 
-def node_counts(stats: TermStats, term_arr, k1: float, b: float) -> NodeCounts:
+def node_counts(stats: TermStats, term_arr) -> NodeCounts:
     """The count view of every document of stats over the node terms
     term_arr (ascending)."""
     term_arr = np.asarray(term_arr, dtype=np.int64)
@@ -199,12 +195,12 @@ def node_counts(stats: TermStats, term_arr, k1: float, b: float) -> NodeCounts:
     cols, count = sub.indices, sub.data
     idf = stats.idf[cols]
     dl = stats.doc_len[row]
-    denom = count + k1 * (1.0 - b + b * dl / stats.avg_doc_len)
+    denom = count + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / stats.avg_doc_len)
     pos_of = np.full(sub.shape[1], term_arr.size, dtype=np.int64)
     pos_of[term_arr] = np.arange(term_arr.size)
     return NodeCounts(doc_ids=stats.doc_ids, term_arr=term_arr, row=row,
                       count=count, vote=count * idf,
-                      bm25=idf * count * (k1 + 1.0) / denom, pos=pos_of[cols])
+                      bm25=idf * count * (BM25_K1 + 1.0) / denom, pos=pos_of[cols])
 
 
 def assign_documents(view: NodeCounts, z_term, n_slots: int) -> np.ndarray:
@@ -307,7 +303,7 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
     k_known = space.num_topics
     novel_rows = np.flatnonzero(z_known < 0)
     novel_vecs = space.target[novel_rows]
-    view = node_counts(stats, space.term_ids, cfg.bm25_k1, cfg.bm25_b)
+    view = node_counts(stats, space.term_ids)
     n_novel = novel_rows.size
     candidates = range(1, min(cfg.k_star_max, n_novel) + 1) if n_novel else [0]
     best = None

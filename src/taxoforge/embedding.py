@@ -199,8 +199,10 @@ def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> fl
 
 def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
                           m_neighbors: int) -> set:
-    """Node documents plus documents containing the top-M neighbors of its center."""
-    if space is None or node.center_term is None:
+    """Node documents plus documents containing the top-M neighbors of its
+    center in space, the parent's trained space; the root (space None) gets
+    every document."""
+    if space is None:
         return set(range(corpus.num_docs))
     docs = set(node.docs)
     center = int(space.row_of[node.center_term])

@@ -27,10 +27,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.child_batch_size is not None and self.child_batch_size < 1:
             raise ValueError("child_batch_size must be >= 1")
-        if self.min_docs < 0:
-            raise ValueError(f"min_docs must be >= 0, got {self.min_docs}")
-        if self.min_terms < self.cluster.k_star_max:
-            raise ValueError("min_terms must cover the largest novel K searched")
+        # a node without documents has no term statistics to cluster
+        if self.min_docs < 1:
+            raise ValueError(f"min_docs must be >= 1, got {self.min_docs}")
+        if self.min_terms < 0:
+            raise ValueError(f"min_terms must be >= 0, got {self.min_terms}")
         if self.top_k_output < 1:
             raise ValueError("top_k must be >= 1")
         if self.seed < 0:
@@ -51,14 +52,13 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
 
     child_embed = cfg.embed if cfg.child_batch_size is None else \
         replace(cfg.embed, batch_size=cfg.child_batch_size)
-    spaces = {}  # node id -> trained space, for child local-corpus retrieval
-    queue = collections.deque([(tax.root, 0)])
+    # each entry carries its parent's trained space, for local-corpus retrieval
+    queue = collections.deque([(tax.root, 0, None)])
     while queue:
-        node_id, depth = queue.popleft()
+        node_id, depth, parent_space = queue.popleft()
         node = tax.nodes[node_id]
         if _unmet_conditions(node, cfg):
             continue
-        parent_space = spaces.get(node.parent)
         local_docs = retrieve_local_corpus(node, parent_space, corpus,
                                            cfg.embed.neighbors_m)
         keywords = subtree_keywords(tax, node_id)
@@ -67,13 +67,12 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         embed_cfg = cfg.embed if depth == 0 else child_embed
         space = train_node_embedding(local_docs, node.terms, keywords,
                                      embed_cfg, corpus, centers, seed)
-        spaces[node_id] = space
 
         stats = compute_term_stats(corpus, node.docs)
         sc = cluster_node(space, stats, corpus, cfg.cluster, depth, seed)
 
         insert_children(tax, node_id, sc.known, sc.novel)
-        queue.extend((child, depth + 1) for child in node.children)
+        queue.extend((child, depth + 1, space) for child in node.children)
 
         if debug_dir:
             _dump_node_debug(debug_dir, node_id, sc, space, corpus)
@@ -119,8 +118,6 @@ CONFIG_KEYS = {
     "temperature": ("cluster", "temperature", float),
     "tau_sig": ("cluster", "tau_sig", float),
     "kmax_novel": ("cluster", "k_star_max", int),
-    "bm25_k1": ("cluster", "bm25_k1", float),
-    "bm25_b": ("cluster", "bm25_b", float),
     "child_batch_size": ("", "child_batch_size", int),
     "min_terms": ("", "min_terms", int),
     "min_docs": ("", "min_docs", int),

@@ -169,7 +169,7 @@ def test_criterion_5_bm25_and_assignment_bruteforce(capfd):
         rng = np.random.default_rng(seed + 1000)
         sub = rng.choice(corpus.num_docs, size=6, replace=False).tolist()
         t = int(rng.integers(0, corpus.num_terms))
-        got = bm25_score(t, sub, stats, k1=1.2, b=0.75)
+        got = bm25_score(t, sub, stats)
         want = reference_bm25(t, sub, corpus, stats, 1.2, 0.75)
         ok &= abs(got - want) <= 1e-9
 

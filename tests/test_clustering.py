@@ -263,7 +263,7 @@ def vote(z_term, stats, n_slots, term_arr=None):
     view's terms are term_arr, by default the terms with a slot."""
     if term_arr is None:
         term_arr = sorted(z_term)
-    view = node_counts(stats, term_arr, 1.2, 0.75)
+    view = node_counts(stats, term_arr)
     slots = assign_documents(view, slot_array(z_term, term_arr, n_slots), n_slots)
     keep = slots < n_slots
     return dict(zip(view.doc_ids[keep].tolist(), slots[keep].tolist()))
@@ -309,7 +309,7 @@ def test_assign_documents_single_cluster_doc():
 def test_assign_documents_rejects_slots_out_of_range(bad):
     # slot 3 of 2 would hand document 0's votes to document 1
     corpus = corpus_from_lines(["a b\n", "c\n"])
-    view = node_counts(compute_term_stats(corpus, {0, 1}), [0, 1, 2], 1.2, 0.75)
+    view = node_counts(compute_term_stats(corpus, {0, 1}), [0, 1, 2])
     with pytest.raises(ValueError, match="slots"):
         assign_documents(view, np.array([bad, bad, 0]), 2)
     # n_slots itself marks a term with no slot
@@ -481,7 +481,7 @@ def test_bm25_and_rep_matrix_bit_equal_to_loop():
             term_arr = np.sort(rng.choice(corpus.num_terms,
                                           size=corpus.num_terms // 2 + 1,
                                           replace=False))
-            view = node_counts(stats, term_arr, 1.2, 0.75)
+            view = node_counts(stats, term_arr)
             doc_slot = slots_of(view, z_doc, n_slots)
             got = _bm25_matrix(view, doc_slot, n_slots)
             want = loop_bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
@@ -503,7 +503,7 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
     # descending sum (0.3 + 0.2) + 0.1 is 0.6
     corpus = corpus_from_lines(["a\n", "a\n", "a\n", "b\n"])
     stats = compute_term_stats(corpus, [2, 0, 1])
-    view = node_counts(stats, [0], 1.2, 0.75)
+    view = node_counts(stats, [0])
     assert view.doc_ids.tolist() == [0, 1, 2]
     view.bm25[:] = [0.1, 0.2, 0.3]
     bm25, tf_cells = _bm25_matrix(view, np.zeros(3, dtype=np.int64), 1)
@@ -514,7 +514,7 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
 def test_node_counts_reads_every_document_of_the_stats():
     corpus = corpus_from_lines(["a b\n", "c d\n", "a c\n"])
     stats = compute_term_stats(corpus, {0, 2})
-    view = node_counts(stats, [0, 1], 1.2, 0.75)
+    view = node_counts(stats, [0, 1])
     assert view.doc_ids.tolist() == [0, 2]
     assert view.row.tolist() == [0, 0, 1, 1]
     # "c" is not a node term: its nonzero goes to the spare position 2
@@ -526,10 +526,10 @@ def test_node_counts_reads_every_document_of_the_stats():
 # --- BM25 ---
 
 
-def bm25_score(t, subcorpus, stats, k1=1.2, b=0.75):
+def bm25_score(t, subcorpus, stats):
     """BM25 relevance of term t to one set of the stats' documents: one
     cell of the pipeline's _bm25_matrix."""
-    view = node_counts(stats, [t], k1, b)
+    view = node_counts(stats, [t])
     slots = slots_of(view, dict.fromkeys(subcorpus, 0), 1)
     return float(_bm25_matrix(view, slots, 1)[0][0, 0])
 
@@ -559,7 +559,7 @@ def test_bm25_matches_reference_100_fixtures():
         rng = np.random.default_rng(seed + 1000)
         sub = rng.choice(corpus.num_docs, size=6, replace=False).tolist()
         t = int(rng.integers(0, corpus.num_terms))
-        got = bm25_score(t, sub, stats, k1=1.2, b=0.75)
+        got = bm25_score(t, sub, stats)
         want = reference_bm25(t, sub, corpus, stats, 1.2, 0.75)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -567,11 +567,10 @@ def test_bm25_matches_reference_100_fixtures():
 # --- representativeness and significance ---
 
 
-def representativeness(t, s, z_doc, stats, corpus, node_terms, n_slots,
-                       k1=1.2, b=0.75):
+def representativeness(t, s, z_doc, stats, corpus, node_terms, n_slots):
     """Representativeness of term t in slot s: one cell of _rep_matrix."""
     term_arr = sorted(int(x) for x in node_terms)
-    view = node_counts(stats, term_arr, k1, b)
+    view = node_counts(stats, term_arr)
     rep = _rep_matrix(view, slots_of(view, z_doc, n_slots), n_slots, corpus)
     return float(rep[term_arr.index(int(t)), s])
 

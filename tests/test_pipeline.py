@@ -1,5 +1,7 @@
 """End-to-end pipeline behaviour, config parsing, and the CLI."""
 
+import collections
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoforge import pipeline
+from taxoforge.clustering import ClusterConfig
 from taxoforge.embedding import EmbedConfig, train_node_embedding
 from taxoforge.evaluation import (PlantedCorpusSpec, generate_synthetic_corpus,
                                   planted_outline, write_synthetic_dataset)
@@ -33,8 +36,8 @@ def tiny_setup(seed=0):
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(min_terms=3)  # below the largest novel K searched
+    with pytest.raises(ValueError, match="min_terms must be >= 0, got -1"):
+        PipelineConfig(min_terms=-1)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         PipelineConfig(seed=-1)
 
@@ -86,14 +89,15 @@ def test_load_config_rejects_malformed_line(tmp_path):
                                         ("lr=0", "lr"),
                                         ("dim=1", "dim"),
                                         ("temperature=nan", "temperature"),
-                                        ("bm25_k1=-2", "bm25_k1"),
-                                        ("bm25_b=3", "bm25_b"),
-                                        ("bm25_b=nan", "bm25_b"),
                                         ("top_k=-1", "top_k"),
                                         ("beta1=nan", "beta"),
                                         ("beta2=nan", "beta"),
                                         ("M=-3", r"M \(neighbors_m\)"),
                                         ("min_docs=-4", "min_docs"),
+                                        ("min_docs=0", "min_docs must be >= 1, "
+                                                       "got 0"),
+                                        ("min_terms=-1", "min_terms must be >= 0, "
+                                                         "got -1"),
                                         ("dim=abc", "config line 1: dim expects "
                                                     "int, got 'abc'"),
                                         ("lr=fast", "config line 1: lr expects "
@@ -102,23 +106,26 @@ def test_load_config_rejects_bad_training_values(tmp_path, line, field):
     # the pipeline would otherwise train on no pairs, divide by zero deep
     # in the trainer, make one novel cluster per novel term, keep the
     # random initialization as the trained embedding, find no novel term
-    # (a NaN temperature or beta), drop terms from every output node (a
-    # negative top_k) or score terms with a negative BM25 denominator; a
-    # negative M or min_docs would silently act as 0; a value of the wrong
-    # type is named with its line and key
+    # (a NaN temperature or beta) or drop terms from every output node (a
+    # negative top_k); a negative M or min_terms would silently act as 0,
+    # and a node with no documents has no term statistics to cluster; a
+    # value of the wrong type is named with its line and key
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("key", ["child_dim", "child_margin", "child_negatives",
-                                 "child_epochs", "child_lr", "max_depth"])
-def test_load_config_rejects_removed_child_keys(tmp_path, key):
+@pytest.mark.parametrize("line", ["child_dim", "child_margin", "child_negatives",
+                                  "child_epochs", "child_lr", "max_depth",
+                                  "bm25_k1=-2", "bm25_b=3", "bm25_b=nan"])
+def test_load_config_rejects_removed_child_keys(tmp_path, line):
     # nodes below the root share every embedding setting but the batch size;
-    # no depth limit is needed: only nodes with two known sub-topics expand
+    # no depth limit is needed: only nodes with two known sub-topics expand;
+    # BM25 runs with its standard constants k1 = 1.2 and b = 0.75
+    key, _, value = line.partition("=")
     path = tmp_path / "cfg.txt"
-    path.write_text(f"{key}=1\n")
+    path.write_text(f"{key}={value or 1}\n")
     with pytest.raises(ValueError, match=f"unknown key '{key}'"):
         load_config(str(path))
 
@@ -176,6 +183,18 @@ def test_pipeline_tree_invariants():
     assert len(doc_lists) == len(set(doc_lists))
 
 
+def test_every_config_field_has_one_key():
+    # a field without a key is a knob no run can set; the run seed is set
+    # by --seed
+    named = collections.Counter((group, attr) for group, attr, _ in
+                                CONFIG_KEYS.values())
+    for group, cls in (("embed", EmbedConfig), ("cluster", ClusterConfig),
+                       ("", PipelineConfig)):
+        for f in dataclasses.fields(cls):
+            if f.name not in ("embed", "cluster", "seed"):
+                assert named[(group, f.name)] == 1, f.name
+
+
 @st.composite
 def small_planted_runs(draw):
     """A small planted corpus, a random partial outline of its hierarchy
@@ -197,7 +216,7 @@ def small_planted_runs(draw):
     seed = draw(st.integers(0, 100))
     cfg = PipelineConfig(
         embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256),
-        min_terms=draw(st.integers(5, 20)), min_docs=draw(st.integers(1, 10)),
+        min_terms=draw(st.integers(1, 20)), min_docs=draw(st.integers(1, 10)),
         seed=seed)
     return corpus, "\n".join(outline), cfg
 
@@ -286,6 +305,30 @@ def test_pipeline_skips_small_nodes():
         assert not c["is_novel"]
         assert c["doc_ids"] == []
         assert c["children"] == []
+
+
+def test_node_without_documents_is_not_expanded():
+    # the known topic1 (three known sub-topics, 13 terms) ends with no
+    # documents; with min_docs=0 it was expanded, and computing the term
+    # statistics of its empty document set stopped the whole run
+    spec = PlantedCorpusSpec(level1_topics=3, level2_per_topic=3,
+                             terms_per_topic=10, docs_per_topic=12,
+                             doc_len=20, dim=6, seed=14)
+    corpus, truth, _, _ = generate_synthetic_corpus(spec)
+    outline = "\n".join(planted_outline(truth, corpus, "topic0_1"))
+
+    def config(min_docs):
+        return PipelineConfig(
+            embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256),
+            cluster=ClusterConfig(beta1=5.0, beta2=5.0), min_terms=5,
+            min_docs=min_docs, seed=14)
+
+    with pytest.raises(ValueError, match="min_docs must be >= 1, got 0"):
+        config(0)
+    tree = json.loads(_run_small(corpus, outline, config(1)))
+    topic1 = next(c for c in tree["children"] if c["name"] == "topic1")
+    assert topic1["doc_ids"] == []
+    assert not any(c["is_novel"] for c in topic1["children"])
 
 
 def test_pipeline_keeps_known_children_named():
