@@ -17,30 +17,28 @@ matrix product gives the same sums up to rounding but fixes no order, and
 a last-bit change here moves kappa and can change which topics a run
 recovers.
 
-The order is fixed by the node's count view (``NodeCounts``), built once
-per node from its term statistics: its nonzeros run by document in
-ascending id order, then by term in ascending id order. So a document's
-vote for a slot is summed over its terms in id order, and a (term, slot)
-BM25 or occurrence cell over the slot's documents in ascending id order.
-Every K* candidate, and the final re-assignment by anchor terms, reads the
-same view; cells a candidate does not keep (terms with no slot, terms that
-are not node terms, documents with no slot) go to a spare last row or
-column that is dropped.
+The order is fixed by the node's term statistics (``TermStats``), built
+once per node: their nonzeros run by document in ascending id order, then
+by term in ascending id order. So a document's vote for a slot is summed
+over its terms in id order, and a (term, slot) BM25 or occurrence cell
+over the slot's documents in ascending id order. Every K* candidate, and
+the final re-assignment by anchor terms, reads the same statistics; cells
+a candidate does not keep (terms with no slot, terms that are not node
+terms, documents with no slot) go to a spare last row or column that is
+dropped.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, TermStats
+from .corpus import TermStats
 from .embedding import EmbeddingSpace
 from .vmf import estimate_vmf
 
 KMEANS_TOL = 1e-9   # k-means stops once its objective moves less than this
 KMEANS_MAX_ITER = 100
 KMEANS_RESTARTS = 4  # the best objective over this many seeded starts wins
-BM25_K1 = 1.2   # the standard BM25 term-frequency saturation
-BM25_B = 0.75   # the standard BM25 document-length normalisation
 
 
 class UndefinedNoveltyError(ValueError):
@@ -169,41 +167,7 @@ def _kmeans_once(vectors, k, rng):
     return assign, means, history
 
 
-@dataclass
-class NodeCounts:
-    """The count rows of a node's documents, flattened once per node.
-
-    One entry per nonzero of the statistics' count rows, by document in
-    ascending id order, then by term in ascending id order.
-    """
-
-    doc_ids: np.ndarray    # the statistics' documents, ascending
-    term_arr: np.ndarray   # the node's terms, ascending
-    row: np.ndarray        # index in doc_ids of the nonzero's document
-    count: np.ndarray      # the term's count in the document
-    vote: np.ndarray       # count x idf: the nonzero's tf-idf vote
-    bm25: np.ndarray       # the nonzero's BM25 contribution
-    pos: np.ndarray        # index of the term in term_arr; term_arr.size if absent
-
-
-def node_counts(stats: TermStats, term_arr) -> NodeCounts:
-    """The count view of every document of stats over the node terms
-    term_arr (ascending)."""
-    term_arr = np.asarray(term_arr, dtype=np.int64)
-    sub = stats.counts
-    row = np.repeat(np.arange(stats.n_docs), np.diff(sub.indptr))
-    cols, count = sub.indices, sub.data
-    idf = stats.idf[cols]
-    dl = stats.doc_len[row]
-    denom = count + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / stats.avg_doc_len)
-    pos_of = np.full(sub.shape[1], term_arr.size, dtype=np.int64)
-    pos_of[term_arr] = np.arange(term_arr.size)
-    return NodeCounts(doc_ids=stats.doc_ids, term_arr=term_arr, row=row,
-                      count=count, vote=count * idf,
-                      bm25=idf * count * (BM25_K1 + 1.0) / denom, pos=pos_of[cols])
-
-
-def assign_documents(view: NodeCounts, z_term, n_slots: int) -> np.ndarray:
+def assign_documents(view: TermStats, z_term, n_slots: int) -> np.ndarray:
     """Eq-style tf-idf vote: the argmax slot of each document of the view.
 
     z_term holds the slot of each term position of the view, n_slots for a
@@ -228,7 +192,7 @@ def assign_documents(view: NodeCounts, z_term, n_slots: int) -> np.ndarray:
     return doc_slot
 
 
-def _bm25_matrix(view: NodeCounts, doc_slot, n_slots: int):
+def _bm25_matrix(view: TermStats, doc_slot, n_slots: int):
     """BM25(t, D_s) and occurrence counts for every node term x slot.
 
     doc_slot holds the slot of each view document, n_slots for none.
@@ -246,7 +210,7 @@ def _bm25_matrix(view: NodeCounts, doc_slot, n_slots: int):
     return cell_sums(view.bm25), cell_sums(view.count)
 
 
-def _rep_matrix(view: NodeCounts, doc_slot, n_slots: int, corpus: Corpus):
+def _rep_matrix(view: TermStats, doc_slot, n_slots: int):
     """Representativeness (integrity x distinctiveness x popularity)^(1/3)
     of every node term (rows) in every slot (columns)."""
     bm25, tf = _bm25_matrix(view, doc_slot, n_slots)
@@ -259,8 +223,7 @@ def _rep_matrix(view: NodeCounts, doc_slot, n_slots: int, corpus: Corpus):
     total = tf.sum(axis=0)
     used = total > 1
     pop[:, used] = np.log(tf[:, used] + 1.0) / np.log(total[used])
-    integ = corpus.integrity[view.term_arr][:, None]
-    return np.cbrt(integ * dis * pop)
+    return np.cbrt(view.integrity[:, None] * dis * pop)
 
 
 def significance_scores(vecs, means, rep):
@@ -289,21 +252,21 @@ def select_anchor_terms(z_term, scores, tau_sig, n_slots, centers):
 
 
 def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
-                   corpus: Corpus, cfg: ClusterConfig, seed: int) -> SubtopicClustering:
+                   cfg: ClusterConfig, seed: int) -> SubtopicClustering:
     """Pick the novel cluster count K* minimizing the stdev of concentrations.
 
     z_known holds the known slot of each row, -1 for a novel row. The
     known slots are the topics of the space, with their center rows; the
     novel slots follow. For each candidate K* the clustering/assignment/
     anchor/vMF chain is re-run, and the stdev is taken over the kappas of
-    all slots, known (re-estimated) and novel. The node's count view, over
-    the documents of stats, is built once, before the search. Candidate K*
-    clusters the novel rows by spherical k-means seeded with seed + K*.
+    all slots, known (re-estimated) and novel. stats holds the term
+    statistics of the node's documents over the rows of the space, read by
+    every candidate. Candidate K* clusters the novel rows by spherical
+    k-means seeded with seed + K*.
     """
     k_known = space.num_topics
     novel_rows = np.flatnonzero(z_known < 0)
     novel_vecs = space.target[novel_rows]
-    view = node_counts(stats, space.term_ids)
     n_novel = novel_rows.size
     candidates = range(1, min(cfg.k_star_max, n_novel) + 1) if n_novel else [0]
     best = None
@@ -315,8 +278,8 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
             z_term[novel_rows] = k_known + assign
         else:
             means = np.zeros((0, space.dim))
-        doc_slot = assign_documents(view, z_term, n_slots)
-        rep = _rep_matrix(view, doc_slot, n_slots, corpus)
+        doc_slot = assign_documents(stats, z_term, n_slots)
+        rep = _rep_matrix(stats, doc_slot, n_slots)
         sig = significance_scores(
             space.target, np.vstack([space.topic_vecs, means]), rep)
         anchors, warnings = select_anchor_terms(z_term, sig, cfg.tau_sig,
@@ -338,8 +301,8 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
     z_anchor = np.full(z_term.size, n_slots)
     for s in range(n_slots):
         z_anchor[anchors[s]] = s
-    doc_slot = assign_documents(view, z_anchor, n_slots)
-    docs = [view.doc_ids[doc_slot == s] for s in range(n_slots)]
+    doc_slot = assign_documents(stats, z_anchor, n_slots)
+    docs = [stats.doc_ids[doc_slot == s] for s in range(n_slots)]
     known, novel = child_split(space, anchors, sig, docs, kappas, means)
     return SubtopicClustering(
         z_term=z_term, novel_terms=space.term_ids[novel_rows], known=known,
@@ -384,15 +347,16 @@ def child_split(space: EmbeddingSpace, anchors, sig, docs, kappas, means):
     return known, novel
 
 
-def cluster_node(space: EmbeddingSpace, stats: TermStats, corpus: Corpus,
-                 cfg: ClusterConfig, level: int, seed: int) -> SubtopicClustering:
+def cluster_node(space: EmbeddingSpace, stats: TermStats, cfg: ClusterConfig,
+                 level: int, seed: int) -> SubtopicClustering:
     """Known/novel split plus the full K* search for one node.
 
-    The node's terms are the rows of space and its documents those of
-    stats. The split needs at least 2 known sub-topics; with fewer it
-    raises ValueError (the pipeline expands no such node).
+    The node's terms are the rows of space, and stats holds their
+    statistics over the node's documents. The split needs at least 2 known
+    sub-topics; with fewer it raises ValueError (the pipeline expands no
+    such node).
     """
     z_known = np.full(space.term_ids.size, -1, dtype=np.int64)
     known = np.flatnonzero(~split_terms(space, cfg, level))
     z_known[known] = assign_known_terms(space, known)
-    return select_novel_k(z_known, space, stats, corpus, cfg, seed)
+    return select_novel_k(z_known, space, stats, cfg, seed)

@@ -8,6 +8,8 @@ from scipy import sparse
 
 # context_pair_arrays gathers this many pairs at a time
 PAIR_CHUNK = 1 << 16
+BM25_K1 = 1.2   # the standard BM25 term-frequency saturation
+BM25_B = 0.75   # the standard BM25 document-length normalisation
 
 
 class EmptyCorpusError(ValueError):
@@ -169,24 +171,31 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
 
 @dataclass
 class TermStats:
-    """Term/document frequency statistics over one document subset."""
+    """The count rows of a node's documents over its terms, flattened.
 
-    doc_ids: np.ndarray          # sorted subset doc ids; row r is doc_ids[r]
-    counts: sparse.csr_matrix    # (n_subset_docs, vocab) term counts
-    df: np.ndarray               # document frequency over the subset
-    idf: np.ndarray              # log(n/df); 0 where df == 0 (term absent)
-    doc_len: np.ndarray          # per subset row
-    avg_doc_len: float
-    n_docs: int
+    One entry per nonzero of the documents' count rows, by document in
+    ascending id order, then by term in ascending id order. idf and BM25
+    are taken over those documents only.
+    """
+
+    doc_ids: np.ndarray    # the documents, ascending
+    term_arr: np.ndarray   # the node's terms, ascending
+    row: np.ndarray        # index in doc_ids of the nonzero's document
+    count: np.ndarray      # the term's count in the document
+    vote: np.ndarray       # count x idf: the nonzero's tf-idf vote
+    bm25: np.ndarray       # the nonzero's BM25 contribution
+    pos: np.ndarray        # index of the term in term_arr; term_arr.size if absent
+    integrity: np.ndarray  # integrity score of each term of term_arr
 
 
-def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
-    """Frequency statistics restricted to doc_subset.
+def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
+    """Term statistics of the documents doc_subset over the node terms
+    term_arr (ascending).
 
-    idf(t) = log(|subset| / df(t)) with df over the subset only; terms absent
-    from the subset get df 0 and idf 0. The counts are the subset's rows of
-    the corpus's root count matrix, or that cached matrix itself when the
-    subset is every document: it is read, never written.
+    idf(t) = log(|subset| / df(t)) with df over the subset only. The
+    counts are the subset's rows of the corpus's root count matrix, or
+    that cached matrix itself when the subset is every document: it is
+    read, never written.
     """
     doc_ids = np.asarray(sorted(doc_subset), dtype=np.int64)
     if doc_ids.size == 0:
@@ -195,6 +204,7 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
         raise UnknownDocumentError(
             f"document ids {doc_ids[0]}..{doc_ids[-1]} reach outside "
             f"[0, {corpus.num_docs})")
+    term_arr = np.asarray(term_arr, dtype=np.int64)
     counts = corpus.counts()
     if not np.array_equal(doc_ids, np.arange(corpus.num_docs)):
         counts = counts[doc_ids]
@@ -205,15 +215,17 @@ def compute_term_stats(corpus: Corpus, doc_subset) -> TermStats:
     idf = np.zeros(corpus.num_terms)
     present = df > 0
     idf[present] = np.log(doc_ids.size / df[present])
-    return TermStats(
-        doc_ids=doc_ids,
-        counts=counts,
-        df=df,
-        idf=idf,
-        doc_len=doc_len,
-        avg_doc_len=float(doc_len.mean()),
-        n_docs=int(doc_ids.size),
-    )
+    row = np.repeat(np.arange(doc_ids.size), np.diff(counts.indptr))
+    cols, count = counts.indices, counts.data
+    idf = idf[cols]
+    dl = doc_len[row]
+    denom = count + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / float(doc_len.mean()))
+    pos_of = np.full(corpus.num_terms, term_arr.size, dtype=np.int64)
+    pos_of[term_arr] = np.arange(term_arr.size)
+    return TermStats(doc_ids=doc_ids, term_arr=term_arr, row=row, count=count,
+                     vote=count * idf,
+                     bm25=idf * count * (BM25_K1 + 1.0) / denom,
+                     pos=pos_of[cols], integrity=corpus.integrity[term_arr])
 
 
 def context_pair_arrays(tokens, lengths, window: int):

@@ -68,8 +68,10 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         space = train_node_embedding(local_docs, node.terms, keywords,
                                      embed_cfg, corpus, centers, seed)
 
-        stats = compute_term_stats(corpus, node.docs)
-        sc = cluster_node(space, stats, corpus, cfg.cluster, depth, seed)
+        # passed, not kept: the statistics (40 B per nonzero) must not stay
+        # alive through the next node's training
+        sc = cluster_node(space, compute_term_stats(corpus, node.docs, space.term_ids),
+                          cfg.cluster, depth, seed)
 
         insert_children(tax, node_id, sc.known, sc.novel)
         queue.extend((child, depth + 1, space) for child in node.children)

@@ -32,7 +32,6 @@ class TopicNode:
     docs: Sequence = ()              # document ids, ascending
     is_novel: bool = False
     kappa: float | None = None       # vMF concentration, set by the pipeline
-    parent: int | None = None
 
 
 class Taxonomy:
@@ -45,7 +44,7 @@ class Taxonomy:
 
     def add_node(self, center_term, parent=None, is_novel=False) -> TopicNode:
         node = TopicNode(id=self._next_id, center_term=center_term,
-                         is_novel=is_novel, parent=parent)
+                         is_novel=is_novel)
         self._next_id += 1
         self.nodes[node.id] = node
         if parent is None:
@@ -70,7 +69,8 @@ def normalize_name(name: str) -> str:
 def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
     """Parse a tab-indented outline of topic names into a taxonomy.
 
-    Tab depth equals tree depth; the root is implicit. Names are lower-cased
+    Tab depth equals tree depth, and a line indented with anything but
+    tabs is rejected; the root is implicit. Names are lower-cased
     and space->underscore normalized before vocabulary lookup. No name repeats.
     """
     tax = Taxonomy()
@@ -81,8 +81,12 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        depth = len(raw) - len(raw.lstrip("\t"))
-        name = normalize_name(raw.lstrip("\t"))
+        name = raw.lstrip("\t")
+        depth = len(raw) - len(name)
+        if name[:1].isspace():
+            # normalize_name would strip it, and the line land at a wrong depth
+            raise MalformedHierarchyError(f"line {lineno}: indent with tabs only")
+        name = normalize_name(name)
         if depth + 1 > len(stack):
             raise MalformedHierarchyError(
                 f"line {lineno}: indentation jumps more than one level")

@@ -42,7 +42,7 @@ from taxoforge.pipeline import PipelineConfig, complete_taxonomy, run_cli
 from taxoforge.taxonomy import parse_hierarchy
 from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf
 
-from test_clustering import (_known_slots, _planted_node, bm25_score,
+from test_clustering import (_known_slots, _planted_node, bm25_score, loop_idf,
                              make_doc_fixture, reference_bm25, vote)
 from test_corpus import tf
 from test_embedding import collect_instances, dense_gradients
@@ -170,15 +170,16 @@ def test_criterion_5_bm25_and_assignment_bruteforce(capfd):
         sub = rng.choice(corpus.num_docs, size=6, replace=False).tolist()
         t = int(rng.integers(0, corpus.num_terms))
         got = bm25_score(t, sub, stats)
-        want = reference_bm25(t, sub, corpus, stats, 1.2, 0.75)
+        want = reference_bm25(t, sub, corpus, range(corpus.num_docs), 1.2, 0.75)
         ok &= abs(got - want) <= 1e-9
 
+        idf = loop_idf(corpus, range(corpus.num_docs))
         z_doc = vote(z_term, stats, 3)
         for d in range(corpus.num_docs):
             weights = [0.0, 0.0, 0.0]
             for term in set(corpus.documents[d].tokens.tolist()):
                 if term in z_term:
-                    weights[z_term[term]] += tf(stats, term, d) * stats.idf[term]
+                    weights[z_term[term]] += tf(corpus, term, d) * idf[term]
             if max(weights) <= 0.0:
                 ok &= d not in z_doc
             else:
@@ -266,8 +267,8 @@ def test_criterion_9_kstar_balance(capfd):
     # two planted novel bundles -> K*=2
     picks = []
     for n_novel in (1, 2):
-        corpus, sp, stats, labels = _planted_node(n_novel=n_novel)
-        res = select_novel_k(_known_slots(labels), sp, stats, corpus,
+        sp, stats, labels = _planted_node(n_novel=n_novel)
+        res = select_novel_k(_known_slots(labels), sp, stats,
                              ClusterConfig(tau_sig=0.0), 0)
         picks.append(res.k_star)
     _report(capfd, 9, "kstar-balance", example_ok and picks == [1, 2])

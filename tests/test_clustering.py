@@ -17,7 +17,6 @@ from taxoforge.clustering import (
     assign_known_terms,
     child_split,
     cluster_node,
-    node_counts,
     novelty_scores,
     novelty_threshold,
     select_anchor_terms,
@@ -257,16 +256,20 @@ def slot_array(z_term, term_arr, n_slots):
     return z
 
 
-def vote(z_term, stats, n_slots, term_arr=None):
-    """assign_documents on the count view of the stats' documents, as
-    doc id -> slot for the assigned documents in ascending id order. The
-    view's terms are term_arr, by default the terms with a slot."""
-    if term_arr is None:
-        term_arr = sorted(z_term)
-    view = node_counts(stats, term_arr)
-    slots = assign_documents(view, slot_array(z_term, term_arr, n_slots), n_slots)
+def full_stats(corpus, doc_ids):
+    """The term statistics of the documents doc_ids over every term, so
+    that a nonzero's pos is its term id."""
+    return compute_term_stats(corpus, doc_ids, range(corpus.num_terms))
+
+
+def vote(z_term, stats, n_slots):
+    """assign_documents on stats, as doc id -> slot for the assigned
+    documents in ascending id order. z_term maps terms of stats.term_arr
+    to slots."""
+    slots = assign_documents(stats, slot_array(z_term, stats.term_arr, n_slots),
+                             n_slots)
     keep = slots < n_slots
-    return dict(zip(view.doc_ids[keep].tolist(), slots[keep].tolist()))
+    return dict(zip(stats.doc_ids[keep].tolist(), slots[keep].tolist()))
 
 
 def subcorpora_of(z_doc, n_slots):
@@ -277,9 +280,9 @@ def subcorpora_of(z_doc, n_slots):
     return subs
 
 
-def slots_of(view, z_doc, n_slots):
-    """The slot of each view document, n_slots for one z_doc leaves out."""
-    return np.array([z_doc.get(d, n_slots) for d in view.doc_ids.tolist()],
+def slots_of(stats, z_doc, n_slots):
+    """The slot of each document of stats, n_slots for one z_doc leaves out."""
+    return np.array([z_doc.get(d, n_slots) for d in stats.doc_ids.tolist()],
                     dtype=np.int64)
 
 
@@ -289,7 +292,7 @@ def make_doc_fixture(seed, n_docs=30, n_terms=20):
                                                          rng.integers(2, 10)))
              for _ in range(n_docs)]
     corpus = corpus_from_lines(lines)
-    stats = compute_term_stats(corpus, range(corpus.num_docs))
+    stats = full_stats(corpus, range(corpus.num_docs))
     z_term = {t: int(rng.integers(0, 3)) for t in
               rng.choice(corpus.num_terms, size=corpus.num_terms // 2,
                          replace=False)}
@@ -298,7 +301,7 @@ def make_doc_fixture(seed, n_docs=30, n_terms=20):
 
 def test_assign_documents_single_cluster_doc():
     corpus = corpus_from_lines(["a b\n", "c c\n"])
-    stats = compute_term_stats(corpus, {0, 1})
+    stats = full_stats(corpus, {0, 1})
     z_term = {0: 1, 1: 1}  # a, b -> slot 1; c unclustered
     z_doc = vote(z_term, stats, 2)
     assert z_doc.get(0) == 1
@@ -309,29 +312,25 @@ def test_assign_documents_single_cluster_doc():
 def test_assign_documents_rejects_slots_out_of_range(bad):
     # slot 3 of 2 would hand document 0's votes to document 1
     corpus = corpus_from_lines(["a b\n", "c\n"])
-    view = node_counts(compute_term_stats(corpus, {0, 1}), [0, 1, 2])
+    stats = compute_term_stats(corpus, {0, 1}, [0, 1, 2])
     with pytest.raises(ValueError, match="slots"):
-        assign_documents(view, np.array([bad, bad, 0]), 2)
+        assign_documents(stats, np.array([bad, bad, 0]), 2)
     # n_slots itself marks a term with no slot
-    assert assign_documents(view, np.array([2, 2, 0]), 2).tolist() == [2, 0]
+    assert assign_documents(stats, np.array([2, 2, 0]), 2).tolist() == [2, 0]
 
 
 def test_assign_documents_matches_bruteforce():
     # [DERIVED] naive triple-loop oracle on 100 random fixtures
     for seed in range(100):
         corpus, stats, z_term = make_doc_fixture(seed)
+        idf = loop_idf(corpus, range(corpus.num_docs))
         z_doc = vote(z_term, stats, 3)
         for d in range(corpus.num_docs):
-            weights = [0.0, 0.0, 0.0]
-            for t in corpus.documents[d].tokens.tolist():
-                if t in z_term:
-                    weights[z_term[t]] += 1 * stats.idf[t]
-            # each token contributes tf once per occurrence via tf*idf:
-            # recompute exactly as sum over unique terms of tf*idf
+            # the sum over unique terms of tf * idf
             weights = [0.0, 0.0, 0.0]
             for t in set(corpus.documents[d].tokens.tolist()):
                 if t in z_term:
-                    weights[z_term[t]] += tf(stats, t, d) * stats.idf[t]
+                    weights[z_term[t]] += tf(corpus, t, d) * idf[t]
             if max(weights) <= 0.0:
                 assert d not in z_doc
             else:
@@ -341,31 +340,45 @@ def test_assign_documents_matches_bruteforce():
 def test_assign_documents_scale_invariant():
     corpus, stats, z_term = make_doc_fixture(7)
     z1 = vote(z_term, stats, 3)
-    stats.idf *= 2.0  # same positive factor (exact in floating point)
+    stats.vote *= 2.0  # same positive factor (exact in floating point)
     z2 = vote(z_term, stats, 3)
     assert z1 == z2
 
 
-def loop_assign_documents(z_term, stats, n_slots):
-    """Oracle: the tf-idf vote, one document of the stats at a time."""
+def loop_idf(corpus, doc_ids):
+    """Oracle: log(n / df) of every term over the n documents doc_ids, 0
+    for a term none of them holds; df counted one document at a time."""
+    df = np.zeros(corpus.num_terms, dtype=np.int64)
+    for d in doc_ids:
+        for t in set(corpus.documents[d].tokens.tolist()):
+            df[t] += 1
+    idf = np.zeros(corpus.num_terms)
+    present = df > 0
+    idf[present] = np.log(len(doc_ids) / df[present])
+    return idf
+
+
+def loop_assign_documents(z_term, corpus, doc_ids, n_slots, idf=None):
+    """Oracle: the tf-idf vote, one of the documents doc_ids at a time,
+    with idf over doc_ids unless one is given."""
     z_doc = {}
     if not z_term:
         return z_doc
+    if idf is None:
+        idf = loop_idf(corpus, doc_ids)
     max_term = max(z_term) + 1
     slot_arr = np.full(max_term, -1, dtype=np.int64)
     for t, s in z_term.items():
         slot_arr[t] = s
-    indptr, indices, data = stats.counts.indptr, stats.counts.indices, stats.counts.data
-    for row, d in enumerate(stats.doc_ids.tolist()):
-        cols = indices[indptr[row]:indptr[row + 1]]
-        vals = data[indptr[row]:indptr[row + 1]]
+    for d in sorted(doc_ids):
+        cols, vals = np.unique(corpus.documents[d].tokens, return_counts=True)
         ok = cols < max_term
         cols, vals = cols[ok], vals[ok]
         slots = slot_arr[cols]
         valid = slots >= 0
         if not valid.any():
             continue
-        scores = np.bincount(slots[valid], weights=vals[valid] * stats.idf[cols[valid]],
+        scores = np.bincount(slots[valid], weights=vals[valid] * idf[cols[valid]],
                              minlength=n_slots)
         if scores.max() <= 0.0:
             continue
@@ -373,81 +386,78 @@ def loop_assign_documents(z_term, stats, n_slots):
     return z_doc
 
 
-def loop_bm25_matrix(term_arr, subcorpora, stats, k1, b):
-    """Oracle: BM25 and occurrence sums, one (document, nonzero) at a time."""
+def loop_bm25_matrix(term_arr, subcorpora, corpus, doc_ids, k1, b):
+    """Oracle: BM25 and occurrence sums, one (document, term) at a time,
+    with idf and the mean document length over the documents doc_ids."""
+    idf = loop_idf(corpus, doc_ids)
+    avg_len = sum(corpus.documents[d].tokens.size for d in doc_ids) / len(doc_ids)
     out = np.zeros((len(term_arr), len(subcorpora)))
     tf_out = np.zeros_like(out)
     col_of = {int(t): i for i, t in enumerate(term_arr)}
-    row_of = {int(d): r for r, d in enumerate(stats.doc_ids)}
-    indptr, indices, data = stats.counts.indptr, stats.counts.indices, stats.counts.data
     for s, docs in enumerate(subcorpora):
         for d in docs:
-            row = row_of[int(d)]
-            cols = indices[indptr[row]:indptr[row + 1]]
-            vals = data[indptr[row]:indptr[row + 1]]
-            denom = vals + k1 * (1.0 - b + b * stats.doc_len[row] / stats.avg_doc_len)
-            contrib = stats.idf[cols] * vals * (k1 + 1.0) / denom
-            for c, v in zip(cols, contrib):
+            cols, vals = np.unique(corpus.documents[d].tokens, return_counts=True)
+            dl = corpus.documents[d].tokens.size
+            denom = vals + k1 * (1.0 - b + b * dl / avg_len)
+            contrib = idf[cols] * vals * (k1 + 1.0) / denom
+            for c, n, v in zip(cols, vals, contrib):
                 i = col_of.get(int(c))
                 if i is not None:
                     out[i, s] += v
-        if docs:
-            rows = [row_of[int(d)] for d in docs]
-            sub_counts = np.asarray(stats.counts[rows].sum(axis=0)).ravel()
-            tf_out[:, s] = sub_counts[np.asarray(term_arr, dtype=np.int64)]
+                    tf_out[i, s] += n
     return out, tf_out
 
 
-def loop_rep_matrix(term_arr, subcorpora, stats, corpus, k1, b):
+def loop_rep_matrix(term_arr, subcorpora, corpus, doc_ids, k1, b):
     """Oracle: representativeness with the popularity taken slot by slot."""
     from scipy.special import logsumexp
     term_arr = np.asarray(term_arr)
-    bm25 = loop_bm25_matrix(term_arr, subcorpora, stats, k1, b)[0]
+    bm25, tf_cells = loop_bm25_matrix(term_arr, subcorpora, corpus, doc_ids, k1, b)
     log_denom = np.logaddexp(0.0, logsumexp(bm25, axis=1))
     dis = np.exp(bm25 - log_denom[:, None])
     pop = np.zeros_like(bm25)
-    row_of = {int(d): r for r, d in enumerate(stats.doc_ids)}
-    for s, docs in enumerate(subcorpora):
-        if not docs:
-            continue
-        rows = [row_of[int(d)] for d in docs]
-        sub_counts = np.asarray(stats.counts[rows].sum(axis=0)).ravel()
-        total = sub_counts[term_arr].sum()
+    for s in range(len(subcorpora)):
+        total = tf_cells[:, s].sum()
         if total <= 1:
             continue
-        pop[:, s] = np.log(sub_counts[term_arr] + 1.0) / np.log(total)
+        pop[:, s] = np.log(tf_cells[:, s] + 1.0) / np.log(total)
     integ = corpus.integrity[term_arr][:, None]
     return np.cbrt(integ * dis * pop)
 
 
 def vote_cases(seed):
-    """(stats, z_term, n_slots) variants of one doc fixture: a document
-    subset, an empty slot, idf-0 terms, no slots."""
-    corpus, stats, z_term = make_doc_fixture(seed)
+    """(corpus, doc_ids, z_term, n_slots) variants of one doc fixture: a
+    document subset, an empty slot, idf-0 terms, no slots."""
+    corpus, _, z_term = make_doc_fixture(seed)
     rng = np.random.default_rng(seed + 500)
-    yield stats, z_term, 3
-    yield stats, z_term, 4          # slot 3 empty
-    yield stats, {}, 0              # n_slots == 0
+    every = range(corpus.num_docs)
+    yield corpus, every, z_term, 3
+    yield corpus, every, z_term, 4          # slot 3 empty
+    yield corpus, every, {}, 0              # n_slots == 0
     subset = rng.choice(corpus.num_docs, size=12, replace=False).tolist()
-    yield compute_term_stats(corpus, subset), z_term, 3     # a document subset
-    zeroed = compute_term_stats(corpus, range(corpus.num_docs))
-    zeroed.idf[rng.choice(corpus.num_terms, size=5, replace=False)] = 0.0
-    yield zeroed, z_term, 3          # idf-0 terms
-    one = compute_term_stats(corpus, [int(subset[0])])        # every idf is 0
-    yield one, z_term, 3
+    yield corpus, subset, z_term, 3         # a document subset
+    # five terms appended to every document: each has idf 0
+    common = " ".join(corpus.vocab[t] for t in
+                      rng.choice(corpus.num_terms, size=5, replace=False))
+    zeroed = corpus_from_lines(
+        [" ".join(corpus.vocab[t] for t in doc.tokens.tolist()) + " " + common
+         for doc in corpus.documents])
+    yield zeroed, every, z_term, 3          # idf-0 terms
+    yield corpus, [int(subset[0])], z_term, 3   # one document: every idf is 0
 
 
 def test_assign_documents_bit_equal_to_loop():
     n_unassigned = n_outside = 0
     for seed in range(100):
         rng = np.random.default_rng(seed + 900)
-        for stats, z_term, n_slots in vote_cases(seed):
-            # the view also holds terms without a slot, and leaves some out
-            n_terms = stats.counts.shape[1]
+        for corpus, doc_ids, z_term, n_slots in vote_cases(seed):
+            # the stats also hold terms without a slot, and leave some out
+            n_terms = corpus.num_terms
             extra = rng.choice(n_terms, size=n_terms // 3, replace=False)
             term_arr = sorted(set(z_term) | set(extra.tolist()))
-            got = vote(z_term, stats, n_slots, term_arr)
-            want = loop_assign_documents(z_term, stats, n_slots)
+            stats = compute_term_stats(corpus, doc_ids, term_arr)
+            got = vote(z_term, stats, n_slots)
+            want = loop_assign_documents(z_term, corpus, doc_ids, n_slots)
             assert list(got.items()) == list(want.items())
             n_unassigned += len(stats.doc_ids) - len(got)
             n_outside += n_terms - len(term_arr)
@@ -461,38 +471,38 @@ def test_assign_documents_sums_in_term_order():
     # ties slot 1, so the lowest slot wins; summed in any other order it
     # is 0.6 and slot 1 would win
     corpus = corpus_from_lines(["a b c d\n", "e\n"])
-    stats = compute_term_stats(corpus, {0, 1})
-    stats.idf[:4] = [0.1, 0.2, 0.3, (0.1 + 0.2) + 0.3]
+    stats = full_stats(corpus, {0, 1})
+    idf = np.array([0.1, 0.2, 0.3, (0.1 + 0.2) + 0.3, 0.0])
+    stats.vote[:] = stats.count * idf[stats.pos]
     z_term = {0: 0, 1: 0, 2: 0, 3: 1}
-    assert 0.1 + (0.2 + 0.3) < stats.idf[3]
+    assert 0.1 + (0.2 + 0.3) < idf[3]
     assert vote(z_term, stats, 2) == {0: 0}
-    assert loop_assign_documents(z_term, stats, 2) == {0: 0}
+    assert loop_assign_documents(z_term, corpus, {0, 1}, 2, idf=idf) == {0: 0}
 
 
 def test_bm25_and_rep_matrix_bit_equal_to_loop():
     n_unassigned = n_outside = 0
     for seed in range(100):
-        corpus = make_doc_fixture(seed)[0]
-        corpus.integrity[:] = np.random.default_rng(seed).random(corpus.num_terms)
-        for stats, z_term, n_slots in vote_cases(seed):
-            z_doc = loop_assign_documents(z_term, stats, n_slots)
+        for corpus, doc_ids, z_term, n_slots in vote_cases(seed):
+            corpus.integrity[:] = np.random.default_rng(seed).random(corpus.num_terms)
+            z_doc = loop_assign_documents(z_term, corpus, doc_ids, n_slots)
             subcorpora = subcorpora_of(z_doc, n_slots)
             rng = np.random.default_rng(seed)
             term_arr = np.sort(rng.choice(corpus.num_terms,
                                           size=corpus.num_terms // 2 + 1,
                                           replace=False))
-            view = node_counts(stats, term_arr)
-            doc_slot = slots_of(view, z_doc, n_slots)
-            got = _bm25_matrix(view, doc_slot, n_slots)
-            want = loop_bm25_matrix(term_arr, subcorpora, stats, 1.2, 0.75)
+            stats = compute_term_stats(corpus, doc_ids, term_arr)
+            doc_slot = slots_of(stats, z_doc, n_slots)
+            got = _bm25_matrix(stats, doc_slot, n_slots)
+            want = loop_bm25_matrix(term_arr, subcorpora, corpus, doc_ids, 1.2, 0.75)
             for g, w in zip(got, want):
                 assert g.shape == (term_arr.size, n_slots)
                 assert np.array_equal(g, w)
             assert np.array_equal(
-                _rep_matrix(view, doc_slot, n_slots, corpus),
-                loop_rep_matrix(term_arr, subcorpora, stats, corpus, 1.2, 0.75))
+                _rep_matrix(stats, doc_slot, n_slots),
+                loop_rep_matrix(term_arr, subcorpora, corpus, doc_ids, 1.2, 0.75))
             n_unassigned += int((doc_slot == n_slots).sum())
-            n_outside += int((view.pos == term_arr.size).sum())
+            n_outside += int((stats.pos == term_arr.size).sum())
     # unassigned documents and nonzeros of terms outside term_arr occur
     assert n_unassigned > 0 and n_outside > 0
 
@@ -502,24 +512,25 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
     # and 0.3 in id order: (0.1 + 0.2) + 0.3 is 0.6000000000000001, the
     # descending sum (0.3 + 0.2) + 0.1 is 0.6
     corpus = corpus_from_lines(["a\n", "a\n", "a\n", "b\n"])
-    stats = compute_term_stats(corpus, [2, 0, 1])
-    view = node_counts(stats, [0])
-    assert view.doc_ids.tolist() == [0, 1, 2]
-    view.bm25[:] = [0.1, 0.2, 0.3]
-    bm25, tf_cells = _bm25_matrix(view, np.zeros(3, dtype=np.int64), 1)
+    stats = compute_term_stats(corpus, [2, 0, 1], [0])
+    assert stats.doc_ids.tolist() == [0, 1, 2]
+    stats.bm25[:] = [0.1, 0.2, 0.3]
+    bm25, tf_cells = _bm25_matrix(stats, np.zeros(3, dtype=np.int64), 1)
     assert bm25[0, 0] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert tf_cells[0, 0] == 3.0
 
 
-def test_node_counts_reads_every_document_of_the_stats():
+def test_term_stats_read_every_document_of_the_subset():
     corpus = corpus_from_lines(["a b\n", "c d\n", "a c\n"])
-    stats = compute_term_stats(corpus, {0, 2})
-    view = node_counts(stats, [0, 1])
-    assert view.doc_ids.tolist() == [0, 2]
-    assert view.row.tolist() == [0, 0, 1, 1]
+    corpus.integrity[:] = [0.5, 0.25, 1.0, 0.75]
+    stats = compute_term_stats(corpus, {0, 2}, [0, 1])
+    assert stats.doc_ids.tolist() == [0, 2]
+    assert stats.row.tolist() == [0, 0, 1, 1]
     # "c" is not a node term: its nonzero goes to the spare position 2
-    assert view.pos.tolist() == [0, 1, 0, 2]
-    tf_cells = _bm25_matrix(view, np.zeros(2, dtype=np.int64), 1)[1]
+    assert stats.pos.tolist() == [0, 1, 0, 2]
+    # one integrity score per node term
+    assert stats.integrity.tolist() == [0.5, 0.25]
+    tf_cells = _bm25_matrix(stats, np.zeros(2, dtype=np.int64), 1)[1]
     assert tf_cells.tolist() == [[2.0], [1.0]]
 
 
@@ -529,26 +540,31 @@ def test_node_counts_reads_every_document_of_the_stats():
 def bm25_score(t, subcorpus, stats):
     """BM25 relevance of term t to one set of the stats' documents: one
     cell of the pipeline's _bm25_matrix."""
-    view = node_counts(stats, [t])
-    slots = slots_of(view, dict.fromkeys(subcorpus, 0), 1)
-    return float(_bm25_matrix(view, slots, 1)[0][0, 0])
+    slots = slots_of(stats, dict.fromkeys(subcorpus, 0), 1)
+    bm25 = _bm25_matrix(stats, slots, 1)[0]
+    return float(bm25[stats.term_arr.tolist().index(t), 0])
 
 
-def reference_bm25(t, subcorpus, corpus, stats, k1, b):
+def reference_bm25(t, subcorpus, corpus, doc_ids, k1, b):
+    """BM25 of term t over subcorpus, with idf and the mean document
+    length over the documents doc_ids, from the documents' tokens."""
+    docs = [corpus.documents[d].tokens.tolist() for d in doc_ids]
+    df = sum(t in tokens for tokens in docs)
+    idf = np.log(len(docs) / df) if df else 0.0
+    avg_dl = sum(len(tokens) for tokens in docs) / len(docs)
     total = 0.0
     for d in subcorpus:
         tf = corpus.documents[d].tokens.tolist().count(t)
         if tf == 0:
             continue
         dl = corpus.documents[d].tokens.size
-        total += stats.idf[t] * tf * (k1 + 1) / (
-            tf + k1 * (1 - b + b * dl / stats.avg_doc_len))
+        total += idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avg_dl))
     return total
 
 
 def test_bm25_absent_term_zero():
     corpus = corpus_from_lines(["a b\n", "c d\n"])
-    stats = compute_term_stats(corpus, {0, 1})
+    stats = full_stats(corpus, {0, 1})
     assert bm25_score(corpus.term_id("a"), [1], stats) == 0.0
 
 
@@ -560,40 +576,36 @@ def test_bm25_matches_reference_100_fixtures():
         sub = rng.choice(corpus.num_docs, size=6, replace=False).tolist()
         t = int(rng.integers(0, corpus.num_terms))
         got = bm25_score(t, sub, stats)
-        want = reference_bm25(t, sub, corpus, stats, 1.2, 0.75)
+        want = reference_bm25(t, sub, corpus, range(corpus.num_docs), 1.2, 0.75)
         assert got == pytest.approx(want, abs=1e-9)
 
 
 # --- representativeness and significance ---
 
 
-def representativeness(t, s, z_doc, stats, corpus, node_terms, n_slots):
+def representativeness(t, s, z_doc, stats, n_slots):
     """Representativeness of term t in slot s: one cell of _rep_matrix."""
-    term_arr = sorted(int(x) for x in node_terms)
-    view = node_counts(stats, term_arr)
-    rep = _rep_matrix(view, slots_of(view, z_doc, n_slots), n_slots, corpus)
-    return float(rep[term_arr.index(int(t)), s])
+    rep = _rep_matrix(stats, slots_of(stats, z_doc, n_slots), n_slots)
+    return float(rep[stats.term_arr.tolist().index(int(t)), s])
 
 
 def test_rep_absent_term_zero():
     # [TRIVIAL] t absent from D_s -> pop = 0 -> rep = 0
     corpus = corpus_from_lines(["a a b\n", "c c d\n"])
-    stats = compute_term_stats(corpus, {0, 1})
+    stats = full_stats(corpus, {0, 1})
     z_doc = {0: 0, 1: 1}
     c_id = corpus.term_id("c")
-    assert representativeness(c_id, 0, z_doc, stats, corpus,
-                              range(corpus.num_terms), 2) == 0.0
+    assert representativeness(c_id, 0, z_doc, stats, 2) == 0.0
 
 
 def test_rep_single_subtopic_dis_half():
     # [DERIVED] single sub-topic, BM25(t)=0 -> dis = 1/(1+1) = 0.5
     corpus = corpus_from_lines(["a a b\n", "a b b\n"])
-    stats = compute_term_stats(corpus, {0, 1})
+    stats = full_stats(corpus, {0, 1})
     z_doc = {0: 0, 1: 0}
     a_id = corpus.term_id("a")
     # df(a)=2 over 2 docs -> idf=0 -> BM25=0 for every term
-    got = representativeness(a_id, 0, z_doc, stats, corpus,
-                             range(corpus.num_terms), 1)
+    got = representativeness(a_id, 0, z_doc, stats, 1)
     total = 6  # all term occurrences in the sub-corpus
     pop = np.log(3 + 1) / np.log(total)
     assert got == pytest.approx((1.0 * 0.5 * pop) ** (1 / 3), rel=1e-9)
@@ -602,14 +614,11 @@ def test_rep_single_subtopic_dis_half():
 def test_rep_uses_integrity():
     corpus = corpus_from_lines(["a a b\n", "a b b\n"])
     corpus.integrity[corpus.term_id("a")] = 0.125
-    stats = compute_term_stats(corpus, {0, 1})
     z_doc = {0: 0, 1: 0}
     a_id = corpus.term_id("a")
     base_corpus = corpus_from_lines(["a a b\n", "a b b\n"])
-    base = representativeness(a_id, 0, z_doc, stats, base_corpus,
-                              range(corpus.num_terms), 1)
-    got = representativeness(a_id, 0, z_doc, stats, corpus,
-                             range(corpus.num_terms), 1)
+    base = representativeness(a_id, 0, z_doc, full_stats(base_corpus, {0, 1}), 1)
+    got = representativeness(a_id, 0, z_doc, full_stats(corpus, {0, 1}), 1)
     assert got == pytest.approx(base * 0.125 ** (1 / 3), rel=1e-9)
 
 
@@ -697,7 +706,8 @@ def test_kstar_stdev_prefers_balanced_fixture():
 
 
 def _planted_node(seed=0, n_known=2, n_novel=2, kappa=60.0, per=30):
-    """Corpus + space with n_known known and n_novel planted novel bundles."""
+    """Space with n_known known and n_novel planted novel bundles, and
+    its term statistics over every document of a corpus drawn from them."""
     rng = np.random.default_rng(seed)
     dim = 8
     means = unit_rows(np.linalg.qr(rng.standard_normal((dim, dim)))[0]
@@ -730,8 +740,8 @@ def _planted_node(seed=0, n_known=2, n_novel=2, kappa=60.0, per=30):
         topic_order=list(range(n_known)), topic_vecs=means[:n_known].copy(),
         topic_kappa=np.full(n_known, kappa), center_rows=centers,
         keyword_rows=[[c] for c in centers])
-    stats = compute_term_stats(corpus, range(corpus.num_docs))
-    return corpus, sp, stats, labels
+    stats = compute_term_stats(corpus, range(corpus.num_docs), sp.term_ids)
+    return sp, stats, labels
 
 
 def _known_slots(labels, n_known=2):
@@ -746,28 +756,28 @@ def _known_slots(labels, n_known=2):
 
 def test_select_novel_k_recovers_two_planted_clusters():
     # [DERIVED] 2 known + 2 planted novel bundles of matched concentration
-    corpus, sp, stats, labels = _planted_node()
+    sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.0)
-    res = select_novel_k(_known_slots(labels), sp, stats, corpus, cfg, 0)
+    res = select_novel_k(_known_slots(labels), sp, stats, cfg, 0)
     assert res.k_star == 2
     assert len(res.novel) == 2
     assert len(res.known) == 2
 
 
 def test_select_novel_k_empty_novel_returns_zero():
-    corpus, sp, stats, labels = _planted_node()
+    sp, stats, labels = _planted_node()
     z_known = assign_known_terms(sp, np.arange(len(labels)))
-    res = select_novel_k(z_known, sp, stats, corpus, ClusterConfig(), 0)
+    res = select_novel_k(z_known, sp, stats, ClusterConfig(), 0)
     assert res.k_star == 0 and res.novel == []
     assert len(res.known) == 2
 
 
 def test_select_novel_k_capped_by_novel_count():
-    corpus, sp, stats, labels = _planted_node()
+    sp, stats, labels = _planted_node()
     z_known = assign_known_terms(sp, np.arange(len(labels)))
     z_known[[t for t, g in labels.items() if g >= 2][:3]] = -1
     cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(z_known, sp, stats, corpus, cfg, 0)
+    res = select_novel_k(z_known, sp, stats, cfg, 0)
     assert 1 <= res.k_star <= 3
 
 
@@ -775,9 +785,9 @@ def test_select_novel_k_capped_by_novel_count():
 def test_cluster_node_needs_two_known_topics(n_known):
     # the known/novel split is defined from K_c = 2 on; the pipeline
     # expands no node with fewer known sub-topics
-    corpus, sp, stats, _ = _planted_node(n_known=n_known, n_novel=3)
+    sp, stats, _ = _planted_node(n_known=n_known, n_novel=3)
     with pytest.raises(ValueError, match="at least 2 known sub-topics"):
-        cluster_node(sp, stats, corpus, ClusterConfig(tau_sig=0.0), level=0,
+        cluster_node(sp, stats, ClusterConfig(tau_sig=0.0), level=0,
                      seed=0)
 
 
@@ -788,9 +798,9 @@ def assert_ranked(terms, sig):
 
 
 def test_cluster_node_invariants():
-    corpus, sp, stats, labels = _planted_node()
+    sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.2)
-    res = cluster_node(sp, stats, corpus, cfg, level=0, seed=0)
+    res = cluster_node(sp, stats, cfg, level=0, seed=0)
     sig = dict(zip(sp.term_ids.tolist(), res.sig_scores.tolist()))
     centers = sp.term_ids[sp.center_rows].tolist()
     # every term has a slot; exactly the novel terms sit in novel slots

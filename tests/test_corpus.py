@@ -23,12 +23,9 @@ from taxoforge.corpus import (
 from taxoforge.embedding import EmbedConfig, _pair_rows
 
 
-def tf(stats, term_id, doc_id):
-    """Count of a term in one document of the statistics' subset."""
-    row = int(np.searchsorted(stats.doc_ids, doc_id))
-    assert row < stats.n_docs and stats.doc_ids[row] == doc_id, \
-        f"document {doc_id} is not in the subset"
-    return int(stats.counts[row, term_id])
+def tf(corpus, term_id, doc_id):
+    """Count of a term in one document, read from its tokens."""
+    return corpus.documents[doc_id].tokens.tolist().count(term_id)
 
 
 def per_document_counts(corpus, doc_ids):
@@ -167,34 +164,42 @@ def test_docs_containing_matches_per_document_build():
 
 
 def test_stats_hand_counts():
-    # [TRIVIAL] tf(a,d0)=2, df(b)=2, idf(b)=log(2/2)=0 on "a b a" / "b c"
+    # [TRIVIAL] on "a b a" / "b c": idf(a) = idf(c) = log(2/1), idf(b) = 0;
+    # document lengths 3 and 2, mean 2.5
     corpus = corpus_from_lines(["a b a\n", "b c\n"])
-    stats = compute_term_stats(corpus, {0, 1})
-    a, b = corpus.term_id("a"), corpus.term_id("b")
-    assert tf(stats, a, 0) == 2
-    assert stats.df[b] == 2
-    assert stats.idf[b] == 0.0
+    stats = compute_term_stats(corpus, {0, 1}, [0, 1, 2])
+    assert stats.row.tolist() == [0, 0, 1, 1]
+    assert stats.pos.tolist() == [0, 1, 1, 2]     # a b | b c
+    assert stats.count.tolist() == [2, 1, 1, 1]
+    log2 = np.log(2.0)
+    assert stats.vote.tolist() == pytest.approx([2 * log2, 0.0, 0.0, log2])
+
+    def bm25(idf, tf, dl):
+        return idf * tf * 2.2 / (tf + 1.2 * (0.25 + 0.75 * dl / 2.5))
+    assert stats.bm25.tolist() == pytest.approx(
+        [bm25(log2, 2, 3), 0.0, 0.0, bm25(log2, 1, 2)])
 
 
 def test_stats_single_doc_idf_zero():
     # [TRIVIAL] idf(t)=log(1/1)=0 for every term of a single-doc subset
     corpus = corpus_from_lines(["a b a\n", "b c\n"])
-    stats = compute_term_stats(corpus, {0})
-    for term in ("a", "b"):
-        assert stats.idf[corpus.term_id(term)] == 0.0
+    stats = compute_term_stats(corpus, {0}, [0, 1, 2])
+    assert stats.pos.tolist() == [0, 1]
+    assert stats.vote.tolist() == [0.0, 0.0]
+    assert stats.bm25.tolist() == [0.0, 0.0]
 
 
 def test_stats_empty_subset_error():
     corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(EmptyStatsError):
-        compute_term_stats(corpus, set())
+        compute_term_stats(corpus, set(), [0, 1])
 
 
 def test_stats_unknown_doc_id_error():
     corpus = corpus_from_lines(["a b\n", "b c\n"])
     for bad in ({0, 2}, {-1, 1}, [5]):
         with pytest.raises(UnknownDocumentError, match="outside"):
-            compute_term_stats(corpus, bad)
+            compute_term_stats(corpus, bad, [0, 1, 2])
 
 
 def test_stats_counts_match_per_document_build():
@@ -203,14 +208,24 @@ def test_stats_counts_match_per_document_build():
         corpus, rng = random_corpus(seed)
         subset = sorted(rng.choice(corpus.num_docs, size=int(rng.integers(1, 60)),
                                    replace=False).tolist())
-        stats = compute_term_stats(corpus, subset)
+        stats = compute_term_stats(corpus, subset, range(corpus.num_terms))
         want = per_document_counts(corpus, subset)
-        assert stats.counts.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(stats.counts, attr), getattr(want, attr))
-        assert np.array_equal(stats.doc_len,
-                              [corpus.documents[d].tokens.size for d in subset])
         assert stats.doc_ids.tolist() == subset
+        assert np.array_equal(stats.row, np.repeat(np.arange(len(subset)),
+                                                   np.diff(want.indptr)))
+        # every term is a node term: a nonzero's position is its term id
+        assert np.array_equal(stats.pos, want.indices)
+        assert np.array_equal(stats.count, want.data)
+        # fewer node terms move the others' nonzeros to the spare position
+        # and change nothing else
+        term_arr = np.flatnonzero(rng.random(corpus.num_terms) < 0.5)
+        part = compute_term_stats(corpus, subset, term_arr)
+        pos_of = {t: i for i, t in enumerate(term_arr.tolist())}
+        assert part.pos.tolist() == [pos_of.get(t, term_arr.size)
+                                     for t in want.indices.tolist()]
+        for attr in ("row", "count", "vote", "bm25"):
+            assert np.array_equal(getattr(part, attr), getattr(stats, attr))
+        assert np.array_equal(part.integrity, corpus.integrity[term_arr])
 
 
 def test_stats_match_bruteforce_recount():
@@ -221,7 +236,7 @@ def test_stats_match_bruteforce_recount():
              for _ in range(80)]
     corpus = corpus_from_lines(lines)
     subset = sorted(rng.choice(80, size=50, replace=False).tolist())
-    stats = compute_term_stats(corpus, subset)
+    stats = compute_term_stats(corpus, subset, range(corpus.num_terms))
 
     df = np.zeros(corpus.num_terms, dtype=int)
     total_len = 0
@@ -230,13 +245,20 @@ def test_stats_match_bruteforce_recount():
         total_len += len(tokens)
         for t in set(tokens):
             df[t] += 1
-        for t in range(corpus.num_terms):
-            assert tf(stats, t, d) == tokens.count(t)
-    assert np.array_equal(stats.df, df)
-    assert stats.avg_doc_len == pytest.approx(total_len / 50)
-    for t in range(corpus.num_terms):
-        expected = np.log(50 / df[t]) if df[t] else 0.0
-        assert stats.idf[t] == pytest.approx(expected)
+    avg_len = total_len / 50
+    # one (count, vote, BM25) per nonzero, by document, then by term
+    count, vote, bm25 = [], [], []
+    for d in subset:
+        tokens = corpus.documents[d].tokens.tolist()
+        for t in sorted(set(tokens)):
+            n = tf(corpus, t, d)
+            idf = np.log(50 / df[t])
+            count.append(n)
+            vote.append(n * idf)
+            bm25.append(idf * n * 2.2 / (n + 1.2 * (0.25 + 0.75 * len(tokens) / avg_len)))
+    assert stats.count.tolist() == count
+    assert stats.vote.tolist() == pytest.approx(vote, rel=1e-12)
+    assert stats.bm25.tolist() == pytest.approx(bm25, rel=1e-12)
 
 
 @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=12),
@@ -245,11 +267,12 @@ def test_stats_match_bruteforce_recount():
 def test_tf_sums_to_occurrences(token_lists):
     lines = [" ".join(f"w{t}" for t in doc) for doc in token_lists]
     corpus = corpus_from_lines(lines)
-    stats = compute_term_stats(corpus, range(corpus.num_docs))
+    stats = compute_term_stats(corpus, range(corpus.num_docs),
+                               range(corpus.num_terms))
     flat = [t for doc in corpus.documents for t in doc.tokens.tolist()]
+    totals = np.bincount(stats.pos, weights=stats.count, minlength=corpus.num_terms)
     for t in range(corpus.num_terms):
-        total = sum(tf(stats, t, d) for d in range(corpus.num_docs))
-        assert total == flat.count(t)
+        assert totals[t] == flat.count(t)
 
 
 # --- context pairs ---

@@ -442,6 +442,19 @@ def test_cli_unknown_topic_is_error(dataset, tmp_path, capsys):
     assert "no_such_topic" in capsys.readouterr().err
 
 
+def test_cli_space_indented_hierarchy_is_error(dataset, tmp_path, capsys):
+    out, _, _ = dataset
+    bad = tmp_path / "bad.txt"
+    bad.write_text("topic0\n    topic0_0\ntopic1\n")
+    rc = run_cli(["--corpus", str(out / "corpus.txt"),
+                  "--hierarchy", str(bad),
+                  "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "taxoforge: error: line 2: indent with tabs only\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_cli_missing_required_arg_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--corpus", "x.txt"])

@@ -64,6 +64,15 @@ def test_parse_indent_jump_error(corpus):
         parse_hierarchy("politics\n\t\tsoccer", corpus)
 
 
+@pytest.mark.parametrize("line", ["    soccer", " \tsoccer", "\t soccer"])
+def test_parse_space_indent_error(corpus, line):
+    # normalize_name strips spaces, so a space-indented child would
+    # silently land at the wrong depth
+    with pytest.raises(MalformedHierarchyError,
+                       match="line 2: indent with tabs only"):
+        parse_hierarchy(f"sports\n{line}\npolitics", corpus)
+
+
 def test_parse_repeated_name_under_two_parents_error(corpus):
     # cousins: one name under two level-1 topics
     with pytest.raises(MalformedHierarchyError,
@@ -144,7 +153,7 @@ def test_insert_novel_child(corpus):
         tax, sports, [], [(corpus.term_id("hockey"), [1, 2], [0, 1], None)])
     assert len(tax.nodes[sports].children) == 2
     node = tax.nodes[tax.nodes[sports].children[1]]
-    assert node.is_novel and node.parent == sports
+    assert node.is_novel and node.children == []
     assert corpus.term(node.center_term) == "hockey"
 
 
