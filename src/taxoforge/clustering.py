@@ -210,13 +210,26 @@ def _bm25_matrix(view: TermStats, doc_slot, n_slots: int):
     return cell_sums(view.bm25), cell_sums(view.count)
 
 
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)) of a finite 2-D array, in scipy 1.17's
+    logsumexp arithmetic: the entries tying a row's max leave the shifted
+    sum and enter as a count. A row without entries gives -inf."""
+    if a.shape[1] == 0:
+        return np.full(a.shape[0], -np.inf)
+    a_max = a.max(axis=1, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis=1, keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+
+
 def _rep_matrix(view: TermStats, doc_slot, n_slots: int):
     """Representativeness (integrity x distinctiveness x popularity)^(1/3)
     of every node term (rows) in every slot (columns)."""
     bm25, tf = _bm25_matrix(view, doc_slot, n_slots)
     # distinctiveness in the log domain: exp(bm25_s - log(1 + sum_s' exp bm25_s'))
-    from scipy.special import logsumexp
-    log_denom = np.logaddexp(0.0, logsumexp(bm25, axis=1))
+    log_denom = np.logaddexp(0.0, _logsumexp_rows(bm25))
     dis = np.exp(bm25 - log_denom[:, None])
     # popularity: log(1 + tf) / log(total node-term occurrences in the slot)
     pop = np.zeros_like(bm25)

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 
 # context_pair_arrays gathers this many pairs at a time
@@ -86,39 +85,61 @@ class Corpus:
         """(tokens, lengths) of the listed documents, laid end to end in
         the listed order; tokens is int32."""
         tokens, offsets = self.token_array()
-        doc_ids = np.asarray(doc_ids, dtype=np.int64)
-        starts = offsets[doc_ids]
-        lengths = offsets[doc_ids + 1] - starts
-        # position j of document i reads tokens[starts[i] + j]
-        gather = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        gather += np.arange(gather.size)
+        gather, lengths = _gather_ranges(offsets, doc_ids)
         return tokens[gather], lengths
 
-    def counts(self) -> sparse.csr_matrix:
-        """The root (num_docs, num_terms) term-count matrix, built once.
+    def counts(self):
+        """The root (num_docs, num_terms) term-count matrix, built once, as
+        CSR arrays (indptr, terms, counts).
 
-        Row d counts the tokens of ``documents[d]``; each row's column
-        indices are sorted, so a row's nonzeros come in term-id order.
-        Counts are integers held in float64, exact in any summation order.
+        Document d's nonzeros are terms[indptr[d]:indptr[d + 1]] (int32,
+        ascending) with their counts, integers held in float64 and so
+        exact in any summation order.
         """
         if self._counts is None:
             tokens, offsets = self.token_array()
-            # copied: sum_duplicates sorts the indices in place
-            counts = sparse.csr_matrix(
-                (np.ones(tokens.size), tokens, offsets),
-                shape=(self.num_docs, self.num_terms), copy=True)
-            counts.sum_duplicates()  # also sorts each row's column indices
-            self._counts = counts
+            # one key per token, ordered by document, then by term
+            keys, count = np.unique(
+                _row_of(offsets) * self.num_terms + tokens, return_counts=True)
+            indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys // self.num_terms,
+                                  minlength=self.num_docs), out=indptr[1:])
+            self._counts = (indptr, (keys % self.num_terms).astype(np.int32),
+                            count.astype(np.float64))
         return self._counts
 
     def docs_containing(self, term_id):
         """Sorted array of ids of documents containing the term."""
         if self._postings is None:
-            by_term = self.counts().tocsc()  # row indices come out sorted
-            self._postings = (by_term.indptr,
-                              by_term.indices.astype(np.int64))
-        indptr, doc_ids = self._postings
-        return doc_ids[indptr[term_id]:indptr[term_id + 1]]
+            indptr, terms, _ = self.counts()
+            # one key term * num_docs + doc per nonzero, sorted by term,
+            # then by document; the remainder leaves the document
+            doc_ids = terms * np.int64(self.num_docs)
+            doc_ids += _row_of(indptr)
+            doc_ids.sort()
+            starts = np.searchsorted(
+                doc_ids, np.arange(self.num_terms + 1) * self.num_docs)
+            doc_ids %= self.num_docs
+            self._postings = (starts, doc_ids)
+        starts, doc_ids = self._postings
+        return doc_ids[starts[term_id]:starts[term_id + 1]]
+
+
+def _row_of(offsets):
+    """The row of every entry of the ranges offsets[i]:offsets[i + 1]."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def _gather_ranges(offsets, ids):
+    """(index, lengths): the indices of the ranges offsets[i]:offsets[i + 1]
+    of the listed ids, laid end to end in the listed order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    starts = offsets[ids]
+    lengths = offsets[ids + 1] - starts
+    # position j of range i reads starts[i] + j
+    gather = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    gather += np.arange(gather.size)
+    return gather, lengths
 
 
 def load_corpus(path, integrity_path=None) -> Corpus:
@@ -189,8 +210,8 @@ class TermStats:
 
 
 def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
-    """Term statistics of the documents doc_subset over the node terms
-    term_arr (ascending).
+    """Term statistics of the distinct documents doc_subset over the node
+    terms term_arr (strictly ascending).
 
     idf(t) = log(|subset| / df(t)) with df over the subset only. The
     counts are the subset's rows of the corpus's root count matrix, or
@@ -204,19 +225,26 @@ def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
         raise UnknownDocumentError(
             f"document ids {doc_ids[0]}..{doc_ids[-1]} reach outside "
             f"[0, {corpus.num_docs})")
+    repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]
+    if repeated.size:
+        raise ValueError(f"document id {repeated[0]} is listed more than once")
     term_arr = np.asarray(term_arr, dtype=np.int64)
-    counts = corpus.counts()
-    if not np.array_equal(doc_ids, np.arange(corpus.num_docs)):
-        counts = counts[doc_ids]
+    if np.any(term_arr[1:] <= term_arr[:-1]):
+        raise ValueError("node term ids are not strictly ascending")
+    indptr, cols, count = corpus.counts()
+    if doc_ids.size < corpus.num_docs:   # distinct ids: else every document
+        gather, row_nnz = _gather_ranges(indptr, doc_ids)
+        cols, count = cols[gather], count[gather]
+    else:
+        row_nnz = np.diff(indptr)
     offsets = corpus.token_array()[1]
     doc_len = offsets[doc_ids + 1] - offsets[doc_ids]
     # every stored count is >= 1, so a term's nonzeros are its documents
-    df = np.bincount(counts.indices, minlength=corpus.num_terms)
+    df = np.bincount(cols, minlength=corpus.num_terms)
     idf = np.zeros(corpus.num_terms)
     present = df > 0
     idf[present] = np.log(doc_ids.size / df[present])
-    row = np.repeat(np.arange(doc_ids.size), np.diff(counts.indptr))
-    cols, count = counts.indices, counts.data
+    row = np.repeat(np.arange(doc_ids.size), row_nnz)
     idf = idf[cols]
     dl = doc_len[row]
     denom = count + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / float(doc_len.mean()))

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 KAPPA_MAX = 1000.0
 
@@ -27,6 +26,7 @@ def log_bessel_iv(nu: float, x: float) -> float:
         raise ValueError("x must be non-negative")
     if x == 0.0:
         return 0.0 if nu == 0 else -np.inf
+    from scipy import special  # here: a pipeline run never loads scipy
     val = special.ive(nu, x)
     if val > 0:
         return float(np.log(val) + x)
@@ -41,6 +41,7 @@ def log_norm_const(kappa: float, dim: int) -> float:
         raise ValueError("kappa must be non-negative")
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    from scipy import special  # here: a pipeline run never loads scipy
     if kappa < 1e-10:
         # uniform limit: 1 / area(S^{d-1})
         return float(special.gammaln(dim / 2.0) - np.log(2.0)

@@ -12,6 +12,7 @@ from taxoforge.clustering import (
     UndefinedNoveltyError,
     _bm25_matrix,
     _kmeans_once,
+    _logsumexp_rows,
     _rep_matrix,
     assign_documents,
     assign_known_terms,
@@ -505,6 +506,35 @@ def test_bm25_and_rep_matrix_bit_equal_to_loop():
             n_outside += int((stats.pos == term_arr.size).sum())
     # unassigned documents and nonzeros of terms outside term_arr occur
     assert n_unassigned > 0 and n_outside > 0
+
+
+def logsumexp_cases():
+    """2-D arrays for the log-sum-exp check: random, tied maxima,
+    constant rows, one column, no column, and entries whose exp overflows."""
+    rng = np.random.default_rng(11)
+    for shape in ((1, 1), (3, 2), (7, 5), (40, 9), (200, 33)):
+        yield rng.normal(scale=3.0, size=shape)
+        yield rng.random(shape) * 20.0
+    # small integers: most rows tie their max two or more times
+    yield rng.integers(0, 3, size=(50, 6)).astype(np.float64)
+    yield np.array([[2.5, 2.5, 1.0, 2.5], [-1.0, 0.0, 0.0, -3.0]])
+    yield np.full((4, 6), 3.7)                   # all-equal rows
+    yield np.zeros((5, 3))                       # all-zero rows
+    yield rng.normal(size=(6, 1))                # one column
+    yield np.zeros((4, 0))                       # no column
+    yield np.zeros((0, 3))                       # no row
+    # exp overflows above 709 without the shift by the row max
+    yield np.array([[710.0, 720.0, 800.0], [1000.0, 1000.0, 999.0],
+                    [709.5, -5.0, 750.25]])
+    yield 700.0 + rng.random((20, 4)) * 100.0
+
+
+def test_logsumexp_rows_bit_equal_to_scipy():
+    from scipy.special import logsumexp
+    for a in logsumexp_cases():
+        got = _logsumexp_rows(a)
+        assert got.shape == (a.shape[0],)
+        assert np.array_equal(got, logsumexp(a, axis=1)), a
 
 
 def test_bm25_matrix_sums_documents_in_ascending_id_order():

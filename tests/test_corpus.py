@@ -202,6 +202,20 @@ def test_stats_unknown_doc_id_error():
             compute_term_stats(corpus, bad, [0, 1, 2])
 
 
+def test_stats_duplicate_doc_id_error():
+    # counted twice, document 0 would give idf(b) = log(3/2), not log(2/1)
+    corpus = corpus_from_lines(["a b\n", "b c\n", "a a\n"])
+    with pytest.raises(ValueError, match="document id 0 is listed more than once"):
+        compute_term_stats(corpus, [0, 0, 2], [0, 1, 2])
+
+
+def test_stats_unsorted_term_ids_error():
+    corpus = corpus_from_lines(["a b\n", "b c\n", "a a\n"])
+    for bad in ([1, 0, 2], [0, 1, 1]):
+        with pytest.raises(ValueError, match="not strictly ascending"):
+            compute_term_stats(corpus, [0, 1, 2], bad)
+
+
 def test_stats_counts_match_per_document_build():
     # the subset rows of the root matrix against the old per-document build
     for seed in range(20):

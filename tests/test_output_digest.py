@@ -4,6 +4,9 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -82,3 +85,39 @@ def test_tiny_run_keeps_its_golden_bytes(digest_mod):
 def test_wide_run_keeps_its_golden_bytes(digest_mod):
     assert digest_mod.output_digest(WIDE["spec"], WIDE["delete"],
                                     WIDE["config"], seed=3) == WIDE_SEED3_SHA1
+
+
+def test_run_path_never_imports_scipy(tmp_path):
+    # a fresh interpreter where any scipy import fails: the TINY run, and a
+    # CLI run that expands the root of the small corpus, both succeed
+    (tmp_path / "cfg.txt").write_text("dim=8\nepochs=2\nmin_terms=10\nmin_docs=5\n")
+    code = textwrap.dedent(f"""
+        import importlib.util, json, sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        sys.path.insert(0, {os.path.join(ROOT, "src")!r})
+        spec = importlib.util.spec_from_file_location(
+            "output_digest", {os.path.join(ROOT, "scripts", "output_digest.py")!r})
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        from taxoforge.pipeline import run_cli
+        data = {os.path.join(ROOT, "data", "synthetic_small")!r}
+        rc = run_cli(["--corpus", data + "/corpus.txt",
+                      "--hierarchy", data + "/partial.txt",
+                      "--config", {str(tmp_path / "cfg.txt")!r},
+                      "--out", {str(tmp_path / "out.json")!r}, "--seed", "1"])
+        print(json.dumps({{
+            "digest": mod.output_digest({TINY["spec"]!r}, {TINY["delete"]!r},
+                                        {TINY["config"]!r}, seed=3),
+            "rc": rc,
+            "scipy": [m for m, v in sys.modules.items()
+                      if m.split(".")[0] == "scipy" and v is not None],
+        }}))
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"digest": TINY_SEED3_SHA1, "rc": 0, "scipy": []}
+    # the CLI run expanded the root: its topics hold documents
+    tree = json.loads((tmp_path / "out.json").read_text())
+    assert all(c["doc_ids"] for c in tree["children"])
