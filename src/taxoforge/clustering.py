@@ -302,7 +302,7 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
             pool = anchors[s] if anchors[s].sum() >= 2 else anchors[s] | (z_term == s)
             rows = np.flatnonzero(pool)
             pv = space.target[rows] if rows.size else np.zeros((1, space.dim))
-            kappas.append(estimate_vmf(pv, space.dim).kappa)
+            kappas.append(estimate_vmf(pv).kappa)
         stdev = float(np.std(kappas))
         if best is None or stdev < best[0] - 1e-12:
             best = (stdev, k_star, means, z_term, sig, anchors, warnings, kappas)

@@ -231,6 +231,9 @@ def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
     term_arr = np.asarray(term_arr, dtype=np.int64)
     if np.any(term_arr[1:] <= term_arr[:-1]):
         raise ValueError("node term ids are not strictly ascending")
+    if term_arr.size and (term_arr[0] < 0 or term_arr[-1] >= corpus.num_terms):
+        raise ValueError(f"node term ids {term_arr[0]}..{term_arr[-1]} reach "
+                         f"outside [0, {corpus.num_terms})")
     indptr, cols, count = corpus.counts()
     if doc_ids.size < corpus.num_docs:   # distinct ids: else every document
         gather, row_nnz = _gather_ranges(indptr, doc_ids)

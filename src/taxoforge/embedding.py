@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, context_pair_arrays
-from .vmf import KAPPA_MAX, bessel_ratio, log_norm_const
+from .vmf import KAPPA_MAX, bessel_ratio
 
 # Negative sampling. GUIDE_BUCKETS is a power of two, so u * GUIDE_BUCKETS is
 # exact and bucket j = floor(u * GUIDE_BUCKETS) satisfies j / GUIDE_BUCKETS
@@ -85,28 +85,16 @@ class EmbeddingSpace:
     def num_topics(self):
         return len(self.topic_order)
 
-    def dump(self, path, corpus: Corpus, topic_names=None):
-        """Text dump: one line per term, topic vectors prefixed __topic__."""
+    def dump(self, path, corpus: Corpus):
+        """Text dump: one line per term, then one per sub-topic vector named
+        __topic__ and its center term."""
         with open(path, "w", encoding="utf-8") as f:
             for i, t in enumerate(self.term_ids):
                 vec = " ".join(f"{x:.6f}" for x in self.target[i])
                 f.write(f"{corpus.term(int(t))} {vec}\n")
-            for k, key in enumerate(self.topic_order):
-                name = topic_names[key] if topic_names else str(key)
-                vec = " ".join(f"{x:.6f}" for x in self.topic_vecs[k])
-                f.write(f"__topic__{name} {vec}\n")
-
-
-@dataclass
-class Batch:
-    """One evaluation batch of positive pairs and negatives.
-
-    Indices are rows into the space's target/context arrays.
-    """
-
-    pos_t: np.ndarray
-    pos_c: np.ndarray
-    neg_c: np.ndarray                  # (P, negatives)
+            for row, topic in zip(self.center_rows, self.topic_vecs):
+                vec = " ".join(f"{x:.6f}" for x in topic)
+                f.write(f"__topic__{corpus.term(int(self.term_ids[row]))} {vec}\n")
 
 
 def _unit(x, axis=-1):
@@ -167,34 +155,6 @@ def _draw_rows(cum, guide, u):
         idx[behind] += 1
         behind = behind[cum[idx[behind]] < u[behind]]
     return idx
-
-
-def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> float:
-    """Summed objective on the batch and the space's keyword rows."""
-    m = cfg.margin
-    val = 0.0
-    if batch.pos_t.size:
-        t = space.target[batch.pos_t]
-        vp = space.context[batch.pos_c]
-        vn = space.context[batch.neg_c]
-        sp = np.einsum("pd,pd->p", t, vp)
-        sn = np.einsum("pd,pnd->pn", t, vn)
-        val += float(np.maximum(sn - sp[:, None] + m, 0.0).sum())
-    s = space.topic_vecs
-    k_cnt = space.num_topics
-    if k_cnt >= 2:
-        sims = s @ s.T
-        iu = np.triu_indices(k_cnt, 1)
-        val += float(np.maximum(sims[iu] - m, 0.0).sum())
-    for k, rows in enumerate(space.keyword_rows):
-        if len(rows) == 0:
-            continue
-        sims = space.target[rows] @ s[k]
-        gate = sims < m
-        if gate.any():
-            log_c = log_norm_const(float(space.topic_kappa[k]), space.dim)
-            val -= float((log_c + space.topic_kappa[k] * sims[gate]).sum())
-    return val
 
 
 def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
@@ -412,14 +372,3 @@ def _topic_step(space: EmbeddingSpace, lr, margin):
     if ratios is not None:
         kappa -= lr * g_k
         np.clip(kappa, 0.0, KAPPA_MAX, out=kappa)
-
-
-def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
-                 rng, max_pairs=2048) -> Batch:
-    """A fixed held-out batch over the node's documents, for objective tracking."""
-    tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
-    if tr.size > max_pairs:
-        pick = rng.choice(tr.size, size=max_pairs, replace=False)
-        tr, cr = tr[pick], cr[pick]
-    negs = rng.integers(0, space.term_ids.size, size=(tr.size, cfg.negatives))
-    return Batch(pos_t=tr, pos_c=cr, neg_c=negs)

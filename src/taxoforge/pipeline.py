@@ -102,8 +102,7 @@ def _dump_node_debug(debug_dir, node_id, sc, space, corpus):
         for t, sig, slot in zip(space.term_ids.tolist(), sc.sig_scores.tolist(),
                                 sc.z_term.tolist()):
             f.write(f"{corpus.term(t)},{sig:.6f},{slot},{int(t in novel)}\n")
-    space.dump(os.path.join(debug_dir, f"node_{node_id}_embedding.txt"),
-               corpus, topic_names={k: str(k) for k in space.topic_order})
+    space.dump(os.path.join(debug_dir, f"node_{node_id}_embedding.txt"), corpus)
 
 
 CONFIG_KEYS = {

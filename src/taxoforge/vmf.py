@@ -20,37 +20,6 @@ class VmfParams:
             raise ValueError(f"kappa must be non-negative, got {self.kappa}")
 
 
-def log_bessel_iv(nu: float, x: float) -> float:
-    """log I_nu(x), stable for small x where iv underflows."""
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 0.0 if nu == 0 else -np.inf
-    from scipy import special  # here: a pipeline run never loads scipy
-    val = special.ive(nu, x)
-    if val > 0:
-        return float(np.log(val) + x)
-    # leading term of the small-x series with first-order correction
-    return float(nu * np.log(x / 2.0) - special.gammaln(nu + 1.0)
-                 + np.log1p(x * x / (4.0 * (nu + 1.0))))
-
-
-def log_norm_const(kappa: float, dim: int) -> float:
-    """log C_d(kappa) of the vMF density on S^{dim-1}."""
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    from scipy import special  # here: a pipeline run never loads scipy
-    if kappa < 1e-10:
-        # uniform limit: 1 / area(S^{d-1})
-        return float(special.gammaln(dim / 2.0) - np.log(2.0)
-                     - (dim / 2.0) * np.log(np.pi))
-    nu = dim / 2.0 - 1.0
-    return float(nu * np.log(kappa) - (dim / 2.0) * np.log(2.0 * np.pi)
-                 - log_bessel_iv(nu, kappa))
-
-
 def bessel_ratio(kappa, dim: int):
     """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa).
 
@@ -80,14 +49,16 @@ def bessel_ratio(kappa, dim: int):
     return out.reshape(kappa.shape) if kappa.ndim else float(out[0])
 
 
-def estimate_vmf(vectors: np.ndarray, dim: int) -> VmfParams:
+def estimate_vmf(vectors: np.ndarray) -> VmfParams:
     """Moment estimator: mu = normalized mean, kappa = rbar(d - rbar^2)/(1 - rbar^2).
 
-    kappa is clipped to KAPPA_MAX; a zero resultant gives kappa 0 and mu e_0.
+    d is the length of each row. kappa is clipped to KAPPA_MAX; a zero
+    resultant gives kappa 0 and mu e_0.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("need at least one vector")
+    dim = vectors.shape[1]
     mean = vectors.mean(axis=0)
     rbar = float(np.linalg.norm(mean))
     if rbar < 1e-12:

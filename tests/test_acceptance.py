@@ -31,7 +31,7 @@ from taxoforge.clustering import (
     spherical_kmeans,
 )
 from taxoforge.corpus import load_corpus
-from taxoforge.embedding import EmbedConfig, objective_value
+from taxoforge.embedding import EmbedConfig
 from taxoforge.evaluation import (
     PlantedCorpusSpec,
     run_planted,
@@ -45,7 +45,7 @@ from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf
 from test_clustering import (_known_slots, _planted_node, bm25_score, loop_idf,
                              make_doc_fixture, reference_bm25, vote)
 from test_corpus import tf
-from test_embedding import collect_instances, dense_gradients
+from test_embedding import collect_instances, dense_gradients, objective_value
 from test_vmf import vmf_log_density
 
 DATA = "data/synthetic_small"
@@ -148,7 +148,7 @@ def test_criterion_4_vmf_estimator_and_density(capfd):
     mu = np.zeros(10)
     mu[0] = 1.0
     samples = sample_vmf(mu, 50.0, 10_000, rng)
-    params = estimate_vmf(samples, 10)
+    params = estimate_vmf(samples)
     est_ok = abs(params.kappa - 50.0) / 50.0 < 0.10
 
     p3 = VmfParams(mu=np.array([0.0, 0.0, 1.0]), kappa=2.0)

@@ -210,9 +210,13 @@ def test_stats_duplicate_doc_id_error():
 
 
 def test_stats_unsorted_term_ids_error():
+    # unchecked, a negative id would index pos and integrity from the end
     corpus = corpus_from_lines(["a b\n", "b c\n", "a a\n"])
-    for bad in ([1, 0, 2], [0, 1, 1]):
-        with pytest.raises(ValueError, match="not strictly ascending"):
+    for bad, msg in (([1, 0, 2], "not strictly ascending"),
+                     ([0, 1, 1], "not strictly ascending"),
+                     ([-1, 0], r"-1\.\.0 reach outside \[0, 3\)"),
+                     ([0, 5], r"0\.\.5 reach outside \[0, 3\)")):
+        with pytest.raises(ValueError, match=msg):
             compute_term_stats(corpus, [0, 1, 2], bad)
 
 

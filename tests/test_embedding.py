@@ -1,16 +1,16 @@
 """Objective value, analytic gradients, and the spherical trainer."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import taxoforge.embedding as embedding
-from taxoforge.corpus import corpus_from_lines
+from taxoforge.corpus import Corpus, corpus_from_lines
 from taxoforge.embedding import (
     GUIDE_BUCKETS,
     SAMPLE_CHUNK,
-    Batch,
     EmbedConfig,
     EmbeddingSpace,
     _draw_rows,
@@ -19,9 +19,7 @@ from taxoforge.embedding import (
     _scatter_unit,
     _topic_step,
     _unit,
-    objective_value,
     retrieve_local_corpus,
-    sample_batch,
     sgd_batch,
     train_node_embedding,
 )
@@ -29,6 +27,7 @@ from taxoforge.taxonomy import parse_hierarchy, subtree_keywords
 from taxoforge.vmf import KAPPA_MAX, bessel_ratio
 
 from test_corpus import loop_pair_arrays
+from test_vmf import log_norm_const
 
 
 def unit_rows(x):
@@ -60,6 +59,57 @@ def space_over(params, topic_vecs, topic_kappa, keyword_rows):
                           np.zeros(k_cnt, dtype=np.int64), keyword_rows)
 
 
+@dataclass
+class Batch:
+    """One evaluation batch of positive pairs and negatives.
+
+    Indices are rows into the space's target/context arrays.
+    """
+
+    pos_t: np.ndarray
+    pos_c: np.ndarray
+    neg_c: np.ndarray                  # (P, negatives)
+
+
+def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> float:
+    """Summed objective on the batch and the space's keyword rows."""
+    m = cfg.margin
+    val = 0.0
+    if batch.pos_t.size:
+        t = space.target[batch.pos_t]
+        vp = space.context[batch.pos_c]
+        vn = space.context[batch.neg_c]
+        sp = np.einsum("pd,pd->p", t, vp)
+        sn = np.einsum("pd,pnd->pn", t, vn)
+        val += float(np.maximum(sn - sp[:, None] + m, 0.0).sum())
+    s = space.topic_vecs
+    k_cnt = space.num_topics
+    if k_cnt >= 2:
+        sims = s @ s.T
+        iu = np.triu_indices(k_cnt, 1)
+        val += float(np.maximum(sims[iu] - m, 0.0).sum())
+    for k, rows in enumerate(space.keyword_rows):
+        if len(rows) == 0:
+            continue
+        sims = space.target[rows] @ s[k]
+        gate = sims < m
+        if gate.any():
+            log_c = log_norm_const(float(space.topic_kappa[k]), space.dim)
+            val -= float((log_c + space.topic_kappa[k] * sims[gate]).sum())
+    return val
+
+
+def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
+                 rng, max_pairs=2048) -> Batch:
+    """A fixed held-out batch over the node's documents, for objective tracking."""
+    tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
+    if tr.size > max_pairs:
+        pick = rng.choice(tr.size, size=max_pairs, replace=False)
+        tr, cr = tr[pick], cr[pick]
+    negs = rng.integers(0, space.term_ids.size, size=(tr.size, cfg.negatives))
+    return Batch(pos_t=tr, pos_c=cr, neg_c=negs)
+
+
 def make_batch(rng, space, n_pairs=8, negatives=2):
     n = space.term_ids.size
     return Batch(
@@ -71,7 +121,6 @@ def make_batch(rng, space, n_pairs=8, negatives=2):
 
 def naive_objective(space, batch, cfg):
     """Independent scalar re-implementation of the three-part objective."""
-    from taxoforge.vmf import log_norm_const
     m = cfg.margin
     val = 0.0
     for p in range(batch.pos_t.size):
@@ -836,11 +885,12 @@ def test_trainer_no_pairs_returns_initialization():
 def test_embedding_dump_format(tmp_path, trained):
     corpus, tax, keywords, cfg, space = trained
     path = tmp_path / "space.txt"
-    names = {k: corpus.term(tax.nodes[k].center_term) for k in space.topic_order}
-    space.dump(path, corpus, topic_names=names)
+    space.dump(path, corpus)
     lines = path.read_text().splitlines()
     assert len(lines) == space.term_ids.size + space.num_topics
-    assert lines[-1].split()[0].startswith("__topic__")
+    names = [f"__topic__{corpus.term(tax.nodes[k].center_term)}"
+             for k in space.topic_order]
+    assert [ln.split()[0] for ln in lines[space.term_ids.size:]] == names
     assert len(lines[0].split()) == 1 + space.dim
 
 

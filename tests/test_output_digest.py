@@ -1,5 +1,6 @@
 """scripts/output_digest.py: one SHA-1 line per planted workload and seed."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -121,3 +122,28 @@ def test_run_path_never_imports_scipy(tmp_path):
     # the CLI run expanded the root: its topics hold documents
     tree = json.loads((tmp_path / "out.json").read_text())
     assert all(c["doc_ids"] for c in tree["children"])
+
+
+def test_package_imports_only_what_it_declares():
+    # every import at any depth, function-local ones too: a lazy import that
+    # no run reaches still needs its package installed
+    src = os.path.join(ROOT, "src", "taxoforge")
+    roots = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots.update((name, a.name.split(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add((name, node.module.split(".")[0]))
+    assert roots
+    allowed = set(sys.stdlib_module_names) | {"numpy", "taxoforge"}
+    assert sorted(r for r in roots if r[1] not in allowed) == []
+    if sys.version_info >= (3, 11):
+        import tomllib
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+            project = tomllib.load(f)["project"]
+        assert project["dependencies"] == ["numpy"]

@@ -6,14 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from taxoforge.vmf import (
-    KAPPA_MAX,
-    VmfParams,
-    bessel_ratio,
-    estimate_vmf,
-    log_norm_const,
-    sample_vmf,
-)
+from taxoforge.vmf import KAPPA_MAX, VmfParams, bessel_ratio, estimate_vmf, sample_vmf
+
+
+def log_bessel_iv(nu: float, x: float) -> float:
+    """log I_nu(x), stable for small x where iv underflows."""
+    if x < 0:
+        raise ValueError("x must be non-negative")
+    if x == 0.0:
+        return 0.0 if nu == 0 else -np.inf
+    val = special.ive(nu, x)
+    if val > 0:
+        return float(np.log(val) + x)
+    # leading term of the small-x series with first-order correction
+    return float(nu * np.log(x / 2.0) - special.gammaln(nu + 1.0)
+                 + np.log1p(x * x / (4.0 * (nu + 1.0))))
+
+
+def log_norm_const(kappa: float, dim: int) -> float:
+    """log C_d(kappa) of the vMF density on S^{dim-1}."""
+    if kappa < 0:
+        raise ValueError("kappa must be non-negative")
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    if kappa < 1e-10:
+        # uniform limit: 1 / area(S^{d-1})
+        return float(special.gammaln(dim / 2.0) - np.log(2.0)
+                     - (dim / 2.0) * np.log(np.pi))
+    nu = dim / 2.0 - 1.0
+    return float(nu * np.log(kappa) - (dim / 2.0) * np.log(2.0 * np.pi)
+                 - log_bessel_iv(nu, kappa))
 
 
 def vmf_log_density(t: np.ndarray, params: VmfParams, dim: int) -> float:
@@ -156,38 +178,42 @@ def test_estimator_recovers_planted_kappa():
     rng = np.random.default_rng(42)
     mu = unit(np.arange(1.0, 11.0))
     x = sample_vmf(mu, 50.0, 10_000, rng)
-    est = estimate_vmf(x, 10)
+    est = estimate_vmf(x)
     assert est.kappa == pytest.approx(50.0, rel=0.10)
     assert float(est.mu @ mu) > 0.999
 
 
 def test_estimator_single_vector_saturates():
     mu = unit([3.0, 4.0])
-    est = estimate_vmf(mu[None, :], 2)
+    est = estimate_vmf(mu[None, :])
     assert est.kappa == KAPPA_MAX
     assert np.allclose(est.mu, mu)
 
 
 def test_estimator_zero_resultant_degenerate():
-    x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    est = estimate_vmf(x, 2)
-    assert est.kappa == 0.0
-    assert np.linalg.norm(est.mu) == pytest.approx(1.0)
+    for x in (np.array([[1.0, 0.0], [-1.0, 0.0]]),
+              np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])):
+        est = estimate_vmf(x)
+        assert est.kappa == 0.0
+        assert est.mu.shape == (x.shape[1],)
+        assert np.linalg.norm(est.mu) == pytest.approx(1.0)
 
 
 def test_estimator_kappa_clamped():
     # rbar = cos(0.005) < 1: the moment formula gives ~8e4, clipped
     x = np.array([[1.0, 0.0, 0.0], [np.cos(0.01), np.sin(0.01), 0.0]])
-    est = estimate_vmf(x, 3)
+    est = estimate_vmf(x)
     assert est.kappa == KAPPA_MAX
 
 
 def test_estimator_moment_formula_exact():
-    # hand-check: kappa = rbar (d - rbar^2) / (1 - rbar^2)
-    x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rbar = np.linalg.norm(x.mean(axis=0))
-    expected = rbar * (2 - rbar ** 2) / (1 - rbar ** 2)
-    assert estimate_vmf(x, 2).kappa == pytest.approx(expected, rel=1e-12)
+    # hand-check: kappa = rbar (d - rbar^2) / (1 - rbar^2), d the row length
+    for x in (np.array([[1.0, 0.0], [0.0, 1.0]]),
+              np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])):
+        rbar = np.linalg.norm(x.mean(axis=0))
+        d = x.shape[1]
+        expected = rbar * (d - rbar ** 2) / (1 - rbar ** 2)
+        assert estimate_vmf(x).kappa == pytest.approx(expected, rel=1e-12)
 
 
 # --- sampler ---
