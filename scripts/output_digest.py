@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """SHA-1 of the serialized taxonomy on the benchmark's planted workloads.
 
-For each workload and seed this generates the inputs as ``perfbench/run.py``
-does (the planted corpus from the seed, the hierarchy with the workload's
-topic deleted, the workload's config), writes them to a temporary directory,
-reads them back with ``load_corpus``, ``parse_hierarchy`` and
-``load_config``, runs ``complete_taxonomy`` and ``serialize``, and prints
-one ``workload seed sha1`` line. Two checkouts that print the same lines
-write the same bytes.
+For each workload and seed this runs ``taxoforge.evaluation.run_planted``
+with the workload's spec, deletion and config, in text term order, and
+prints one ``workload seed sha1`` line. The run is in memory;
+``perfbench/run.py`` writes the same inputs to files and the worker reads
+them back, and ``tests/test_output_digest.py`` checks that both paths give
+the program the same corpus, hierarchy and config. Two checkouts that print
+the same lines write the same bytes.
 
 Run from the repository root:
 
@@ -19,35 +19,18 @@ import argparse
 import hashlib
 import os
 import sys
-import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 
-from workloads import WORKLOADS, config_text, partial_hierarchy  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-from taxoforge.corpus import load_corpus  # noqa: E402
-from taxoforge.evaluation import (  # noqa: E402
-    PlantedCorpusSpec,
-    write_synthetic_dataset,
-)
-from taxoforge.pipeline import complete_taxonomy, load_config  # noqa: E402
-from taxoforge.taxonomy import parse_hierarchy, serialize  # noqa: E402
+from taxoforge.evaluation import run_planted  # noqa: E402
 
 
 def output_digest(spec: dict, delete: str, config: dict, seed: int) -> str:
     """SHA-1 hex digest of the serialized output of one planted run."""
-    with tempfile.TemporaryDirectory() as work:
-        write_synthetic_dataset(PlantedCorpusSpec(**spec, seed=seed), work)
-        with open(os.path.join(work, "hierarchy_full.txt"), encoding="utf-8") as f:
-            partial = partial_hierarchy(f.read(), delete)
-        cfg_path = os.path.join(work, "config.txt")
-        with open(cfg_path, "w", encoding="utf-8") as f:
-            f.write(config_text(config))
-        corpus = load_corpus(os.path.join(work, "corpus.txt"))
-        cfg = load_config(cfg_path, seed=seed)
-        tax = complete_taxonomy(corpus, parse_hierarchy(partial, corpus), cfg)
-        text = serialize(tax, corpus, cfg.top_k_output)
+    text = run_planted(seed, delete, spec, config, text_order=True)[0]
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 

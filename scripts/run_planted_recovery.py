@@ -14,18 +14,18 @@ Run from the repository root:
 """
 
 import argparse
+import json
 
 from taxoforge.evaluation import run_planted, score_planted
 
 
-def run_seed(seed: int, delete: str, verbose: bool = True):
-    out, doc_labels, term_labels, elapsed = run_planted(seed, delete)
-    sc = score_planted(out, doc_labels, term_labels, delete)
-    if verbose:
-        print(f"seed={seed} {elapsed:5.1f}s depth={sc['depth']} "
-              f"best_recovery={sc['recovery']:.2f} best_node={sc['best_node']} "
-              f"novelty_f1={sc['novelty_f1']:.3f}", flush=True)
-    return sc["recovery"], sc["novelty_f1"], elapsed
+def run_seed(seed: int, delete: str) -> float:
+    text, doc_labels, term_labels, elapsed = run_planted(seed, delete)
+    sc = score_planted(json.loads(text), doc_labels, term_labels, delete)
+    print(f"seed={seed} {elapsed:5.1f}s depth={sc['depth']} "
+          f"best_recovery={sc['recovery']:.2f} best_node={sc['best_node']} "
+          f"novelty_f1={sc['novelty_f1']:.3f}", flush=True)
+    return sc["recovery"]
 
 
 def main():
@@ -35,10 +35,7 @@ def main():
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     args = ap.parse_args()
 
-    good = 0
-    for seed in args.seeds:
-        best, f1, _ = run_seed(seed, args.delete)
-        good += best >= 0.7
+    good = sum(run_seed(seed, args.delete) >= 0.7 for seed in args.seeds)
     print(f"recovery >= 0.7 in {good}/{len(args.seeds)} seeds")
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -9,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterConfig
-from .corpus import Corpus, Document
-from .embedding import EmbedConfig
-from .pipeline import PipelineConfig, complete_taxonomy
+from .corpus import Corpus, Document, corpus_from_lines
+from .pipeline import complete_taxonomy, pipeline_config
 from .taxonomy import Taxonomy, parse_hierarchy, serialize
 from .vmf import sample_vmf
 
@@ -35,10 +34,21 @@ class PlantedCorpusSpec:
         if min(self.level1_topics, self.level2_per_topic, self.terms_per_topic,
                self.docs_per_topic, self.doc_len) < 1:
             raise ValueError("all counts must be >= 1")
-        if self.kappa_topic <= 0:
-            raise ValueError("kappa_topic must be positive")
-        if self.name_boost < 1.0:
-            raise ValueError("name_boost must be >= 1")
+        # NaN fails every comparison: a NaN kappa would never accept a draw
+        if not (math.isfinite(self.kappa_topic) and self.kappa_topic > 0):
+            raise ValueError(f"kappa_topic must be finite and > 0, "
+                             f"got {self.kappa_topic}")
+        # level-1 means are distinct rows of an orthonormal dim x dim basis
+        if self.dim < max(2, self.level1_topics):
+            raise ValueError(f"dim must be >= max(2, level1_topics="
+                             f"{self.level1_topics}), got {self.dim}")
+        for name in ("vocab_noise_frac", "parent_mix"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # also rejects nan
+                raise ValueError(f"{name} must be in [0, 1], "
+                                 f"got {getattr(self, name)}")
+        if not (math.isfinite(self.name_boost) and self.name_boost >= 1.0):
+            raise ValueError(f"name_boost must be finite and >= 1, "
+                             f"got {self.name_boost}")
 
 
 def generate_synthetic_corpus(spec: PlantedCorpusSpec):
@@ -138,37 +148,49 @@ def planted_outline(truth: Taxonomy, corpus: Corpus, delete=None) -> list:
     return lines
 
 
-def planted_pipeline_config(seed: int) -> PipelineConfig:
-    # every planted-recovery run: low-dimensional and a higher lr, suited to
-    # the small planted corpora; child nodes use smaller batches (more SGD
-    # steps on the smaller sub-corpora), and beta=5 widens the novelty gap
-    # so topics that sit asymmetrically between the surviving siblings are
-    # still flagged
-    return PipelineConfig(
-        embed=EmbedConfig(dim=8, epochs=10, lr=0.05), child_batch_size=2048,
-        cluster=ClusterConfig(beta1=5.0, beta2=5.0), seed=seed)
+# every planted-recovery run: low-dimensional and a higher lr, suited to
+# the small planted corpora; child nodes use smaller batches (more SGD
+# steps on the smaller sub-corpora), and beta=5 widens the novelty gap so
+# topics that sit asymmetrically between the surviving siblings are still
+# flagged
+PLANTED_CONFIG = {"dim": 8, "epochs": 10, "lr": 0.05, "child_batch_size": 2048,
+                  "beta1": 5.0, "beta2": 5.0}
 
 
-def run_planted(seed: int, delete: str):
-    """Generate the standard planted corpus, drop one topic, complete it;
-    returns (tree as a dict, doc_labels, term_labels, seconds to complete)."""
+def run_planted(seed: int, delete: str, spec=None, config=PLANTED_CONFIG,
+                text_order=False):
+    """Generate a planted corpus, drop one topic, complete it; returns
+    (serialized tree, doc_labels, term_labels, seconds to complete).
+
+    spec holds PlantedCorpusSpec fields but seed, config ``--config`` keys;
+    text_order reads the corpus back from its lines, in the CLI's term ids.
+    """
     corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(
-        PlantedCorpusSpec(seed=seed))
-    partial = parse_hierarchy(
-        "\n".join(planted_outline(truth, corpus, delete)), corpus)
+        PlantedCorpusSpec(**(spec or {}), seed=seed))
+    if delete not in _topic_parents(doc_labels):
+        raise ValueError(f"{delete!r} is not a planted topic")
+    outline = planted_outline(truth, corpus, delete)
+    if text_order:
+        corpus = corpus_from_lines(_corpus_lines(corpus))
+    partial = parse_hierarchy("\n".join(outline), corpus)
+    cfg = pipeline_config(config, seed)
     t0 = time.perf_counter()
-    tax = complete_taxonomy(corpus, partial, planted_pipeline_config(seed))
+    tax = complete_taxonomy(corpus, partial, cfg)
     elapsed = time.perf_counter() - t0
-    out = json.loads(serialize(tax, corpus, 10))
-    return out, doc_labels, term_labels, elapsed
+    return serialize(tax, corpus, cfg.top_k_output), doc_labels, term_labels, elapsed
+
+
+def _corpus_lines(corpus: Corpus) -> list:
+    """One line of space-separated terms per document."""
+    return [" ".join(corpus.term(int(t)) for t in doc.tokens) + "\n"
+            for doc in corpus.documents]
 
 
 def write_synthetic_dataset(spec: PlantedCorpusSpec, out_dir: str):
     corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "corpus.txt"), "w", encoding="utf-8") as f:
-        for doc in corpus.documents:
-            f.write(" ".join(corpus.term(int(t)) for t in doc.tokens) + "\n")
+        f.writelines(_corpus_lines(corpus))
     with open(os.path.join(out_dir, "hierarchy_full.txt"), "w", encoding="utf-8") as f:
         f.writelines(line + "\n" for line in planted_outline(truth, corpus))
     with open(os.path.join(out_dir, "truth.json"), "w", encoding="utf-8") as f:

@@ -134,7 +134,7 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
     """
     if workers != 1:
         raise ValueError("workers must be 1: training is single-threaded")
-    kw = {"embed": {}, "cluster": {}, "": {}}
+    overrides = {}
     if path:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -146,12 +146,21 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
                 key, val = (x.strip() for x in line.split("=", 1))
                 if key not in CONFIG_KEYS:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
-                group, attr, typ = CONFIG_KEYS[key]
+                typ = CONFIG_KEYS[key][2]
                 try:
-                    kw[group][attr] = typ(val)
+                    overrides[key] = typ(val)
                 except ValueError:
                     raise ValueError(f"config line {lineno}: {key} expects "
                                      f"{typ.__name__}, got {val!r}") from None
+    return pipeline_config(overrides, seed)
+
+
+def pipeline_config(overrides: dict, seed=0) -> PipelineConfig:
+    """The defaults with overrides, keyed and typed as in CONFIG_KEYS."""
+    kw = {"embed": {}, "cluster": {}, "": {}}
+    for key, val in overrides.items():
+        group, attr, _ = CONFIG_KEYS[key]
+        kw[group][attr] = val
     return PipelineConfig(embed=EmbedConfig(**kw["embed"]),
                           cluster=ClusterConfig(**kw["cluster"]),
                           seed=seed, **kw[""])

@@ -192,9 +192,9 @@ def test_criterion_6_planted_level2_recovery(capfd):
     good = 0
     runtime_ok = True
     for seed in range(1, 6):
-        out, doc_labels, term_labels, elapsed = run_planted(seed, "topic1_2")
+        text, doc_labels, term_labels, elapsed = run_planted(seed, "topic1_2")
         runtime_ok &= elapsed < 300.0
-        sc = score_planted(out, doc_labels, term_labels, "topic1_2")
+        sc = score_planted(json.loads(text), doc_labels, term_labels, "topic1_2")
         good += sc["recovery"] >= 0.7
     _report(capfd, 6, "planted-level2-recovery",
             good >= 4 and runtime_ok)
@@ -202,8 +202,8 @@ def test_criterion_6_planted_level2_recovery(capfd):
 
 @pytest.mark.slow
 def test_criterion_7_planted_level1_recovery(capfd):
-    out, doc_labels, term_labels, _ = run_planted(1, "topic1")
-    sc = score_planted(out, doc_labels, term_labels, "topic1")
+    text, doc_labels, term_labels, _ = run_planted(1, "topic1")
+    sc = score_planted(json.loads(text), doc_labels, term_labels, "topic1")
     _report(capfd, 7, "planted-level1-recovery",
             sc["best_node"] is not None and sc["recovery"] >= 0.7
             and sc["novelty_f1"] >= 0.7)

@@ -5,13 +5,19 @@ import json
 import numpy as np
 import pytest
 
+from taxoforge import evaluation
+from taxoforge.clustering import ClusterConfig
+from taxoforge.embedding import EmbedConfig
 from taxoforge.evaluation import (
+    PLANTED_CONFIG,
     PlantedCorpusSpec,
     generate_synthetic_corpus,
     run_eval_cli,
+    run_planted,
     score_planted,
     write_synthetic_dataset,
 )
+from taxoforge.pipeline import PipelineConfig, load_config, pipeline_config
 
 
 def small_spec(**kw):
@@ -31,6 +37,29 @@ def test_spec_validation():
         small_spec(kappa_topic=0.0)
     with pytest.raises(ValueError):
         small_spec(name_boost=0.5)
+
+
+@pytest.mark.parametrize("field, value, extra", [
+    ("kappa_topic", float("nan"), {}),
+    ("kappa_topic", float("inf"), {}),
+    ("dim", 1, {}),
+    ("dim", 2, {"level1_topics": 3}),
+    ("vocab_noise_frac", 1.5, {}),
+    ("vocab_noise_frac", float("nan"), {}),
+    ("parent_mix", 2.0, {}),
+    ("parent_mix", -0.1, {}),
+    ("name_boost", float("nan"), {}),
+    ("name_boost", float("inf"), {}),
+])
+def test_spec_rejects_bad_values(tmp_path, field, value, extra):
+    with pytest.raises(ValueError, match=field):
+        small_spec(**{field: value, **extra})
+    if field == "kappa_topic":
+        # a NaN kappa from a spec file fails at once, not in a hung sampler
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({field: value}))
+        assert run_eval_cli(["synth", "--spec", str(spec_path),
+                             "--out", str(tmp_path / "out")]) == 1
 
 
 def test_generator_shapes_and_labels():
@@ -100,6 +129,29 @@ def test_generator_name_boost_raises_name_frequency():
         return hits / total
 
     assert name_rate(high) > 2 * name_rate(low)
+
+
+# --- planted runs ---
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_planted_config_is_criteria_6_and_7s_config(tmp_path, seed):
+    want = PipelineConfig(embed=EmbedConfig(dim=8, epochs=10, lr=0.05),
+                          child_batch_size=2048,
+                          cluster=ClusterConfig(beta1=5.0, beta2=5.0), seed=seed)
+    assert pipeline_config(PLANTED_CONFIG, seed) == want
+    path = tmp_path / "cfg.txt"
+    path.write_text("".join(f"{k}={v}\n" for k, v in PLANTED_CONFIG.items()))
+    assert load_config(str(path), seed=seed) == want
+
+
+def test_run_planted_rejects_an_unknown_topic_before_training(monkeypatch):
+    def fail(*args):
+        raise AssertionError("complete_taxonomy called")
+
+    monkeypatch.setattr(evaluation, "complete_taxonomy", fail)
+    with pytest.raises(ValueError, match="'topic9' is not a planted topic"):
+        run_planted(1, "topic9", spec={"docs_per_topic": 5})
 
 
 # --- scorer, on hand-built trees ---

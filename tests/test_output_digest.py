@@ -11,6 +11,12 @@ import textwrap
 
 import pytest
 
+from taxoforge import evaluation
+from taxoforge.corpus import load_corpus
+from taxoforge.evaluation import (generate_synthetic_corpus, planted_outline,
+                                  write_synthetic_dataset)
+from taxoforge.pipeline import load_config
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 # two level-1 topics with two sub-topics each, one deleted: a run takes
@@ -36,25 +42,36 @@ TINY_SEED3_SHA1 = "111b7e898f5d15f42b12b92d9900029f1f4e41a3"
 WIDE = {**TINY, "spec": {**TINY["spec"], "level1_topics": 3}, "delete": "topic1"}
 WIDE_SEED3_SHA1 = "ad8dea9945ef6e862f49dd5300ca619e972826f3"
 
+# the seed-1 digest of each benchmark workload: the bytes the benchmark's
+# runs write, pinned like the two above
+WORKLOAD_SEED1_SHA1 = {
+    "planted-l2": "fdc20a621f0c9b86aa8c4bb8318f509112fb76bb",
+    "planted-l1": "7e836c47b2ffd5d5d9350639892abf9b63b0be68",
+    "planted-large": "756a2f83586e3b06d9664f1d4f3e994f77e52347",
+}
 
-@pytest.fixture(scope="module")
-def digest_mod():
-    spec = importlib.util.spec_from_file_location(
-        "output_digest", os.path.join(ROOT, "scripts", "output_digest.py"))
+
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
+@pytest.fixture(scope="module")
+def digest_mod():
+    return _load("output_digest", "scripts", "output_digest.py")
+
+
 def test_digest_is_sha1_of_the_serialized_output(digest_mod, monkeypatch):
     texts = []
-    real = digest_mod.serialize
+    real = evaluation.serialize
 
     def keep(*args):
         texts.append(real(*args))
         return texts[-1]
 
-    monkeypatch.setattr(digest_mod, "serialize", keep)
+    monkeypatch.setattr(evaluation, "serialize", keep)
     got = digest_mod.output_digest(TINY["spec"], TINY["delete"],
                                    TINY["config"], seed=3)
     assert got == hashlib.sha1(texts[0].encode("utf-8")).hexdigest()
@@ -86,6 +103,52 @@ def test_tiny_run_keeps_its_golden_bytes(digest_mod):
 def test_wide_run_keeps_its_golden_bytes(digest_mod):
     assert digest_mod.output_digest(WIDE["spec"], WIDE["delete"],
                                     WIDE["config"], seed=3) == WIDE_SEED3_SHA1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SEED1_SHA1))
+def test_workload_keeps_its_golden_bytes(digest_mod, name):
+    wl = _load("perfbench_workloads", "perfbench", "workloads.py").WORKLOADS[name]
+    assert digest_mod.output_digest(wl["spec"], wl["delete"], wl["config"],
+                                    seed=1) == WORKLOAD_SEED1_SHA1[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SEED1_SHA1))
+def test_digest_inputs_are_the_benchmarks(tmp_path, monkeypatch, name):
+    # the benchmark writes the planted inputs to files and its worker reads
+    # them back; the digest builds them in memory: the program sees the same
+    # corpus, hierarchy and config either way
+    workloads = _load("perfbench_workloads", "perfbench", "workloads.py")
+    wl = workloads.WORKLOADS[name]
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def stop(corpus, partial, cfg):
+        seen.update(corpus=corpus, cfg=cfg)
+        raise Stop
+
+    monkeypatch.setattr(evaluation, "complete_taxonomy", stop)
+    with pytest.raises(Stop):
+        evaluation.run_planted(1, wl["delete"], wl["spec"], wl["config"],
+                               text_order=True)
+    spec = evaluation.PlantedCorpusSpec(**wl["spec"], seed=1)
+    write_synthetic_dataset(spec, str(tmp_path))
+    read = load_corpus(str(tmp_path / "corpus.txt"))
+    assert seen["corpus"].vocab == read.vocab
+    assert len(seen["corpus"].documents) == len(read.documents)
+    for a, b in zip(seen["corpus"].documents, read.documents):
+        assert a.tokens.tolist() == b.tokens.tolist()
+
+    corpus, truth, _, _ = generate_synthetic_corpus(spec)
+    full = (tmp_path / "hierarchy_full.txt").read_text(encoding="utf-8")
+    assert planted_outline(truth, corpus, wl["delete"]) == \
+        workloads.partial_hierarchy(full, wl["delete"]).splitlines()
+
+    (tmp_path / "config.txt").write_text(workloads.config_text(wl["config"]))
+    assert seen["cfg"] == load_config(str(tmp_path / "config.txt"), seed=1)
+    assert workloads.PLANTED_CONFIG == {**evaluation.PLANTED_CONFIG, "epochs": 2}
 
 
 def test_run_path_never_imports_scipy(tmp_path):
