@@ -41,10 +41,6 @@ KMEANS_MAX_ITER = 100
 KMEANS_RESTARTS = 4  # the best objective over this many seeded starts wins
 
 
-class UndefinedNoveltyError(ValueError):
-    pass
-
-
 @dataclass
 class ClusterConfig:
     beta1: float = 1.5   # novelty beta at the root (level 0)
@@ -89,7 +85,7 @@ class SubtopicClustering:
 def novelty_scores(space: EmbeddingSpace, temperature: float) -> np.ndarray:
     """1 - max softmax over known sub-topics of cos(t, s)/T, per row."""
     if space.num_topics == 0:
-        raise UndefinedNoveltyError("node has no known sub-topics")
+        raise ValueError("node has no known sub-topics")
     sims = space.target @ space.topic_vecs.T / temperature
     sims -= sims.max(axis=1, keepdims=True)
     soft = np.exp(sims)

@@ -11,21 +11,8 @@ BM25_K1 = 1.2   # the standard BM25 term-frequency saturation
 BM25_B = 0.75   # the standard BM25 document-length normalisation
 
 
-class EmptyCorpusError(ValueError):
-    pass
-
-
-class EmptyStatsError(ValueError):
-    pass
-
-
-class UnknownDocumentError(ValueError):
-    """A document id outside [0, num_docs) of the corpus."""
-
-
 @dataclass
 class Document:
-    id: int
     tokens: np.ndarray  # term ids, in order
 
 
@@ -162,10 +149,10 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
             continue
         ids = np.array([index.setdefault(tok, len(index)) for tok in tokens],
                        dtype=np.int64)
-        documents.append(Document(id=len(documents), tokens=ids))
+        documents.append(Document(tokens=ids))
     vocab = list(index)
     if not documents:
-        raise EmptyCorpusError("corpus contains no non-empty documents")
+        raise ValueError("corpus contains no non-empty documents")
     integrity = None
     if integrity_path is not None:
         integrity = np.ones(len(vocab))
@@ -220,9 +207,9 @@ def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
     """
     doc_ids = np.asarray(sorted(doc_subset), dtype=np.int64)
     if doc_ids.size == 0:
-        raise EmptyStatsError("document subset is empty")
+        raise ValueError("document subset is empty")
     if doc_ids[0] < 0 or doc_ids[-1] >= corpus.num_docs:
-        raise UnknownDocumentError(
+        raise ValueError(
             f"document ids {doc_ids[0]}..{doc_ids[-1]} reach outside "
             f"[0, {corpus.num_docs})")
     repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]

@@ -116,7 +116,7 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
                 tokens[parent] = rng.choice(parent_pool, size=int(parent.sum()), p=w_par)
                 tokens[leaf_mask] = rng.choice(leaf_pool, size=int(leaf_mask.sum()),
                                                p=w_leaf)
-                documents.append(Document(id=len(documents), tokens=tokens))
+                documents.append(Document(tokens=tokens))
                 doc_labels.append((l1, leaf))
 
     corpus = Corpus(documents, vocab)

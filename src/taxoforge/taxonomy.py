@@ -7,22 +7,6 @@ from dataclasses import dataclass, field
 from .corpus import Corpus
 
 
-class UnknownTopicNameError(ValueError):
-    pass
-
-
-class MalformedHierarchyError(ValueError):
-    pass
-
-
-class AmbiguousKeywordError(ValueError):
-    pass
-
-
-class CenterTermCollisionError(ValueError):
-    pass
-
-
 @dataclass
 class TopicNode:
     id: int
@@ -49,7 +33,7 @@ class Taxonomy:
         self.nodes[node.id] = node
         if parent is None:
             if self.root is not None:
-                raise MalformedHierarchyError("taxonomy already has a root")
+                raise ValueError("taxonomy already has a root")
             self.root = node.id
         else:
             self.nodes[parent].children.append(node.id)
@@ -85,14 +69,14 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
         depth = len(raw) - len(name)
         if name[:1].isspace():
             # normalize_name would strip it, and the line land at a wrong depth
-            raise MalformedHierarchyError(f"line {lineno}: indent with tabs only")
+            raise ValueError(f"line {lineno}: indent with tabs only")
         name = normalize_name(name)
         if depth + 1 > len(stack):
-            raise MalformedHierarchyError(
+            raise ValueError(
                 f"line {lineno}: indentation jumps more than one level")
         if first_line.setdefault(name, lineno) != lineno:
-            raise MalformedHierarchyError(f"line {lineno}: topic {name!r} repeats "
-                                          f"the topic of line {first_line[name]}")
+            raise ValueError(f"line {lineno}: topic {name!r} repeats "
+                             f"the topic of line {first_line[name]}")
         tid = corpus.index.get(name)
         if tid is None:
             unknown.append(name)
@@ -103,7 +87,7 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
         del stack[depth + 1:]
         stack.append(node.id)
     if unknown:
-        raise UnknownTopicNameError(
+        raise ValueError(
             "topic names not in vocabulary: " + ", ".join(unknown))
     return tax
 
@@ -121,7 +105,7 @@ def subtree_keywords(tax: Taxonomy, node_id: int) -> dict:
                 kws.add(ct)
         for t in kws:
             if t in seen:
-                raise AmbiguousKeywordError(
+                raise ValueError(
                     f"center term {t} appears under two sibling sub-trees")
             seen[t] = child
         out[child] = kws
@@ -141,7 +125,7 @@ def insert_children(tax: Taxonomy, parent: int, known, novel) -> None:
     centers = {tax.nodes[c].center_term for c in tax.nodes[parent].children}
     for center, terms, docs, kappa in novel:
         if center in centers:
-            raise CenterTermCollisionError(
+            raise ValueError(
                 f"novel center term {center} collides with an existing child")
         node = tax.add_node(center_term=center, parent=parent, is_novel=True)
         node.terms, node.docs, node.kappa = terms, docs, kappa

@@ -9,7 +9,6 @@ from taxoforge.clustering import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
     ClusterConfig,
-    UndefinedNoveltyError,
     _bm25_matrix,
     _kmeans_once,
     _logsumexp_rows,
@@ -116,7 +115,7 @@ def test_novelty_range_bound():
 
 def test_novelty_zero_topics_error():
     sp = space_with(np.eye(3)[:1].copy(), np.zeros((0, 3)))
-    with pytest.raises(UndefinedNoveltyError):
+    with pytest.raises(ValueError, match="no known sub-topics"):
         novelty_score(0, sp, 0.1)
 
 

@@ -455,6 +455,19 @@ def test_cli_space_indented_hierarchy_is_error(dataset, tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_cli_blank_corpus_is_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n   \n\t\n\n")
+    hier = tmp_path / "partial.txt"
+    hier.write_text("topic0\ntopic1\n")
+    rc = run_cli(["--corpus", str(corpus), "--hierarchy", str(hier),
+                  "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "taxoforge: error: corpus contains no non-empty documents\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_cli_missing_required_arg_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--corpus", "x.txt"])
