@@ -133,9 +133,15 @@ def insert_children(tax: Taxonomy, parent: int, known, novel) -> None:
 
 
 def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:
-    """JSON dump of the tree; per node top_k terms, center first, in stored order."""
+    """JSON dump of the tree; per node top_k terms, center first, in stored order.
+
+    The root lists no terms: it has no center term, and its term set is
+    what it trains on, not a ranking.
+    """
 
     def top_terms(node: TopicNode):
+        if node.center_term is None:
+            return []
         terms = [int(t) for t in node.terms]
         if node.center_term in terms:
             terms.remove(node.center_term)

@@ -31,7 +31,7 @@ TINY = {
 
 # SHA-1 of the serialized TINY run at seed 3. A change that moves an output
 # bit on purpose updates this value and says why; any other change keeps it.
-TINY_SEED3_SHA1 = "111b7e898f5d15f42b12b92d9900029f1f4e41a3"
+TINY_SEED3_SHA1 = "50567a143ed5beb3f6d36c9425045b5fb1c90746"
 
 # TINY with three level-1 topics and topic1 deleted. The golden run above
 # expands the root and topic0, picks K* = 1 at both and keeps no novel
@@ -40,14 +40,14 @@ TINY_SEED3_SHA1 = "111b7e898f5d15f42b12b92d9900029f1f4e41a3"
 # node, and has known centre terms that also anchor a second slot, so it
 # pins the multi-slot paths of the K* search and the anchor re-assignment.
 WIDE = {**TINY, "spec": {**TINY["spec"], "level1_topics": 3}, "delete": "topic1"}
-WIDE_SEED3_SHA1 = "ad8dea9945ef6e862f49dd5300ca619e972826f3"
+WIDE_SEED3_SHA1 = "a981a8e5351a176ff2b5fd714139550829acb421"
 
 # the seed-1 digest of each benchmark workload: the bytes the benchmark's
 # runs write, pinned like the two above
 WORKLOAD_SEED1_SHA1 = {
-    "planted-l2": "fdc20a621f0c9b86aa8c4bb8318f509112fb76bb",
-    "planted-l1": "7e836c47b2ffd5d5d9350639892abf9b63b0be68",
-    "planted-large": "756a2f83586e3b06d9664f1d4f3e994f77e52347",
+    "planted-l2": "e7d14ef13694aa59f5cb3d5e03c014102702cbc0",
+    "planted-l1": "4e809082dfef24cbae8274fa702201933819f258",
+    "planted-large": "05ad705a024fb7d2eab29750d4516c4ed1d9c131",
 }
 
 

@@ -185,8 +185,12 @@ def _populate(tax, corpus):
 
 def test_serialize_single_root(corpus):
     tax = parse_hierarchy("", corpus)
+    # the pipeline stores the whole vocabulary on the root as its
+    # training set; that is no ranking to print
+    tax.nodes[tax.root].terms = range(corpus.num_terms)
     out = json.loads(serialize(tax, corpus, 10))
     assert out["name"] == "root" and out["children"] == []
+    assert out["terms"] == []
 
 
 def test_serialize_round_trip_shape(corpus):
