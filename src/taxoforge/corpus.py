@@ -1,5 +1,6 @@
 """Pre-tokenized corpus loading, vocabulary, and frequency statistics."""
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,15 +142,17 @@ def load_corpus(path, integrity_path=None) -> Corpus:
 
 
 def corpus_from_lines(lines, integrity_path=None) -> Corpus:
-    index = {}   # term -> id, in first-occurrence order
+    # term -> id, in first-occurrence order: an unseen term's lookup stores
+    # and returns the next id, so a line's ids come from C with no Python
+    # code run per token
+    index = defaultdict()
+    index.default_factory = index.__len__
     documents = []
     for line in lines:
         tokens = line.split()
-        if not tokens:
-            continue
-        ids = np.array([index.setdefault(tok, len(index)) for tok in tokens],
-                       dtype=np.int64)
-        documents.append(Document(tokens=ids))
+        if tokens:
+            documents.append(Document(tokens=np.fromiter(
+                map(index.__getitem__, tokens), np.int64, count=len(tokens))))
     vocab = list(index)
     if not documents:
         raise ValueError("corpus contains no non-empty documents")
@@ -276,9 +279,12 @@ def context_pair_arrays(tokens, lengths, window: int):
     targets = np.empty(n_pairs, dtype=tokens.dtype)
     contexts = np.empty(n_pairs, dtype=tokens.dtype)
     # whole blocks, about PAIR_CHUNK pairs at a time: bounds the index arrays
-    cuts = np.unique(np.concatenate([
+    cuts = np.concatenate([
         [0], np.searchsorted(end, np.arange(PAIR_CHUNK, n_pairs, PAIR_CHUNK),
-                             side="right"), [size.size]]))
+                             side="right"), [size.size]])
+    # cuts is non-decreasing: drop its repeats (np.unique would import
+    # numpy.ma)
+    cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     for b0, b1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         first, last = int(end[b0] - size[b0]), int(end[b1 - 1])
         at = np.arange(first, last)

@@ -182,7 +182,7 @@ def run_planted(seed: int, delete: str, spec=None, config=PLANTED_CONFIG,
 
 def _corpus_lines(corpus: Corpus) -> list:
     """One line of space-separated terms per document."""
-    return [" ".join(corpus.term(int(t)) for t in doc.tokens) + "\n"
+    return [" ".join(map(corpus.vocab.__getitem__, doc.tokens.tolist())) + "\n"
             for doc in corpus.documents]
 
 

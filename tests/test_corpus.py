@@ -118,6 +118,71 @@ def test_vocab_round_trip():
         assert corpus.term(tid) == term
 
 
+def setdefault_loader(lines):
+    """Oracle: (vocab, token arrays) assigned one token at a time."""
+    index = {}
+    documents = []
+    for line in lines:
+        tokens = line.split()
+        if not tokens:
+            continue
+        documents.append(np.array(
+            [index.setdefault(tok, len(index)) for tok in tokens], dtype=np.int64))
+    return list(index), documents
+
+
+def assert_loads_as_oracle(lines):
+    corpus = corpus_from_lines(lines)
+    vocab, documents = setdefault_loader(lines)
+    assert corpus.vocab == vocab
+    assert corpus.index == {t: i for i, t in enumerate(vocab)}
+    assert type(corpus.index) is dict
+    assert corpus.num_docs == len(documents)
+    for doc, want in zip(corpus.documents, documents):
+        assert doc.tokens.dtype == np.int64
+        assert np.array_equal(doc.tokens, want)
+
+
+@pytest.mark.parametrize("lines", [
+    ["a b a\r\n", "b c\r\n", "c\r\n"],                 # CRLF endings
+    ["a\tb\u00a0c\n", "c\u3000a  b\n", "\td\u00a0\n"],  # other spaces
+    ["a b\n", "   \n", "\t\u3000\u00a0\r\n", "\n", "b c"],  # blank lines
+    ["x x x y x\n", "y y\n", "z x y z\n"],              # repeats
+])
+def test_loader_matches_setdefault_oracle(lines):
+    assert_loads_as_oracle(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(alphabet="ab c\t\u00a0\u3000\r\n", max_size=12),
+                min_size=1, max_size=8))
+def test_loader_matches_setdefault_oracle_random(lines):
+    if not any(line.split() for line in lines):
+        return
+    assert_loads_as_oracle(lines)
+
+
+def test_unseen_term_id_raises_and_adds_nothing():
+    corpus = corpus_from_lines(["a b\n", "b c\n"])
+    with pytest.raises(KeyError):
+        corpus.term_id("unseen")
+    assert corpus.num_terms == 3
+    assert "unseen" not in corpus.index
+
+
+def test_crlf_file_loads_as_lf_file(tmp_path):
+    text = "a b a\n\nb\tc d\n  \nd a\n"
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    want, got = load_corpus(lf), load_corpus(crlf)
+    assert got.vocab == want.vocab and got.index == want.index
+    assert got.num_docs == want.num_docs == 3
+    for a, b in zip(got.documents, want.documents):
+        assert a.tokens.dtype == b.tokens.dtype == np.int64
+        assert np.array_equal(a.tokens, b.tokens)
+
+
 def test_token_array_lays_documents_end_to_end():
     for seed in range(20):
         corpus, rng = random_corpus(seed)

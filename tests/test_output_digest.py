@@ -153,7 +153,8 @@ def test_digest_inputs_are_the_benchmarks(tmp_path, monkeypatch, name):
 
 def test_run_path_never_imports_scipy(tmp_path):
     # a fresh interpreter where any scipy import fails: the TINY run, and a
-    # CLI run that expands the root of the small corpus, both succeed
+    # CLI run that expands the root of the small corpus, both succeed, and
+    # neither imports numpy.ma
     (tmp_path / "cfg.txt").write_text("dim=8\nepochs=2\nmin_terms=10\nmin_docs=5\n")
     code = textwrap.dedent(f"""
         import importlib.util, json, sys
@@ -175,13 +176,15 @@ def test_run_path_never_imports_scipy(tmp_path):
             "rc": rc,
             "scipy": [m for m, v in sys.modules.items()
                       if m.split(".")[0] == "scipy" and v is not None],
+            "numpy.ma": "numpy.ma" in sys.modules,
         }}))
         """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"digest": TINY_SEED3_SHA1, "rc": 0, "scipy": []}
+    assert got == {"digest": TINY_SEED3_SHA1, "rc": 0, "scipy": [],
+                   "numpy.ma": False}
     # the CLI run expanded the root: its topics hold documents
     tree = json.loads((tmp_path / "out.json").read_text())
     assert all(c["doc_ids"] for c in tree["children"])
