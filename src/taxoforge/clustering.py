@@ -51,12 +51,12 @@ class ClusterConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not (self.beta1 >= 1.0 and self.beta2 >= 1.0):
-            raise ValueError("beta (beta1, beta2) must be >= 1")
+        if not (1.0 <= self.beta1 < np.inf and 1.0 <= self.beta2 < np.inf):
+            raise ValueError("beta (beta1, beta2) must be finite and >= 1")
         if not 0.0 <= self.tau_sig <= 1.0:
             raise ValueError("tau_sig must lie in [0, 1]")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and positive")
         if self.k_star_max < 1:
             raise ValueError("k_star_max (kmax_novel) must be >= 1")
 

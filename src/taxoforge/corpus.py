@@ -159,6 +159,7 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
     integrity = None
     if integrity_path is not None:
         integrity = np.ones(len(vocab))
+        first_line = {}   # term -> line it is scored on
         with open(integrity_path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
@@ -175,6 +176,9 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
                     raise ValueError(f"{where}: score {score!r} is not a number") from None
                 if not 0.0 <= score <= 1.0:  # also rejects nan
                     raise ValueError(f"{where}: score {score} is not in [0, 1]")
+                if first_line.setdefault(term, lineno) != lineno:
+                    raise ValueError(f"{where}: term {term!r} repeats the "
+                                     f"term of line {first_line[term]}")
                 if term in index:
                     integrity[index[term]] = score
     return Corpus(documents, vocab, integrity)
@@ -200,38 +204,26 @@ class TermStats:
 
 
 def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
-    """Term statistics of the distinct documents doc_subset over the node
-    terms term_arr (strictly ascending).
+    """Term statistics of the documents doc_subset over the node terms
+    term_arr, both strictly ascending ids.
 
     idf(t) = log(|subset| / df(t)) with df over the subset only. The
-    counts are the subset's rows of the corpus's root count matrix, or
-    that cached matrix itself when the subset is every document: it is
-    read, never written.
+    counts are the subset's rows of the corpus's root count matrix.
     """
-    doc_ids = np.asarray(sorted(doc_subset), dtype=np.int64)
+    doc_ids = np.asarray(doc_subset, dtype=np.int64)
+    term_arr = np.asarray(term_arr, dtype=np.int64)
     if doc_ids.size == 0:
         raise ValueError("document subset is empty")
-    if doc_ids[0] < 0 or doc_ids[-1] >= corpus.num_docs:
-        raise ValueError(
-            f"document ids {doc_ids[0]}..{doc_ids[-1]} reach outside "
-            f"[0, {corpus.num_docs})")
-    repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]
-    if repeated.size:
-        raise ValueError(f"document id {repeated[0]} is listed more than once")
-    term_arr = np.asarray(term_arr, dtype=np.int64)
-    if np.any(term_arr[1:] <= term_arr[:-1]):
-        raise ValueError("node term ids are not strictly ascending")
-    if term_arr.size and (term_arr[0] < 0 or term_arr[-1] >= corpus.num_terms):
-        raise ValueError(f"node term ids {term_arr[0]}..{term_arr[-1]} reach "
-                         f"outside [0, {corpus.num_terms})")
+    for ids, bound, what in ((doc_ids, corpus.num_docs, "document"),
+                             (term_arr, corpus.num_terms, "node term")):
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError(f"{what} ids are not strictly ascending")
+        if ids.size and (ids[0] < 0 or ids[-1] >= bound):
+            raise ValueError(f"{what} ids {ids[0]}..{ids[-1]} reach outside [0, {bound})")
     indptr, cols, count = corpus.counts()
-    if doc_ids.size < corpus.num_docs:   # distinct ids: else every document
-        gather, row_nnz = _gather_ranges(indptr, doc_ids)
-        cols, count = cols[gather], count[gather]
-    else:
-        row_nnz = np.diff(indptr)
-    offsets = corpus.token_array()[1]
-    doc_len = offsets[doc_ids + 1] - offsets[doc_ids]
+    gather, row_nnz = _gather_ranges(indptr, doc_ids)
+    cols, count = cols[gather], count[gather]
+    doc_len = np.diff(corpus.token_array()[1])[doc_ids]
     # every stored count is >= 1, so a term's nonzeros are its documents
     df = np.bincount(cols, minlength=corpus.num_terms)
     idf = np.zeros(corpus.num_terms)
@@ -239,8 +231,7 @@ def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
     idf[present] = np.log(doc_ids.size / df[present])
     row = np.repeat(np.arange(doc_ids.size), row_nnz)
     idf = idf[cols]
-    dl = doc_len[row]
-    denom = count + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / float(doc_len.mean()))
+    denom = count + BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len[row] / float(doc_len.mean()))
     pos_of = np.full(corpus.num_terms, term_arr.size, dtype=np.int64)
     pos_of[term_arr] = np.arange(term_arr.size)
     return TermStats(doc_ids=doc_ids, term_arr=term_arr, row=row, count=count,

@@ -46,8 +46,8 @@ class EmbedConfig:
             raise ValueError("embedding dimension (dim) must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.lr > 0.0:
-            raise ValueError("lr must be > 0")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.neighbors_m < 0:
             raise ValueError(f"M (neighbors_m) must be >= 0, got {self.neighbors_m}")
 
@@ -158,23 +158,24 @@ def _draw_rows(cum, guide, u):
 
 
 def retrieve_local_corpus(node, space: EmbeddingSpace | None, corpus: Corpus,
-                          m_neighbors: int) -> set:
-    """Node documents plus documents containing the top-M neighbors of its
-    center in space, the parent's trained space; the root (space None) gets
-    every document."""
+                          m_neighbors: int) -> np.ndarray:
+    """Ascending int64 ids of the node documents plus the documents
+    containing the top-M neighbors of its center in space, the parent's
+    trained space; the root (space None) gets every document."""
     if space is None:
-        return set(range(corpus.num_docs))
-    docs = set(node.docs)
+        return np.arange(corpus.num_docs)
+    # an empty tuple as an index would select every document
+    docs = np.asarray(node.docs, dtype=np.int64)
     center = int(space.row_of[node.center_term])
     if m_neighbors <= 0 or center < 0:
         return docs
+    local = np.zeros(corpus.num_docs, dtype=bool)
+    local[docs] = True
     sims = space.target @ space.target[center]
     sims[center] = -np.inf
-    top = min(m_neighbors, len(sims) - 1)
-    order = np.argsort(-sims)[:top]
-    for row in order:
-        docs.update(corpus.docs_containing(int(space.term_ids[row])).tolist())
-    return docs
+    for row in np.argsort(-sims)[:min(m_neighbors, len(sims) - 1)]:
+        local[corpus.docs_containing(int(space.term_ids[row]))] = True
+    return np.flatnonzero(local)
 
 
 def _pair_rows(corpus: Corpus, docs, window, row_of):
@@ -185,7 +186,7 @@ def _pair_rows(corpus: Corpus, docs, window, row_of):
     with a term that has no row are dropped; when every pair is kept, the
     paired arrays are returned as they are.
     """
-    tokens, lengths = corpus.doc_tokens(sorted(docs))
+    tokens, lengths = corpus.doc_tokens(docs)
     tr, cr = context_pair_arrays(row_of[tokens], lengths, window)
     keep = tr >= 0
     keep &= cr >= 0
@@ -198,12 +199,12 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
                          corpus: Corpus, centers, seed: int) -> EmbeddingSpace:
     """Train a node-local embedding space.
 
-    docs: document ids of the local sub-corpus; terms: term ids with vectors;
-    keywords: sub-topic key -> keyword term set (may be empty); centers:
-    sub-topic key -> center term, used to initialize sub-topic vectors;
-    seed: seeds the initialization, the pair order and the negatives.
+    docs: ascending ids of the local sub-corpus's documents; terms: term
+    ids with vectors; keywords: sub-topic key -> keyword term set (may be
+    empty); centers: sub-topic key -> center term, used to initialize
+    sub-topic vectors; seed: seeds the initialization, pairs and negatives.
     """
-    if not docs:
+    if len(docs) == 0:
         raise ValueError("cannot train on an empty document set")
     term_ids = np.asarray(sorted(int(t) for t in terms))
     n = term_ids.size

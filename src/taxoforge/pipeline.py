@@ -6,6 +6,8 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .clustering import ClusterConfig, cluster_node
 from .corpus import Corpus, compute_term_stats, load_corpus
 from .embedding import EmbedConfig, retrieve_local_corpus, train_node_embedding
@@ -47,8 +49,8 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
     """
     tax = partial
     root = tax.nodes[tax.root]
-    root.terms = range(corpus.num_terms)
-    root.docs = range(corpus.num_docs)
+    root.terms = np.arange(corpus.num_terms)
+    root.docs = np.arange(corpus.num_docs)
 
     child_embed = cfg.embed if cfg.child_batch_size is None else \
         replace(cfg.embed, batch_size=cfg.child_batch_size)
@@ -135,6 +137,7 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
     if workers != 1:
         raise ValueError("workers must be 1: training is single-threaded")
     overrides = {}
+    first_line = {}   # key -> line it is set on
     if path:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -146,6 +149,9 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
                 key, val = (x.strip() for x in line.split("=", 1))
                 if key not in CONFIG_KEYS:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
+                if first_line.setdefault(key, lineno) != lineno:
+                    raise ValueError(f"config line {lineno}: key {key!r} repeats "
+                                     f"the key of line {first_line[key]}")
                 typ = CONFIG_KEYS[key][2]
                 try:
                     overrides[key] = typ(val)
@@ -193,9 +199,9 @@ def run_cli(argv=None) -> int:
                   f"{len(root.terms)} terms (min_terms={cfg.min_terms}), "
                   f"{len(root.docs)} documents (min_docs={cfg.min_docs}); "
                   f"the input topics get no documents", file=sys.stderr)
+        text = serialize(tax, corpus, cfg.top_k_output)  # raises before --out exists
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(serialize(tax, corpus, cfg.top_k_output))
-            f.write("\n")
+            f.write(text + "\n")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"taxoforge: error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Topic tree: parsing the partial hierarchy, keyword sets, serialization."""
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -98,11 +99,8 @@ def subtree_keywords(tax: Taxonomy, node_id: int) -> dict:
     out = {}
     seen = {}
     for child in node.children:
-        kws = set()
-        for nid in tax.subtree_ids(child):
-            ct = tax.nodes[nid].center_term
-            if ct is not None:
-                kws.add(ct)
+        # only the root has no center term, and it is in no child's sub-tree
+        kws = {tax.nodes[nid].center_term for nid in tax.subtree_ids(child)}
         for t in kws:
             if t in seen:
                 raise ValueError(
@@ -150,8 +148,11 @@ def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:
 
     def encode(node_id):
         node = tax.nodes[node_id]
+        name = corpus.term(node.center_term) if node.center_term is not None else "root"
+        if node.kappa is not None and not math.isfinite(node.kappa):  # NaN is not JSON
+            raise ValueError(f"node {name!r} has a non-finite kappa {node.kappa}")
         return {
-            "name": corpus.term(node.center_term) if node.center_term is not None else "root",
+            "name": name,
             "is_novel": node.is_novel,
             "terms": top_terms(node),
             "doc_ids": [int(d) for d in node.docs],

@@ -301,7 +301,7 @@ def make_doc_fixture(seed, n_docs=30, n_terms=20):
 
 def test_assign_documents_single_cluster_doc():
     corpus = corpus_from_lines(["a b\n", "c c\n"])
-    stats = full_stats(corpus, {0, 1})
+    stats = full_stats(corpus, [0, 1])
     z_term = {0: 1, 1: 1}  # a, b -> slot 1; c unclustered
     z_doc = vote(z_term, stats, 2)
     assert z_doc.get(0) == 1
@@ -312,7 +312,7 @@ def test_assign_documents_single_cluster_doc():
 def test_assign_documents_rejects_slots_out_of_range(bad):
     # slot 3 of 2 would hand document 0's votes to document 1
     corpus = corpus_from_lines(["a b\n", "c\n"])
-    stats = compute_term_stats(corpus, {0, 1}, [0, 1, 2])
+    stats = compute_term_stats(corpus, [0, 1], [0, 1, 2])
     with pytest.raises(ValueError, match="slots"):
         assign_documents(stats, np.array([bad, bad, 0]), 2)
     # n_slots itself marks a term with no slot
@@ -435,7 +435,7 @@ def vote_cases(seed):
     yield corpus, every, z_term, 4          # slot 3 empty
     yield corpus, every, {}, 0              # n_slots == 0
     subset = rng.choice(corpus.num_docs, size=12, replace=False).tolist()
-    yield corpus, subset, z_term, 3         # a document subset
+    yield corpus, sorted(subset), z_term, 3   # a document subset
     # five terms appended to every document: each has idf 0
     common = " ".join(corpus.vocab[t] for t in
                       rng.choice(corpus.num_terms, size=5, replace=False))
@@ -471,13 +471,13 @@ def test_assign_documents_sums_in_term_order():
     # ties slot 1, so the lowest slot wins; summed in any other order it
     # is 0.6 and slot 1 would win
     corpus = corpus_from_lines(["a b c d\n", "e\n"])
-    stats = full_stats(corpus, {0, 1})
+    stats = full_stats(corpus, [0, 1])
     idf = np.array([0.1, 0.2, 0.3, (0.1 + 0.2) + 0.3, 0.0])
     stats.vote[:] = stats.count * idf[stats.pos]
     z_term = {0: 0, 1: 0, 2: 0, 3: 1}
     assert 0.1 + (0.2 + 0.3) < idf[3]
     assert vote(z_term, stats, 2) == {0: 0}
-    assert loop_assign_documents(z_term, corpus, {0, 1}, 2, idf=idf) == {0: 0}
+    assert loop_assign_documents(z_term, corpus, [0, 1], 2, idf=idf) == {0: 0}
 
 
 def test_bm25_and_rep_matrix_bit_equal_to_loop():
@@ -541,8 +541,11 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
     # and 0.3 in id order: (0.1 + 0.2) + 0.3 is 0.6000000000000001, the
     # descending sum (0.3 + 0.2) + 0.1 is 0.6
     corpus = corpus_from_lines(["a\n", "a\n", "a\n", "b\n"])
-    stats = compute_term_stats(corpus, [2, 0, 1], [0])
+    stats = compute_term_stats(corpus, [0, 1, 2], [0])
     assert stats.doc_ids.tolist() == [0, 1, 2]
+    # the order is the caller's: ids out of order are refused, not sorted
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        compute_term_stats(corpus, [2, 0, 1], [0])
     stats.bm25[:] = [0.1, 0.2, 0.3]
     bm25, tf_cells = _bm25_matrix(stats, np.zeros(3, dtype=np.int64), 1)
     assert bm25[0, 0] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
@@ -552,7 +555,7 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
 def test_term_stats_read_every_document_of_the_subset():
     corpus = corpus_from_lines(["a b\n", "c d\n", "a c\n"])
     corpus.integrity[:] = [0.5, 0.25, 1.0, 0.75]
-    stats = compute_term_stats(corpus, {0, 2}, [0, 1])
+    stats = compute_term_stats(corpus, [0, 2], [0, 1])
     assert stats.doc_ids.tolist() == [0, 2]
     assert stats.row.tolist() == [0, 0, 1, 1]
     # "c" is not a node term: its nonzero goes to the spare position 2
@@ -593,7 +596,7 @@ def reference_bm25(t, subcorpus, corpus, doc_ids, k1, b):
 
 def test_bm25_absent_term_zero():
     corpus = corpus_from_lines(["a b\n", "c d\n"])
-    stats = full_stats(corpus, {0, 1})
+    stats = full_stats(corpus, [0, 1])
     assert bm25_score(corpus.term_id("a"), [1], stats) == 0.0
 
 
@@ -621,7 +624,7 @@ def representativeness(t, s, z_doc, stats, n_slots):
 def test_rep_absent_term_zero():
     # [TRIVIAL] t absent from D_s -> pop = 0 -> rep = 0
     corpus = corpus_from_lines(["a a b\n", "c c d\n"])
-    stats = full_stats(corpus, {0, 1})
+    stats = full_stats(corpus, [0, 1])
     z_doc = {0: 0, 1: 1}
     c_id = corpus.term_id("c")
     assert representativeness(c_id, 0, z_doc, stats, 2) == 0.0
@@ -630,7 +633,7 @@ def test_rep_absent_term_zero():
 def test_rep_single_subtopic_dis_half():
     # [DERIVED] single sub-topic, BM25(t)=0 -> dis = 1/(1+1) = 0.5
     corpus = corpus_from_lines(["a a b\n", "a b b\n"])
-    stats = full_stats(corpus, {0, 1})
+    stats = full_stats(corpus, [0, 1])
     z_doc = {0: 0, 1: 0}
     a_id = corpus.term_id("a")
     # df(a)=2 over 2 docs -> idf=0 -> BM25=0 for every term
@@ -646,8 +649,8 @@ def test_rep_uses_integrity():
     z_doc = {0: 0, 1: 0}
     a_id = corpus.term_id("a")
     base_corpus = corpus_from_lines(["a a b\n", "a b b\n"])
-    base = representativeness(a_id, 0, z_doc, full_stats(base_corpus, {0, 1}), 1)
-    got = representativeness(a_id, 0, z_doc, full_stats(corpus, {0, 1}), 1)
+    base = representativeness(a_id, 0, z_doc, full_stats(base_corpus, [0, 1]), 1)
+    got = representativeness(a_id, 0, z_doc, full_stats(corpus, [0, 1]), 1)
     assert got == pytest.approx(base * 0.125 ** (1 / 3), rel=1e-9)
 
 

@@ -111,6 +111,15 @@ def test_integrity_file_bad_line_names_file_and_line(tmp_path, line, message):
         corpus_from_lines(["a b c\n"], integrity_path=s)
 
 
+def test_integrity_file_repeated_term_names_term_and_lines(tmp_path):
+    # the last score used to win: b would have loaded 0.9
+    s = tmp_path / "s.txt"
+    s.write_text("b\t0.2\na\t1.0\nb\t0.9\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{s} line 3: term 'b' repeats the term of line 1")):
+        corpus_from_lines(["a b c\n"], integrity_path=s)
+
+
 def test_vocab_round_trip():
     corpus = corpus_from_lines(["x y z y\n", "w x\n"])
     for tid, term in enumerate(corpus.vocab):
@@ -229,7 +238,7 @@ def test_stats_hand_counts():
     # [TRIVIAL] on "a b a" / "b c": idf(a) = idf(c) = log(2/1), idf(b) = 0;
     # document lengths 3 and 2, mean 2.5
     corpus = corpus_from_lines(["a b a\n", "b c\n"])
-    stats = compute_term_stats(corpus, {0, 1}, [0, 1, 2])
+    stats = compute_term_stats(corpus, [0, 1], [0, 1, 2])
     assert stats.row.tolist() == [0, 0, 1, 1]
     assert stats.pos.tolist() == [0, 1, 1, 2]     # a b | b c
     assert stats.count.tolist() == [2, 1, 1, 1]
@@ -245,7 +254,7 @@ def test_stats_hand_counts():
 def test_stats_single_doc_idf_zero():
     # [TRIVIAL] idf(t)=log(1/1)=0 for every term of a single-doc subset
     corpus = corpus_from_lines(["a b a\n", "b c\n"])
-    stats = compute_term_stats(corpus, {0}, [0, 1, 2])
+    stats = compute_term_stats(corpus, [0], [0, 1, 2])
     assert stats.pos.tolist() == [0, 1]
     assert stats.vote.tolist() == [0.0, 0.0]
     assert stats.bm25.tolist() == [0.0, 0.0]
@@ -254,12 +263,12 @@ def test_stats_single_doc_idf_zero():
 def test_stats_empty_subset_error():
     corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(ValueError, match="document subset is empty"):
-        compute_term_stats(corpus, set(), [0, 1])
+        compute_term_stats(corpus, [], [0, 1])
 
 
 def test_stats_unknown_doc_id_error():
     corpus = corpus_from_lines(["a b\n", "b c\n"])
-    for bad in ({0, 2}, {-1, 1}, [5]):
+    for bad in ([0, 2], [-1, 1], [5]):
         with pytest.raises(ValueError, match=r"reach outside \[0, 2\)"):
             compute_term_stats(corpus, bad, [0, 1, 2])
 
@@ -267,8 +276,19 @@ def test_stats_unknown_doc_id_error():
 def test_stats_duplicate_doc_id_error():
     # counted twice, document 0 would give idf(b) = log(3/2), not log(2/1)
     corpus = corpus_from_lines(["a b\n", "b c\n", "a a\n"])
-    with pytest.raises(ValueError, match="document id 0 is listed more than once"):
+    with pytest.raises(ValueError, match="document ids are not strictly ascending"):
         compute_term_stats(corpus, [0, 0, 2], [0, 1, 2])
+
+
+@pytest.mark.parametrize("bad", [[1, 0, 2], [0, 2, 1], [2, 1]])
+def test_stats_unsorted_doc_ids_error(bad):
+    # a node's documents come in ascending order; the statistics do not
+    # sort them
+    corpus = corpus_from_lines(["a b\n", "b c\n", "a a\n"])
+    with pytest.raises(ValueError, match="document ids are not strictly ascending"):
+        compute_term_stats(corpus, bad, [0, 1, 2])
+    with pytest.raises(ValueError, match="document ids are not strictly ascending"):
+        compute_term_stats(corpus, np.array(bad), [0, 1, 2])
 
 
 def test_stats_unsorted_term_ids_error():
@@ -491,7 +511,7 @@ def test_pair_arrays_order_equals_per_doc_loop(token_lists, window, chunk, data)
     # pairs touching a -1 row are kept by pairing, and dropped by
     # _pair_rows, order and dtype kept
     keep = (want_t >= 0) & (want_c >= 0)
-    tr, cr = _pair_rows(corpus, set(subset), window, vocab_to_row)
+    tr, cr = _pair_rows(corpus, sorted(subset), window, vocab_to_row)
     assert tr.dtype == cr.dtype == dtype
     assert tr.tolist() == want_t[keep].tolist()
     assert cr.tolist() == want_c[keep].tolist()

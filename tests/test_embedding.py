@@ -23,10 +23,10 @@ from taxoforge.embedding import (
     sgd_batch,
     train_node_embedding,
 )
-from taxoforge.taxonomy import parse_hierarchy, subtree_keywords
+from taxoforge.taxonomy import TopicNode, parse_hierarchy, subtree_keywords
 from taxoforge.vmf import KAPPA_MAX, bessel_ratio
 
-from test_corpus import loop_pair_arrays
+from test_corpus import loop_pair_arrays, random_corpus
 from test_vmf import log_norm_const
 
 
@@ -206,7 +206,7 @@ def test_config_negatives_validated():
 
 @pytest.mark.parametrize("field,value", [("dim", 1), ("epochs", 0),
                                          ("lr", 0.0), ("lr", -0.1),
-                                         ("lr", float("nan"))])
+                                         ("lr", float("nan")), ("lr", float("inf"))])
 def test_config_training_values_validated(field, value):
     # epochs=0 used to train nothing and return the random initialization
     with pytest.raises(ValueError, match=field):
@@ -900,14 +900,14 @@ def test_embedding_dump_format(tmp_path, trained):
 def test_local_corpus_m_zero_is_node_docs(trained):
     corpus, tax, keywords, cfg, space = trained
     node = tax.nodes[tax.nodes[tax.root].children[0]]
-    node.docs = {0, 2}
-    assert retrieve_local_corpus(node, space, corpus, 0) == {0, 2}
+    node.docs = np.array([0, 2])
+    assert retrieve_local_corpus(node, space, corpus, 0).tolist() == [0, 2]
 
 
 def test_local_corpus_center_without_a_row_is_node_docs(trained):
     corpus, tax, keywords, cfg, space = trained
     node = tax.nodes[tax.nodes[tax.root].children[0]]
-    node.docs = {0}
+    node.docs = np.array([0])
     # spaces without the center's row: one whose ids skip it, and one
     # whose ids all lie below it
     for keep in (space.term_ids != node.center_term,
@@ -919,13 +919,13 @@ def test_local_corpus_center_without_a_row_is_node_docs(trained):
             params=np.vstack([space.target[keep], space.context[keep]]),
             topic_order=[], topic_vecs=np.zeros((0, space.dim)),
             topic_kappa=np.zeros(0), center_rows=[], keyword_rows=[])
-        assert retrieve_local_corpus(node, sub, corpus, 1) == {0}
+        assert retrieve_local_corpus(node, sub, corpus, 1).tolist() == [0]
 
 
 def test_local_corpus_root_gets_all_docs(trained):
     corpus, tax, _, _, _ = trained
     root = tax.nodes[tax.root]
-    assert retrieve_local_corpus(root, None, corpus, 100) == set(
+    assert retrieve_local_corpus(root, None, corpus, 100).tolist() == list(
         range(corpus.num_docs))
 
 
@@ -933,7 +933,7 @@ def test_local_corpus_includes_top_neighbor_docs(trained):
     # [DERIVED] exhaustive cosine-ranking oracle for the top-1 neighbor
     corpus, tax, keywords, cfg, space = trained
     node = tax.nodes[tax.nodes[tax.root].children[0]]
-    node.docs = {0}
+    node.docs = np.array([0])
     got = retrieve_local_corpus(node, space, corpus, 1)
     row = int(np.searchsorted(space.term_ids, node.center_term))
     assert space.term_ids[row] == node.center_term
@@ -941,4 +941,55 @@ def test_local_corpus_includes_top_neighbor_docs(trained):
     sims[row] = -np.inf
     best = int(space.term_ids[int(np.argmax(sims))])
     expected = {0} | set(int(d) for d in corpus.docs_containing(best))
-    assert got == expected
+    assert got.tolist() == sorted(expected)
+
+
+def set_union_local_corpus(node, space, corpus, m_neighbors):
+    """Oracle: the node documents and each top-M neighbor's postings,
+    gathered in a Python set."""
+    if space is None:
+        return set(range(corpus.num_docs))
+    docs = set(node.docs)
+    center = int(space.row_of[node.center_term])
+    if m_neighbors <= 0 or center < 0:
+        return docs
+    sims = space.target @ space.target[center]
+    sims[center] = -np.inf
+    for row in np.argsort(-sims)[:min(m_neighbors, len(sims) - 1)]:
+        docs.update(corpus.docs_containing(int(space.term_ids[row])).tolist())
+    return docs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_local_corpus_equals_set_union(seed):
+    # spaces over a random subset of the terms, so some centers have no
+    # row; node documents as an array, a list, or the empty tuple a node
+    # starts with
+    corpus, rng = random_corpus(seed)
+    n = int(rng.integers(2, corpus.num_terms + 1))
+    term_ids = np.sort(rng.choice(corpus.num_terms, size=n, replace=False))
+    row_of = np.full(corpus.num_terms, -1, dtype=np.int32)
+    row_of[term_ids] = np.arange(n)
+    space = EmbeddingSpace(
+        term_ids=term_ids, row_of=row_of,
+        params=unit_rows(rng.standard_normal((2 * n, 4))), topic_order=[],
+        topic_vecs=np.zeros((0, 4)), topic_kappa=np.zeros(0), center_rows=[],
+        keyword_rows=[])
+    n_docs = int(rng.integers(0, corpus.num_docs // 2))
+    docs = np.sort(rng.choice(corpus.num_docs, size=n_docs, replace=False))
+    centers = [int(term_ids[0]), int(rng.integers(corpus.num_terms))]
+    if n < corpus.num_terms:
+        centers.append(int(np.setdiff1d(np.arange(corpus.num_terms), term_ids)[0]))
+    for center in centers:
+        for node_docs in (docs, docs.tolist(), ()):
+            node = TopicNode(id=1, center_term=center, docs=node_docs)
+            for m in (0, 1, 3, n - 1, 100):
+                got = retrieve_local_corpus(node, space, corpus, m)
+                assert got.dtype == np.int64
+                assert np.all(got[1:] > got[:-1])
+                assert got.tolist() == sorted(
+                    set_union_local_corpus(node, space, corpus, m))
+    root = TopicNode(id=0, center_term=None)
+    got = retrieve_local_corpus(root, None, corpus, 100)
+    assert got.dtype == np.int64
+    assert got.tolist() == sorted(set_union_local_corpus(root, None, corpus, 100))

@@ -89,6 +89,11 @@ def test_load_config_rejects_malformed_line(tmp_path):
                                         ("lr=0", "lr"),
                                         ("dim=1", "dim"),
                                         ("temperature=nan", "temperature"),
+                                        ("temperature=inf", "temperature must "
+                                                            "be finite"),
+                                        ("lr=inf", "lr must be finite"),
+                                        ("beta1=inf", "beta .* must be finite"),
+                                        ("beta2=inf", "beta .* must be finite"),
                                         ("top_k=-1", "top_k"),
                                         ("beta1=nan", "beta"),
                                         ("beta2=nan", "beta"),
@@ -107,12 +112,23 @@ def test_load_config_rejects_bad_training_values(tmp_path, line, field):
     # in the trainer, make one novel cluster per novel term, keep the
     # random initialization as the trained embedding, find no novel term
     # (a NaN temperature or beta) or drop terms from every output node (a
-    # negative top_k); a negative M or min_terms would silently act as 0,
+    # negative top_k); an infinite lr wrote NaN kappas, and an infinite
+    # temperature or beta flagged every term as novel and left the known
+    # topics without documents; a negative M or min_terms would silently act as 0,
     # and a node with no documents has no term statistics to cluster; a
     # value of the wrong type is named with its line and key
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):
+        load_config(str(path))
+
+
+def test_load_config_rejects_repeated_key(tmp_path):
+    # the last value used to win: dim=8 then dim=4 loaded dim 4
+    path = tmp_path / "cfg.txt"
+    path.write_text("dim=8\n# a comment\nepochs=2\ndim = 4\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "config line 4: key 'dim' repeats the key of line 1")):
         load_config(str(path))
 
 
@@ -465,6 +481,48 @@ def test_cli_blank_corpus_is_error(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == \
         "taxoforge: error: corpus contains no non-empty documents\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("cfg_text,integrity,message", [
+    ("lr=inf\n", None, "lr must be finite and > 0, got inf"),
+    ("temperature=inf\n", None, "temperature must be finite"),
+    ("beta1=inf\n", None, "beta (beta1, beta2) must be finite"),
+    ("beta2=inf\n", None, "beta (beta1, beta2) must be finite"),
+    ("dim=8\ndim=4\n", None, "config line 2: key 'dim' repeats the key of line 1"),
+    ("", "topic0\t0.2\ntopic0\t0.9\n",
+     "line 2: term 'topic0' repeats the term of line 1"),
+])
+def test_cli_rejected_input_leaves_no_output(tmp_path, capsys, cfg_text,
+                                             integrity, message):
+    data = "data/synthetic_small"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(cfg_text)
+    args = ["--corpus", f"{data}/corpus.txt", "--hierarchy", f"{data}/partial.txt",
+            "--config", str(cfg), "--out", str(tmp_path / "o.json")]
+    if integrity is not None:
+        (tmp_path / "integrity.tsv").write_text(integrity)
+        args += ["--integrity", str(tmp_path / "integrity.tsv")]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("taxoforge: error: ") and message in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_non_finite_kappa_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # serialized before --out is opened: a failed run writes no empty file
+    def nan_kappa(corpus, partial, cfg, debug_dir=None):
+        partial.nodes[partial.nodes[partial.root].children[0]].kappa = float("nan")
+        return partial
+
+    monkeypatch.setattr(pipeline, "complete_taxonomy", nan_kappa)
+    data = "data/synthetic_small"
+    rc = run_cli(["--corpus", f"{data}/corpus.txt",
+                  "--hierarchy", f"{data}/partial.txt",
+                  "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "taxoforge: error: node 'topic0' has a non-finite kappa nan" in err
     assert not (tmp_path / "o.json").exists()
 
 

@@ -237,3 +237,17 @@ def test_serialize_keeps_stored_order_center_first(corpus):
     out = json.loads(serialize(tax, corpus, 10))
     assert out["children"][0]["terms"] == ["a", "c", "b"]
     assert out["children"][0]["doc_ids"] == [1, 0]
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
+def test_serialize_rejects_non_finite_kappa(corpus, kappa):
+    # json.dumps would write NaN or Infinity, which strict JSON readers reject
+    tax = parse_hierarchy("politics\n\tgun_control", corpus)
+    politics = tax.nodes[tax.root].children[0]
+    tax.nodes[politics].kappa = 2.5
+    tax.nodes[tax.nodes[politics].children[0]].kappa = kappa
+    with pytest.raises(ValueError, match=f"node 'gun_control' has a non-finite "
+                                         f"kappa {kappa}"):
+        serialize(tax, corpus, 10)
+    tax.nodes[tax.nodes[politics].children[0]].kappa = 0.0
+    assert json.loads(serialize(tax, corpus, 10))["children"][0]["kappa"] == 2.5
