@@ -11,12 +11,12 @@ from .evaluation import PlantedCorpusSpec, generate_synthetic_corpus, score_plan
 from .pipeline import PipelineConfig, complete_taxonomy, run_cli
 from .taxonomy import (Taxonomy, TopicNode, insert_children, parse_hierarchy,
                        serialize, subtree_keywords)
-from .vmf import VmfParams, estimate_vmf, sample_vmf
+from .vmf import estimate_vmf, sample_vmf
 
 __all__ = [
     "ClusterConfig", "Corpus", "Document", "EmbedConfig", "EmbeddingSpace",
     "PipelineConfig", "PlantedCorpusSpec", "SubtopicClustering", "Taxonomy",
-    "TermStats", "TopicNode", "VmfParams", "assign_documents",
+    "TermStats", "TopicNode", "assign_documents",
     "assign_known_terms", "cluster_node", "complete_taxonomy",
     "compute_term_stats", "estimate_vmf", "generate_synthetic_corpus",
     "insert_children", "load_corpus", "novelty_threshold", "parse_hierarchy",

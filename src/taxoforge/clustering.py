@@ -141,13 +141,16 @@ def _kmeans_once(vectors, k, rng):
     for _ in range(KMEANS_MAX_ITER):
         sims = vectors @ means.T
         new_assign = sims.argmax(axis=1)
-        # re-seed empty clusters with the point least aligned to its own mean
-        for kk in range(k):
-            if not (new_assign == kk).any():
-                own = sims[np.arange(n), new_assign]
-                worst = int(np.argmin(own))
-                new_assign[worst] = kk
-                sims[worst] = -np.inf  # keep it pinned this round
+        # re-seed each empty cluster with the point least aligned to its own
+        # mean among those whose cluster keeps another member; a moved point
+        # is alone in its new cluster, so it is never taken twice
+        counts = np.bincount(new_assign, minlength=k)
+        for kk in np.flatnonzero(counts == 0):
+            spare = np.flatnonzero(counts[new_assign] >= 2)
+            worst = spare[np.argmin(sims[spare, new_assign[spare]])]
+            counts[new_assign[worst]] -= 1
+            counts[kk] = 1
+            new_assign[worst] = kk
         converged = (new_assign == assign).all()
         assign = new_assign
         for kk in range(k):
@@ -295,10 +298,9 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
                                                 n_slots, space.center_rows)
         kappas = []
         for s in range(n_slots):
+            # never empty: a known slot anchors its center, k-means fills a novel one
             pool = anchors[s] if anchors[s].sum() >= 2 else anchors[s] | (z_term == s)
-            rows = np.flatnonzero(pool)
-            pv = space.target[rows] if rows.size else np.zeros((1, space.dim))
-            kappas.append(estimate_vmf(pv).kappa)
+            kappas.append(estimate_vmf(space.target[pool]))
         stdev = float(np.std(kappas))
         if best is None or stdev < best[0] - 1e-12:
             best = (stdev, k_star, means, z_term, sig, anchors, warnings, kappas)

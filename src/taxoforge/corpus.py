@@ -136,7 +136,7 @@ def load_corpus(path, integrity_path=None) -> Corpus:
     Multi-word phrases are expected pre-joined with underscores; this never
     splits or normalizes tokens.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         lines = f.readlines()
     return corpus_from_lines(lines, integrity_path=integrity_path)
 
@@ -160,7 +160,7 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
     if integrity_path is not None:
         integrity = np.ones(len(vocab))
         first_line = {}   # term -> line it is scored on
-        with open(integrity_path, encoding="utf-8") as f:
+        with open(integrity_path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line:

@@ -6,7 +6,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,17 @@ class PlantedCorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a JSON spec can hold any type: bool is an int to Python, and a
+        # string or float count would fail deep inside numpy
+        for f in fields(self):
+            value = getattr(self, f.name)
+            real = f.type is float
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if real else int):
+                raise ValueError(f"{f.name} must be {'a number' if real else 'an int'}, "
+                                 f"got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.level1_topics, self.level2_per_topic, self.terms_per_topic,
                self.docs_per_topic, self.doc_len) < 1:
             raise ValueError("all counts must be >= 1")

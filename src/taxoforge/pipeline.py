@@ -139,7 +139,7 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
     overrides = {}
     first_line = {}   # key -> line it is set on
     if path:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -187,7 +187,7 @@ def run_cli(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed)
         corpus = load_corpus(args.corpus, integrity_path=args.integrity)
-        with open(args.hierarchy, encoding="utf-8") as f:
+        with open(args.hierarchy, encoding="utf-8-sig") as f:
             partial = parse_hierarchy(f.read(), corpus)
         tax = complete_taxonomy(corpus, partial, cfg, debug_dir=args.dump_debug)
         root = tax.nodes[tax.root]

@@ -1,23 +1,8 @@
 """von Mises-Fisher distribution utilities on the unit hypersphere."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 KAPPA_MAX = 1000.0
-
-
-@dataclass
-class VmfParams:
-    """Mean direction and concentration of one vMF cluster."""
-
-    mu: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
 
 
 def bessel_ratio(kappa, dim: int):
@@ -49,28 +34,19 @@ def bessel_ratio(kappa, dim: int):
     return out.reshape(kappa.shape) if kappa.ndim else float(out[0])
 
 
-def estimate_vmf(vectors: np.ndarray) -> VmfParams:
-    """Moment estimator: mu = normalized mean, kappa = rbar(d - rbar^2)/(1 - rbar^2).
-
-    d is the length of each row. kappa is clipped to KAPPA_MAX; a zero
-    resultant gives kappa 0 and mu e_0.
-    """
+def estimate_vmf(vectors: np.ndarray) -> float:
+    """Moment estimate of kappa, rbar(d - rbar^2)/(1 - rbar^2) for mean-row length
+    rbar and row length d, clipped to KAPPA_MAX; a zero resultant gives 0."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("need at least one vector")
     dim = vectors.shape[1]
-    mean = vectors.mean(axis=0)
-    rbar = float(np.linalg.norm(mean))
+    rbar = float(np.linalg.norm(vectors.mean(axis=0)))
     if rbar < 1e-12:
-        mu = np.zeros(dim)
-        mu[0] = 1.0
-        return VmfParams(mu=mu, kappa=0.0)
-    mu = mean / rbar
+        return 0.0
     if rbar >= 1.0 - 1e-12:
-        kappa = KAPPA_MAX
-    else:
-        kappa = min(rbar * (dim - rbar ** 2) / (1.0 - rbar ** 2), KAPPA_MAX)
-    return VmfParams(mu=mu, kappa=kappa)
+        return KAPPA_MAX
+    return min(rbar * (dim - rbar ** 2) / (1.0 - rbar ** 2), KAPPA_MAX)
 
 
 def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -40,7 +40,7 @@ from taxoforge.evaluation import (
 )
 from taxoforge.pipeline import PipelineConfig, complete_taxonomy, run_cli
 from taxoforge.taxonomy import parse_hierarchy
-from taxoforge.vmf import VmfParams, estimate_vmf, sample_vmf
+from taxoforge.vmf import estimate_vmf, sample_vmf
 
 from test_clustering import (_known_slots, _planted_node, bm25_score, loop_idf,
                              make_doc_fixture, reference_bm25, vote)
@@ -148,15 +148,15 @@ def test_criterion_4_vmf_estimator_and_density(capfd):
     mu = np.zeros(10)
     mu[0] = 1.0
     samples = sample_vmf(mu, 50.0, 10_000, rng)
-    params = estimate_vmf(samples)
-    est_ok = abs(params.kappa - 50.0) / 50.0 < 0.10
+    kappa = estimate_vmf(samples)
+    est_ok = abs(kappa - 50.0) / 50.0 < 0.10
 
-    p3 = VmfParams(mu=np.array([0.0, 0.0, 1.0]), kappa=2.0)
+    mu3 = np.array([0.0, 0.0, 1.0])
     dens = integrate.dblquad(
         lambda phi, theta: np.exp(vmf_log_density(
             np.array([np.sin(theta) * np.cos(phi),
                       np.sin(theta) * np.sin(phi),
-                      np.cos(theta)]), p3, 3)) * np.sin(theta),
+                      np.cos(theta)]), mu3, 2.0, 3)) * np.sin(theta),
         0.0, np.pi, 0.0, 2.0 * np.pi)[0]
     int_ok = abs(dens - 1.0) < 1e-4
     _report(capfd, 4, "vmf-estimator-and-density", est_ok and int_ok)

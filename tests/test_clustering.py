@@ -243,6 +243,32 @@ def test_kmeans_too_few_vectors_error():
         spherical_kmeans(x, 3, 0)
 
 
+@pytest.mark.parametrize("x, k", [
+    (np.vstack([np.tile([1.0, 0.0], (5, 1)), [0.0, 1.0]]), 4),
+    (np.tile([0.6, 0.8], (6, 1)), 3),
+], ids=["five-e0-one-e1", "six-copies"])
+def test_kmeans_leaves_no_cluster_empty(x, k):
+    # repeated points tie, so argmax leaves clusters empty on every
+    # iteration and each must take a point another cluster can spare
+    for seed in range(100):
+        assign, _ = spherical_kmeans(x, k, seed)
+        assert np.bincount(assign, minlength=k).min() >= 1, seed
+
+
+def test_kmeans_every_restart_fills_every_cluster():
+    # n >= K points from a few directions, repeats included, K up to n
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        dirs = unit_rows(rng.standard_normal((int(rng.integers(1, 4)), 3)))
+        n = int(rng.integers(2, 12))
+        x = dirs[rng.integers(0, len(dirs), size=n)]
+        k = int(rng.integers(1, n + 1))
+        for r in range(KMEANS_RESTARTS):
+            assign, means, _ = _kmeans_once(x, k, np.random.default_rng(seed + r))
+            assert np.bincount(assign, minlength=k).min() >= 1, (seed, r)
+            assert np.allclose(np.linalg.norm(means, axis=1), 1.0)
+
+
 # --- document assignment ---
 
 

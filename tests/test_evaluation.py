@@ -50,16 +50,27 @@ def test_spec_validation():
     ("parent_mix", -0.1, {}),
     ("name_boost", float("nan"), {}),
     ("name_boost", float("inf"), {}),
+    # a spec file can hold any JSON type: each fails naming its field, not
+    # deep inside numpy
+    ("level1_topics", 2.5, {}),
+    ("docs_per_topic", "10", {}),
+    ("seed", -1, {}),
+    ("doc_len", True, {}),
+    ("dim", None, {}),
+    ("kappa_topic", "50", {}),
+    ("parent_mix", False, {}),
 ])
-def test_spec_rejects_bad_values(tmp_path, field, value, extra):
+def test_spec_rejects_bad_values(tmp_path, capsys, field, value, extra):
     with pytest.raises(ValueError, match=field):
         small_spec(**{field: value, **extra})
-    if field == "kappa_topic":
-        # a NaN kappa from a spec file fails at once, not in a hung sampler
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({field: value}))
-        assert run_eval_cli(["synth", "--spec", str(spec_path),
-                             "--out", str(tmp_path / "out")]) == 1
+    # from a spec file it fails at once (a NaN kappa would hang the sampler)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({field: value, **extra}))
+    assert run_eval_cli(["synth", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"taxoforge-eval: error: {field} must ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_generator_shapes_and_labels():

@@ -213,3 +213,23 @@ def test_package_imports_only_what_it_declares():
         with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
             project = tomllib.load(f)["project"]
         assert project["dependencies"] == ["numpy"]
+
+
+def test_console_scripts_resolve_to_callables(monkeypatch, capsys):
+    # each [project.scripts] entry names a callable that runs its CLI: a
+    # renamed or moved main would leave the installed command broken
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert sorted(scripts) == ["taxoforge", "taxoforge-eval"]
+    for command, target in scripts.items():
+        module, _, attr = target.partition(":")
+        entry = importlib.import_module(module)
+        for name in attr.split("."):
+            entry = getattr(entry, name)
+        assert callable(entry), target
+        monkeypatch.setattr(sys, "argv", [command, "--help"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {command} ")

@@ -6,12 +6,14 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoforge import pipeline
 from taxoforge.clustering import ClusterConfig
+from taxoforge.corpus import load_corpus
 from taxoforge.embedding import EmbedConfig, train_node_embedding
 from taxoforge.evaluation import (PlantedCorpusSpec, generate_synthetic_corpus,
                                   planted_outline, write_synthetic_dataset)
@@ -524,6 +526,33 @@ def test_cli_non_finite_kappa_leaves_no_output(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "taxoforge: error: node 'topic0' has a non-finite kappa nan" in err
     assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_ignores_a_leading_byte_order_mark(dataset, tmp_path):
+    # editors on Windows save UTF-8 with a BOM; read as plain UTF-8 it would
+    # glue U+FEFF onto the first term, key or topic name
+    out, hier, cfg = dataset
+    integrity = tmp_path / "integrity.tsv"
+    integrity.write_text("topic0\t0.2\ntopic1_0\t0.5\n")
+    plain = {"corpus": out / "corpus.txt", "hierarchy": hier, "config": cfg,
+             "integrity": integrity}
+    bom = {}
+    for flag, path in plain.items():
+        bom[flag] = tmp_path / f"bom_{path.name}"
+        bom[flag].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    results = []
+    for name, paths in (("plain", plain), ("bom", bom)):
+        result = tmp_path / f"{name}.json"
+        args = [a for flag, path in paths.items() for a in (f"--{flag}", str(path))]
+        assert run_cli(args + ["--out", str(result), "--seed", "1"]) == 0
+        results.append(result.read_bytes())
+    assert results[0] == results[1]
+    assert not results[0].startswith(b"\xef\xbb\xbf")
+    a = load_corpus(str(plain["corpus"]), str(plain["integrity"]))
+    b = load_corpus(str(bom["corpus"]), str(bom["integrity"]))
+    assert a.vocab == b.vocab
+    assert np.array_equal(a.integrity, b.integrity)
+    assert a.integrity[a.vocab.index("topic0")] == 0.2
 
 
 def test_cli_missing_required_arg_exits_2():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from taxoforge.vmf import KAPPA_MAX, VmfParams, bessel_ratio, estimate_vmf, sample_vmf
+from taxoforge.vmf import KAPPA_MAX, bessel_ratio, estimate_vmf, sample_vmf
 
 
 def log_bessel_iv(nu: float, x: float) -> float:
@@ -38,11 +38,11 @@ def log_norm_const(kappa: float, dim: int) -> float:
                  - log_bessel_iv(nu, kappa))
 
 
-def vmf_log_density(t: np.ndarray, params: VmfParams, dim: int) -> float:
-    """log vMF(t; mu, kappa) for a unit vector t."""
-    if params.kappa < 0:
+def vmf_log_density(t: np.ndarray, mu: np.ndarray, kappa: float, dim: int) -> float:
+    """log vMF(t; mu, kappa) for unit vectors t and mu."""
+    if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    return log_norm_const(params.kappa, dim) + params.kappa * float(np.dot(t, params.mu))
+    return log_norm_const(kappa, dim) + kappa * float(np.dot(t, mu))
 
 
 def unit(v):
@@ -65,7 +65,7 @@ def numpy_bessel_ratio(kappa, dim):
 
 def test_negative_kappa_rejected():
     with pytest.raises(ValueError):
-        VmfParams(mu=np.array([1.0, 0.0]), kappa=-1.0)
+        vmf_log_density(np.array([1.0, 0.0]), np.array([1.0, 0.0]), -1.0, 2)
     with pytest.raises(ValueError):
         log_norm_const(-0.5, 3)
 
@@ -75,11 +75,11 @@ def test_uniform_limit_is_inverse_sphere_area():
     for dim in (2, 3, 5, 10):
         area = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
         assert log_norm_const(0.0, dim) == pytest.approx(-np.log(area), abs=1e-12)
-        p = VmfParams(mu=unit(np.arange(1, dim + 1)), kappa=0.0)
+        mu = unit(np.arange(1, dim + 1))
         t1 = unit(np.ones(dim))
         t2 = unit(np.r_[1.0, -np.ones(dim - 1)])
-        assert vmf_log_density(t1, p, dim) == pytest.approx(
-            vmf_log_density(t2, p, dim), abs=1e-12)
+        assert vmf_log_density(t1, mu, 0.0, dim) == pytest.approx(
+            vmf_log_density(t2, mu, 0.0, dim), abs=1e-12)
 
 
 def test_mode_at_mean_direction():
@@ -87,23 +87,22 @@ def test_mode_at_mean_direction():
     rng = np.random.default_rng(0)
     for kappa in (0.5, 5.0, 80.0):
         mu = unit(rng.standard_normal(6))
-        p = VmfParams(mu=mu, kappa=kappa)
-        at_mode = vmf_log_density(mu, p, 6)
+        at_mode = vmf_log_density(mu, mu, kappa, 6)
         for _ in range(20):
             t = unit(rng.standard_normal(6))
-            assert vmf_log_density(t, p, 6) <= at_mode + 1e-12
+            assert vmf_log_density(t, mu, kappa, 6) <= at_mode + 1e-12
 
 
 def test_density_integrates_to_one_d3():
     # [DERIVED] quadrature oracle on S^2 at kappa=2: integral = 1 +- 1e-4
     dim, kappa = 3, 2.0
-    p = VmfParams(mu=np.array([0.0, 0.0, 1.0]), kappa=kappa)
+    mu = np.array([0.0, 0.0, 1.0])
 
     def integrand(theta, phi):
         t = np.array([np.sin(theta) * np.cos(phi),
                       np.sin(theta) * np.sin(phi),
                       np.cos(theta)])
-        return np.exp(vmf_log_density(t, p, dim)) * np.sin(theta)
+        return np.exp(vmf_log_density(t, mu, kappa, dim)) * np.sin(theta)
 
     total, _ = integrate.dblquad(integrand, 0.0, 2.0 * np.pi,
                                  0.0, np.pi, epsabs=1e-9)
@@ -178,32 +177,29 @@ def test_estimator_recovers_planted_kappa():
     rng = np.random.default_rng(42)
     mu = unit(np.arange(1.0, 11.0))
     x = sample_vmf(mu, 50.0, 10_000, rng)
-    est = estimate_vmf(x)
-    assert est.kappa == pytest.approx(50.0, rel=0.10)
-    assert float(est.mu @ mu) > 0.999
+    kappa = estimate_vmf(x)
+    assert isinstance(kappa, float)
+    assert kappa == pytest.approx(50.0, rel=0.10)
 
 
 def test_estimator_single_vector_saturates():
-    mu = unit([3.0, 4.0])
-    est = estimate_vmf(mu[None, :])
-    assert est.kappa == KAPPA_MAX
-    assert np.allclose(est.mu, mu)
+    kappa = estimate_vmf(unit([3.0, 4.0])[None, :])
+    assert isinstance(kappa, float)
+    assert kappa == KAPPA_MAX
 
 
 def test_estimator_zero_resultant_degenerate():
     for x in (np.array([[1.0, 0.0], [-1.0, 0.0]]),
               np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])):
-        est = estimate_vmf(x)
-        assert est.kappa == 0.0
-        assert est.mu.shape == (x.shape[1],)
-        assert np.linalg.norm(est.mu) == pytest.approx(1.0)
+        kappa = estimate_vmf(x)
+        assert isinstance(kappa, float)
+        assert kappa == 0.0
 
 
 def test_estimator_kappa_clamped():
     # rbar = cos(0.005) < 1: the moment formula gives ~8e4, clipped
     x = np.array([[1.0, 0.0, 0.0], [np.cos(0.01), np.sin(0.01), 0.0]])
-    est = estimate_vmf(x)
-    assert est.kappa == KAPPA_MAX
+    assert estimate_vmf(x) == KAPPA_MAX
 
 
 def test_estimator_moment_formula_exact():
@@ -213,7 +209,50 @@ def test_estimator_moment_formula_exact():
         rbar = np.linalg.norm(x.mean(axis=0))
         d = x.shape[1]
         expected = rbar * (d - rbar ** 2) / (1 - rbar ** 2)
-        assert estimate_vmf(x).kappa == pytest.approx(expected, rel=1e-12)
+        assert estimate_vmf(x) == pytest.approx(expected, rel=1e-12)
+
+
+def moment_estimate_with_mean_direction(vectors):
+    """The estimator as it read while it also returned the mean direction:
+    (mu, kappa), mu = e_0 for a zero resultant."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    dim = vectors.shape[1]
+    mean = vectors.mean(axis=0)
+    rbar = float(np.linalg.norm(mean))
+    if rbar < 1e-12:
+        mu = np.zeros(dim)
+        mu[0] = 1.0
+        return mu, 0.0
+    mu = mean / rbar
+    if rbar >= 1.0 - 1e-12:
+        kappa = KAPPA_MAX
+    else:
+        kappa = min(rbar * (dim - rbar ** 2) / (1.0 - rbar ** 2), KAPPA_MAX)
+    return mu, kappa
+
+
+def test_estimator_bit_equal_to_mean_direction_oracle():
+    # random unit-row pools as the K* search draws them, plus pools that
+    # take the zero-resultant and the saturated branches
+    rng = np.random.default_rng(7)
+    pools = []
+    for _ in range(300):
+        n, dim = int(rng.integers(1, 40)), int(rng.integers(2, 65))
+        pools.append(rng.standard_normal((n, dim)))
+        pools[-1] /= np.linalg.norm(pools[-1], axis=1, keepdims=True)
+        mu = unit(rng.standard_normal(dim))
+        pools.append(sample_vmf(mu, float(rng.choice([0.5, 20.0, 400.0])), n, rng))
+        pools.append(np.vstack([pools[-2], -pools[-2]]))       # zero resultant
+        pools.append(np.tile(mu, (n, 1)))                       # saturated
+    branches = {"zero": 0, "saturated": 0, "formula": 0}
+    for x in pools:
+        got = estimate_vmf(x)
+        want = moment_estimate_with_mean_direction(x)[1]
+        assert isinstance(got, float)
+        assert got == want
+        branches["zero" if want == 0.0 else
+                 "saturated" if want == KAPPA_MAX else "formula"] += 1
+    assert min(branches.values()) >= 100, branches
 
 
 # --- sampler ---
