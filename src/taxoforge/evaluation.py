@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, corpus_from_lines
 from .pipeline import complete_taxonomy, pipeline_config
-from .taxonomy import Taxonomy, parse_hierarchy, serialize
+from .taxonomy import parse_hierarchy, serialize
 from .vmf import sample_vmf
 
 
@@ -71,8 +71,8 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
     mean, with the pool's name term boosted), its level-1 parent pool, and a
     uniform vocabulary noise fraction.
 
-    Returns (corpus, truth_taxonomy, doc_labels, term_labels) where labels
-    map to topic names; doc_labels holds (level1 name, level2 name) pairs.
+    Returns (corpus, doc_labels, term_labels) where labels map to topic
+    names; doc_labels holds (level1 name, level2 name) pairs.
     """
     rng = np.random.default_rng(spec.seed)
     n1, n2 = spec.level1_topics, spec.level2_per_topic
@@ -130,33 +130,25 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
                 documents.append(Document(tokens=tokens))
                 doc_labels.append((l1, leaf))
 
-    corpus = Corpus(documents, vocab)
-    truth = Taxonomy()
-    root = truth.add_node(center_term=None)
-    for i, l1 in enumerate(l1_names):
-        n_l1 = truth.add_node(center_term=corpus.term_id(l1), parent=root.id)
-        n_l1.terms = pools[l1]
-        for j in range(n2):
-            leaf = f"{l1}_{j}"
-            n_l2 = truth.add_node(center_term=corpus.term_id(leaf), parent=n_l1.id)
-            n_l2.terms = pools[leaf]
-    return corpus, truth, doc_labels, term_labels
+    return Corpus(documents, vocab), doc_labels, term_labels
 
 
-def planted_outline(truth: Taxonomy, corpus: Corpus, delete=None) -> list:
+def _topic_parents(doc_labels) -> dict:
+    """Planted topic name -> its parent's name (None for a level-1 topic),
+    in the order the topics first appear."""
+    parent_of = {}
+    for l1, l2 in doc_labels:
+        parent_of[l1] = None
+        parent_of[l2] = l1
+    return parent_of
+
+
+def planted_outline(doc_labels, delete=None) -> list:
     """The planted hierarchy as tab-indented topic names, one per line,
     without the topic named delete and its sub-topics."""
-    lines = []
-    for l1 in truth.nodes[truth.root].children:
-        name1 = corpus.term(truth.nodes[l1].center_term)
-        if name1 == delete:
-            continue
-        lines.append(name1)
-        for l2 in truth.nodes[l1].children:
-            name2 = corpus.term(truth.nodes[l2].center_term)
-            if name2 != delete:
-                lines.append("\t" + name2)
-    return lines
+    return [name if parent is None else "\t" + name
+            for name, parent in _topic_parents(doc_labels).items()
+            if delete is None or delete not in (name, parent)]
 
 
 # every planted-recovery run: low-dimensional and a higher lr, suited to
@@ -176,11 +168,11 @@ def run_planted(seed: int, delete: str, spec=None, config=PLANTED_CONFIG,
     spec holds PlantedCorpusSpec fields but seed, config ``--config`` keys;
     text_order reads the corpus back from its lines, in the CLI's term ids.
     """
-    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(
+    corpus, doc_labels, term_labels = generate_synthetic_corpus(
         PlantedCorpusSpec(**(spec or {}), seed=seed))
     if delete not in _topic_parents(doc_labels):
         raise ValueError(f"{delete!r} is not a planted topic")
-    outline = planted_outline(truth, corpus, delete)
+    outline = planted_outline(doc_labels, delete)
     if text_order:
         corpus = corpus_from_lines(_corpus_lines(corpus))
     partial = parse_hierarchy("\n".join(outline), corpus)
@@ -198,12 +190,12 @@ def _corpus_lines(corpus: Corpus) -> list:
 
 
 def write_synthetic_dataset(spec: PlantedCorpusSpec, out_dir: str):
-    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
+    corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "corpus.txt"), "w", encoding="utf-8") as f:
         f.writelines(_corpus_lines(corpus))
     with open(os.path.join(out_dir, "hierarchy_full.txt"), "w", encoding="utf-8") as f:
-        f.writelines(line + "\n" for line in planted_outline(truth, corpus))
+        f.writelines(line + "\n" for line in planted_outline(doc_labels))
     with open(os.path.join(out_dir, "truth.json"), "w", encoding="utf-8") as f:
         json.dump({
             "spec": spec.__dict__,
@@ -255,15 +247,6 @@ def score_planted(tree: dict, doc_labels, term_labels: dict, delete: str) -> dic
     return {"depth": depth, "recovery": recovery, "best_node": best,
             "novelty_precision": precision, "novelty_recall": recall,
             "novelty_f1": f1}
-
-
-def _topic_parents(doc_labels) -> dict:
-    """Planted topic name -> its parent's name (None for a level-1 topic)."""
-    parent_of = {}
-    for l1, l2 in doc_labels:
-        parent_of[l1] = None
-        parent_of[l2] = l1
-    return parent_of
 
 
 def _deleted_topics(tree: dict, doc_labels) -> list:

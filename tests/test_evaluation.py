@@ -75,7 +75,7 @@ def test_spec_rejects_bad_values(tmp_path, capsys, field, value, extra):
 
 def test_generator_shapes_and_labels():
     spec = small_spec()
-    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
+    corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
     n_topics = 2 + 2 * 2  # L1 pools plus leaf pools
     assert corpus.num_terms == n_topics * 6
     assert corpus.num_docs == 2 * 2 * 10
@@ -89,18 +89,19 @@ def test_generator_shapes_and_labels():
 
 def test_generator_truth_tree_structure():
     spec = small_spec()
-    corpus, truth, _, _ = generate_synthetic_corpus(spec)
-    root = truth.nodes[truth.root]
-    assert len(root.children) == 2
-    for c in root.children:
-        assert len(truth.nodes[c].children) == 2
-        assert len(truth.nodes[c].terms) == 6
+    _, doc_labels, term_labels = generate_synthetic_corpus(spec)
+    parent_of = evaluation._topic_parents(doc_labels)
+    level1 = [t for t, p in parent_of.items() if p is None]
+    assert len(level1) == 2
+    for c in level1:
+        assert sum(p == c for p in parent_of.values()) == 2
+        assert sum(lab == c for lab in term_labels.values()) == 6
 
 
 def test_generator_deterministic():
     a = generate_synthetic_corpus(small_spec())
     b = generate_synthetic_corpus(small_spec())
-    assert a[2] == b[2]
+    assert a[1] == b[1]
     for da, db in zip(a[0].documents, b[0].documents):
         assert np.array_equal(da.tokens, db.tokens)
 
@@ -108,7 +109,7 @@ def test_generator_deterministic():
 def test_generator_doc_tokens_match_labels():
     # most non-noise tokens of a doc come from its leaf or parent pool
     spec = small_spec(vocab_noise_frac=0.0, docs_per_topic=20)
-    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
+    corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
     for d, (l1, l2) in enumerate(doc_labels):
         for t in corpus.documents[d].tokens:
             assert term_labels[corpus.term(int(t))] in (l1, l2)
@@ -117,7 +118,7 @@ def test_generator_doc_tokens_match_labels():
 def test_generator_parent_mix_fraction():
     spec = small_spec(vocab_noise_frac=0.0, parent_mix=0.3,
                       docs_per_topic=50, doc_len=60)
-    corpus, truth, doc_labels, term_labels = generate_synthetic_corpus(spec)
+    corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
     n_parent = n_total = 0
     for d, (l1, l2) in enumerate(doc_labels):
         for t in corpus.documents[d].tokens:
@@ -131,7 +132,7 @@ def test_generator_name_boost_raises_name_frequency():
     high = small_spec(name_boost=16.0, docs_per_topic=40)
 
     def name_rate(spec):
-        corpus, _, doc_labels, term_labels = generate_synthetic_corpus(spec)
+        corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
         hits = total = 0
         for d, (l1, l2) in enumerate(doc_labels):
             for t in corpus.documents[d].tokens:

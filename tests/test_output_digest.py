@@ -141,9 +141,9 @@ def test_digest_inputs_are_the_benchmarks(tmp_path, monkeypatch, name):
     for a, b in zip(seen["corpus"].documents, read.documents):
         assert a.tokens.tolist() == b.tokens.tolist()
 
-    corpus, truth, _, _ = generate_synthetic_corpus(spec)
+    _, doc_labels, _ = generate_synthetic_corpus(spec)
     full = (tmp_path / "hierarchy_full.txt").read_text(encoding="utf-8")
-    assert planted_outline(truth, corpus, wl["delete"]) == \
+    assert planted_outline(doc_labels, wl["delete"]) == \
         workloads.partial_hierarchy(full, wl["delete"]).splitlines()
 
     (tmp_path / "config.txt").write_text(workloads.config_text(wl["config"]))

@@ -27,7 +27,7 @@ def tiny_setup(seed=0):
     spec = PlantedCorpusSpec(level1_topics=2, level2_per_topic=2,
                              terms_per_topic=6, docs_per_topic=10,
                              doc_len=20, dim=8, seed=seed)
-    corpus, truth, _, _ = generate_synthetic_corpus(spec)
+    corpus, _, _ = generate_synthetic_corpus(spec)
     partial = parse_hierarchy("topic0\ntopic1", corpus)
     cfg = PipelineConfig(embed=EmbedConfig(dim=8, epochs=2, lr=0.05),
                          min_terms=10, min_docs=5, seed=seed)
@@ -224,9 +224,9 @@ def small_planted_runs(draw):
         docs_per_topic=draw(st.integers(2, 10)),
         doc_len=draw(st.integers(3, 15)), dim=4,
         seed=draw(st.integers(0, 2**16)))
-    corpus, truth, _, _ = generate_synthetic_corpus(spec)
+    corpus, doc_labels, _ = generate_synthetic_corpus(spec)
     outline, keep_parent = [], False
-    for line in planted_outline(truth, corpus):
+    for line in planted_outline(doc_labels):
         if not line.startswith("\t"):
             keep_parent = draw(st.booleans())
         if keep_parent and (not line.startswith("\t") or draw(st.booleans())):
@@ -332,8 +332,8 @@ def test_node_without_documents_is_not_expanded():
     spec = PlantedCorpusSpec(level1_topics=3, level2_per_topic=3,
                              terms_per_topic=10, docs_per_topic=12,
                              doc_len=20, dim=6, seed=14)
-    corpus, truth, _, _ = generate_synthetic_corpus(spec)
-    outline = "\n".join(planted_outline(truth, corpus, "topic0_1"))
+    corpus, doc_labels, _ = generate_synthetic_corpus(spec)
+    outline = "\n".join(planted_outline(doc_labels, "topic0_1"))
 
     def config(min_docs):
         return PipelineConfig(
