@@ -55,8 +55,9 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
     """Parse a tab-indented outline of topic names into a taxonomy.
 
     Tab depth equals tree depth, and a line indented with anything but
-    tabs is rejected; the root is implicit. Names are lower-cased
-    and space->underscore normalized before vocabulary lookup. No name repeats.
+    tabs is rejected; the root is implicit. A name is looked up with its
+    spaces as underscores, first as written and then lower-cased
+    (normalize_name). No normalized name repeats.
     """
     tax = Taxonomy()
     root = tax.add_node(center_term=None)
@@ -71,14 +72,14 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
         if name[:1].isspace():
             # normalize_name would strip it, and the line land at a wrong depth
             raise ValueError(f"line {lineno}: indent with tabs only")
-        name = normalize_name(name)
+        written, name = name.strip().replace(" ", "_"), normalize_name(name)
         if depth + 1 > len(stack):
             raise ValueError(
                 f"line {lineno}: indentation jumps more than one level")
         if first_line.setdefault(name, lineno) != lineno:
             raise ValueError(f"line {lineno}: topic {name!r} repeats "
                              f"the topic of line {first_line[name]}")
-        tid = corpus.index.get(name)
+        tid = corpus.index.get(written, corpus.index.get(name))
         if tid is None:
             unknown.append(name)
             continue

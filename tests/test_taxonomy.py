@@ -50,6 +50,25 @@ def test_parse_normalizes_names(corpus):
     assert corpus.term(child.center_term) == "gun_control"
 
 
+def _top_names(tax, corpus):
+    return [corpus.term(tax.nodes[c].center_term)
+            for c in tax.nodes[tax.root].children]
+
+
+def test_parse_finds_a_name_as_written_in_a_cased_corpus():
+    # the corpus loader keeps a token's case: a name is first looked up as
+    # written, so an upper-case term can be a topic
+    cased = corpus_from_lines(["NLP Vision machine_learning x y\n"])
+    tax = parse_hierarchy("NLP\nMachine Learning", cased)
+    assert _top_names(tax, cased) == ["NLP", "machine_learning"]
+
+
+def test_parse_prefers_the_name_as_written_over_its_lower_case():
+    both = corpus_from_lines(["nlp NLP x\n"])
+    assert _top_names(parse_hierarchy("NLP", both), both) == ["NLP"]
+    assert _top_names(parse_hierarchy("nlp", both), both) == ["nlp"]
+
+
 def test_parse_unknown_name_lists_offenders(corpus):
     with pytest.raises(ValueError, match="not in vocabulary: nope, also_nope"):
         parse_hierarchy("politics\nnope\nalso_nope", corpus)
