@@ -262,6 +262,46 @@ def _deleted_topics(tree: dict, doc_labels) -> list:
             if t not in known and (p is None or p in known)]
 
 
+# what the scorer reads of each node below a prediction's root
+NODE_KEYS = {"name": str, "is_novel": bool, "terms": list, "doc_ids": list,
+             "children": list}
+
+
+def _require(obj, keys: dict, where: str) -> None:
+    """obj is a JSON object holding each key, with a value of its type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key, kind in keys.items():
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"{where}: {key} must be a {kind.__name__}, "
+                             f"got {type(obj[key]).__name__}")
+
+
+def _read_json(path: str, keys: dict) -> dict:
+    """The JSON object in path; an error names the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    _require(data, keys, path)
+    return data
+
+
+def _read_prediction(path: str) -> dict:
+    """A serialized tree whose every node below the root holds NODE_KEYS."""
+    tree = _read_json(path, {"children": list})
+    stack = [(tree, "root")]
+    while stack:
+        node, name = stack.pop()
+        for child in node["children"]:
+            _require(child, NODE_KEYS, f"{path}: a child of {name!r}")
+            stack.append((child, child["name"]))
+    return tree
+
+
 def run_eval_cli(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="taxoforge-eval",
@@ -276,15 +316,15 @@ def run_eval_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "synth":
-            with open(args.spec, encoding="utf-8") as f:
-                spec = PlantedCorpusSpec(**json.load(f))
+            spec = PlantedCorpusSpec(**_read_json(args.spec, {}))
             write_synthetic_dataset(spec, args.out)
         else:
-            with open(args.pred, encoding="utf-8") as f:
-                tree = json.load(f)
-            with open(args.truth, encoding="utf-8") as f:
-                truth = json.load(f)
+            tree = _read_prediction(args.pred)
+            truth = _read_json(args.truth, {"doc_labels": list, "term_labels": dict})
             labels = truth["doc_labels"]
+            if not all(isinstance(p, list) and len(p) == 2 for p in labels):
+                raise ValueError(f"{args.truth}: doc_labels must hold "
+                                 f"[topic, sub-topic] pairs")
             report = {t: score_planted(tree, labels, truth["term_labels"], t)
                       for t in _deleted_topics(tree, labels)}
             print(json.dumps(report, indent=2))

@@ -1,6 +1,7 @@
 """Planted-corpus generator, the planted-run scorer, and the eval CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -305,6 +306,19 @@ def test_write_dataset_and_score_roundtrip(tmp_path, capsys):
     assert score_cli(tmp_path, capsys, pred, out / "truth.json") == {}
 
 
+def test_committed_dataset_is_the_generators_output(tmp_path):
+    # data/synthetic_small is what write_synthetic_dataset makes of the spec
+    # its truth.json records, byte for byte
+    data = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                        "synthetic_small")
+    with open(os.path.join(data, "truth.json"), encoding="utf-8") as f:
+        spec = PlantedCorpusSpec(**json.load(f)["spec"])
+    write_synthetic_dataset(spec, str(tmp_path))
+    for name in ("corpus.txt", "hierarchy_full.txt", "truth.json"):
+        with open(os.path.join(data, name), "rb") as f:
+            assert (tmp_path / name).read_bytes() == f.read(), name
+
+
 def test_score_cli_reports_each_deleted_topic(tmp_path, capsys):
     spec = small_spec()
     out = tmp_path / "data"
@@ -358,3 +372,55 @@ def test_eval_cli_synth_and_score(tmp_path, capsys):
 def test_eval_cli_error_exit_code(tmp_path):
     assert run_eval_cli(["score", "--pred", str(tmp_path / "nope.json"),
                          "--truth", str(tmp_path / "nope2.json")]) == 1
+
+
+def _termless(name):
+    return {k: v for k, v in node(name, []).items() if k != "terms"}
+
+
+TRUTH = {"doc_labels": [["a", "a_0"]], "term_labels": {"a": "a", "a_0": "a_0"}}
+
+
+@pytest.mark.parametrize("bad, pred, truth, message", [
+    ("pred.json", [], TRUTH, "expected a JSON object, got list"),
+    ("pred.json", {"name": "root"}, TRUTH, "missing key 'children'"),
+    ("pred.json", node("root", [], [node("a", [], [_termless("a_0")])]), TRUTH,
+     "a child of 'a': missing key 'terms'"),
+    ("pred.json", node("root", [], [node("a", [], ["a_0"])]), TRUTH,
+     "a child of 'a': expected a JSON object, got str"),
+    ("pred.json", {"children": {}}, TRUTH, "children must be a list, got dict"),
+    ("pred.json", node("root", [], [node("a", [], novel="no")]), TRUTH,
+     "a child of 'root': is_novel must be a bool, got str"),
+    ("pred.json", "nope", TRUTH, "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("truth.json", node("root", []), {"term_labels": {}},
+     "missing key 'doc_labels'"),
+    ("truth.json", node("root", []), {**TRUTH, "doc_labels": [["a"]]},
+     "doc_labels must hold [topic, sub-topic] pairs"),
+    ("truth.json", node("root", []), {**TRUTH, "term_labels": []},
+     "term_labels must be a dict, got list"),
+    ("truth.json", node("root", []), "{", "not JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+])
+def test_score_cli_names_the_malformed_file(tmp_path, capsys, bad, pred, truth,
+                                            message):
+    for name, content in (("pred.json", pred), ("truth.json", truth)):
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    assert run_eval_cli(["score", "--pred", str(tmp_path / "pred.json"),
+                         "--truth", str(tmp_path / "truth.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"taxoforge-eval: error: {tmp_path / bad}: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[]", "expected a JSON object, got list"),
+    ("level1_topics: 2", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+])
+def test_synth_cli_names_the_malformed_spec(tmp_path, capsys, content, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(content)
+    assert run_eval_cli(["synth", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        f"taxoforge-eval: error: {spec_path}: {message}\n"
+    assert not (tmp_path / "out").exists()
