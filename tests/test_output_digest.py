@@ -1,4 +1,5 @@
-"""scripts/output_digest.py: one SHA-1 line per planted workload and seed."""
+"""scripts/output_digest.py: one SHA-1 line per planted workload and seed;
+scripts/run_planted_recovery.py: one score line per planted run."""
 
 import ast
 import hashlib
@@ -95,6 +96,44 @@ def test_cli_prints_workload_seed_digest(digest_mod, monkeypatch, capsys):
             TINY["spec"], TINY["delete"], TINY["config"], int(seed))
 
 
+def test_recovery_script_prints_each_seed_and_the_pass_count(monkeypatch, capsys):
+    # canned planted runs with topic1_2 deleted: at seed 1 a novel node under
+    # topic1 holds topic1_2's document and terms, at seed 2 none does
+    script = _load("run_planted_recovery", "scripts", "run_planted_recovery.py")
+    doc_labels = [("topic1", "topic1_1"), ("topic1", "topic1_2")]
+    term_labels = {t: t.rsplit("_w", 1)[0] for t in (
+        "topic1", "topic1_1", "topic1_2", "topic1_2_w01", "topic1_2_w02")}
+
+    def tree(novel):
+        kids = [{"name": "topic1_1", "is_novel": False, "terms": ["topic1_1"],
+                 "doc_ids": [0], "children": []}]
+        if novel:
+            kids.append({"name": "topic1_2_w01", "is_novel": True,
+                         "terms": ["topic1_2_w01", "topic1_2", "topic1_2_w02"],
+                         "doc_ids": [1], "children": []})
+        return json.dumps({"name": "root", "children": [
+            {"name": "topic1", "is_novel": False, "terms": ["topic1"],
+             "doc_ids": [0, 1], "children": kids}]})
+
+    calls = []
+
+    def run_planted(seed, delete):
+        calls.append((seed, delete))
+        return tree(seed == 1), doc_labels, term_labels, 1.5
+
+    monkeypatch.setattr(script, "run_planted", run_planted)
+    monkeypatch.setattr("sys.argv", ["run_planted_recovery.py", "--delete",
+                                     "topic1_2", "--seeds", "1", "2"])
+    script.main()
+    assert calls == [(1, "topic1_2"), (2, "topic1_2")]
+    assert capsys.readouterr().out.splitlines() == [
+        "seed=1   1.5s depth=2 best_recovery=1.00 best_node=topic1_2_w01 "
+        "novelty_f1=1.000",
+        "seed=2   1.5s depth=2 best_recovery=0.00 best_node=None novelty_f1=0.000",
+        "recovery >= 0.7 in 1/2 seeds",
+    ]
+
+
 def test_tiny_run_keeps_its_golden_bytes(digest_mod):
     assert digest_mod.output_digest(TINY["spec"], TINY["delete"],
                                     TINY["config"], seed=3) == TINY_SEED3_SHA1
@@ -149,6 +188,20 @@ def test_digest_inputs_are_the_benchmarks(tmp_path, monkeypatch, name):
     (tmp_path / "config.txt").write_text(workloads.config_text(wl["config"]))
     assert seen["cfg"] == load_config(str(tmp_path / "config.txt"), seed=1)
     assert workloads.PLANTED_CONFIG == {**evaluation.PLANTED_CONFIG, "epochs": 2}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SEED1_SHA1))
+def test_outline_is_the_benchmarks_partial_hierarchy(tmp_path, name):
+    # with any planted topic deleted, or none, the outline a planted run
+    # parses is the one the benchmark cuts from hierarchy_full.txt
+    workloads = _load("perfbench_workloads", "perfbench", "workloads.py")
+    spec = evaluation.PlantedCorpusSpec(**workloads.WORKLOADS[name]["spec"], seed=1)
+    write_synthetic_dataset(spec, str(tmp_path))
+    full = (tmp_path / "hierarchy_full.txt").read_text(encoding="utf-8")
+    doc_labels = json.loads((tmp_path / "truth.json").read_text())["doc_labels"]
+    for delete in [None, *evaluation._topic_parents(doc_labels)]:
+        assert planted_outline(doc_labels, delete) == \
+            workloads.partial_hierarchy(full, delete).splitlines(), delete
 
 
 def test_run_path_never_imports_scipy(tmp_path):
