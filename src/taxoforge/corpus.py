@@ -47,12 +47,6 @@ class Corpus:
     def num_docs(self):
         return len(self.documents)
 
-    def term(self, term_id):
-        return self.vocab[term_id]
-
-    def term_id(self, term):
-        return self.index[term]
-
     def token_array(self):
         """(tokens, offsets): every document's tokens end to end, built once.
 

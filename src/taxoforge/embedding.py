@@ -91,10 +91,10 @@ class EmbeddingSpace:
         with open(path, "w", encoding="utf-8") as f:
             for i, t in enumerate(self.term_ids):
                 vec = " ".join(f"{x:.6f}" for x in self.target[i])
-                f.write(f"{corpus.term(int(t))} {vec}\n")
+                f.write(f"{corpus.vocab[int(t)]} {vec}\n")
             for row, topic in zip(self.center_rows, self.topic_vecs):
                 vec = " ".join(f"{x:.6f}" for x in topic)
-                f.write(f"__topic__{corpus.term(int(self.term_ids[row]))} {vec}\n")
+                f.write(f"__topic__{corpus.vocab[int(self.term_ids[row])]} {vec}\n")
 
 
 def _unit(x, axis=-1):

@@ -103,7 +103,7 @@ def _dump_node_debug(debug_dir, node_id, sc, space, corpus):
         f.write("term,significance,slot,is_novel_term\n")
         for t, sig, slot in zip(space.term_ids.tolist(), sc.sig_scores.tolist(),
                                 sc.z_term.tolist()):
-            f.write(f"{corpus.term(t)},{sig:.6f},{slot},{int(t in novel)}\n")
+            f.write(f"{corpus.vocab[t]},{sig:.6f},{slot},{int(t in novel)}\n")
     space.dump(os.path.join(debug_dir, f"node_{node_id}_embedding.txt"), corpus)
 
 

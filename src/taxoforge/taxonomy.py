@@ -145,11 +145,11 @@ def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:
         if node.center_term in terms:
             terms.remove(node.center_term)
             terms.insert(0, node.center_term)
-        return [corpus.term(t) for t in terms[:top_k]]
+        return [corpus.vocab[t] for t in terms[:top_k]]
 
     def encode(node_id):
         node = tax.nodes[node_id]
-        name = corpus.term(node.center_term) if node.center_term is not None else "root"
+        name = corpus.vocab[node.center_term] if node.center_term is not None else "root"
         if node.kappa is not None and not math.isfinite(node.kappa):  # NaN is not JSON
             raise ValueError(f"node {name!r} has a non-finite kappa {node.kappa}")
         return {

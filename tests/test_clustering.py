@@ -623,7 +623,7 @@ def reference_bm25(t, subcorpus, corpus, doc_ids, k1, b):
 def test_bm25_absent_term_zero():
     corpus = corpus_from_lines(["a b\n", "c d\n"])
     stats = full_stats(corpus, [0, 1])
-    assert bm25_score(corpus.term_id("a"), [1], stats) == 0.0
+    assert bm25_score(corpus.index["a"], [1], stats) == 0.0
 
 
 def test_bm25_matches_reference_100_fixtures():
@@ -652,7 +652,7 @@ def test_rep_absent_term_zero():
     corpus = corpus_from_lines(["a a b\n", "c c d\n"])
     stats = full_stats(corpus, [0, 1])
     z_doc = {0: 0, 1: 1}
-    c_id = corpus.term_id("c")
+    c_id = corpus.index["c"]
     assert representativeness(c_id, 0, z_doc, stats, 2) == 0.0
 
 
@@ -661,7 +661,7 @@ def test_rep_single_subtopic_dis_half():
     corpus = corpus_from_lines(["a a b\n", "a b b\n"])
     stats = full_stats(corpus, [0, 1])
     z_doc = {0: 0, 1: 0}
-    a_id = corpus.term_id("a")
+    a_id = corpus.index["a"]
     # df(a)=2 over 2 docs -> idf=0 -> BM25=0 for every term
     got = representativeness(a_id, 0, z_doc, stats, 1)
     total = 6  # all term occurrences in the sub-corpus
@@ -671,9 +671,9 @@ def test_rep_single_subtopic_dis_half():
 
 def test_rep_uses_integrity():
     corpus = corpus_from_lines(["a a b\n", "a b b\n"])
-    corpus.integrity[corpus.term_id("a")] = 0.125
+    corpus.integrity[corpus.index["a"]] = 0.125
     z_doc = {0: 0, 1: 0}
-    a_id = corpus.term_id("a")
+    a_id = corpus.index["a"]
     base_corpus = corpus_from_lines(["a a b\n", "a b b\n"])
     base = representativeness(a_id, 0, z_doc, full_stats(base_corpus, [0, 1]), 1)
     got = representativeness(a_id, 0, z_doc, full_stats(corpus, [0, 1]), 1)
@@ -781,13 +781,13 @@ def _planted_node(seed=0, n_known=2, n_novel=2, kappa=60.0, per=30):
             members = rng.choice(per, size=6) + g * per
             lines.append(" ".join(f"w{int(m)}" for m in members))
     corpus = corpus_from_lines(lines)
-    order = [corpus.term_id(f"w{i}") for i in range(n_terms)]
+    order = [corpus.index[f"w{i}"] for i in range(n_terms)]
     target_by_vocab = np.empty_like(target)
     target_by_vocab[np.argsort(np.argsort(order))] = target  # keep aligned
     target2 = np.empty_like(target)
     for i in range(n_terms):
-        target2[corpus.term_id(f"w{i}")] = target[i]
-    labels = {corpus.term_id(f"w{i}"): i // per for i in range(n_terms)}
+        target2[corpus.index[f"w{i}"]] = target[i]
+    labels = {corpus.index[f"w{i}"]: i // per for i in range(n_terms)}
     # a known group's center is its lowest term id, which is its row, and
     # its only keyword, as for a leaf sub-topic
     centers = [min(t for t, lab in labels.items() if lab == g)

@@ -123,8 +123,8 @@ def test_integrity_file_repeated_term_names_term_and_lines(tmp_path):
 def test_vocab_round_trip():
     corpus = corpus_from_lines(["x y z y\n", "w x\n"])
     for tid, term in enumerate(corpus.vocab):
-        assert corpus.term_id(term) == tid
-        assert corpus.term(tid) == term
+        assert corpus.index[term] == tid
+        assert corpus.vocab[tid] == term
 
 
 def setdefault_loader(lines):
@@ -174,7 +174,7 @@ def test_loader_matches_setdefault_oracle_random(lines):
 def test_unseen_term_id_raises_and_adds_nothing():
     corpus = corpus_from_lines(["a b\n", "b c\n"])
     with pytest.raises(KeyError):
-        corpus.term_id("unseen")
+        corpus.index["unseen"]
     assert corpus.num_terms == 3
     assert "unseen" not in corpus.index
 
@@ -217,8 +217,8 @@ def test_token_array_lays_documents_end_to_end():
 
 def test_docs_containing_sorted():
     corpus = corpus_from_lines(["a b\n", "b c\n", "a a\n"])
-    assert corpus.docs_containing(corpus.term_id("a")).tolist() == [0, 2]
-    assert corpus.docs_containing(corpus.term_id("b")).tolist() == [0, 1]
+    assert corpus.docs_containing(corpus.index["a"]).tolist() == [0, 2]
+    assert corpus.docs_containing(corpus.index["b"]).tolist() == [0, 1]
 
 
 def test_docs_containing_matches_per_document_build():

@@ -754,7 +754,7 @@ def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known,
     keywords = subtree_keywords(tax, tax.root) if known else {}
     centers = {k: tax.nodes[k].center_term for k in keywords}
     # the node has fewer terms than the corpus: pairs with an outside term drop
-    terms = [t for t in range(corpus.num_terms) if corpus.term(t) != "w7"]
+    terms = [t for t in range(corpus.num_terms) if corpus.vocab[t] != "w7"]
     cfg = EmbedConfig(dim=5, epochs=2, lr=0.05, negatives=negatives,
                       batch_size=batch_size, window=3)
     n_pairs = loop_pair_arrays(corpus.documents, cfg.window)[0].size
@@ -888,7 +888,7 @@ def test_embedding_dump_format(tmp_path, trained):
     space.dump(path, corpus)
     lines = path.read_text().splitlines()
     assert len(lines) == space.term_ids.size + space.num_topics
-    names = [f"__topic__{corpus.term(tax.nodes[k].center_term)}"
+    names = [f"__topic__{corpus.vocab[tax.nodes[k].center_term]}"
              for k in space.topic_order]
     assert [ln.split()[0] for ln in lines[space.term_ids.size:]] == names
     assert len(lines[0].split()) == 1 + space.dim

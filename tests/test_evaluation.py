@@ -113,7 +113,7 @@ def test_generator_doc_tokens_match_labels():
     corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
     for d, (l1, l2) in enumerate(doc_labels):
         for t in corpus.documents[d].tokens:
-            assert term_labels[corpus.term(int(t))] in (l1, l2)
+            assert term_labels[corpus.vocab[int(t)]] in (l1, l2)
 
 
 def test_generator_parent_mix_fraction():
@@ -124,7 +124,7 @@ def test_generator_parent_mix_fraction():
     for d, (l1, l2) in enumerate(doc_labels):
         for t in corpus.documents[d].tokens:
             n_total += 1
-            n_parent += term_labels[corpus.term(int(t))] == l1
+            n_parent += term_labels[corpus.vocab[int(t)]] == l1
     assert n_parent / n_total == pytest.approx(0.3, abs=0.03)
 
 
@@ -138,7 +138,7 @@ def test_generator_name_boost_raises_name_frequency():
         for d, (l1, l2) in enumerate(doc_labels):
             for t in corpus.documents[d].tokens:
                 total += 1
-                hits += corpus.term(int(t)) in (l1, l2)
+                hits += corpus.vocab[int(t)] in (l1, l2)
         return hits / total
 
     assert name_rate(high) > 2 * name_rate(low)

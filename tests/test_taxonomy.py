@@ -30,10 +30,10 @@ def test_parse_two_level_outline(corpus):
         "politics\n\tgun_control\nsports\n\tsoccer\n\tbaseball", corpus)
     root = tax.nodes[tax.root]
     assert root.center_term is None
-    names = [corpus.term(tax.nodes[c].center_term) for c in root.children]
+    names = [corpus.vocab[tax.nodes[c].center_term] for c in root.children]
     assert names == ["politics", "sports"]
     sports = tax.nodes[root.children[1]]
-    kids = [corpus.term(tax.nodes[c].center_term) for c in sports.children]
+    kids = [corpus.vocab[tax.nodes[c].center_term] for c in sports.children]
     assert kids == ["soccer", "baseball"]
     assert all(not n.is_novel for n in tax.nodes.values())
 
@@ -47,11 +47,11 @@ def test_parse_normalizes_names(corpus):
     assert normalize_name(" Gun Control ") == "gun_control"
     tax = parse_hierarchy("Gun Control", corpus)
     child = tax.nodes[tax.nodes[tax.root].children[0]]
-    assert corpus.term(child.center_term) == "gun_control"
+    assert corpus.vocab[child.center_term] == "gun_control"
 
 
 def _top_names(tax, corpus):
-    return [corpus.term(tax.nodes[c].center_term)
+    return [corpus.vocab[tax.nodes[c].center_term]
             for c in tax.nodes[tax.root].children]
 
 
@@ -110,15 +110,15 @@ def test_leaf_child_keywords_singleton(corpus):
     pol = tax.nodes[tax.root].children[0]
     kws = subtree_keywords(tax, pol)
     (child_id,) = tax.nodes[pol].children
-    assert kws == {child_id: {corpus.term_id("gun_control")}}
+    assert kws == {child_id: {corpus.index["gun_control"]}}
 
 
 def test_root_keywords_cover_subtrees(corpus):
     tax = parse_hierarchy("politics\n\tgun_control\nsports\n\tsoccer\n\tbaseball",
                           corpus)
     kws = subtree_keywords(tax, tax.root)
-    by_name = {corpus.term(tax.nodes[c].center_term):
-               {corpus.term(t) for t in v} for c, v in kws.items()}
+    by_name = {corpus.vocab[tax.nodes[c].center_term]:
+               {corpus.vocab[t] for t in v} for c, v in kws.items()}
     assert by_name == {
         "politics": {"politics", "gun_control"},
         "sports": {"sports", "soccer", "baseball"},
@@ -130,16 +130,16 @@ def test_chain_keywords_depth_first(corpus):
     tax = parse_hierarchy("a\n\tb\n\t\tc", corpus)
     kws = subtree_keywords(tax, tax.root)
     (a_id,) = tax.nodes[tax.root].children
-    assert kws == {a_id: {corpus.term_id(n) for n in "abc"}}
+    assert kws == {a_id: {corpus.index[n] for n in "abc"}}
 
 
 def test_duplicate_keyword_across_siblings_error(corpus):
     tax = Taxonomy()
     root = tax.add_node(center_term=None)
-    a = tax.add_node(corpus.term_id("a"), parent=root.id)
-    b = tax.add_node(corpus.term_id("b"), parent=root.id)
-    tax.add_node(corpus.term_id("c"), parent=a.id)
-    tax.add_node(corpus.term_id("c"), parent=b.id)
+    a = tax.add_node(corpus.index["a"], parent=root.id)
+    b = tax.add_node(corpus.index["b"], parent=root.id)
+    tax.add_node(corpus.index["c"], parent=a.id)
+    tax.add_node(corpus.index["c"], parent=b.id)
     with pytest.raises(ValueError, match="appears under two sibling sub-trees"):
         subtree_keywords(tax, root.id)
 
@@ -165,29 +165,29 @@ def test_insert_novel_child(corpus):
     tax = parse_hierarchy("sports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[0]
     insert_children(
-        tax, sports, [], [(corpus.term_id("hockey"), [1, 2], [0, 1], None)])
+        tax, sports, [], [(corpus.index["hockey"], [1, 2], [0, 1], None)])
     assert len(tax.nodes[sports].children) == 2
     node = tax.nodes[tax.nodes[sports].children[1]]
     assert node.is_novel and node.children == []
-    assert corpus.term(node.center_term) == "hockey"
+    assert corpus.vocab[node.center_term] == "hockey"
 
 
 def test_novel_center_collision_error(corpus):
     tax = parse_hierarchy("sports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[0]
-    hockey = corpus.term_id("hockey")
+    hockey = corpus.index["hockey"]
     insert_children(tax, sports, [], [(hockey, [1], [], None)])
     with pytest.raises(ValueError, match="collides with an existing child"):
         insert_children(tax, sports, [], [(hockey, [2], [], None)])
     with pytest.raises(ValueError, match="collides with an existing child"):
-        insert_children(tax, sports, [], [(corpus.term_id("soccer"), [2], [], None)])
+        insert_children(tax, sports, [], [(corpus.index["soccer"], [2], [], None)])
 
 
 def test_tree_invariant_after_inserts(corpus):
     tax = parse_hierarchy("politics\nsports\n\tsoccer", corpus)
     sports = tax.nodes[tax.root].children[1]
-    insert_children(tax, sports, [], [(corpus.term_id("hockey"), [1], [], None)])
-    insert_children(tax, tax.root, [], [(corpus.term_id("extra"), [2], [], None)])
+    insert_children(tax, sports, [], [(corpus.index["hockey"], [1], [], None)])
+    insert_children(tax, tax.root, [], [(corpus.index["extra"], [2], [], None)])
     edges = sum(len(n.children) for n in tax.nodes.values())
     assert edges == len(tax.nodes) - 1
     assert sorted(tax.subtree_ids(tax.root)) == sorted(tax.nodes)
@@ -242,7 +242,7 @@ def test_serialize_truncates_to_top_k(corpus):
     out = json.loads(serialize(tax, corpus, 3))
     child = out["children"][0]
     # center first, then the stored order
-    assert child["terms"] == [corpus.term(t) for t in (corpus.term_id("politics"), 7, 6)]
+    assert child["terms"] == [corpus.vocab[t] for t in (corpus.index["politics"], 7, 6)]
 
 
 def test_serialize_keeps_stored_order_center_first(corpus):
@@ -250,7 +250,7 @@ def test_serialize_keeps_stored_order_center_first(corpus):
     # to the front
     tax = parse_hierarchy("a", corpus)
     node = tax.nodes[tax.nodes[tax.root].children[0]]
-    a, b, c = (corpus.term_id(x) for x in "abc")
+    a, b, c = (corpus.index[x] for x in "abc")
     node.terms = np.array([c, a, b])
     node.docs = np.array([1, 0])
     out = json.loads(serialize(tax, corpus, 10))
