@@ -264,7 +264,7 @@ def select_anchor_terms(z_term, scores, tau_sig, n_slots, centers):
 
 
 def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
-                   cfg: ClusterConfig, seed: int) -> SubtopicClustering:
+                   cfg: ClusterConfig, seed: int, named) -> SubtopicClustering:
     """Pick the novel cluster count K* minimizing the stdev of concentrations.
 
     z_known holds the known slot of each row, -1 for a novel row. The
@@ -274,7 +274,8 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
     all slots, known (re-estimated) and novel. stats holds the term
     statistics of the node's documents over the rows of the space, read by
     every candidate. Candidate K* clusters the novel rows by spherical
-    k-means seeded with seed + K*.
+    k-means seeded with seed + K*. named holds the ids of the terms that
+    already name a node of the tree; no novel center is one of them.
     """
     k_known = space.num_topics
     novel_rows = np.flatnonzero(z_known < 0)
@@ -314,13 +315,13 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
         z_anchor[anchors[s]] = s
     doc_slot = assign_documents(stats, z_anchor, n_slots)
     docs = [stats.doc_ids[doc_slot == s] for s in range(n_slots)]
-    known, novel = child_split(space, anchors, sig, docs, kappas, means)
+    known, novel = child_split(space, anchors, sig, docs, kappas, means, named)
     return SubtopicClustering(
         z_term=z_term, novel_terms=space.term_ids[novel_rows], known=known,
         novel=novel, k_star=k_star, sig_scores=sig, warnings=warnings)
 
 
-def child_split(space: EmbeddingSpace, anchors, sig, docs, kappas, means):
+def child_split(space: EmbeddingSpace, anchors, sig, docs, kappas, means, named):
     """What each child inherits: (known, novel) as in SubtopicClustering.
 
     The space's k_known topics are slots 0..k_known-1. Slot s has the
@@ -330,6 +331,9 @@ def child_split(space: EmbeddingSpace, anchors, sig, docs, kappas, means):
     own keyword rows, ranked by sig descending, ties by id. A novel slot
     left with no terms or documents is dropped; a novel center is the
     anchor closest to the mean, or the lowest term if that is a keyword.
+    A center in named (a term that already names a node) gives way to the
+    slot's term closest to the mean that names none; a slot whose terms
+    all name a node is dropped.
     """
     k_known = space.num_topics
     keyword = np.zeros((k_known, space.term_ids.size), dtype=bool)
@@ -354,20 +358,25 @@ def child_split(space: EmbeddingSpace, anchors, sig, docs, kappas, means):
         center = pool[np.argmax(space.target[pool] @ means[s - k_known])]
         if not terms[s, center]:
             center = rows[0]
+        if space.term_ids[center] in named:
+            free = rows[[t not in named for t in space.term_ids[rows].tolist()]]
+            if not free.size:
+                continue
+            center = free[np.argmax(space.target[free] @ means[s - k_known])]
         novel.append((int(space.term_ids[center]), ranked(rows), docs[s], kappas[s]))
     return known, novel
 
 
 def cluster_node(space: EmbeddingSpace, stats: TermStats, cfg: ClusterConfig,
-                 level: int, seed: int) -> SubtopicClustering:
+                 level: int, seed: int, named) -> SubtopicClustering:
     """Known/novel split plus the full K* search for one node.
 
     The node's terms are the rows of space, and stats holds their
     statistics over the node's documents. The split needs at least 2 known
     sub-topics; with fewer it raises ValueError (the pipeline expands no
-    such node).
+    such node). named holds the ids of the terms that already name a node.
     """
     z_known = np.full(space.term_ids.size, -1, dtype=np.int64)
     known = np.flatnonzero(~split_terms(space, cfg, level))
     z_known[known] = assign_known_terms(space, known)
-    return select_novel_k(z_known, space, stats, cfg, seed)
+    return select_novel_k(z_known, space, stats, cfg, seed, named)

@@ -72,8 +72,9 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
 
         # passed, not kept: the statistics (40 B per nonzero) must not stay
         # alive through the next node's training
+        named = {n.center_term for n in tax.nodes.values()}
         sc = cluster_node(space, compute_term_stats(corpus, node.docs, space.term_ids),
-                          cfg.cluster, depth, seed)
+                          cfg.cluster, depth, seed, named)
 
         insert_children(tax, node_id, sc.known, sc.novel)
         queue.extend((child, depth + 1, space) for child in node.children)

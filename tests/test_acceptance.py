@@ -269,6 +269,6 @@ def test_criterion_9_kstar_balance(capfd):
     for n_novel in (1, 2):
         sp, stats, labels = _planted_node(n_novel=n_novel)
         res = select_novel_k(_known_slots(labels), sp, stats,
-                             ClusterConfig(tau_sig=0.0), 0)
+                             ClusterConfig(tau_sig=0.0), 0, set())
         picks.append(res.k_star)
     _report(capfd, 9, "kstar-balance", example_ok and picks == [1, 2])

@@ -816,7 +816,7 @@ def test_select_novel_k_recovers_two_planted_clusters():
     # [DERIVED] 2 known + 2 planted novel bundles of matched concentration
     sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.0)
-    res = select_novel_k(_known_slots(labels), sp, stats, cfg, 0)
+    res = select_novel_k(_known_slots(labels), sp, stats, cfg, 0, set())
     assert res.k_star == 2
     assert len(res.novel) == 2
     assert len(res.known) == 2
@@ -825,7 +825,7 @@ def test_select_novel_k_recovers_two_planted_clusters():
 def test_select_novel_k_empty_novel_returns_zero():
     sp, stats, labels = _planted_node()
     z_known = assign_known_terms(sp, np.arange(len(labels)))
-    res = select_novel_k(z_known, sp, stats, ClusterConfig(), 0)
+    res = select_novel_k(z_known, sp, stats, ClusterConfig(), 0, set())
     assert res.k_star == 0 and res.novel == []
     assert len(res.known) == 2
 
@@ -835,7 +835,7 @@ def test_select_novel_k_capped_by_novel_count():
     z_known = assign_known_terms(sp, np.arange(len(labels)))
     z_known[[t for t, g in labels.items() if g >= 2][:3]] = -1
     cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(z_known, sp, stats, cfg, 0)
+    res = select_novel_k(z_known, sp, stats, cfg, 0, set())
     assert 1 <= res.k_star <= 3
 
 
@@ -846,7 +846,7 @@ def test_cluster_node_needs_two_known_topics(n_known):
     sp, stats, _ = _planted_node(n_known=n_known, n_novel=3)
     with pytest.raises(ValueError, match="at least 2 known sub-topics"):
         cluster_node(sp, stats, ClusterConfig(tau_sig=0.0), level=0,
-                     seed=0)
+                     seed=0, named=set())
 
 
 def assert_ranked(terms, sig):
@@ -858,7 +858,7 @@ def assert_ranked(terms, sig):
 def test_cluster_node_invariants():
     sp, stats, labels = _planted_node()
     cfg = ClusterConfig(tau_sig=0.2)
-    res = cluster_node(sp, stats, cfg, level=0, seed=0)
+    res = cluster_node(sp, stats, cfg, level=0, seed=0, named=set())
     sig = dict(zip(sp.term_ids.tolist(), res.sig_scores.tolist()))
     centers = sp.term_ids[sp.center_rows].tolist()
     # every term has a slot; exactly the novel terms sit in novel slots
@@ -887,10 +887,10 @@ def test_cluster_node_invariants():
 # --- what each child inherits ---
 
 
-def test_child_split_hand_built_node():
-    # rows 0..12 hold terms 100..112; known topics "a" (center row 0,
-    # sub-tree keyword row 1) and "b" (center row 2, keyword row 3); slots
-    # 2..5 are novel
+def _hand_built_node():
+    """(space, anchors, sig, docs, kappas, means): rows 0..12 hold terms
+    100..112; known topics "a" (center row 0, sub-tree keyword row 1) and
+    "b" (center row 2, keyword row 3); slots 2..5 are novel."""
     target = np.tile(np.eye(4)[1], (13, 1))
     target[3] = [1.0, 0.0, 0.0, 0.0]       # slot 3's nearest anchor
     target[8] = unit_rows(np.array([0.9, 0.3, 0.0, 0.0]))
@@ -914,19 +914,22 @@ def test_child_split_hand_built_node():
     docs = [np.array(d, dtype=np.int64) for d in
             [[0, 1], [2], [3], [4, 5], [6], []]]
     means = np.array([np.eye(4)[2], np.eye(4)[0], np.eye(4)[3], np.eye(4)[3]])
-    known, novel = child_split(space, anchors, sig, docs,
-                               [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], means)
+    return space, anchors, sig, docs, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], means
 
-    def plain(children):
-        return [(c, t.tolist(), d.tolist(), k) for c, t, d, k in children]
 
-    assert plain(known) == [
+def _plain(children):
+    return [(c, t.tolist(), d.tolist(), k) for c, t, d, k in children]
+
+
+def test_child_split_hand_built_node():
+    known, novel = child_split(*_hand_built_node(), set())
+    assert _plain(known) == [
         # "a" gets back its keyword 101, which slot 1 anchored; ties by id
         ("a", [101, 104, 100], [0, 1], 1.0),
         # "b" loses 101 and keeps its own keyword 103, anchored by slot 3
         ("b", [102, 103, 105], [2], 2.0),
     ]
-    assert plain(novel) == [
+    assert _plain(novel) == [
         # slot 3 comes first: 4 anchors before its keyword leaves, to slot
         # 2's 3; its nearest anchor, 103, is a keyword, so the center is
         # its lowest remaining id, not the next nearest (108)
@@ -934,6 +937,20 @@ def test_child_split_hand_built_node():
         (110, [111, 109, 110], [3], 3.0),
         # slot 4 (keywords only) and slot 5 (no documents) are dropped
     ]
+    # the known centers name nodes too, but no novel slot holds them
+    assert _plain(child_split(*_hand_built_node(), {100, 102})[1]) == _plain(novel)
+
+
+def test_child_split_novel_center_names_no_node():
+    # slot 3's center 106 names a node, and so does 108, its term nearest
+    # the mean (e0): the center becomes 107; every term of slot 2 names a
+    # node, so slot 2 is dropped
+    known, novel = child_split(*_hand_built_node(), {106, 108, 109, 110, 111})
+    assert _plain(known) == _plain(child_split(*_hand_built_node(), set())[0])
+    assert _plain(novel) == [(107, [107, 106, 108], [4, 5], 4.0)]
+    # only 106 named: the center is 108, the nearer of 107 and 108
+    _, novel = child_split(*_hand_built_node(), {106})
+    assert [c for c, *_ in novel] == [108, 110]
 
 
 def test_assign_known_terms_takes_the_product_over_the_rows():
@@ -976,5 +993,5 @@ def test_child_split_novel_center_takes_the_product_over_the_anchor_rows():
     anchors = np.zeros((1, 20), dtype=bool)
     anchors[0, pool] = True
     _, novel = child_split(space_with(target, np.zeros((0, 50))), anchors,
-                           np.zeros(20), [np.array([0])], [1.0], mean[None])
+                           np.zeros(20), [np.array([0])], [1.0], mean[None], set())
     assert novel[0][0] == want

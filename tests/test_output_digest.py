@@ -36,11 +36,12 @@ TINY_SEED3_SHA1 = "50567a143ed5beb3f6d36c9425045b5fb1c90746"
 # TINY with three level-1 topics and topic1 deleted. The golden run above
 # expands the root and topic0, picks K* = 1 at both and keeps no novel
 # cluster; topic1, left with one known sub-topic, is not expanded. At seed
-# 3 this one picks K* = 3 and K* = 2, emits two novel clusters at one
-# node, and has known centre terms that also anchor a second slot, so it
-# pins the multi-slot paths of the K* search and the anchor re-assignment.
+# 3 this one picks K* = 3 and K* = 2, and has known centre terms that also
+# anchor a second slot, so it pins the multi-slot paths of the K* search
+# and the anchor re-assignment. At topic0 it also drops a novel slot whose
+# only term is topic0, the name of the node itself.
 WIDE = {**TINY, "spec": {**TINY["spec"], "level1_topics": 3}, "delete": "topic1"}
-WIDE_SEED3_SHA1 = "a981a8e5351a176ff2b5fd714139550829acb421"
+WIDE_SEED3_SHA1 = "ee3c62654a08df832468fe18a6375cb22168e9a5"
 
 # the seed-1 digest of each benchmark workload: the bytes the benchmark's
 # runs write, pinned like the two above
@@ -141,6 +142,20 @@ def test_tiny_run_keeps_its_golden_bytes(digest_mod):
 def test_wide_run_keeps_its_golden_bytes(digest_mod):
     assert digest_mod.output_digest(WIDE["spec"], WIDE["delete"],
                                     WIDE["config"], seed=3) == WIDE_SEED3_SHA1
+
+
+def test_wide_run_names_each_node_once():
+    # a node's own center is an ordinary row of its space, so a novel
+    # cluster there could be named like the node itself
+    text = evaluation.run_planted(3, WIDE["delete"], WIDE["spec"],
+                                  WIDE["config"], text_order=True)[0]
+    names, stack = [], json.loads(text)["children"]
+    while stack:
+        node = stack.pop()
+        names.append(node["name"])
+        stack.extend(node["children"])
+    assert sorted(names) == sorted(set(names))
+    assert len(names) == 8
 
 
 @pytest.mark.slow
