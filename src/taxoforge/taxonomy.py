@@ -82,11 +82,13 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
         tid = corpus.index.get(written, corpus.index.get(name))
         if tid is None:
             unknown.append(name)
-            continue
-        parent = stack[depth]
-        node = tax.add_node(center_term=tid, parent=parent)
-        node.terms = [tid]
         del stack[depth + 1:]
+        if tid is None or stack[depth] is None:
+            # an unknown name keeps its depth, with no node for it or below it
+            stack.append(None)
+            continue
+        node = tax.add_node(center_term=tid, parent=stack[depth])
+        node.terms = [tid]
         stack.append(node.id)
     if unknown:
         raise ValueError(

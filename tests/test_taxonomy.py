@@ -74,6 +74,24 @@ def test_parse_unknown_name_lists_offenders(corpus):
         parse_hierarchy("politics\nnope\nalso_nope", corpus)
 
 
+@pytest.mark.parametrize("outline", [
+    "zz\n\tsoccer",
+    "politics\n\tzz\n\t\tsoccer",
+    # a known name below an unknown one, then a sibling of the unknown one
+    "sports\n\tzz\n\t\tsoccer\n\t\t\thockey\n\tbaseball",
+])
+def test_parse_unknown_name_keeps_its_depth(corpus, outline):
+    # an unknown topic's sub-topics sit one level below it, not two
+    with pytest.raises(ValueError, match=r"^topic names not in vocabulary: zz$"):
+        parse_hierarchy(outline, corpus)
+
+
+def test_parse_indent_jump_below_an_unknown_name(corpus):
+    with pytest.raises(ValueError,
+                       match="line 3: indentation jumps more than one level"):
+        parse_hierarchy("zz\n\tsoccer\n\t\t\thockey", corpus)
+
+
 def test_parse_indent_jump_error(corpus):
     with pytest.raises(ValueError,
                        match="line 2: indentation jumps more than one level"):
