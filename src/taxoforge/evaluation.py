@@ -290,6 +290,18 @@ def _read_json(path: str, keys: dict) -> dict:
     return data
 
 
+def _read_spec(path: str) -> PlantedCorpusSpec:
+    """The PlantedCorpusSpec whose fields path holds; an error names the file."""
+    data = _read_json(path, {})
+    unknown = sorted(set(data) - {f.name for f in fields(PlantedCorpusSpec)})
+    if unknown:
+        raise ValueError(f"{path}: unknown fields: {', '.join(unknown)}")
+    try:
+        return PlantedCorpusSpec(**data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_prediction(path: str) -> dict:
     """A serialized tree whose every node below the root holds NODE_KEYS."""
     tree = _read_json(path, {"children": list})
@@ -316,8 +328,7 @@ def run_eval_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "synth":
-            spec = PlantedCorpusSpec(**_read_json(args.spec, {}))
-            write_synthetic_dataset(spec, args.out)
+            write_synthetic_dataset(_read_spec(args.spec), args.out)
         else:
             tree = _read_prediction(args.pred)
             truth = _read_json(args.truth, {"doc_labels": list, "term_labels": dict})

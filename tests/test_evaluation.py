@@ -70,7 +70,7 @@ def test_spec_rejects_bad_values(tmp_path, capsys, field, value, extra):
     assert run_eval_cli(["synth", "--spec", str(spec_path),
                          "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"taxoforge-eval: error: {field} must ")
+    assert err.startswith(f"taxoforge-eval: error: {spec_path}: {field} must ")
     assert not (tmp_path / "out").exists()
 
 
@@ -415,6 +415,8 @@ def test_score_cli_names_the_malformed_file(tmp_path, capsys, bad, pred, truth,
 @pytest.mark.parametrize("content, message", [
     ("[]", "expected a JSON object, got list"),
     ("level1_topics: 2", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"levels": 2, "level1_topics": 2}', "unknown fields: levels"),
+    ('{"seed": 1, "topics": 2, "levels": 2}', "unknown fields: levels, topics"),
 ])
 def test_synth_cli_names_the_malformed_spec(tmp_path, capsys, content, message):
     spec_path = tmp_path / "spec.json"
