@@ -248,16 +248,11 @@ def _run_small(corpus, outline, cfg):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_pipeline_properties_on_small_planted_runs(run):
     corpus, outline, cfg = run
-    try:
-        text = _run_small(corpus, outline, cfg)
-    except ValueError as exc:
-        # bad input may stop a run, but only with one of the named errors
-        assert type(exc) is not ValueError, exc
-        return
+    text = _run_small(corpus, outline, cfg)
     assert _run_small(corpus, outline, cfg) == text
     tree = json.loads(text)
     inputs = [line.strip() for line in outline.splitlines()]
-    found = []
+    found, names = [], []
     stack = [(tree, None)]
     while stack:
         node, parent_docs = stack.pop()
@@ -267,6 +262,7 @@ def test_pipeline_properties_on_small_planted_runs(run):
         if parent_docs is not None:
             assert set(node["doc_ids"]) <= parent_docs
         if node is not tree:
+            names.append(node["name"])
             assert node["terms"][0] == node["name"]
             assert node["kappa"] is None or 0.0 <= node["kappa"] <= KAPPA_MAX
             if not node["is_novel"]:
@@ -274,6 +270,7 @@ def test_pipeline_properties_on_small_planted_runs(run):
         docs = None if node is tree else set(node["doc_ids"])
         stack.extend((c, docs) for c in node["children"])
     assert sorted(found) == sorted(inputs)
+    assert len(set(names)) == len(names)   # no two nodes share a name
     # only a node with two known sub-topics is expanded, and a novel node
     # never is
     stack = [tree]
