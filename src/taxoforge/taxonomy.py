@@ -61,7 +61,7 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
     """
     tax = Taxonomy()
     root = tax.add_node(center_term=None)
-    stack = [root.id]  # stack[d] = last node at depth d (root at 0)
+    stack = [root.id]  # stack[d] = last node at depth d (root at 0), None if unknown
     unknown = []
     first_line = {}   # name -> line it first appears on
     for lineno, raw in enumerate(text.splitlines(), start=1):
