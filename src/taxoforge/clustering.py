@@ -23,9 +23,8 @@ by term in ascending id order. So a document's vote for a slot is summed
 over its terms in id order, and a (term, slot) BM25 or occurrence cell
 over the slot's documents in ascending id order. Every K* candidate, and
 the final re-assignment by anchor terms, reads the same statistics; cells
-a candidate does not keep (terms with no slot, terms that are not node
-terms, documents with no slot) go to a spare last row or column that is
-dropped.
+a candidate does not keep (terms with no slot, documents with no slot) go
+to a spare last column that is dropped.
 """
 
 from dataclasses import dataclass
@@ -180,10 +179,8 @@ def assign_documents(view: TermStats, z_term, n_slots: int) -> np.ndarray:
     doc_slot = np.full(view.doc_ids.size, n_slots, dtype=np.int64)
     if n_slots == 0:
         return doc_slot
-    # the spare last position (terms that are not node terms) has no slot
-    slot_of = np.append(z_term, n_slots)
     width = n_slots + 1
-    scores = np.bincount(view.row * width + slot_of[view.pos], weights=view.vote,
+    scores = np.bincount(view.row * width + z_term[view.pos], weights=view.vote,
                          minlength=view.doc_ids.size * width)
     scores = scores.reshape(-1, width)[:, :n_slots]
     keep = scores.max(axis=1, initial=0.0) > 0.0
@@ -200,11 +197,11 @@ def _bm25_matrix(view: TermStats, doc_slot, n_slots: int):
     """
     width = n_slots + 1
     cells = view.pos * width + doc_slot[view.row]
-    n_cells = (view.term_arr.size + 1) * width
+    n_cells = view.term_arr.size * width
 
     def cell_sums(weights):
         out = np.bincount(cells, weights=weights, minlength=n_cells)
-        return np.ascontiguousarray(out.reshape(-1, width)[:-1, :n_slots])
+        return np.ascontiguousarray(out.reshape(-1, width)[:, :n_slots])
 
     return cell_sums(view.bm25), cell_sums(view.count)
 

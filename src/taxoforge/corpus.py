@@ -182,9 +182,10 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
 class TermStats:
     """The count rows of a node's documents over its terms, flattened.
 
-    One entry per nonzero of the documents' count rows, by document in
-    ascending id order, then by term in ascending id order. idf and BM25
-    are taken over those documents only.
+    One entry per nonzero of a node term in the documents' count rows, by
+    document in ascending id order, then by term in ascending id order.
+    idf and BM25 are taken over those documents only; BM25's document
+    lengths count every token.
     """
 
     doc_ids: np.ndarray    # the documents, ascending
@@ -193,7 +194,7 @@ class TermStats:
     count: np.ndarray      # the term's count in the document
     vote: np.ndarray       # count x idf: the nonzero's tf-idf vote
     bm25: np.ndarray       # the nonzero's BM25 contribution
-    pos: np.ndarray        # index of the term in term_arr; term_arr.size if absent
+    pos: np.ndarray        # index of the term in term_arr
     integrity: np.ndarray  # integrity score of each term of term_arr
 
 
@@ -216,22 +217,21 @@ def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
             raise ValueError(f"{what} ids {ids[0]}..{ids[-1]} reach outside [0, {bound})")
     indptr, cols, count = corpus.counts()
     gather, row_nnz = _gather_ranges(indptr, doc_ids)
-    cols, count = cols[gather], count[gather]
+    pos_of = np.full(corpus.num_terms, -1, dtype=np.int64)
+    pos_of[term_arr] = np.arange(term_arr.size)
+    pos = pos_of[cols[gather]]
+    node = pos >= 0   # the nonzeros of node terms
+    pos, count = pos[node], count[gather[node]]
+    row = np.repeat(np.arange(doc_ids.size), row_nnz)[node]
     doc_len = np.diff(corpus.token_array()[1])[doc_ids]
     # every stored count is >= 1, so a term's nonzeros are its documents
-    df = np.bincount(cols, minlength=corpus.num_terms)
-    idf = np.zeros(corpus.num_terms)
-    present = df > 0
-    idf[present] = np.log(doc_ids.size / df[present])
-    row = np.repeat(np.arange(doc_ids.size), row_nnz)
-    idf = idf[cols]
+    df = np.bincount(pos, minlength=term_arr.size)
+    idf = np.log(doc_ids.size / np.maximum(df, 1))[pos]
     denom = count + BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len[row] / float(doc_len.mean()))
-    pos_of = np.full(corpus.num_terms, term_arr.size, dtype=np.int64)
-    pos_of[term_arr] = np.arange(term_arr.size)
     return TermStats(doc_ids=doc_ids, term_arr=term_arr, row=row, count=count,
                      vote=count * idf,
                      bm25=idf * count * (BM25_K1 + 1.0) / denom,
-                     pos=pos_of[cols], integrity=corpus.integrity[term_arr])
+                     pos=pos, integrity=corpus.integrity[term_arr])
 
 
 def context_pair_arrays(tokens, lengths, window: int):

@@ -527,8 +527,11 @@ def test_bm25_and_rep_matrix_bit_equal_to_loop():
             assert np.array_equal(
                 _rep_matrix(stats, doc_slot, n_slots),
                 loop_rep_matrix(term_arr, subcorpora, corpus, doc_ids, 1.2, 0.75))
+            # the stats hold the nonzeros of term_arr's terms only
+            assert np.all(stats.pos < term_arr.size)
             n_unassigned += int((doc_slot == n_slots).sum())
-            n_outside += int((stats.pos == term_arr.size).sum())
+            n_outside += int(np.isin(full_stats(corpus, doc_ids).pos, term_arr,
+                                     invert=True).sum())
     # unassigned documents and nonzeros of terms outside term_arr occur
     assert n_unassigned > 0 and n_outside > 0
 
@@ -579,17 +582,23 @@ def test_bm25_matrix_sums_documents_in_ascending_id_order():
 
 
 def test_term_stats_read_every_document_of_the_subset():
-    corpus = corpus_from_lines(["a b\n", "c d\n", "a c\n"])
-    corpus.integrity[:] = [0.5, 0.25, 1.0, 0.75]
-    stats = compute_term_stats(corpus, [0, 2], [0, 1])
+    corpus = corpus_from_lines(["a b\n", "c d\n", "a c c e\n"])
+    corpus.integrity[:] = [0.5, 0.25, 1.0, 0.75, 0.125]
+    stats = compute_term_stats(corpus, [0, 2], [0, 1, 4])
     assert stats.doc_ids.tolist() == [0, 2]
+    # "c" is not a node term: its nonzero is left out
     assert stats.row.tolist() == [0, 0, 1, 1]
-    # "c" is not a node term: its nonzero goes to the spare position 2
     assert stats.pos.tolist() == [0, 1, 0, 2]
+    # BM25 still normalises by the whole document's length: 4 tokens in
+    # document 2, against a mean of 3
+    log2 = np.log(2.0)
+    assert stats.bm25.tolist() == pytest.approx(
+        [0.0, log2 * 2.2 / (1.0 + 1.2 * (0.25 + 0.75 * 2 / 3)),
+         0.0, log2 * 2.2 / (1.0 + 1.2 * (0.25 + 0.75 * 4 / 3))])
     # one integrity score per node term
-    assert stats.integrity.tolist() == [0.5, 0.25]
+    assert stats.integrity.tolist() == [0.5, 0.25, 0.125]
     tf_cells = _bm25_matrix(stats, np.zeros(2, dtype=np.int64), 1)[1]
-    assert tf_cells.tolist() == [[2.0], [1.0]]
+    assert tf_cells.tolist() == [[2.0], [1.0], [1.0]]
 
 
 # --- BM25 ---

@@ -316,15 +316,16 @@ def test_stats_counts_match_per_document_build():
         # every term is a node term: a nonzero's position is its term id
         assert np.array_equal(stats.pos, want.indices)
         assert np.array_equal(stats.count, want.data)
-        # fewer node terms move the others' nonzeros to the spare position
-        # and change nothing else
+        # fewer node terms keep only their own nonzeros, each with the
+        # values it has over every term
         term_arr = np.flatnonzero(rng.random(corpus.num_terms) < 0.5)
         part = compute_term_stats(corpus, subset, term_arr)
+        kept = np.isin(want.indices, term_arr)
         pos_of = {t: i for i, t in enumerate(term_arr.tolist())}
-        assert part.pos.tolist() == [pos_of.get(t, term_arr.size)
-                                     for t in want.indices.tolist()]
+        assert part.pos.tolist() == [pos_of[t] for t in want.indices[kept].tolist()]
+        assert np.all(part.pos < term_arr.size)
         for attr in ("row", "count", "vote", "bm25"):
-            assert np.array_equal(getattr(part, attr), getattr(stats, attr))
+            assert np.array_equal(getattr(part, attr), getattr(stats, attr)[kept])
         assert np.array_equal(part.integrity, corpus.integrity[term_arr])
 
 
