@@ -262,9 +262,11 @@ def _deleted_topics(tree: dict, doc_labels) -> list:
             if t not in known and (p is None or p in known)]
 
 
-# what the scorer reads of each node below a prediction's root
+# what the scorer reads of each node below a prediction's root, and the
+# type of each entry of its terms and doc_ids
 NODE_KEYS = {"name": str, "is_novel": bool, "terms": list, "doc_ids": list,
              "children": list}
+NODE_ITEMS = {"terms": str, "doc_ids": int}
 
 
 def _require(obj, keys: dict, where: str) -> None:
@@ -277,6 +279,13 @@ def _require(obj, keys: dict, where: str) -> None:
         if not isinstance(obj[key], kind):
             raise ValueError(f"{where}: {key} must be a {kind.__name__}, "
                              f"got {type(obj[key]).__name__}")
+
+
+def _require_items(items, kind, where: str) -> None:
+    """Every entry of items is a kind; a bool is not an int."""
+    for item in items:
+        if not isinstance(item, kind) or isinstance(item, bool):
+            raise ValueError(f"{where} must hold {kind.__name__} values, got {item!r}")
 
 
 def _read_json(path: str, keys: dict) -> dict:
@@ -309,7 +318,10 @@ def _read_prediction(path: str) -> dict:
     while stack:
         node, name = stack.pop()
         for child in node["children"]:
-            _require(child, NODE_KEYS, f"{path}: a child of {name!r}")
+            where = f"{path}: a child of {name!r}"
+            _require(child, NODE_KEYS, where)
+            for key, kind in NODE_ITEMS.items():
+                _require_items(child[key], kind, f"{where}: {key}")
             stack.append((child, child["name"]))
     return tree
 
@@ -336,6 +348,10 @@ def run_eval_cli(argv=None) -> int:
             if not all(isinstance(p, list) and len(p) == 2 for p in labels):
                 raise ValueError(f"{args.truth}: doc_labels must hold "
                                  f"[topic, sub-topic] pairs")
+            _require_items((t for p in labels for t in p), str,
+                           f"{args.truth}: doc_labels")
+            _require_items(truth["term_labels"].values(), str,
+                           f"{args.truth}: term_labels")
             report = {t: score_planted(tree, labels, truth["term_labels"], t)
                       for t in _deleted_topics(tree, labels)}
             print(json.dumps(report, indent=2))
@@ -347,3 +363,7 @@ def run_eval_cli(argv=None) -> int:
 
 def main():
     sys.exit(run_eval_cli())
+
+
+if __name__ == "__main__":
+    main()

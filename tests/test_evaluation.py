@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -400,6 +402,19 @@ TRUTH = {"doc_labels": [["a", "a_0"]], "term_labels": {"a": "a", "a_0": "a_0"}}
      "term_labels must be a dict, got list"),
     ("truth.json", node("root", []), "{", "not JSON: Expecting property name "
      "enclosed in double quotes: line 1 column 2 (char 1)"),
+    # unchecked, terms that are not strings or documents that are not ints
+    # would score 0 without a word
+    ("pred.json", node("root", [], [node("a", [0], terms=[1, 2])]), TRUTH,
+     "a child of 'root': terms must hold str values, got 1"),
+    ("pred.json", node("root", [], [node("a", ["0"])]), TRUTH,
+     "a child of 'root': doc_ids must hold int values, got '0'"),
+    ("pred.json", node("root", [], [node("a", [], [node("a_0", [0, True])])]),
+     TRUTH, "a child of 'a': doc_ids must hold int values, got True"),
+    # unchecked, a list label fails deep in the scorer as unhashable
+    ("truth.json", node("root", []), {**TRUTH, "doc_labels": [["a", ["a_0"]]]},
+     "doc_labels must hold str values, got ['a_0']"),
+    ("truth.json", node("root", []), {**TRUTH, "term_labels": {"a": ["a"]}},
+     "term_labels must hold str values, got ['a']"),
 ])
 def test_score_cli_names_the_malformed_file(tmp_path, capsys, bad, pred, truth,
                                             message):
@@ -410,6 +425,20 @@ def test_score_cli_names_the_malformed_file(tmp_path, capsys, bad, pred, truth,
                          "--truth", str(tmp_path / "truth.json")]) == 1
     err = capsys.readouterr().err
     assert err == f"taxoforge-eval: error: {tmp_path / bad}: {message}\n"
+
+
+@pytest.mark.parametrize("module, prog", [("taxoforge.evaluation", "taxoforge-eval"),
+                                          ("taxoforge", "taxoforge")])
+def test_python_m_runs_the_cli(module, prog):
+    # python -m runs the same command line as the installed script
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"usage: {prog} ")
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("content, message", [
