@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import csv
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -100,11 +101,13 @@ def _dump_node_debug(debug_dir, node_id, sc, space, corpus):
     os.makedirs(debug_dir, exist_ok=True)
     path = os.path.join(debug_dir, f"node_{node_id}_terms.csv")
     novel = set(sc.novel_terms.tolist())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("term,significance,slot,is_novel_term\n")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        # a term may hold commas and quotes: the writer quotes it
+        rows = csv.writer(f, lineterminator="\n")
+        rows.writerow(["term", "significance", "slot", "is_novel_term"])
         for t, sig, slot in zip(space.term_ids.tolist(), sc.sig_scores.tolist(),
                                 sc.z_term.tolist()):
-            f.write(f"{corpus.vocab[t]},{sig:.6f},{slot},{int(t in novel)}\n")
+            rows.writerow([corpus.vocab[t], f"{sig:.6f}", slot, int(t in novel)])
     space.dump(os.path.join(debug_dir, f"node_{node_id}_embedding.txt"), corpus)
 
 

@@ -1,6 +1,7 @@
 """End-to-end pipeline behaviour, config parsing, and the CLI."""
 
 import collections
+import csv
 import dataclasses
 import json
 import os
@@ -398,6 +399,28 @@ def test_cli_dump_debug(dataset, tmp_path):
     assert "node_0_embedding.txt" in files
     header = (debug / "node_0_terms.csv").read_text().splitlines()[0]
     assert header == "term,significance,slot,is_novel_term"
+
+
+def test_cli_dump_debug_quotes_terms(dataset, tmp_path):
+    # a term may hold commas and quotes: each row still reads back as four
+    # fields, with the term whole
+    out, hier, cfg = dataset
+    odd = 'w,"3'
+    lines = [[odd if t == "topic0_w01" else t for t in line.split()]
+             for line in (out / "corpus.txt").read_text().splitlines()]
+    corpus = tmp_path / "odd.txt"
+    corpus.write_text("".join(" ".join(line) + "\n" for line in lines))
+    debug = tmp_path / "debug"
+    rc = run_cli(["--corpus", str(corpus), "--hierarchy", str(hier),
+                  "--config", str(cfg), "--out", str(tmp_path / "taxonomy.json"),
+                  "--dump-debug", str(debug)])
+    assert rc == 0
+    with open(debug / "node_0_terms.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert all(len(row) == 4 for row in rows)
+    # the root's rows are the whole vocabulary, odd term included
+    assert sorted(row[0] for row in rows[1:]) == sorted(set(corpus.read_text().split()))
+    assert odd in {row[0] for row in rows}
 
 
 def test_cli_warns_when_root_not_expanded(tmp_path, capsys):
