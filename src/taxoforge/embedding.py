@@ -106,8 +106,10 @@ def _scatter_unit(x, rows, idx, w):
 
     w is (dim, x.shape[0] + len(idx)): the updates column-major after
     x.shape[0] columns that this function fills with x's rows. rows must
-    hold every row idx names; a row in rows that no update names is
-    rescaled as it is. Equal bit for bit to
+    hold every row idx names, ascending and without repeats; a row in rows
+    that no update names is rescaled as it is. When rows is every row of x,
+    the whole matrix is rescaled at once, with the same per-row reduction
+    and no gather or scatter of rows. Equal bit for bit to
     ``np.add.at(x, idx, w[:, x.shape[0]:].T)`` followed by ``_unit`` on the
     rows. np.bincount sums its weights in index order, so seeding every
     row's bin with the row's current value and then feeding the updates in
@@ -121,7 +123,10 @@ def _scatter_unit(x, rows, idx, w):
     acc = np.empty(x.shape)
     for j in range(x.shape[1]):
         acc[:, j] = np.bincount(bins, weights=w[j], minlength=n_rows)
-    x[rows] = _unit(acc[rows])
+    if rows.size == n_rows:
+        x[:] = _unit(acc)
+    else:
+        x[rows] = _unit(acc[rows])
 
 
 def _negative_table(counts):
@@ -239,21 +244,23 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
 def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, rng):
     """cfg.epochs passes of projected SGD over the docs' pairs, in place.
 
-    A space with no pairs keeps its seeded initialization. Each pair is one
-    row of a table in row_of's dtype: its target row, its context row, then
-    this epoch's negatives, all rows of params; one np.take gathers a batch.
+    A space with no pairs keeps its seeded initialization. The pairs are
+    two arrays in row_of's dtype, both of params rows: a (2, pairs) array
+    of target rows over context rows, and a (pairs, negatives) array that
+    each epoch refills with its negatives. A batch makes one np.take of
+    each, so its target, context and negative rows are contiguous.
     """
     tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
     n, n_pairs = space.term_ids.size, tr.size
     if n_pairs == 0:
         return
     cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
-    table = np.empty((n_pairs, 2 + cfg.negatives), dtype=space.row_of.dtype)
-    table[:, 0] = tr
-    table[:, 1] = cr
-    table[:, 1] += n
+    pairs = np.empty((2, n_pairs), dtype=space.row_of.dtype)
+    pairs[0] = tr
+    pairs[1] = cr
+    pairs[1] += n
     del tr, cr
-    negs = table[:, 2:]
+    negs = np.empty((n_pairs, cfg.negatives), dtype=space.row_of.dtype)
 
     n_batches = math.ceil(n_pairs / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -267,13 +274,15 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, r
             chunk[:] = (_draw_rows(cum, guide, rng.random(chunk.size))
                         + n).reshape(chunk.shape)
         for b in range(n_batches):
-            pb = np.take(table, perm[b * cfg.batch_size:(b + 1) * cfg.batch_size],
-                         axis=0)
+            sel = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            pb = np.take(pairs, sel, axis=1)
             lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-            sgd_batch(space, pb[:, 0], pb[:, 1], pb[:, 2:], lr, cfg.margin)
+            sgd_batch(space, pb[0], pb[1], np.take(negs, sel, axis=0), lr,
+                      cfg.margin)
             step += 1
-        # freed before the next epoch allocates its own
-        del perm
+        # freed before the next epoch allocates its own; the last batch's
+        # slice is a view that would keep it alive
+        del perm, sel
         space.params[:] = _unit(space.params)
         if space.num_topics:
             space.topic_vecs[:] = _unit(space.topic_vecs)
@@ -291,44 +300,53 @@ def sgd_batch(space: EmbeddingSpace, tb, cb, nb, lr, margin):
     target updates in pair order, then positive contexts in pair order,
     then negatives in (pair, negative) order.
 
-    Only the updates that can be nonzero are fed: the target and
-    positive-context updates of pairs with an active hinge, and the
-    negative-context updates of active (pair, negative) terms. The others
+    Only the updates that can be nonzero are computed and fed: the target
+    and positive-context updates of pairs with an active hinge, and the
+    negative-context updates of active (pair, negative) terms. A target
+    gradient row is computed from that pair's rows alone, so computing it
+    for the active pairs only gives each of them the same bits. The others
     are exact zeros (+0.0 or -0.0), and skipping them moves no bit:
     np.bincount starts every bin at +0.0, and a round-to-nearest sum is
     -0.0 only when both addends are, so no bin ever holds -0.0 (whatever
     the stored rows hold), and x + (+-0.0) == x for every other x. Every
     row the batch names is still rescaled, even one only zero updates touch.
+    A contiguous nb costs no copy.
     """
     params, dim = space.params, space.dim
     n_p, n_neg = nb.shape
-    idx = np.concatenate([tb, cb, nb.ravel()])
+    nr = nb.ravel()
+    idx = np.concatenate([tb, cb, nr])
     vecs = np.take(params, idx, axis=0)
     t = vecs[:n_p]
     vp = vecs[n_p:2 * n_p]
     vn = vecs[2 * n_p:].reshape(n_p, n_neg, dim)
     sn = np.einsum("pd,pnd->pn", t, vn)
     sp = np.einsum("pd,pd->p", t, vp)
-    hit = (sn - sp[:, None] + margin) > 0.0
+    # (sn - sp[:, None] + margin) > 0.0, without two temporaries
+    sn -= sp[:, None]
+    sn += margin
+    hit = sn > 0.0
     # a float mask: einsum over a bool operand is several times slower
     act = hit.astype(np.float64)
     # act.sum(axis=1), which is slow on a short axis; sums of 0 and 1
     # are exact in any order
     n_act = act @ np.ones(n_neg)
-    g_t = np.einsum("pn,pnd->pd", act, vn) - n_act[:, None] * vp
     pa = np.flatnonzero(n_act > 0.0)    # pairs with an active hinge
     na = np.flatnonzero(hit)            # active (pair, negative) terms
+    # np.take: fancy indexing gathers rows several times slower
+    n_act_a = np.take(n_act, pa)
+    g_t = (np.einsum("pn,pnd->pd", np.take(act, pa, axis=0),
+                     np.take(vn, pa, axis=0))
+           - n_act_a[:, None] * np.take(vp, pa, axis=0))
     n_rows = params.shape[0]
     a, b = n_rows + pa.size, n_rows + 2 * pa.size
     w = np.empty((dim, b + na.size))
-    # np.take: fancy indexing gathers rows several times slower
-    np.multiply(np.take(g_t, pa, axis=0).T, -lr, out=w[:, n_rows:a])
-    np.multiply(np.take(t, pa, axis=0).T, lr * n_act[pa], out=w[:, a:b])
+    np.multiply(g_t.T, -lr, out=w[:, n_rows:a])
+    np.multiply(np.take(t, pa, axis=0).T, lr * n_act_a, out=w[:, a:b])
     # an active term's factor is -lr * 1.0 == -lr
     np.multiply(np.take(t, na // n_neg, axis=0).T, -lr, out=w[:, b:])
     touched = np.flatnonzero(np.bincount(idx, minlength=n_rows))
-    _scatter_unit(params, touched,
-                  np.concatenate([tb[pa], cb[pa], nb.ravel()[na]]), w)
+    _scatter_unit(params, touched, np.concatenate([tb[pa], cb[pa], nr[na]]), w)
     _topic_step(space, lr, margin)
 
 
