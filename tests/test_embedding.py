@@ -585,6 +585,70 @@ def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
     assert (act.any(axis=1) & ~act.all(axis=1)).any()
 
 
+def hinge_batch(seed, kind, n_neg, every_row):
+    """Rows off the sphere and a batch of 60 pairs whose hinges are all
+    inactive ("none"), all active ("all") or mixed ("mixed").
+
+    For "none" and "all" the targets lie near +e0, positive contexts
+    (even rows) near +e0 or -e0 and negatives (odd rows) opposite them.
+    With every_row the batch names every target and context row, so
+    _scatter_unit rescales the whole matrix; else rows 0 and n - 1 of
+    each are left out and must keep their bits.
+    """
+    rng = np.random.default_rng(seed)
+    n, dim, n_p = 10, 5, 60
+    target = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
+    context = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
+    used = np.arange(n) if every_row else np.arange(1, n - 1)
+    pos = neg = used
+    if kind != "mixed":
+        sign = 1.0 if kind == "none" else -1.0
+        axis = np.eye(dim)[0]
+        target = 0.05 * target + axis * rng.uniform(0.5, 2.0, (n, 1))
+        context = (0.05 * context + axis * rng.uniform(0.5, 2.0, (n, 1))
+                   * np.where(np.arange(n) % 2, -sign, sign)[:, None])
+        pos, neg = used[used % 2 == 0], used[used % 2 == 1]
+    # each used row is named at least once
+    tb = rng.permutation(np.resize(used, n_p))
+    cb = rng.permutation(np.resize(pos, n_p))
+    nb = rng.permutation(np.resize(neg, n_p * n_neg)).reshape(n_p, n_neg)
+    return target, context, tb, cb, nb
+
+
+@pytest.mark.parametrize("every_row", [True, False], ids=["every-row", "some-rows"])
+@pytest.mark.parametrize("n_neg", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["none", "all", "mixed"])
+def test_sgd_batch_bit_equal_to_reference_step(kind, n_neg, every_row):
+    n, lr, m = 10, 0.05, 0.3
+    target, context, tb, cb, nb = hinge_batch(n_neg, kind, n_neg, every_row)
+    t, vp = target[tb], context[cb]
+    act = (np.einsum("pd,pnd->pn", t, context[nb])
+           - np.einsum("pd,pd->p", t, vp)[:, None] + m > 0.0)
+    if kind == "none":
+        assert not act.any()
+    elif kind == "all":
+        assert act.all()
+    else:
+        hinge = act.any(axis=1)
+        assert hinge.any() and not hinge.all()
+        # with several negatives, also an active pair with an inactive term
+        assert n_neg == 1 or (hinge & ~act.all(axis=1)).any()
+    named = np.union1d(tb, n + np.concatenate([cb, nb.ravel()]))
+    assert (named.size == 2 * n) == every_row
+    expected_t, expected_c = target.copy(), context.copy()
+    reference_step(expected_t, expected_c, tb, cb, nb, lr, m)
+    params = np.concatenate([target, context])
+    sgd_batch(space_over(params, np.zeros((0, target.shape[1])), np.zeros(0), []),
+              tb, cb + n, nb + n, lr, m)
+    assert np.array_equal(params[:n], expected_t)
+    assert np.array_equal(params[n:], expected_c)
+    # every named row is back on the sphere, every other keeps its bits
+    old = np.concatenate([target, context])
+    unnamed = np.setdiff1d(np.arange(2 * n), named)
+    assert np.array_equal(params[unnamed], old[unnamed])
+    assert np.abs(np.linalg.norm(params[named], axis=1) - 1.0).max() < 1e-12
+
+
 def reference_topic_step(state, lr, m):
     """The topic/kappa step of a space as a plain loop: every Bessel ratio
     computed, the repulsion matmul run and kappa updated on every step,
@@ -845,10 +909,11 @@ def traced_peak(fn):
 
 def test_trainer_memory_per_pair(monkeypatch):
     # a 480-term node (int16 rows) with about 1 M pairs, two epochs: the
-    # per-pair memory is the (target, context, 2 negatives) table in int16
-    # (8 B) and one int32 permutation (4 B). int32 rows (16 + 4 B), an
-    # int64 permutation or the first epoch's permutation still alive when
-    # the second's is made (8 + 8 B) break the 13 B bound. The fixed
+    # per-pair memory is the (target, context) pair rows (4 B) and the 2
+    # negatives (4 B), both in int16, then one int32 permutation (4 B).
+    # int32 rows (16 + 4 B), an int64 permutation or the first epoch's
+    # permutation still alive when the second's is made (8 + 8 B), say
+    # through the last batch's slice of it, break the 13 B bound. The fixed
     # allowance is the guide table and one batch's gathers and scatter
     # weights, about 1.6 MiB at dim 8, batch 1024 and 4 096-row sampling
     # chunks (at batch 8192 and full chunks it is about 7 MiB, more than

@@ -51,6 +51,17 @@ WORKLOAD_SEED1_SHA1 = {
     "planted-large": "05ad705a024fb7d2eab29750d4516c4ed1d9c131",
 }
 
+# and their seed-2 and seed-3 digests, which the seed-1 runs alone do not
+# reach: other corpora, other pair orders, other K* choices
+WORKLOAD_SEED23_SHA1 = {
+    ("planted-l2", 2): "d051f68b23452320235f055af1bd852e5f0aabdc",
+    ("planted-l2", 3): "e80242c5724c40a426da409b2177c5301c2cbaed",
+    ("planted-l1", 2): "63a32ad6f2e8f046bc03644b69ac36a194addb0d",
+    ("planted-l1", 3): "7f0c6bb729390797e2305ee141f63b6505842c9a",
+    ("planted-large", 2): "7624a28f9332839935b4181dca5d602be648805c",
+    ("planted-large", 3): "ba2689236bd0f71d0bcee7b87a3873f2c5467997",
+}
+
 
 def _load(name, *path):
     spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
@@ -164,6 +175,14 @@ def test_workload_keeps_its_golden_bytes(digest_mod, name):
     wl = _load("perfbench_workloads", "perfbench", "workloads.py").WORKLOADS[name]
     assert digest_mod.output_digest(wl["spec"], wl["delete"], wl["config"],
                                     seed=1) == WORKLOAD_SEED1_SHA1[name]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,seed", sorted(WORKLOAD_SEED23_SHA1))
+def test_workload_keeps_its_seed_2_and_3_bytes(digest_mod, name, seed):
+    wl = _load("perfbench_workloads", "perfbench", "workloads.py").WORKLOADS[name]
+    assert digest_mod.output_digest(wl["spec"], wl["delete"], wl["config"],
+                                    seed) == WORKLOAD_SEED23_SHA1[name, seed]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_SEED1_SHA1))
