@@ -2,6 +2,7 @@
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,24 +19,26 @@ class Document:
 
 
 class Corpus:
-    """Documents plus a dense term-string <-> term-id vocabulary.
+    """Documents as one flat token array, and a dense term <-> id vocabulary.
 
-    Per-term integrity scores default to 1.0 when no score file is given.
-    Immutable after construction, which is what makes caching safe: the
-    flat token array (``token_array``), the root count matrix (``counts``)
-    and the postings (``docs_containing``) are built from all documents on
-    first use and kept. None is built on load, so loading pays nothing for
-    a statistic a run may not need.
+    tokens (int32) holds every document's term ids end to end: document d
+    is tokens[offsets[d]:offsets[d + 1]], and offsets (int64, num_docs + 1
+    entries) gives every length. Per-term integrity scores default to 1.0
+    when no score file is given. Immutable after construction, which is
+    what makes caching safe: the root count matrix (``counts``) and the
+    postings (``docs_containing``) are built from all documents on first
+    use and kept. Neither is built on load, so loading pays nothing for a
+    statistic a run may not need.
     """
 
-    def __init__(self, documents, vocab, integrity=None):
-        self.documents = documents
+    def __init__(self, tokens, offsets, vocab, integrity=None):
+        self.tokens = np.asarray(tokens, dtype=np.int32)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
         self.vocab = list(vocab)  # id -> string
         self.index = {t: i for i, t in enumerate(self.vocab)}
         if integrity is None:
             integrity = np.ones(len(self.vocab))
         self.integrity = np.asarray(integrity, dtype=np.float64)
-        self._tokens = None
         self._counts = None
         self._postings = None
 
@@ -45,30 +48,19 @@ class Corpus:
 
     @property
     def num_docs(self):
-        return len(self.documents)
+        return self.offsets.size - 1
 
-    def token_array(self):
-        """(tokens, offsets): every document's tokens end to end, built once.
-
-        tokens is int32; document d is tokens[offsets[d]:offsets[d + 1]],
-        and offsets (int64, num_docs + 1 entries) gives every length.
-        """
-        if self._tokens is None:
-            lengths = np.fromiter((d.tokens.size for d in self.documents),
-                                  dtype=np.int64, count=self.num_docs)
-            offsets = np.zeros(self.num_docs + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            tokens = np.concatenate([d.tokens for d in self.documents],
-                                    dtype=np.int32, casting="same_kind")
-            self._tokens = (tokens, offsets)
-        return self._tokens
+    @property
+    def documents(self):
+        """Every document, viewing its range of tokens. Built anew on each
+        call: bind it once outside a loop over documents."""
+        return [Document(t) for t in np.split(self.tokens, self.offsets[1:-1])]
 
     def doc_tokens(self, doc_ids):
         """(tokens, lengths) of the listed documents, laid end to end in
         the listed order; tokens is int32."""
-        tokens, offsets = self.token_array()
-        gather, lengths = _gather_ranges(offsets, doc_ids)
-        return tokens[gather], lengths
+        gather, lengths = _gather_ranges(self.offsets, doc_ids)
+        return self.tokens[gather], lengths
 
     def counts(self):
         """The root (num_docs, num_terms) term-count matrix, built once, as
@@ -79,10 +71,9 @@ class Corpus:
         exact in any summation order.
         """
         if self._counts is None:
-            tokens, offsets = self.token_array()
             # one key per token, ordered by document, then by term
             keys, count = np.unique(
-                _row_of(offsets) * self.num_terms + tokens, return_counts=True)
+                _row_of(self.offsets) * self.num_terms + self.tokens, return_counts=True)
             indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
             np.cumsum(np.bincount(keys // self.num_terms,
                                   minlength=self.num_docs), out=indptr[1:])
@@ -137,19 +128,24 @@ def load_corpus(path, integrity_path=None) -> Corpus:
 
 def corpus_from_lines(lines, integrity_path=None) -> Corpus:
     # term -> id, in first-occurrence order: an unseen term's lookup stores
-    # and returns the next id, so a line's ids come from C with no Python
-    # code run per token
+    # and returns the next id, so the ids come from C with no Python code
+    # run per token; split records every line's token count on the way
     index = defaultdict()
     index.default_factory = index.__len__
-    documents = []
-    for line in lines:
+    lengths = []
+
+    def split(line):
         tokens = line.split()
-        if tokens:
-            documents.append(Document(tokens=np.fromiter(
-                map(index.__getitem__, tokens), np.int64, count=len(tokens))))
-    vocab = list(index)
-    if not documents:
+        lengths.append(len(tokens))
+        return tokens
+
+    tokens = np.fromiter(map(index.__getitem__,
+                             chain.from_iterable(map(split, lines))), np.int32)
+    lengths = np.fromiter(filter(None, lengths), np.int64)  # blank lines hold none
+    if not lengths.size:
         raise ValueError("corpus contains no non-empty documents")
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    vocab = list(index)
     integrity = None
     if integrity_path is not None:
         integrity = np.ones(len(vocab))
@@ -175,7 +171,7 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
                                      f"term of line {first_line[term]}")
                 if term in index:
                     integrity[index[term]] = score
-    return Corpus(documents, vocab, integrity)
+    return Corpus(tokens, offsets, vocab, integrity)
 
 
 @dataclass
@@ -223,7 +219,7 @@ def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
     node = pos >= 0   # the nonzeros of node terms
     pos, count = pos[node], count[gather[node]]
     row = np.repeat(np.arange(doc_ids.size), row_nnz)[node]
-    doc_len = np.diff(corpus.token_array()[1])[doc_ids]
+    doc_len = np.diff(corpus.offsets)[doc_ids]
     # every stored count is >= 1, so a term's nonzeros are its documents
     df = np.bincount(pos, minlength=term_arr.size)
     idf = np.log(doc_ids.size / np.maximum(df, 1))[pos]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import Corpus, Document, corpus_from_lines
+from .corpus import Corpus, corpus_from_lines
 from .pipeline import complete_taxonomy, pipeline_config
 from .taxonomy import parse_hierarchy, serialize
 from .vmf import sample_vmf
@@ -103,8 +103,9 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
     for name, ids in pools.items():
         term_vecs[ids] = sample_vmf(means[name], spec.kappa_topic, ids.size, rng)
 
-    # within-pool token weights from closeness to the leaf mean
-    documents, doc_labels = [], []
+    # within-pool token weights from closeness to the leaf mean; one row per document
+    rows = np.empty((n1 * n2 * spec.docs_per_topic, spec.doc_len), dtype=np.int32)
+    doc_labels = []
     for i, l1 in enumerate(l1_names):
         parent_pool = pools[l1]
         for j in range(n2):
@@ -118,7 +119,7 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
             w_par /= w_par.sum()
             for _ in range(spec.docs_per_topic):
                 u = rng.random(spec.doc_len)
-                tokens = np.empty(spec.doc_len, dtype=np.int64)
+                tokens = rows[len(doc_labels)]
                 noise = u < spec.vocab_noise_frac
                 parent = (~noise) & (u < spec.vocab_noise_frac
                                      + (1 - spec.vocab_noise_frac) * spec.parent_mix)
@@ -127,10 +128,10 @@ def generate_synthetic_corpus(spec: PlantedCorpusSpec):
                 tokens[parent] = rng.choice(parent_pool, size=int(parent.sum()), p=w_par)
                 tokens[leaf_mask] = rng.choice(leaf_pool, size=int(leaf_mask.sum()),
                                                p=w_leaf)
-                documents.append(Document(tokens=tokens))
                 doc_labels.append((l1, leaf))
 
-    return Corpus(documents, vocab), doc_labels, term_labels
+    offsets = np.arange(rows.shape[0] + 1, dtype=np.int64) * spec.doc_len
+    return Corpus(rows.ravel(), offsets, vocab), doc_labels, term_labels
 
 
 def _topic_parents(doc_labels) -> dict:

@@ -175,9 +175,10 @@ def test_criterion_5_bm25_and_assignment_bruteforce(capfd):
 
         idf = loop_idf(corpus, range(corpus.num_docs))
         z_doc = vote(z_term, stats, 3)
+        documents = corpus.documents
         for d in range(corpus.num_docs):
             weights = [0.0, 0.0, 0.0]
-            for term in set(corpus.documents[d].tokens.tolist()):
+            for term in set(documents[d].tokens.tolist()):
                 if term in z_term:
                     weights[z_term[term]] += tf(corpus, term, d) * idf[term]
             if max(weights) <= 0.0:

@@ -351,10 +351,11 @@ def test_assign_documents_matches_bruteforce():
         corpus, stats, z_term = make_doc_fixture(seed)
         idf = loop_idf(corpus, range(corpus.num_docs))
         z_doc = vote(z_term, stats, 3)
+        documents = corpus.documents
         for d in range(corpus.num_docs):
             # the sum over unique terms of tf * idf
             weights = [0.0, 0.0, 0.0]
-            for t in set(corpus.documents[d].tokens.tolist()):
+            for t in set(documents[d].tokens.tolist()):
                 if t in z_term:
                     weights[z_term[t]] += tf(corpus, t, d) * idf[t]
             if max(weights) <= 0.0:
@@ -375,8 +376,9 @@ def loop_idf(corpus, doc_ids):
     """Oracle: log(n / df) of every term over the n documents doc_ids, 0
     for a term none of them holds; df counted one document at a time."""
     df = np.zeros(corpus.num_terms, dtype=np.int64)
+    documents = corpus.documents
     for d in doc_ids:
-        for t in set(corpus.documents[d].tokens.tolist()):
+        for t in set(documents[d].tokens.tolist()):
             df[t] += 1
     idf = np.zeros(corpus.num_terms)
     present = df > 0
@@ -396,8 +398,9 @@ def loop_assign_documents(z_term, corpus, doc_ids, n_slots, idf=None):
     slot_arr = np.full(max_term, -1, dtype=np.int64)
     for t, s in z_term.items():
         slot_arr[t] = s
+    documents = corpus.documents
     for d in sorted(doc_ids):
-        cols, vals = np.unique(corpus.documents[d].tokens, return_counts=True)
+        cols, vals = np.unique(documents[d].tokens, return_counts=True)
         ok = cols < max_term
         cols, vals = cols[ok], vals[ok]
         slots = slot_arr[cols]
@@ -416,14 +419,15 @@ def loop_bm25_matrix(term_arr, subcorpora, corpus, doc_ids, k1, b):
     """Oracle: BM25 and occurrence sums, one (document, term) at a time,
     with idf and the mean document length over the documents doc_ids."""
     idf = loop_idf(corpus, doc_ids)
-    avg_len = sum(corpus.documents[d].tokens.size for d in doc_ids) / len(doc_ids)
+    documents = corpus.documents
+    avg_len = sum(documents[d].tokens.size for d in doc_ids) / len(doc_ids)
     out = np.zeros((len(term_arr), len(subcorpora)))
     tf_out = np.zeros_like(out)
     col_of = {int(t): i for i, t in enumerate(term_arr)}
     for s, docs in enumerate(subcorpora):
         for d in docs:
-            cols, vals = np.unique(corpus.documents[d].tokens, return_counts=True)
-            dl = corpus.documents[d].tokens.size
+            cols, vals = np.unique(documents[d].tokens, return_counts=True)
+            dl = documents[d].tokens.size
             denom = vals + k1 * (1.0 - b + b * dl / avg_len)
             contrib = idf[cols] * vals * (k1 + 1.0) / denom
             for c, n, v in zip(cols, vals, contrib):
@@ -615,16 +619,17 @@ def bm25_score(t, subcorpus, stats):
 def reference_bm25(t, subcorpus, corpus, doc_ids, k1, b):
     """BM25 of term t over subcorpus, with idf and the mean document
     length over the documents doc_ids, from the documents' tokens."""
-    docs = [corpus.documents[d].tokens.tolist() for d in doc_ids]
+    documents = corpus.documents
+    docs = [documents[d].tokens.tolist() for d in doc_ids]
     df = sum(t in tokens for tokens in docs)
     idf = np.log(len(docs) / df) if df else 0.0
     avg_dl = sum(len(tokens) for tokens in docs) / len(docs)
     total = 0.0
     for d in subcorpus:
-        tf = corpus.documents[d].tokens.tolist().count(t)
+        tf = documents[d].tokens.tolist().count(t)
         if tf == 0:
             continue
-        dl = corpus.documents[d].tokens.size
+        dl = documents[d].tokens.size
         total += idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avg_dl))
     return total
 

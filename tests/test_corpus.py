@@ -22,14 +22,15 @@ from taxoforge.embedding import EmbedConfig, _pair_rows
 
 def tf(corpus, term_id, doc_id):
     """Count of a term in one document, read from its tokens."""
-    return corpus.documents[doc_id].tokens.tolist().count(term_id)
+    return corpus.doc_tokens([doc_id])[0].tolist().count(term_id)
 
 
 def per_document_counts(corpus, doc_ids):
     """Oracle: the subset count matrix built one document at a time."""
     rows, cols, vals = [], [], []
+    documents = corpus.documents
     for r, d in enumerate(doc_ids):
-        uniq, cnt = np.unique(corpus.documents[d].tokens, return_counts=True)
+        uniq, cnt = np.unique(documents[d].tokens, return_counts=True)
         rows.append(np.full(uniq.size, r, dtype=np.int64))
         cols.append(uniq)
         vals.append(cnt)
@@ -128,16 +129,23 @@ def test_vocab_round_trip():
 
 
 def setdefault_loader(lines):
-    """Oracle: (vocab, token arrays) assigned one token at a time."""
+    """Oracle: (vocab, token ids per document) assigned one token at a time."""
     index = {}
     documents = []
     for line in lines:
         tokens = line.split()
         if not tokens:
             continue
-        documents.append(np.array(
-            [index.setdefault(tok, len(index)) for tok in tokens], dtype=np.int64))
+        documents.append([index.setdefault(tok, len(index)) for tok in tokens])
     return list(index), documents
+
+
+def assert_token_store(corpus, documents):
+    """corpus holds the listed documents' token ids end to end, flat."""
+    assert corpus.tokens.dtype == np.int32 and corpus.offsets.dtype == np.int64
+    assert corpus.tokens.tolist() == [t for doc in documents for t in doc]
+    assert corpus.offsets.tolist() == np.cumsum([0] + [len(d) for d in documents]).tolist()
+    assert corpus.num_docs == len(documents)
 
 
 def assert_loads_as_oracle(lines):
@@ -146,10 +154,7 @@ def assert_loads_as_oracle(lines):
     assert corpus.vocab == vocab
     assert corpus.index == {t: i for i, t in enumerate(vocab)}
     assert type(corpus.index) is dict
-    assert corpus.num_docs == len(documents)
-    for doc, want in zip(corpus.documents, documents):
-        assert doc.tokens.dtype == np.int64
-        assert np.array_equal(doc.tokens, want)
+    assert_token_store(corpus, documents)
 
 
 @pytest.mark.parametrize("lines", [
@@ -186,33 +191,33 @@ def test_crlf_file_loads_as_lf_file(tmp_path):
     crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     want, got = load_corpus(lf), load_corpus(crlf)
     assert got.vocab == want.vocab and got.index == want.index
-    assert got.num_docs == want.num_docs == 3
-    for a, b in zip(got.documents, want.documents):
-        assert a.tokens.dtype == b.tokens.dtype == np.int64
-        assert np.array_equal(a.tokens, b.tokens)
+    assert want.num_docs == 3
+    assert_token_store(got, [doc.tokens.tolist() for doc in want.documents])
 
 
 def test_token_array_lays_documents_end_to_end():
     for seed in range(20):
         corpus, rng = random_corpus(seed)
-        tokens, offsets = corpus.token_array()
+        tokens, offsets = corpus.tokens, corpus.offsets
         assert tokens.dtype == np.int32 and offsets.dtype == np.int64
         assert offsets[0] == 0 and offsets[-1] == tokens.size
-        for d, doc in enumerate(corpus.documents):
+        documents = corpus.documents
+        assert len(documents) == corpus.num_docs
+        for d, doc in enumerate(documents):
+            # a view of the flat store, not a copy
+            assert np.shares_memory(doc.tokens, tokens)
             assert tokens[offsets[d]:offsets[d + 1]].tolist() == doc.tokens.tolist()
-        # built once
-        assert corpus.token_array()[0] is tokens
         subset = sorted(rng.choice(corpus.num_docs, size=int(rng.integers(1, 60)),
                                    replace=False).tolist())
         sub_tokens, lengths = corpus.doc_tokens(subset)
         assert sub_tokens.dtype == np.int32
-        assert lengths.tolist() == [corpus.documents[d].tokens.size for d in subset]
+        assert lengths.tolist() == [documents[d].tokens.size for d in subset]
         assert sub_tokens.tolist() == [t for d in subset
-                                       for t in corpus.documents[d].tokens.tolist()]
+                                       for t in documents[d].tokens.tolist()]
         # the counts are built from the array, which stays as it was
+        before = tokens.copy()
         corpus.counts()
-        assert np.array_equal(tokens, np.concatenate(
-            [doc.tokens for doc in corpus.documents]))
+        assert np.array_equal(corpus.tokens, before)
 
 
 def test_docs_containing_sorted():
@@ -341,8 +346,9 @@ def test_stats_match_bruteforce_recount():
 
     df = np.zeros(corpus.num_terms, dtype=int)
     total_len = 0
+    documents = corpus.documents
     for d in subset:
-        tokens = corpus.documents[d].tokens.tolist()
+        tokens = documents[d].tokens.tolist()
         total_len += len(tokens)
         for t in set(tokens):
             df[t] += 1
@@ -350,7 +356,7 @@ def test_stats_match_bruteforce_recount():
     # one (count, vote, BM25) per nonzero, by document, then by term
     count, vote, bm25 = [], [], []
     for d in subset:
-        tokens = corpus.documents[d].tokens.tolist()
+        tokens = documents[d].tokens.tolist()
         for t in sorted(set(tokens)):
             n = tf(corpus, t, d)
             idf = np.log(50 / df[t])
@@ -500,8 +506,8 @@ def test_pair_arrays_order_equals_per_doc_loop(token_lists, window, chunk, data)
     dtype = data.draw(st.sampled_from([np.int16, np.int32]))
     vocab_to_row = np.full(corpus.num_terms, -1, dtype=dtype)
     vocab_to_row[term_ids] = np.arange(term_ids.size)
-    row_docs = [Document(vocab_to_row[corpus.documents[d].tokens])
-                for d in sorted(subset)]
+    documents = corpus.documents
+    row_docs = [Document(vocab_to_row[documents[d].tokens]) for d in sorted(subset)]
     want_t, want_c = loop_pair_arrays(row_docs, window)
     tokens, lengths = corpus.doc_tokens(sorted(subset))
     with mock.patch.object(corpus_mod, "PAIR_CHUNK", chunk):

@@ -769,8 +769,8 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     topic_kappa = np.ones(len(topic_order))
     keyword_rows = [vocab_to_row[np.asarray(sorted(keywords[key]))]
                     for key in topic_order]
-    t_all, c_all = loop_pair_arrays(
-        [corpus.documents[d] for d in sorted(docs)], cfg.window)
+    documents = corpus.documents
+    t_all, c_all = loop_pair_arrays([documents[d] for d in sorted(docs)], cfg.window)
     tr, cr = vocab_to_row[t_all], vocab_to_row[c_all]
     keep = (tr >= 0) & (cr >= 0)
     tr, cr = tr[keep], cr[keep]
@@ -922,7 +922,6 @@ def test_trainer_memory_per_pair(monkeypatch):
     rng = np.random.default_rng(0)
     corpus = corpus_from_lines([" ".join(f"t{t}" for t in row)
                                 for row in rng.integers(0, 480, (1050, 100))])
-    corpus.token_array()    # cached by the corpus: built before tracing
     docs, terms = range(corpus.num_docs), range(corpus.num_terms)
     cfg = EmbedConfig(dim=8, epochs=2, negatives=2, window=5, batch_size=1024)
     row_of = np.arange(corpus.num_terms, dtype=np.int16)

@@ -105,16 +105,16 @@ def test_generator_deterministic():
     a = generate_synthetic_corpus(small_spec())
     b = generate_synthetic_corpus(small_spec())
     assert a[1] == b[1]
-    for da, db in zip(a[0].documents, b[0].documents):
-        assert np.array_equal(da.tokens, db.tokens)
+    assert np.array_equal(a[0].tokens, b[0].tokens)
+    assert np.array_equal(a[0].offsets, b[0].offsets)
 
 
 def test_generator_doc_tokens_match_labels():
     # most non-noise tokens of a doc come from its leaf or parent pool
     spec = small_spec(vocab_noise_frac=0.0, docs_per_topic=20)
     corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
-    for d, (l1, l2) in enumerate(doc_labels):
-        for t in corpus.documents[d].tokens:
+    for (l1, l2), doc in zip(doc_labels, corpus.documents):
+        for t in doc.tokens:
             assert term_labels[corpus.vocab[int(t)]] in (l1, l2)
 
 
@@ -123,8 +123,8 @@ def test_generator_parent_mix_fraction():
                       docs_per_topic=50, doc_len=60)
     corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
     n_parent = n_total = 0
-    for d, (l1, l2) in enumerate(doc_labels):
-        for t in corpus.documents[d].tokens:
+    for (l1, l2), doc in zip(doc_labels, corpus.documents):
+        for t in doc.tokens:
             n_total += 1
             n_parent += term_labels[corpus.vocab[int(t)]] == l1
     assert n_parent / n_total == pytest.approx(0.3, abs=0.03)
@@ -137,8 +137,8 @@ def test_generator_name_boost_raises_name_frequency():
     def name_rate(spec):
         corpus, doc_labels, term_labels = generate_synthetic_corpus(spec)
         hits = total = 0
-        for d, (l1, l2) in enumerate(doc_labels):
-            for t in corpus.documents[d].tokens:
+        for (l1, l2), doc in zip(doc_labels, corpus.documents):
+            for t in doc.tokens:
                 total += 1
                 hits += corpus.vocab[int(t)] in (l1, l2)
         return hits / total
