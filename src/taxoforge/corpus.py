@@ -115,15 +115,35 @@ def _gather_ranges(offsets, ids):
     return gather, lengths
 
 
+def read_lines(path):
+    """The lines of the UTF-8 text file path, one at a time, as text mode
+    reads them: a leading BOM dropped, every line ending read as "\\n".
+    A byte that is not UTF-8 is an error naming the file and its line."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            yield from f
+    except UnicodeDecodeError:
+        # the reader decodes in chunks, so its position is no file offset:
+        # decode the bytes whole (a BOM is UTF-8 too) to find the byte
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            line = before.count(b"\n") + 1
+            raise ValueError(f"{path} line {line}: byte 0x{data[exc.start]:02x} "
+                             f"is not UTF-8") from None
+        raise
+
+
 def load_corpus(path, integrity_path=None) -> Corpus:
     """Load a whitespace-tokenized corpus, one document per non-empty line.
 
     Multi-word phrases are expected pre-joined with underscores; this never
     splits or normalizes tokens.
     """
-    with open(path, encoding="utf-8-sig") as f:
-        lines = f.readlines()
-    return corpus_from_lines(lines, integrity_path=integrity_path)
+    return corpus_from_lines(read_lines(path), integrity_path=integrity_path)
 
 
 def corpus_from_lines(lines, integrity_path=None) -> Corpus:
@@ -150,27 +170,26 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
     if integrity_path is not None:
         integrity = np.ones(len(vocab))
         first_line = {}   # term -> line it is scored on
-        with open(integrity_path, encoding="utf-8-sig") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                where = f"{integrity_path} line {lineno}"
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ValueError(f"{where}: expected term<TAB>score")
-                term, score = fields
-                try:
-                    score = float(score)
-                except ValueError:
-                    raise ValueError(f"{where}: score {score!r} is not a number") from None
-                if not 0.0 <= score <= 1.0:  # also rejects nan
-                    raise ValueError(f"{where}: score {score} is not in [0, 1]")
-                if first_line.setdefault(term, lineno) != lineno:
-                    raise ValueError(f"{where}: term {term!r} repeats the "
-                                     f"term of line {first_line[term]}")
-                if term in index:
-                    integrity[index[term]] = score
+        for lineno, line in enumerate(read_lines(integrity_path), 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            where = f"{integrity_path} line {lineno}"
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{where}: expected term<TAB>score")
+            term, score = fields
+            try:
+                score = float(score)
+            except ValueError:
+                raise ValueError(f"{where}: score {score!r} is not a number") from None
+            if not 0.0 <= score <= 1.0:  # also rejects nan
+                raise ValueError(f"{where}: score {score} is not in [0, 1]")
+            if first_line.setdefault(term, lineno) != lineno:
+                raise ValueError(f"{where}: term {term!r} repeats the "
+                                 f"term of line {first_line[term]}")
+            if term in index:
+                integrity[index[term]] = score
     return Corpus(tokens, offsets, vocab, integrity)
 
 

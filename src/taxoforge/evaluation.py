@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import Corpus, corpus_from_lines
+from .corpus import Corpus, corpus_from_lines, read_lines
 from .pipeline import complete_taxonomy, pipeline_config
 from .taxonomy import parse_hierarchy, serialize
 from .vmf import sample_vmf
@@ -291,11 +291,10 @@ def _require_items(items, kind, where: str) -> None:
 
 def _read_json(path: str, keys: dict) -> dict:
     """The JSON object in path; an error names the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not JSON: {exc}") from None
+    try:
+        data = json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     _require(data, keys, path)
     return data
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import ClusterConfig, cluster_node
-from .corpus import Corpus, compute_term_stats, load_corpus
+from .corpus import Corpus, compute_term_stats, load_corpus, read_lines
 from .embedding import EmbedConfig, retrieve_local_corpus, train_node_embedding
 from .taxonomy import Taxonomy, insert_children, parse_hierarchy, serialize, subtree_keywords
 
@@ -143,25 +143,24 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
     overrides = {}
     first_line = {}   # key -> line it is set on
     if path:
-        with open(path, encoding="utf-8-sig") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"config line {lineno}: expected key=value")
-                key, val = (x.strip() for x in line.split("=", 1))
-                if key not in CONFIG_KEYS:
-                    raise ValueError(f"config line {lineno}: unknown key {key!r}")
-                if first_line.setdefault(key, lineno) != lineno:
-                    raise ValueError(f"config line {lineno}: key {key!r} repeats "
-                                     f"the key of line {first_line[key]}")
-                typ = CONFIG_KEYS[key][2]
-                try:
-                    overrides[key] = typ(val)
-                except ValueError:
-                    raise ValueError(f"config line {lineno}: {key} expects "
-                                     f"{typ.__name__}, got {val!r}") from None
+        for lineno, line in enumerate(read_lines(path), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"config line {lineno}: expected key=value")
+            key, val = (x.strip() for x in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(f"config line {lineno}: key {key!r} repeats "
+                                 f"the key of line {first_line[key]}")
+            typ = CONFIG_KEYS[key][2]
+            try:
+                overrides[key] = typ(val)
+            except ValueError:
+                raise ValueError(f"config line {lineno}: {key} expects "
+                                 f"{typ.__name__}, got {val!r}") from None
     return pipeline_config(overrides, seed)
 
 
@@ -191,8 +190,7 @@ def run_cli(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed)
         corpus = load_corpus(args.corpus, integrity_path=args.integrity)
-        with open(args.hierarchy, encoding="utf-8-sig") as f:
-            partial = parse_hierarchy(f.read(), corpus)
+        partial = parse_hierarchy("".join(read_lines(args.hierarchy)), corpus)
         tax = complete_taxonomy(corpus, partial, cfg, debug_dir=args.dump_debug)
         root = tax.nodes[tax.root]
         unmet = _unmet_conditions(root, cfg)

@@ -22,6 +22,8 @@ from taxoforge.evaluation import (
 )
 from taxoforge.pipeline import PipelineConfig, load_config, pipeline_config
 
+from test_pipeline import with_bad_second_line
+
 
 def small_spec(**kw):
     base = dict(level1_topics=2, level2_per_topic=2, terms_per_topic=6,
@@ -374,6 +376,21 @@ def test_eval_cli_synth_and_score(tmp_path, capsys):
 def test_eval_cli_error_exit_code(tmp_path):
     assert run_eval_cli(["score", "--pred", str(tmp_path / "nope.json"),
                          "--truth", str(tmp_path / "nope2.json")]) == 1
+
+
+@pytest.mark.parametrize("flag", ["pred", "truth", "spec"])
+def test_eval_cli_names_the_file_and_line_of_a_byte_not_utf8(tmp_path, capsys, flag):
+    write_synthetic_dataset(small_spec(), str(tmp_path))
+    (tmp_path / "pred.json").write_text(json.dumps(node("root", []), indent=1))
+    (tmp_path / "spec.json").write_text('{\n"seed": 1}\n')
+    paths = {name: tmp_path / f"{name}.json" for name in ("pred", "truth", "spec")}
+    paths[flag] = with_bad_second_line(paths[flag], tmp_path / f"bad_{flag}.json")
+    argv = (["synth", "--spec", str(paths["spec"]), "--out", str(tmp_path / "out")]
+            if flag == "spec" else
+            ["score", "--pred", str(paths["pred"]), "--truth", str(paths["truth"])])
+    assert run_eval_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        f"taxoforge-eval: error: {paths[flag]} line 2: byte 0xff is not UTF-8\n")
 
 
 def _termless(name):

@@ -575,6 +575,33 @@ def test_cli_ignores_a_leading_byte_order_mark(dataset, tmp_path):
     assert a.integrity[a.vocab.index("topic0")] == 0.2
 
 
+def with_bad_second_line(path, out):
+    """Write path's bytes to out behind a BOM, its first line ended by CRLF
+    and followed by a line holding the byte 0xff; returns out."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    out.write_bytes(b"\xef\xbb\xbf" + first + b"\r\nx\xff\n" + rest)
+    return out
+
+
+@pytest.mark.parametrize("flag", ["corpus", "hierarchy", "config", "integrity"])
+def test_cli_names_the_file_and_line_of_a_byte_not_utf8(dataset, tmp_path, capsys,
+                                                        flag):
+    # the decoder's own message names neither; a BOM is still dropped and
+    # a CRLF ending counts as one line
+    out, hier, cfg = dataset
+    integrity = tmp_path / "integrity.tsv"
+    integrity.write_text("topic0\t0.2\ntopic1_0\t0.5\n")
+    paths = {"corpus": out / "corpus.txt", "hierarchy": hier, "config": cfg,
+             "integrity": integrity}
+    paths[flag] = bad = with_bad_second_line(paths[flag], tmp_path / f"bad_{flag}")
+    result = tmp_path / "o.json"
+    args = [a for name, path in paths.items() for a in (f"--{name}", str(path))]
+    assert run_cli(args + ["--out", str(result)]) == 1
+    assert capsys.readouterr().err == (
+        f"taxoforge: error: {bad} line 2: byte 0xff is not UTF-8\n")
+    assert not result.exists()
+
+
 def test_cli_missing_required_arg_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--corpus", "x.txt"])
