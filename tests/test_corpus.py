@@ -1,6 +1,7 @@
 """Corpus loading, term statistics, and context-pair extraction."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from taxoforge.corpus import (
     load_corpus,
 )
 from taxoforge.embedding import EmbedConfig, _pair_rows
+from taxoforge.evaluation import PlantedCorpusSpec, _corpus_lines, generate_synthetic_corpus
 
 
 def tf(corpus, term_id, doc_id):
@@ -174,6 +176,23 @@ def test_loader_matches_setdefault_oracle_random(lines):
     if not any(line.split() for line in lines):
         return
     assert_loads_as_oracle(lines)
+
+
+def test_loader_retains_under_six_bytes_per_token():
+    # the flat int32 store (4 B a token), 8 B of offsets a document and the
+    # vocabulary: about 5 B a token on 60-token documents. Per-document
+    # int64 arrays, each in its own object, retain about 12
+    lines = _corpus_lines(generate_synthetic_corpus(PlantedCorpusSpec(seed=1))[0])
+    n_tokens = sum(len(line.split()) for line in lines)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        corpus = corpus_from_lines(lines)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert corpus.num_docs == len(lines)
+    assert retained < 6 * n_tokens
 
 
 def test_unseen_term_id_raises_and_adds_nothing():
