@@ -161,6 +161,9 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
 
     tokens = np.fromiter(map(index.__getitem__,
                              chain.from_iterable(map(split, lines))), np.int32)
+    # the lookup's bound method refers to index: a reference cycle, which
+    # would keep every term string until the garbage collector runs
+    index.default_factory = None
     lengths = np.fromiter(filter(None, lengths), np.int64)  # blank lines hold none
     if not lengths.size:
         raise ValueError("corpus contains no non-empty documents")

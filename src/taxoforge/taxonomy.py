@@ -139,28 +139,26 @@ def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:
     The root lists no terms: it has no center term, and its term set is
     what it trains on, not a ranking.
     """
+    return json.dumps(_encode(tax, corpus, top_k, tax.root), indent=2)
 
-    def top_terms(node: TopicNode):
-        if node.center_term is None:
-            return []
-        terms = [int(t) for t in node.terms]
-        if node.center_term in terms:
-            terms.remove(node.center_term)
-            terms.insert(0, node.center_term)
-        return [corpus.vocab[t] for t in terms[:top_k]]
 
-    def encode(node_id):
-        node = tax.nodes[node_id]
-        name = corpus.vocab[node.center_term] if node.center_term is not None else "root"
-        if node.kappa is not None and not math.isfinite(node.kappa):  # NaN is not JSON
-            raise ValueError(f"node {name!r} has a non-finite kappa {node.kappa}")
-        return {
-            "name": name,
-            "is_novel": node.is_novel,
-            "terms": top_terms(node),
-            "doc_ids": [int(d) for d in node.docs],
-            "kappa": node.kappa,
-            "children": [encode(c) for c in node.children],
-        }
-
-    return json.dumps(encode(tax.root), indent=2)
+def _encode(tax: Taxonomy, corpus: Corpus, top_k: int, node_id: int) -> dict:
+    """A node and its subtree as serialize writes them. Not nested in
+    serialize: a nested function that calls itself is a reference cycle,
+    which would keep tax and corpus alive until the garbage collector runs."""
+    node = tax.nodes[node_id]
+    name = corpus.vocab[node.center_term] if node.center_term is not None else "root"
+    if node.kappa is not None and not math.isfinite(node.kappa):  # NaN is not JSON
+        raise ValueError(f"node {name!r} has a non-finite kappa {node.kappa}")
+    terms = [] if node.center_term is None else [int(t) for t in node.terms]
+    if node.center_term in terms:
+        terms.remove(node.center_term)
+        terms.insert(0, node.center_term)
+    return {
+        "name": name,
+        "is_novel": node.is_novel,
+        "terms": [corpus.vocab[t] for t in terms[:top_k]],
+        "doc_ids": [int(d) for d in node.docs],
+        "kappa": node.kappa,
+        "children": [_encode(tax, corpus, top_k, c) for c in node.children],
+    }

@@ -1,6 +1,8 @@
 """Topic tree parsing, keyword derivation, child insertion, serialization."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -288,3 +290,21 @@ def test_serialize_rejects_non_finite_kappa(corpus, kappa):
         serialize(tax, corpus, 10)
     tax.nodes[tax.nodes[politics].children[0]].kappa = 0.0
     assert json.loads(serialize(tax, corpus, 10))["children"][0]["kappa"] == 2.5
+
+
+def test_loading_and_serializing_leave_no_cycle_through_the_corpus():
+    # a corpus held by a reference cycle is freed only when the garbage
+    # collector runs, so a process that loads and completes many times
+    # (the benchmark's worker) would hold several at once
+    gc.collect()
+    gc.disable()
+    try:
+        corpus = corpus_from_lines(["a b a\n", "b c\n"])
+        assert gc.collect() == 0   # the loader's term index is no cycle
+        tax = parse_hierarchy("a\n\tb\nc", corpus)
+        serialize(tax, corpus, 5)
+        ref = weakref.ref(corpus)
+        del corpus, tax
+        assert ref() is None
+    finally:
+        gc.enable()
