@@ -164,7 +164,7 @@ def corpus_from_lines(lines, integrity_path=None) -> Corpus:
     # the lookup's bound method refers to index: a reference cycle, which
     # would keep every term string until the garbage collector runs
     index.default_factory = None
-    lengths = np.fromiter(filter(None, lengths), np.int64)  # blank lines hold none
+    lengths = np.fromiter(filter(None, lengths), np.int64)  # a blank line is no document
     if not lengths.size:
         raise ValueError("corpus contains no non-empty documents")
     offsets = np.concatenate([[0], np.cumsum(lengths)])
