@@ -39,28 +39,9 @@ KMEANS_TOL = 1e-9   # k-means stops once its objective moves less than this
 KMEANS_MAX_ITER = 100
 KMEANS_RESTARTS = 4  # the best objective over this many seeded starts wins
 
-
-@dataclass
-class ClusterConfig:
-    beta1: float = 1.5   # novelty beta at the root (level 0)
-    beta2: float = 3.0   # novelty beta at every level below
-    temperature: float = 0.1
-    tau_sig: float = 0.3
-    k_star_max: int = 5
-
-    def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not (1.0 <= self.beta1 < np.inf and 1.0 <= self.beta2 < np.inf):
-            raise ValueError("beta (beta1, beta2) must be finite and >= 1")
-        if not 0.0 <= self.tau_sig <= 1.0:
-            raise ValueError("tau_sig must lie in [0, 1]")
-        if not 0.0 < self.temperature < np.inf:
-            raise ValueError("temperature must be finite and positive")
-        if self.k_star_max < 1:
-            raise ValueError("k_star_max (kmax_novel) must be >= 1")
-
-    def beta(self, level: int) -> float:
-        return self.beta1 if level == 0 else self.beta2
+TEMPERATURE = 0.1   # T: softmax temperature of the novelty score
+TAU_SIG = 0.3       # tau: significance a term needs to anchor its cluster
+K_STAR_MAX = 5      # largest novel cluster count K* searched
 
 
 @dataclass
@@ -101,10 +82,10 @@ def novelty_threshold(k_c: int, beta: float) -> float:
     return (1.0 - 1.0 / k_c) ** beta
 
 
-def split_terms(space: EmbeddingSpace, cfg: ClusterConfig, level: int) -> np.ndarray:
+def split_terms(space: EmbeddingSpace, beta: float) -> np.ndarray:
     """Novel mask over the rows; a score at the threshold counts as novel."""
-    tau = novelty_threshold(space.num_topics, cfg.beta(level))
-    return novelty_scores(space, cfg.temperature) >= tau
+    tau = novelty_threshold(space.num_topics, beta)
+    return novelty_scores(space, TEMPERATURE) >= tau
 
 
 def assign_known_terms(space: EmbeddingSpace, rows) -> np.ndarray:
@@ -261,7 +242,7 @@ def select_anchor_terms(z_term, scores, tau_sig, n_slots, centers):
 
 
 def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
-                   cfg: ClusterConfig, seed: int, named) -> SubtopicClustering:
+                   seed: int, named) -> SubtopicClustering:
     """Pick the novel cluster count K* minimizing the stdev of concentrations.
 
     z_known holds the known slot of each row, -1 for a novel row. The
@@ -278,7 +259,7 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
     novel_rows = np.flatnonzero(z_known < 0)
     novel_vecs = space.target[novel_rows]
     n_novel = novel_rows.size
-    candidates = range(1, min(cfg.k_star_max, n_novel) + 1) if n_novel else [0]
+    candidates = range(1, min(K_STAR_MAX, n_novel) + 1) if n_novel else [0]
     best = None
     for k_star in candidates:
         n_slots = k_known + k_star
@@ -292,8 +273,8 @@ def select_novel_k(z_known, space: EmbeddingSpace, stats: TermStats,
         rep = _rep_matrix(stats, doc_slot, n_slots)
         sig = significance_scores(
             space.target, np.vstack([space.topic_vecs, means]), rep)
-        anchors, warnings = select_anchor_terms(z_term, sig, cfg.tau_sig,
-                                                n_slots, space.center_rows)
+        anchors, warnings = select_anchor_terms(z_term, sig, TAU_SIG, n_slots,
+                                                space.center_rows)
         kappas = []
         for s in range(n_slots):
             # never empty: a known slot anchors its center, k-means fills a novel one
@@ -364,16 +345,17 @@ def child_split(space: EmbeddingSpace, anchors, sig, docs, kappas, means, named)
     return known, novel
 
 
-def cluster_node(space: EmbeddingSpace, stats: TermStats, cfg: ClusterConfig,
-                 level: int, seed: int, named) -> SubtopicClustering:
+def cluster_node(space: EmbeddingSpace, stats: TermStats, beta: float,
+                 seed: int, named) -> SubtopicClustering:
     """Known/novel split plus the full K* search for one node.
 
     The node's terms are the rows of space, and stats holds their
-    statistics over the node's documents. The split needs at least 2 known
-    sub-topics; with fewer it raises ValueError (the pipeline expands no
-    such node). named holds the ids of the terms that already name a node.
+    statistics over the node's documents; beta is the node's novelty beta.
+    The split needs at least 2 known sub-topics; with fewer it raises
+    ValueError (the pipeline expands no such node). named holds the ids of
+    the terms that already name a node.
     """
     z_known = np.full(space.term_ids.size, -1, dtype=np.int64)
-    known = np.flatnonzero(~split_terms(space, cfg, level))
+    known = np.flatnonzero(~split_terms(space, beta))
     z_known[known] = assign_known_terms(space, known)
-    return select_novel_k(z_known, space, stats, cfg, seed, named)
+    return select_novel_k(z_known, space, stats, seed, named)

@@ -21,23 +21,20 @@ from .vmf import KAPPA_MAX, bessel_ratio
 GUIDE_BUCKETS = 1 << 16
 SAMPLE_CHUNK = 1 << 16
 
+MARGIN = 0.3        # m: margin of the skip-gram and repulsion hinges and the keyword gate
+NEGATIVES = 2       # negative context samples per skip-gram pair
+NEIGHBORS_M = 100   # M: center-term neighbors whose documents join a node's local corpus
+
 
 @dataclass
 class EmbedConfig:
     dim: int = 50
-    margin: float = 0.3
     window: int = 5
-    negatives: int = 2
     epochs: int = 10
     lr: float = 0.025
-    neighbors_m: int = 100     # M: local-corpus retrieval neighbors
     batch_size: int = 8192
 
     def __post_init__(self):
-        if not 0.0 < self.margin < 1.0:
-            raise ValueError("margin must lie in (0, 1)")
-        if self.negatives < 1:
-            raise ValueError("need at least one negative sample")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.batch_size < 1:
@@ -48,8 +45,6 @@ class EmbedConfig:
             raise ValueError("epochs must be >= 1")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.neighbors_m < 0:
-            raise ValueError(f"M (neighbors_m) must be >= 0, got {self.neighbors_m}")
 
 
 class EmbeddingSpace:
@@ -260,7 +255,7 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, r
     pairs[1] = cr
     pairs[1] += n
     del tr, cr
-    negs = np.empty((n_pairs, cfg.negatives), dtype=space.row_of.dtype)
+    negs = np.empty((n_pairs, NEGATIVES), dtype=space.row_of.dtype)
 
     n_batches = math.ceil(n_pairs / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -277,8 +272,7 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, r
             sel = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             pb = np.take(pairs, sel, axis=1)
             lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-            sgd_batch(space, pb[0], pb[1], np.take(negs, sel, axis=0), lr,
-                      cfg.margin)
+            sgd_batch(space, pb[0], pb[1], np.take(negs, sel, axis=0), lr, MARGIN)
             step += 1
         # freed before the next epoch allocates its own; the last batch's
         # slice is a view that would keep it alive

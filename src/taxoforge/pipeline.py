@@ -9,9 +9,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import ClusterConfig, cluster_node
+from .clustering import cluster_node
 from .corpus import Corpus, compute_term_stats, load_corpus, read_lines
-from .embedding import EmbedConfig, retrieve_local_corpus, train_node_embedding
+from .embedding import NEIGHBORS_M, EmbedConfig, retrieve_local_corpus, train_node_embedding
 from .taxonomy import Taxonomy, insert_children, parse_hierarchy, serialize, subtree_keywords
 
 
@@ -21,7 +21,8 @@ class PipelineConfig:
     # sub-corpora below the root are much smaller; nodes below the root may
     # train on smaller batches (more SGD steps). None: embed.batch_size
     child_batch_size: int | None = None
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+    beta1: float = 1.5   # novelty beta at the root (level 0)
+    beta2: float = 3.0   # novelty beta at every level below
     min_terms: int = 50
     min_docs: int = 20
     top_k_output: int = 10
@@ -30,6 +31,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.child_batch_size is not None and self.child_batch_size < 1:
             raise ValueError("child_batch_size must be >= 1")
+        # each check is written so that NaN fails it
+        if not (1.0 <= self.beta1 < np.inf and 1.0 <= self.beta2 < np.inf):
+            raise ValueError("beta (beta1, beta2) must be finite and >= 1")
         # a node without documents has no term statistics to cluster
         if self.min_docs < 1:
             raise ValueError(f"min_docs must be >= 1, got {self.min_docs}")
@@ -62,8 +66,7 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         node = tax.nodes[node_id]
         if _unmet_conditions(node, cfg):
             continue
-        local_docs = retrieve_local_corpus(node, parent_space, corpus,
-                                           cfg.embed.neighbors_m)
+        local_docs = retrieve_local_corpus(node, parent_space, corpus, NEIGHBORS_M)
         keywords = subtree_keywords(tax, node_id)
         centers = {c: tax.nodes[c].center_term for c in node.children}
         seed = cfg.seed + 7919 * node_id
@@ -74,8 +77,9 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         # passed, not kept: the statistics (40 B per nonzero) must not stay
         # alive through the next node's training
         named = {n.center_term for n in tax.nodes.values()}
+        beta = cfg.beta1 if depth == 0 else cfg.beta2
         sc = cluster_node(space, compute_term_stats(corpus, node.docs, space.term_ids),
-                          cfg.cluster, depth, seed, named)
+                          beta, seed, named)
 
         insert_children(tax, node_id, sc.known, sc.novel)
         queue.extend((child, depth + 1, space) for child in node.children)
@@ -114,18 +118,12 @@ def _dump_node_debug(debug_dir, node_id, sc, space, corpus):
 CONFIG_KEYS = {
     "dim": ("embed", "dim", int),
     "window": ("embed", "window", int),
-    "margin": ("embed", "margin", float),
-    "negatives": ("embed", "negatives", int),
     "epochs": ("embed", "epochs", int),
     "lr": ("embed", "lr", float),
     "batch_size": ("embed", "batch_size", int),
-    "M": ("embed", "neighbors_m", int),
-    "beta1": ("cluster", "beta1", float),
-    "beta2": ("cluster", "beta2", float),
-    "temperature": ("cluster", "temperature", float),
-    "tau_sig": ("cluster", "tau_sig", float),
-    "kmax_novel": ("cluster", "k_star_max", int),
     "child_batch_size": ("", "child_batch_size", int),
+    "beta1": ("", "beta1", float),
+    "beta2": ("", "beta2", float),
     "min_terms": ("", "min_terms", int),
     "min_docs": ("", "min_docs", int),
     "top_k": ("", "top_k_output", int),
@@ -147,32 +145,31 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path} line {lineno}"
             if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key=value")
+                raise ValueError(f"{where}: expected key=value")
             key, val = (x.strip() for x in line.split("=", 1))
             if key not in CONFIG_KEYS:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+                raise ValueError(f"{where}: unknown key {key!r}")
             if first_line.setdefault(key, lineno) != lineno:
-                raise ValueError(f"config line {lineno}: key {key!r} repeats "
-                                 f"the key of line {first_line[key]}")
+                raise ValueError(f"{where}: key {key!r} repeats the key of "
+                                 f"line {first_line[key]}")
             typ = CONFIG_KEYS[key][2]
             try:
                 overrides[key] = typ(val)
             except ValueError:
-                raise ValueError(f"config line {lineno}: {key} expects "
-                                 f"{typ.__name__}, got {val!r}") from None
+                raise ValueError(f"{where}: {key} expects {typ.__name__}, "
+                                 f"got {val!r}") from None
     return pipeline_config(overrides, seed)
 
 
 def pipeline_config(overrides: dict, seed=0) -> PipelineConfig:
     """The defaults with overrides, keyed and typed as in CONFIG_KEYS."""
-    kw = {"embed": {}, "cluster": {}, "": {}}
+    kw = {"embed": {}, "": {}}
     for key, val in overrides.items():
         group, attr, _ = CONFIG_KEYS[key]
         kw[group][attr] = val
-    return PipelineConfig(embed=EmbedConfig(**kw["embed"]),
-                          cluster=ClusterConfig(**kw["cluster"]),
-                          seed=seed, **kw[""])
+    return PipelineConfig(embed=EmbedConfig(**kw["embed"]), seed=seed, **kw[""])
 
 
 def run_cli(argv=None) -> int:
@@ -190,7 +187,8 @@ def run_cli(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed)
         corpus = load_corpus(args.corpus, integrity_path=args.integrity)
-        partial = parse_hierarchy("".join(read_lines(args.hierarchy)), corpus)
+        partial = parse_hierarchy("".join(read_lines(args.hierarchy)), corpus,
+                                  path=args.hierarchy)
         tax = complete_taxonomy(corpus, partial, cfg, debug_dir=args.dump_debug)
         root = tax.nodes[tax.root]
         unmet = _unmet_conditions(root, cfg)

@@ -51,14 +51,16 @@ def normalize_name(name: str) -> str:
     return name.strip().lower().replace(" ", "_")
 
 
-def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
+def parse_hierarchy(text: str, corpus: Corpus, path=None) -> Taxonomy:
     """Parse a tab-indented outline of topic names into a taxonomy.
 
     Tab depth equals tree depth, and a line indented with anything but
     tabs is rejected; the root is implicit. A name is looked up with its
     spaces as underscores, first as written and then lower-cased
-    (normalize_name). No normalized name repeats.
+    (normalize_name). No normalized name repeats. An error names path,
+    the file text was read from, when it is given.
     """
+    at = f"{path} line" if path else "line"
     tax = Taxonomy()
     root = tax.add_node(center_term=None)
     stack = [root.id]  # stack[d] = last node at depth d (root at 0), None if unknown
@@ -71,13 +73,13 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
         depth = len(raw) - len(name)
         if name[:1].isspace():
             # normalize_name would strip it, and the line land at a wrong depth
-            raise ValueError(f"line {lineno}: indent with tabs only")
+            raise ValueError(f"{at} {lineno}: indent with tabs only")
         written, name = name.strip().replace(" ", "_"), normalize_name(name)
         if depth + 1 > len(stack):
             raise ValueError(
-                f"line {lineno}: indentation jumps more than one level")
+                f"{at} {lineno}: indentation jumps more than one level")
         if first_line.setdefault(name, lineno) != lineno:
-            raise ValueError(f"line {lineno}: topic {name!r} repeats "
+            raise ValueError(f"{at} {lineno}: topic {name!r} repeats "
                              f"the topic of line {first_line[name]}")
         tid = corpus.index.get(written, corpus.index.get(name))
         if tid is None:
@@ -91,8 +93,8 @@ def parse_hierarchy(text: str, corpus: Corpus) -> Taxonomy:
         node.terms = [tid]
         stack.append(node.id)
     if unknown:
-        raise ValueError(
-            "topic names not in vocabulary: " + ", ".join(unknown))
+        msg = "topic names not in vocabulary: " + ", ".join(unknown)
+        raise ValueError(f"{path}: {msg}" if path else msg)
     return tax
 
 

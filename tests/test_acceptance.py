@@ -24,7 +24,6 @@ import taxoforge.clustering as clustering
 from taxoforge.clustering import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
-    ClusterConfig,
     _kmeans_once,
     novelty_threshold,
     select_novel_k,
@@ -65,14 +64,13 @@ def _tangent(grad, points):
 
 
 def test_criterion_1_gradient_correctness(capfd):
-    cfg = EmbedConfig(dim=6)
     h = 1e-6
     t0 = time.time()
     worst = 0.0
     # 100 random points; at each, finite-difference one parameter block
     # (cycling through target / context / topic vectors / kappa)
     for n, (space, batch) in enumerate(collect_instances(100)):
-        grads = dense_gradients(space, batch, cfg)
+        grads = dense_gradients(space, batch)
         blocks = [(space.target, grads[0], True),
                   (space.context, grads[1], True),
                   (space.topic_vecs, grads[2], True),
@@ -83,9 +81,9 @@ def test_criterion_1_gradient_correctness(capfd):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = objective_value(space, batch, cfg)
+            up = objective_value(space, batch)
             flat[i] = orig - h
-            dn = objective_value(space, batch, cfg)
+            dn = objective_value(space, batch)
             flat[i] = orig
             fd.ravel()[i] = (up - dn) / (2 * h)
         if on_sphere:
@@ -256,7 +254,7 @@ def test_determinism_with_training_and_clustering(tmp_path):
         stack.extend(node["children"])
 
 
-def test_criterion_9_kstar_balance(capfd):
+def test_criterion_9_kstar_balance(capfd, monkeypatch):
     # numeric form of the worked example: known kappas {50, 52};
     # candidate concentrations {51} (K=1) vs {10, 90} (K=2)
     known = np.array([50.0, 52.0])
@@ -266,10 +264,10 @@ def test_criterion_9_kstar_balance(capfd):
 
     # data-level analogues: one planted novel bundle -> K*=1,
     # two planted novel bundles -> K*=2
+    monkeypatch.setattr(clustering, "TAU_SIG", 0.0)
     picks = []
     for n_novel in (1, 2):
         sp, stats, labels = _planted_node(n_novel=n_novel)
-        res = select_novel_k(_known_slots(labels), sp, stats,
-                             ClusterConfig(tau_sig=0.0), 0, set())
+        res = select_novel_k(_known_slots(labels), sp, stats, 0, set())
         picks.append(res.k_star)
     _report(capfd, 9, "kstar-balance", example_ok and picks == [1, 2])

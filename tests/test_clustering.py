@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taxoforge.clustering as clustering
 from taxoforge.clustering import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
-    ClusterConfig,
     _bm25_matrix,
     _kmeans_once,
     _logsumexp_rows,
@@ -55,27 +55,6 @@ def space_with(target, topic_vecs):
 
 def rows_of(mask):
     return set(np.flatnonzero(mask).tolist())
-
-
-# --- config validation ---
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ClusterConfig(beta1=0.5)
-    with pytest.raises(ValueError):
-        ClusterConfig(tau_sig=1.5)
-    with pytest.raises(ValueError):
-        ClusterConfig(temperature=0.0)
-    with pytest.raises(ValueError, match="k_star_max"):
-        ClusterConfig(k_star_max=0)
-
-
-def test_beta_per_level_lookup():
-    cfg = ClusterConfig(beta1=1.5, beta2=3.0)
-    assert cfg.beta(0) == 1.5
-    assert cfg.beta(1) == 3.0
-    assert cfg.beta(7) == 3.0  # deeper levels reuse the last beta
 
 
 # --- novelty ---
@@ -134,16 +113,16 @@ def test_split_on_mean_directions_no_novel():
     # [TRIVIAL] terms exactly on known means have tiny novelty
     e = np.eye(4)
     sp = space_with(np.stack([e[0], e[0], e[1]]), np.stack([e[0], e[1]]))
-    assert not split_terms(sp, ClusterConfig(), level=0).any()
+    assert not split_terms(sp, 1.5).any()
 
 
-def test_split_boundary_goes_novel():
+def test_split_boundary_goes_novel(monkeypatch):
     # a score exactly at the threshold is classified novel
-    cfg = ClusterConfig(beta1=1.0, temperature=1.0)
+    monkeypatch.setattr(clustering, "TEMPERATURE", 1.0)
     e = np.eye(3)
     sp = space_with(np.array([[0.0, 0.0, 1.0]]), np.stack([e[0], e[1]]))
     # equidistant: score = 0.5 exactly; threshold (1 - 1/2)^1 = 0.5
-    assert split_terms(sp, cfg, level=0).tolist() == [True]
+    assert split_terms(sp, 1.0).tolist() == [True]
 
 
 @given(st.floats(1.0, 4.0), st.floats(1.0, 4.0), st.integers(0, 1000))
@@ -154,12 +133,12 @@ def test_split_monotone_in_beta(b1, b2, seed):
     rng = np.random.default_rng(seed)
     sp = space_with(unit_rows(rng.standard_normal((30, 5))),
                     unit_rows(rng.standard_normal((3, 5))))
-    novel_lo = split_terms(sp, ClusterConfig(beta1=lo), 0)
-    novel_hi = split_terms(sp, ClusterConfig(beta1=hi), 0)
+    novel_lo = split_terms(sp, lo)
+    novel_hi = split_terms(sp, hi)
     assert not (novel_lo & ~novel_hi).any()
 
 
-def test_split_recovers_planted_novel_mixture():
+def test_split_recovers_planted_novel_mixture(monkeypatch):
     # [DERIVED] 3 known vMF bundles + 1 planted-novel bundle
     rng = np.random.default_rng(5)
     dim = 8
@@ -171,8 +150,8 @@ def test_split_recovers_planted_novel_mixture():
     sp = space_with(np.vstack(vecs), means[:3])
     # raw vMF samples have modest cosine gaps; a unit temperature matches
     # that geometry (the sharp default suits trained embeddings instead)
-    cfg = ClusterConfig(temperature=1.0)
-    is_novel = split_terms(sp, cfg, level=0)
+    monkeypatch.setattr(clustering, "TEMPERATURE", 1.0)
+    is_novel = split_terms(sp, 1.5)
     known, novel = rows_of(~is_novel), rows_of(is_novel)
     planted = {i for i, l in enumerate(labels) if l == 3}
     assert len(novel & planted) >= 0.9 * len(planted)
@@ -826,11 +805,11 @@ def _known_slots(labels, n_known=2):
     return z
 
 
-def test_select_novel_k_recovers_two_planted_clusters():
+def test_select_novel_k_recovers_two_planted_clusters(monkeypatch):
     # [DERIVED] 2 known + 2 planted novel bundles of matched concentration
     sp, stats, labels = _planted_node()
-    cfg = ClusterConfig(tau_sig=0.0)
-    res = select_novel_k(_known_slots(labels), sp, stats, cfg, 0, set())
+    monkeypatch.setattr(clustering, "TAU_SIG", 0.0)
+    res = select_novel_k(_known_slots(labels), sp, stats, 0, set())
     assert res.k_star == 2
     assert len(res.novel) == 2
     assert len(res.known) == 2
@@ -839,28 +818,29 @@ def test_select_novel_k_recovers_two_planted_clusters():
 def test_select_novel_k_empty_novel_returns_zero():
     sp, stats, labels = _planted_node()
     z_known = assign_known_terms(sp, np.arange(len(labels)))
-    res = select_novel_k(z_known, sp, stats, ClusterConfig(), 0, set())
+    res = select_novel_k(z_known, sp, stats, 0, set())
     assert res.k_star == 0 and res.novel == []
     assert len(res.known) == 2
 
 
-def test_select_novel_k_capped_by_novel_count():
+def test_select_novel_k_capped_by_novel_count(monkeypatch):
     sp, stats, labels = _planted_node()
     z_known = assign_known_terms(sp, np.arange(len(labels)))
     z_known[[t for t, g in labels.items() if g >= 2][:3]] = -1
-    cfg = ClusterConfig(tau_sig=0.0, k_star_max=5)
-    res = select_novel_k(z_known, sp, stats, cfg, 0, set())
+    monkeypatch.setattr(clustering, "TAU_SIG", 0.0)
+    monkeypatch.setattr(clustering, "K_STAR_MAX", 5)
+    res = select_novel_k(z_known, sp, stats, 0, set())
     assert 1 <= res.k_star <= 3
 
 
 @pytest.mark.parametrize("n_known", [0, 1])
-def test_cluster_node_needs_two_known_topics(n_known):
+def test_cluster_node_needs_two_known_topics(n_known, monkeypatch):
     # the known/novel split is defined from K_c = 2 on; the pipeline
     # expands no node with fewer known sub-topics
     sp, stats, _ = _planted_node(n_known=n_known, n_novel=3)
+    monkeypatch.setattr(clustering, "TAU_SIG", 0.0)
     with pytest.raises(ValueError, match="at least 2 known sub-topics"):
-        cluster_node(sp, stats, ClusterConfig(tau_sig=0.0), level=0,
-                     seed=0, named=set())
+        cluster_node(sp, stats, 1.5, seed=0, named=set())
 
 
 def assert_ranked(terms, sig):
@@ -869,10 +849,10 @@ def assert_ranked(terms, sig):
         assert sig[a] > sig[b] or (sig[a] == sig[b] and a < b)
 
 
-def test_cluster_node_invariants():
+def test_cluster_node_invariants(monkeypatch):
     sp, stats, labels = _planted_node()
-    cfg = ClusterConfig(tau_sig=0.2)
-    res = cluster_node(sp, stats, cfg, level=0, seed=0, named=set())
+    monkeypatch.setattr(clustering, "TAU_SIG", 0.2)
+    res = cluster_node(sp, stats, 1.5, seed=0, named=set())
     sig = dict(zip(sp.term_ids.tolist(), res.sig_scores.tolist()))
     centers = sp.term_ids[sp.center_rows].tolist()
     # every term has a slot; exactly the novel terms sit in novel slots
@@ -885,14 +865,14 @@ def test_cluster_node_invariants():
         assert centers[s] in terms.tolist()
         for t in terms.tolist():
             if t != centers[s]:
-                assert sig[t] >= cfg.tau_sig
+                assert sig[t] >= clustering.TAU_SIG
         assert_ranked(terms.tolist(), sig)
         assert np.all(np.diff(docs) > 0) and kappa >= 0.0
     assert res.novel
     for center, terms, docs, kappa in res.novel:
         assert center in terms.tolist()
         for t in terms.tolist():
-            assert sig[t] >= cfg.tau_sig
+            assert sig[t] >= clustering.TAU_SIG
             assert t not in centers   # sub-tree keywords stay with their topic
         assert_ranked(terms.tolist(), sig)
         assert docs.size and kappa >= 0.0

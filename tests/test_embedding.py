@@ -10,6 +10,7 @@ import taxoforge.embedding as embedding
 from taxoforge.corpus import Corpus, corpus_from_lines
 from taxoforge.embedding import (
     GUIDE_BUCKETS,
+    MARGIN,
     SAMPLE_CHUNK,
     EmbedConfig,
     EmbeddingSpace,
@@ -71,9 +72,9 @@ class Batch:
     neg_c: np.ndarray                  # (P, negatives)
 
 
-def objective_value(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig) -> float:
+def objective_value(space: EmbeddingSpace, batch: Batch) -> float:
     """Summed objective on the batch and the space's keyword rows."""
-    m = cfg.margin
+    m = MARGIN
     val = 0.0
     if batch.pos_t.size:
         t = space.target[batch.pos_t]
@@ -106,7 +107,7 @@ def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
     if tr.size > max_pairs:
         pick = rng.choice(tr.size, size=max_pairs, replace=False)
         tr, cr = tr[pick], cr[pick]
-    negs = rng.integers(0, space.term_ids.size, size=(tr.size, cfg.negatives))
+    negs = rng.integers(0, space.term_ids.size, size=(tr.size, embedding.NEGATIVES))
     return Batch(pos_t=tr, pos_c=cr, neg_c=negs)
 
 
@@ -119,9 +120,9 @@ def make_batch(rng, space, n_pairs=8, negatives=2):
     )
 
 
-def naive_objective(space, batch, cfg):
+def naive_objective(space, batch):
     """Independent scalar re-implementation of the three-part objective."""
-    m = cfg.margin
+    m = MARGIN
     val = 0.0
     for p in range(batch.pos_t.size):
         t = space.target[batch.pos_t[p]]
@@ -142,14 +143,14 @@ def naive_objective(space, batch, cfg):
     return val
 
 
-def dense_gradients(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig):
+def dense_gradients(space: EmbeddingSpace, batch: Batch):
     """Analytic gradients of objective_value w.r.t. all parameters.
 
     Returns (g_target, g_context, g_topic, g_kappa) as dense arrays matching
     the space's storage: the oracle for finite differences and the trainer's
     sparse step, on small spaces.
     """
-    m = cfg.margin
+    m = MARGIN
     g_t = np.zeros_like(space.target)
     g_v = np.zeros_like(space.context)
     g_s = np.zeros_like(space.topic_vecs)
@@ -192,18 +193,6 @@ def dense_gradients(space: EmbeddingSpace, batch: Batch, cfg: EmbedConfig):
 # --- config ---
 
 
-def test_config_margin_validated():
-    with pytest.raises(ValueError):
-        EmbedConfig(margin=0.0)
-    with pytest.raises(ValueError):
-        EmbedConfig(margin=1.0)
-
-
-def test_config_negatives_validated():
-    with pytest.raises(ValueError):
-        EmbedConfig(negatives=0)
-
-
 @pytest.mark.parametrize("field,value", [("dim", 1), ("epochs", 0),
                                          ("lr", 0.0), ("lr", -0.1),
                                          ("lr", float("nan")), ("lr", float("inf"))])
@@ -227,10 +216,9 @@ def test_objective_zero_when_all_inactive():
         topic_kappa=np.ones(2), center_rows=[0, 1], keyword_rows=[[0], [1]])
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
                   neg_c=np.array([[1]]))
-    cfg = EmbedConfig(dim=dim, margin=0.3)
     # t0.vneg - t0.vpos + m = 0 - 0 + 0.3 > 0 would activate; use aligned pos
     space.context = np.stack([e[0], -e[0]])  # vpos = t0, vneg = -t0
-    assert objective_value(space, batch, cfg) == 0.0
+    assert objective_value(space, batch) == 0.0
 
 
 def test_objective_single_pair_hand_value():
@@ -243,28 +231,27 @@ def test_objective_single_pair_hand_value():
         topic_kappa=np.zeros(0), center_rows=[], keyword_rows=[])
     batch = Batch(pos_t=np.array([0]), pos_c=np.array([0]),
                   neg_c=np.array([[1]]))
-    assert objective_value(space, batch, EmbedConfig(dim=3)) == 0.0
+    assert objective_value(space, batch) == 0.0
     # flip roles: t.vpos=0, t.vneg=1 -> [1 - 0 + 0.3]+ = 1.3
     batch2 = Batch(pos_t=np.array([0]), pos_c=np.array([1]),
                    neg_c=np.array([[0]]))
-    assert objective_value(space, batch2, EmbedConfig(dim=3)) == pytest.approx(1.3)
+    assert objective_value(space, batch2) == pytest.approx(1.3)
 
 
 def test_objective_matches_naive_reimplementation():
     # [DERIVED] naive re-evaluation oracle on random batches
-    cfg = EmbedConfig(dim=6)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         space = make_space(rng)
         batch = make_batch(rng, space)
-        assert objective_value(space, batch, cfg) == pytest.approx(
-            naive_objective(space, batch, cfg), rel=1e-12)
+        assert objective_value(space, batch) == pytest.approx(
+            naive_objective(space, batch), rel=1e-12)
 
 
 # --- gradients ---
 
 
-def _safe_instance(seed, margin=0.3, eps=1e-3):
+def _safe_instance(seed, margin=MARGIN, eps=1e-3):
     """Random space/batch with all hinge and gate activations away from 0."""
     rng = np.random.default_rng(seed)
     space = make_space(rng)
@@ -293,10 +280,9 @@ def collect_instances(n, start_seed=0):
 
 def test_gradients_match_finite_differences():
     # [DERIVED] central finite-difference oracle, relative error < 1e-4
-    cfg = EmbedConfig(dim=6)
     h = 1e-6
     for space, batch in collect_instances(5):
-        g_t, g_v, g_s, g_k = dense_gradients(space, batch, cfg)
+        g_t, g_v, g_s, g_k = dense_gradients(space, batch)
         for arr, grad in ((space.target, g_t), (space.context, g_v),
                           (space.topic_vecs, g_s), (space.topic_kappa, g_k)):
             fd = np.zeros_like(grad)
@@ -304,9 +290,9 @@ def test_gradients_match_finite_differences():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = objective_value(space, batch, cfg)
+                up = objective_value(space, batch)
                 flat[i] = orig - h
-                dn = objective_value(space, batch, cfg)
+                dn = objective_value(space, batch)
                 flat[i] = orig
                 fd.ravel()[i] = (up - dn) / (2 * h)
             denom = max(np.linalg.norm(fd), 1e-12)
@@ -323,7 +309,7 @@ def test_gradient_zero_for_satisfied_keyword():
         keyword_rows=[[0]])  # t0 . s0 = 1 >= m
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
                   neg_c=np.empty((0, 1), dtype=int))
-    g_t, g_v, g_s, g_k = dense_gradients(space, batch, EmbedConfig(dim=4))
+    g_t, g_v, g_s, g_k = dense_gradients(space, batch)
     assert not g_t.any() and not g_v.any() and not g_s.any() and not g_k.any()
 
 
@@ -337,7 +323,7 @@ def test_gradient_zero_for_separated_topics():
         topic_kappa=np.ones(2), center_rows=[0, 0], keyword_rows=[[], []])
     batch = Batch(pos_t=np.empty(0, dtype=int), pos_c=np.empty(0, dtype=int),
                   neg_c=np.empty((0, 1), dtype=int))
-    _, _, g_s, _ = dense_gradients(space, batch, EmbedConfig(dim=4))
+    _, _, g_s, _ = dense_gradients(space, batch)
     assert not g_s.any()
 
 
@@ -452,18 +438,17 @@ def test_sgd_batch_matches_dense_gradient_step():
     # [DERIVED] one step with no topics is x - lr * grad, renormalised on
     # the rows the batch touches; untouched rows keep their exact bits
     rng = np.random.default_rng(4)
-    cfg = EmbedConfig(dim=6, margin=0.3)
     n, lr = 40, 0.05
     space = make_space(rng, n_terms=n, dim=6, n_topics=0)
     batch = Batch(pos_t=rng.integers(0, 15, size=64),
                   pos_c=rng.integers(5, 25, size=64),
                   neg_c=rng.integers(10, 30, size=(64, 3)))
-    g_t, g_v, _, _ = dense_gradients(space, batch, cfg)
+    g_t, g_v, _, _ = dense_gradients(space, batch)
     assert g_t.any() and g_v.any()
     params = np.concatenate([space.target, space.context])
     target, context = params[:n], params[n:]
     sgd_batch(space_over(params, space.topic_vecs, space.topic_kappa, []),
-              batch.pos_t, batch.pos_c + n, batch.neg_c + n, lr, cfg.margin)
+              batch.pos_t, batch.pos_c + n, batch.neg_c + n, lr, MARGIN)
     for new, old, grad, rows in (
             (target, space.target, g_t, np.unique(batch.pos_t)),
             (context, space.context, g_v,
@@ -555,7 +540,6 @@ def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
     # rescaled; rows are off the sphere so that a skipped rescale shows
     rng = np.random.default_rng(8)
     n, dim, lr = 30, 5, 0.05
-    cfg = EmbedConfig(dim=dim, margin=0.3)
     target = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
     context = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
     # pair 0: target 0, context 1, negatives 2 and 3, all inactive
@@ -567,10 +551,10 @@ def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
     cb = np.concatenate([[1], rng.integers(4, n, 200)])
     nb = np.concatenate([[[2, 3]], rng.integers(4, n, (200, 2))])
     expected_t, expected_c = target.copy(), context.copy()
-    reference_step(expected_t, expected_c, tb, cb, nb, lr, cfg.margin)
+    reference_step(expected_t, expected_c, tb, cb, nb, lr, MARGIN)
     params = np.concatenate([target, context])
     sgd_batch(space_over(params, np.zeros((0, dim)), np.zeros(0), []),
-              tb, cb + n, nb + n, lr, cfg.margin)
+              tb, cb + n, nb + n, lr, MARGIN)
     assert np.array_equal(params[:n], expected_t)
     assert np.array_equal(params[n:], expected_c)
     # the inactive pair's rows were rescaled, not left as they were
@@ -580,7 +564,7 @@ def test_sgd_batch_bit_equal_with_rows_only_inactive_pairs_touch():
     # the batch has inactive pairs, and active pairs with an inactive term
     t, vp = target[tb], context[cb]
     sn = np.einsum("pd,pnd->pn", t, context[nb])
-    act = sn - np.einsum("pd,pd->p", t, vp)[:, None] + cfg.margin > 0.0
+    act = sn - np.einsum("pd,pd->p", t, vp)[:, None] + MARGIN > 0.0
     assert not act.any(axis=1).all()
     assert (act.any(axis=1) & ~act.all(axis=1)).any()
 
@@ -683,9 +667,6 @@ def reference_topic_step(state, lr, m):
     np.clip(state.topic_kappa, 0.0, KAPPA_MAX, out=state.topic_kappa)
 
 
-MARGIN = 0.3   # the margin of the topic-step tests
-
-
 def topic_state(seed, n=20, dim=5, k_cnt=3, closed=(), far=False):
     """A space with keyword rows per topic; the keywords of the topics in
     closed sit on their topic vector (gate shut), and with far the topic
@@ -777,12 +758,12 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     probs = np.bincount(cr, minlength=n).astype(np.float64) ** 0.75
     cum = np.cumsum(probs / probs.sum())
     state = space_over(params, topic_vecs, topic_kappa, keyword_rows)
-    m = cfg.margin
+    m = MARGIN
     n_batches = -(-tr.size // cfg.batch_size)
     step = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(tr.size)
-        negs = np.searchsorted(cum, rng.random((tr.size, cfg.negatives)))
+        negs = np.searchsorted(cum, rng.random((tr.size, embedding.NEGATIVES)))
         for b in range(n_batches):
             sl = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tb, cb, nb = tr[sl], cr[sl], negs[sl]
@@ -804,7 +785,8 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     (2, 700, 120, True, True),       # more than 16 383 terms: int32 rows
 ], ids=["1-700-120", "3-512-120", "2-8192-1200", "no-known", "wide-int32"])
 def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known,
-                                             wide):
+                                             wide, monkeypatch):
+    monkeypatch.setattr(embedding, "NEGATIVES", negatives)
     rng = np.random.default_rng(negatives)
     vocab = [f"w{i}" for i in range(60)]
     lines = [" ".join(rng.choice(vocab[:35] if d % 2 else vocab[25:], size=14))
@@ -819,8 +801,7 @@ def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known,
     centers = {k: tax.nodes[k].center_term for k in keywords}
     # the node has fewer terms than the corpus: pairs with an outside term drop
     terms = [t for t in range(corpus.num_terms) if corpus.vocab[t] != "w7"]
-    cfg = EmbedConfig(dim=5, epochs=2, lr=0.05, negatives=negatives,
-                      batch_size=batch_size, window=3)
+    cfg = EmbedConfig(dim=5, epochs=2, lr=0.05, batch_size=batch_size, window=3)
     n_pairs = loop_pair_arrays(corpus.documents, cfg.window)[0].size
     assert n_pairs % batch_size
     assert (n_pairs > SAMPLE_CHUNK) == (docs > 1000)
@@ -849,7 +830,7 @@ def test_trainer_improves_heldout_objective(trained):
     corpus, tax, keywords, cfg, space = trained
     batch = sample_batch(space, range(corpus.num_docs), cfg, corpus,
                          np.random.default_rng(TRAINED_SEED + 1))
-    after = objective_value(space, batch, cfg)
+    after = objective_value(space, batch)
     rng = np.random.default_rng(TRAINED_SEED)
     init = EmbeddingSpace(
         term_ids=space.term_ids, row_of=space.row_of,
@@ -859,7 +840,7 @@ def test_trainer_improves_heldout_objective(trained):
         topic_vecs=unit_rows(rng.standard_normal(space.topic_vecs.shape)),
         topic_kappa=np.ones(space.num_topics), center_rows=space.center_rows,
         keyword_rows=space.keyword_rows)
-    before = objective_value(init, batch, cfg)
+    before = objective_value(init, batch)
     assert after < before
 
 
@@ -880,7 +861,7 @@ def test_trainer_keyword_attraction_pulls_toward_own_topic(trained):
 def test_trainer_topics_repelled(trained):
     _, _, _, cfg, space = trained
     sim = float(space.topic_vecs[0] @ space.topic_vecs[1])
-    assert sim <= cfg.margin + 1e-3
+    assert sim <= MARGIN + 1e-3
 
 
 def test_trainer_deterministic_single_worker(trained):
@@ -919,11 +900,12 @@ def test_trainer_memory_per_pair(monkeypatch):
     # chunks (at batch 8192 and full chunks it is about 7 MiB, more than
     # the 4 B a second permutation adds at this size)
     monkeypatch.setattr(embedding, "SAMPLE_CHUNK", 1 << 12)
+    monkeypatch.setattr(embedding, "NEGATIVES", 2)
     rng = np.random.default_rng(0)
     corpus = corpus_from_lines([" ".join(f"t{t}" for t in row)
                                 for row in rng.integers(0, 480, (1050, 100))])
     docs, terms = range(corpus.num_docs), range(corpus.num_terms)
-    cfg = EmbedConfig(dim=8, epochs=2, negatives=2, window=5, batch_size=1024)
+    cfg = EmbedConfig(dim=8, epochs=2, window=5, batch_size=1024)
     row_of = np.arange(corpus.num_terms, dtype=np.int16)
     (tr, _), rows_peak = traced_peak(
         lambda: _pair_rows(corpus, docs, cfg.window, row_of))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from taxoforge import evaluation
-from taxoforge.clustering import ClusterConfig
 from taxoforge.embedding import EmbedConfig
 from taxoforge.evaluation import (
     PLANTED_CONFIG,
@@ -154,8 +153,7 @@ def test_generator_name_boost_raises_name_frequency():
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_planted_config_is_criteria_6_and_7s_config(tmp_path, seed):
     want = PipelineConfig(embed=EmbedConfig(dim=8, epochs=10, lr=0.05),
-                          child_batch_size=2048,
-                          cluster=ClusterConfig(beta1=5.0, beta2=5.0), seed=seed)
+                          child_batch_size=2048, beta1=5.0, beta2=5.0, seed=seed)
     assert pipeline_config(PLANTED_CONFIG, seed) == want
     path = tmp_path / "cfg.txt"
     path.write_text("".join(f"{k}={v}\n" for k, v in PLANTED_CONFIG.items()))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoforge import pipeline
-from taxoforge.clustering import ClusterConfig
+from taxoforge.clustering import cluster_node
 from taxoforge.corpus import load_corpus
 from taxoforge.embedding import EmbedConfig, train_node_embedding
 from taxoforge.evaluation import (PlantedCorpusSpec, generate_synthetic_corpus,
@@ -43,6 +43,9 @@ def test_pipeline_config_validation():
         PipelineConfig(min_terms=-1)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         PipelineConfig(seed=-1)
+    with pytest.raises(ValueError, match=re.escape("beta (beta1, beta2) must be "
+                                                   "finite and >= 1")):
+        PipelineConfig(beta1=0.5)
 
 
 def test_load_config_defaults():
@@ -60,13 +63,11 @@ def test_load_config_overrides(tmp_path):
         "\n"
         "lr=0.1\n"
         "beta2=4.0\n"
-        "tau_sig=0.5\n"
         "min_docs=3\n")
     cfg = load_config(str(path))
     assert cfg.embed.dim == 16
     assert cfg.embed.lr == 0.1
-    assert (cfg.cluster.beta1, cfg.cluster.beta2) == (1.5, 4.0)
-    assert cfg.cluster.tau_sig == 0.5
+    assert (cfg.beta1, cfg.beta2) == (1.5, 4.0)
     assert cfg.min_docs == 3
 
 
@@ -87,39 +88,33 @@ def test_load_config_rejects_malformed_line(tmp_path):
 @pytest.mark.parametrize("line,field", [("window=0", "window"),
                                         ("batch_size=0", "batch_size"),
                                         ("child_batch_size=0", "batch_size"),
-                                        ("kmax_novel=0", "kmax_novel"),
                                         ("epochs=0", "epochs"),
                                         ("lr=0", "lr"),
                                         ("dim=1", "dim"),
-                                        ("temperature=nan", "temperature"),
-                                        ("temperature=inf", "temperature must "
-                                                            "be finite"),
                                         ("lr=inf", "lr must be finite"),
                                         ("beta1=inf", "beta .* must be finite"),
                                         ("beta2=inf", "beta .* must be finite"),
                                         ("top_k=-1", "top_k"),
                                         ("beta1=nan", "beta"),
                                         ("beta2=nan", "beta"),
-                                        ("M=-3", r"M \(neighbors_m\)"),
                                         ("min_docs=-4", "min_docs"),
                                         ("min_docs=0", "min_docs must be >= 1, "
                                                        "got 0"),
                                         ("min_terms=-1", "min_terms must be >= 0, "
                                                          "got -1"),
-                                        ("dim=abc", "config line 1: dim expects "
+                                        ("dim=abc", "cfg.txt line 1: dim expects "
                                                     "int, got 'abc'"),
-                                        ("lr=fast", "config line 1: lr expects "
+                                        ("lr=fast", "cfg.txt line 1: lr expects "
                                                     "float, got 'fast'")])
 def test_load_config_rejects_bad_training_values(tmp_path, line, field):
     # the pipeline would otherwise train on no pairs, divide by zero deep
-    # in the trainer, make one novel cluster per novel term, keep the
-    # random initialization as the trained embedding, find no novel term
-    # (a NaN temperature or beta) or drop terms from every output node (a
-    # negative top_k); an infinite lr wrote NaN kappas, and an infinite
-    # temperature or beta flagged every term as novel and left the known
-    # topics without documents; a negative M or min_terms would silently act as 0,
+    # in the trainer, keep the random initialization as the trained
+    # embedding, find no novel term (a NaN beta) or drop terms from every
+    # output node (a negative top_k); an infinite lr wrote NaN kappas, and
+    # an infinite beta flagged every term as novel and left the known
+    # topics without documents; a negative min_terms would silently act as 0,
     # and a node with no documents has no term statistics to cluster; a
-    # value of the wrong type is named with its line and key
+    # value of the wrong type is named with its file, line and key
     path = tmp_path / "cfg.txt"
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=field):
@@ -131,17 +126,22 @@ def test_load_config_rejects_repeated_key(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("dim=8\n# a comment\nepochs=2\ndim = 4\n")
     with pytest.raises(ValueError, match=re.escape(
-            "config line 4: key 'dim' repeats the key of line 1")):
+            f"{path} line 4: key 'dim' repeats the key of line 1")):
         load_config(str(path))
 
 
 @pytest.mark.parametrize("line", ["child_dim", "child_margin", "child_negatives",
                                   "child_epochs", "child_lr", "max_depth",
-                                  "bm25_k1=-2", "bm25_b=3", "bm25_b=nan"])
+                                  "bm25_k1=-2", "bm25_b=3", "bm25_b=nan",
+                                  "margin=0.3", "negatives=2", "M=100",
+                                  "temperature=0.1", "tau_sig=0.3",
+                                  "kmax_novel=5"])
 def test_load_config_rejects_removed_child_keys(tmp_path, line):
     # nodes below the root share every embedding setting but the batch size;
     # no depth limit is needed: only nodes with two known sub-topics expand;
-    # BM25 runs with its standard constants k1 = 1.2 and b = 0.75
+    # BM25 runs with its standard constants k1 = 1.2 and b = 0.75; the
+    # margin, negatives and M are constants of the embedding module, and the
+    # temperature, tau_sig and the largest K* of the clustering module
     key, _, value = line.partition("=")
     path = tmp_path / "cfg.txt"
     path.write_text(f"{key}={value or 1}\n")
@@ -207,10 +207,9 @@ def test_every_config_field_has_one_key():
     # by --seed
     named = collections.Counter((group, attr) for group, attr, _ in
                                 CONFIG_KEYS.values())
-    for group, cls in (("embed", EmbedConfig), ("cluster", ClusterConfig),
-                       ("", PipelineConfig)):
+    for group, cls in (("embed", EmbedConfig), ("", PipelineConfig)):
         for f in dataclasses.fields(cls):
-            if f.name not in ("embed", "cluster", "seed"):
+            if f.name not in ("embed", "seed"):
                 assert named[(group, f.name)] == 1, f.name
 
 
@@ -308,10 +307,27 @@ def test_child_batch_size_below_the_root(monkeypatch, child_batch_size):
     assert sizes == [cfg.embed.batch_size] + [child] * (len(sizes) - 1)
 
 
+def test_beta1_at_the_root_and_beta2_below(monkeypatch):
+    # the root's known/novel split uses beta1, every level below it beta2
+    corpus, _, cfg = tiny_setup()
+    partial = parse_hierarchy("topic0\n\ttopic0_0\n\ttopic0_1\ntopic1", corpus)
+    cfg = PipelineConfig(embed=cfg.embed, beta1=1.5, beta2=3.0, min_terms=5,
+                         min_docs=5, seed=cfg.seed)
+    betas = []
+
+    def recording(space, stats, beta, seed, named):
+        betas.append(beta)
+        return cluster_node(space, stats, beta, seed, named)
+
+    monkeypatch.setattr(pipeline, "cluster_node", recording)
+    complete_taxonomy(corpus, partial, cfg)
+    assert len(betas) > 1   # some node below the root was expanded
+    assert betas == [1.5] + [3.0] * (len(betas) - 1)
+
+
 def test_pipeline_skips_small_nodes():
     corpus, partial, cfg = tiny_setup()
-    cfg = PipelineConfig(embed=cfg.embed, cluster=cfg.cluster,
-                         min_terms=10_000, min_docs=5, seed=cfg.seed)
+    cfg = PipelineConfig(embed=cfg.embed, min_terms=10_000, min_docs=5, seed=cfg.seed)
     tax = complete_taxonomy(corpus, partial, cfg)
     out = json.loads(serialize(tax, corpus, 10))
     # root is below min_terms: the input children survive untouched,
@@ -336,7 +352,7 @@ def test_node_without_documents_is_not_expanded():
     def config(min_docs):
         return PipelineConfig(
             embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256),
-            cluster=ClusterConfig(beta1=5.0, beta2=5.0), min_terms=5,
+            beta1=5.0, beta2=5.0, min_terms=5,
             min_docs=min_docs, seed=14)
 
     with pytest.raises(ValueError, match="min_docs must be >= 1, got 0"):
@@ -477,7 +493,8 @@ def test_cli_unknown_topic_is_error(dataset, tmp_path, capsys):
                   "--hierarchy", str(bad),
                   "--out", str(tmp_path / "o.json")])
     assert rc == 1
-    assert "no_such_topic" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"taxoforge: error: {bad}: topic names not in vocabulary: no_such_topic\n"
 
 
 def test_cli_space_indented_hierarchy_is_error(dataset, tmp_path, capsys):
@@ -489,7 +506,7 @@ def test_cli_space_indented_hierarchy_is_error(dataset, tmp_path, capsys):
                   "--out", str(tmp_path / "o.json")])
     assert rc == 1
     assert capsys.readouterr().err == \
-        "taxoforge: error: line 2: indent with tabs only\n"
+        f"taxoforge: error: {bad} line 2: indent with tabs only\n"
     assert not (tmp_path / "o.json").exists()
 
 
@@ -508,10 +525,9 @@ def test_cli_blank_corpus_is_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("cfg_text,integrity,message", [
     ("lr=inf\n", None, "lr must be finite and > 0, got inf"),
-    ("temperature=inf\n", None, "temperature must be finite"),
     ("beta1=inf\n", None, "beta (beta1, beta2) must be finite"),
     ("beta2=inf\n", None, "beta (beta1, beta2) must be finite"),
-    ("dim=8\ndim=4\n", None, "config line 2: key 'dim' repeats the key of line 1"),
+    ("dim=8\ndim=4\n", None, "cfg.txt line 2: key 'dim' repeats the key of line 1"),
     ("", "topic0\t0.2\ntopic0\t0.9\n",
      "line 2: term 'topic0' repeats the term of line 1"),
 ])
