@@ -57,6 +57,21 @@ def rows_of(mask):
     return set(np.flatnonzero(mask).tolist())
 
 
+# --- config validation ---
+
+
+def test_config_validation():
+    # the node's beta is checked where the split uses it
+    e = np.eye(3)
+    sp = space_with(np.array([[0.0, 0.0, 1.0]]), np.stack([e[0], e[1]]))
+    with pytest.raises(ValueError, match="beta must be >= 1"):
+        split_terms(sp, 0.5)
+    # the fixed knobs lie in the ranges the clustering needs
+    assert 0.0 < clustering.TEMPERATURE < np.inf
+    assert 0.0 <= clustering.TAU_SIG <= 1.0
+    assert isinstance(clustering.K_STAR_MAX, int) and clustering.K_STAR_MAX >= 1
+
+
 # --- novelty ---
 
 
