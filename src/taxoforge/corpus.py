@@ -53,7 +53,9 @@ class Corpus:
     @property
     def documents(self):
         """Every document, viewing its range of tokens. Built anew on each
-        call: bind it once outside a loop over documents."""
+        call: bind it once outside a loop over documents. The package reads
+        tokens and offsets; only the benchmark worker and the tests'
+        oracles read this."""
         return [Document(t) for t in np.split(self.tokens, self.offsets[1:-1])]
 
     def doc_tokens(self, doc_ids):

@@ -7,7 +7,6 @@ keyword terms toward their sub-topic vector (gated while cos < margin).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,27 +23,7 @@ SAMPLE_CHUNK = 1 << 16
 MARGIN = 0.3        # m: margin of the skip-gram and repulsion hinges and the keyword gate
 NEGATIVES = 2       # negative context samples per skip-gram pair
 NEIGHBORS_M = 100   # M: center-term neighbors whose documents join a node's local corpus
-
-
-@dataclass
-class EmbedConfig:
-    dim: int = 50
-    window: int = 5
-    epochs: int = 10
-    lr: float = 0.025
-    batch_size: int = 8192
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.dim < 2:
-            raise ValueError("embedding dimension (dim) must be >= 2")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+BATCH_SIZE = 8192   # SGD pairs per batch at the root
 
 
 class EmbeddingSpace:
@@ -195,14 +174,16 @@ def _pair_rows(corpus: Corpus, docs, window, row_of):
     return tr[keep], cr[keep]
 
 
-def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
+def train_node_embedding(docs, terms, keywords, cfg, batch_size: int,
                          corpus: Corpus, centers, seed: int) -> EmbeddingSpace:
     """Train a node-local embedding space.
 
     docs: ascending ids of the local sub-corpus's documents; terms: term
     ids with vectors; keywords: sub-topic key -> keyword term set (may be
-    empty); centers: sub-topic key -> center term, used to initialize
-    sub-topic vectors; seed: seeds the initialization, pairs and negatives.
+    empty); cfg: the run's PipelineConfig, of which the trainer reads dim,
+    window, epochs and lr; batch_size: SGD pairs per batch; centers:
+    sub-topic key -> center term, used to initialize sub-topic vectors;
+    seed: seeds the initialization, pairs and negatives.
     """
     if len(docs) == 0:
         raise ValueError("cannot train on an empty document set")
@@ -232,11 +213,11 @@ def train_node_embedding(docs, terms, keywords, cfg: EmbedConfig,
     space = EmbeddingSpace(term_ids, row_of, params, topic_order,
                            params[center_rows], np.ones(len(topic_order)),
                            center_rows, keyword_rows)
-    _sgd_epochs(space, docs, corpus, cfg, rng)
+    _sgd_epochs(space, docs, corpus, cfg, batch_size, rng)
     return space
 
 
-def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, rng):
+def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg, batch_size, rng):
     """cfg.epochs passes of projected SGD over the docs' pairs, in place.
 
     A space with no pairs keeps its seeded initialization. The pairs are
@@ -257,7 +238,7 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, r
     del tr, cr
     negs = np.empty((n_pairs, NEGATIVES), dtype=space.row_of.dtype)
 
-    n_batches = math.ceil(n_pairs / cfg.batch_size)
+    n_batches = math.ceil(n_pairs / batch_size)
     total_steps = cfg.epochs * n_batches
     step = 0
     for _ in range(cfg.epochs):
@@ -269,7 +250,7 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg: EmbedConfig, r
             chunk[:] = (_draw_rows(cum, guide, rng.random(chunk.size))
                         + n).reshape(chunk.shape)
         for b in range(n_batches):
-            sel = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            sel = perm[b * batch_size:(b + 1) * batch_size]
             pb = np.take(pairs, sel, axis=1)
             lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
             sgd_batch(space, pb[0], pb[1], np.take(negs, sel, axis=0), lr, MARGIN)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import Corpus, corpus_from_lines, read_lines
-from .pipeline import complete_taxonomy, pipeline_config
+from .pipeline import PipelineConfig, complete_taxonomy
 from .taxonomy import parse_hierarchy, serialize
 from .vmf import sample_vmf
 
@@ -177,17 +177,18 @@ def run_planted(seed: int, delete: str, spec=None, config=PLANTED_CONFIG,
     if text_order:
         corpus = corpus_from_lines(_corpus_lines(corpus))
     partial = parse_hierarchy("\n".join(outline), corpus)
-    cfg = pipeline_config(config, seed)
+    cfg = PipelineConfig(**config, seed=seed)
     t0 = time.perf_counter()
     tax = complete_taxonomy(corpus, partial, cfg)
     elapsed = time.perf_counter() - t0
-    return serialize(tax, corpus, cfg.top_k_output), doc_labels, term_labels, elapsed
+    return serialize(tax, corpus, cfg.top_k), doc_labels, term_labels, elapsed
 
 
 def _corpus_lines(corpus: Corpus) -> list:
     """One line of space-separated terms per document."""
-    return [" ".join(map(corpus.vocab.__getitem__, doc.tokens.tolist())) + "\n"
-            for doc in corpus.documents]
+    tokens, bounds = corpus.tokens.tolist(), corpus.offsets.tolist()
+    return [" ".join(map(corpus.vocab.__getitem__, tokens[a:b])) + "\n"
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def write_synthetic_dataset(spec: PlantedCorpusSpec, out_dir: str):

@@ -5,33 +5,45 @@ import collections
 import csv
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .clustering import cluster_node
 from .corpus import Corpus, compute_term_stats, load_corpus, read_lines
-from .embedding import NEIGHBORS_M, EmbedConfig, retrieve_local_corpus, train_node_embedding
+from .embedding import BATCH_SIZE, NEIGHBORS_M, retrieve_local_corpus, train_node_embedding
 from .taxonomy import Taxonomy, insert_children, parse_hierarchy, serialize, subtree_keywords
 
 
 @dataclass
 class PipelineConfig:
-    embed: EmbedConfig = field(default_factory=EmbedConfig)
+    """The run's settings; every field but seed is a config key."""
+    dim: int = 50
+    window: int = 5
+    epochs: int = 10
+    lr: float = 0.025
     # sub-corpora below the root are much smaller; nodes below the root may
-    # train on smaller batches (more SGD steps). None: embed.batch_size
-    child_batch_size: int | None = None
+    # train on smaller batches (more SGD steps); the root trains on BATCH_SIZE
+    child_batch_size: int = BATCH_SIZE
     beta1: float = 1.5   # novelty beta at the root (level 0)
     beta2: float = 3.0   # novelty beta at every level below
     min_terms: int = 50
     min_docs: int = 20
-    top_k_output: int = 10
+    top_k: int = 10
     seed: int = 0   # node n trains and clusters with seed + 7919 * n
 
     def __post_init__(self):
-        if self.child_batch_size is not None and self.child_batch_size < 1:
-            raise ValueError("child_batch_size must be >= 1")
         # each check is written so that NaN fails it
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.dim < 2:
+            raise ValueError("embedding dimension (dim) must be >= 2")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.child_batch_size < 1:
+            raise ValueError("child_batch_size must be >= 1")
         if not (1.0 <= self.beta1 < np.inf and 1.0 <= self.beta2 < np.inf):
             raise ValueError("beta (beta1, beta2) must be finite and >= 1")
         # a node without documents has no term statistics to cluster
@@ -39,10 +51,19 @@ class PipelineConfig:
             raise ValueError(f"min_docs must be >= 1, got {self.min_docs}")
         if self.min_terms < 0:
             raise ValueError(f"min_terms must be >= 0, got {self.min_terms}")
-        if self.top_k_output < 1:
+        if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def top_k_output(self):
+        """top_k, under the name the benchmark harness reads."""
+        return self.top_k
+
+
+# key -> type; the run seed is set by --seed
+CONFIG_KEYS = {f.name: f.type for f in fields(PipelineConfig) if f.name != "seed"}
 
 
 def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
@@ -57,8 +78,6 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
     root.terms = np.arange(corpus.num_terms)
     root.docs = np.arange(corpus.num_docs)
 
-    child_embed = cfg.embed if cfg.child_batch_size is None else \
-        replace(cfg.embed, batch_size=cfg.child_batch_size)
     # each entry carries its parent's trained space, for local-corpus retrieval
     queue = collections.deque([(tax.root, 0, None)])
     while queue:
@@ -70,9 +89,9 @@ def complete_taxonomy(corpus: Corpus, partial: Taxonomy, cfg: PipelineConfig,
         keywords = subtree_keywords(tax, node_id)
         centers = {c: tax.nodes[c].center_term for c in node.children}
         seed = cfg.seed + 7919 * node_id
-        embed_cfg = cfg.embed if depth == 0 else child_embed
-        space = train_node_embedding(local_docs, node.terms, keywords,
-                                     embed_cfg, corpus, centers, seed)
+        batch_size = BATCH_SIZE if depth == 0 else cfg.child_batch_size
+        space = train_node_embedding(local_docs, node.terms, keywords, cfg,
+                                     batch_size, corpus, centers, seed)
 
         # passed, not kept: the statistics (40 B per nonzero) must not stay
         # alive through the next node's training
@@ -115,21 +134,6 @@ def _dump_node_debug(debug_dir, node_id, sc, space, corpus):
     space.dump(os.path.join(debug_dir, f"node_{node_id}_embedding.txt"), corpus)
 
 
-CONFIG_KEYS = {
-    "dim": ("embed", "dim", int),
-    "window": ("embed", "window", int),
-    "epochs": ("embed", "epochs", int),
-    "lr": ("embed", "lr", float),
-    "batch_size": ("embed", "batch_size", int),
-    "child_batch_size": ("", "child_batch_size", int),
-    "beta1": ("", "beta1", float),
-    "beta2": ("", "beta2", float),
-    "min_terms": ("", "min_terms", int),
-    "min_docs": ("", "min_docs", int),
-    "top_k": ("", "top_k_output", int),
-}
-
-
 def load_config(path, seed=0, workers=1) -> PipelineConfig:
     """Flat key=value overrides on top of the defaults.
 
@@ -154,22 +158,13 @@ def load_config(path, seed=0, workers=1) -> PipelineConfig:
             if first_line.setdefault(key, lineno) != lineno:
                 raise ValueError(f"{where}: key {key!r} repeats the key of "
                                  f"line {first_line[key]}")
-            typ = CONFIG_KEYS[key][2]
+            typ = CONFIG_KEYS[key]
             try:
                 overrides[key] = typ(val)
             except ValueError:
                 raise ValueError(f"{where}: {key} expects {typ.__name__}, "
                                  f"got {val!r}") from None
-    return pipeline_config(overrides, seed)
-
-
-def pipeline_config(overrides: dict, seed=0) -> PipelineConfig:
-    """The defaults with overrides, keyed and typed as in CONFIG_KEYS."""
-    kw = {"embed": {}, "": {}}
-    for key, val in overrides.items():
-        group, attr, _ = CONFIG_KEYS[key]
-        kw[group][attr] = val
-    return PipelineConfig(embed=EmbedConfig(**kw["embed"]), seed=seed, **kw[""])
+    return PipelineConfig(**overrides, seed=seed)
 
 
 def run_cli(argv=None) -> int:
@@ -199,7 +194,7 @@ def run_cli(argv=None) -> int:
                   f"{len(root.terms)} terms (min_terms={cfg.min_terms}), "
                   f"{len(root.docs)} documents (min_docs={cfg.min_docs}); "
                   f"the input topics get no documents", file=sys.stderr)
-        text = serialize(tax, corpus, cfg.top_k_output)  # raises before --out exists
+        text = serialize(tax, corpus, cfg.top_k)  # raises before --out exists
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     except Exception as exc:  # noqa: BLE001 - CLI boundary

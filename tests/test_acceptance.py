@@ -30,7 +30,6 @@ from taxoforge.clustering import (
     spherical_kmeans,
 )
 from taxoforge.corpus import load_corpus
-from taxoforge.embedding import EmbedConfig
 from taxoforge.evaluation import (
     PlantedCorpusSpec,
     run_planted,
@@ -108,8 +107,8 @@ def test_criterion_2_novelty_range_and_thresholds(capfd, monkeypatch):
     corpus = load_corpus(f"{DATA}/corpus.txt")
     with open(f"{DATA}/partial.txt", encoding="utf-8") as f:
         partial = parse_hierarchy(f.read(), corpus)
-    cfg = PipelineConfig(embed=EmbedConfig(dim=8, epochs=2, lr=0.05),
-                         min_terms=10, min_docs=5, seed=0)
+    cfg = PipelineConfig(dim=8, epochs=2, lr=0.05, min_terms=10, min_docs=5,
+                         seed=0)
     complete_taxonomy(corpus, partial, cfg)
     in_range = bool(recorded) and all(
         np.all(nov > 0.0) and np.all(nov <= 1.0 - 1.0 / k + 1e-12)

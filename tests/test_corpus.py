@@ -18,8 +18,9 @@ from taxoforge.corpus import (
     corpus_from_lines,
     load_corpus,
 )
-from taxoforge.embedding import EmbedConfig, _pair_rows
+from taxoforge.embedding import BATCH_SIZE, _pair_rows
 from taxoforge.evaluation import PlantedCorpusSpec, _corpus_lines, generate_synthetic_corpus
+from taxoforge.pipeline import PipelineConfig
 
 
 def tf(corpus, term_id, doc_id):
@@ -472,12 +473,13 @@ def test_window_two_matches_bruteforce():
 
 
 def test_window_below_one_rejected():
-    # the trainer's config rejects a window that yields no pairs, and a
-    # batch size that yields no batches
+    # the config rejects a window that yields no pairs, and a batch size
+    # that yields no batches; the root's batch size is a constant
     with pytest.raises(ValueError, match="window"):
-        EmbedConfig(window=0)
+        PipelineConfig(window=0)
     with pytest.raises(ValueError, match="batch_size"):
-        EmbedConfig(batch_size=0)
+        PipelineConfig(child_batch_size=0)
+    assert BATCH_SIZE >= 1
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=20),

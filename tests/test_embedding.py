@@ -9,10 +9,10 @@ import pytest
 import taxoforge.embedding as embedding
 from taxoforge.corpus import Corpus, corpus_from_lines
 from taxoforge.embedding import (
+    BATCH_SIZE,
     GUIDE_BUCKETS,
     MARGIN,
     SAMPLE_CHUNK,
-    EmbedConfig,
     EmbeddingSpace,
     _draw_rows,
     _negative_table,
@@ -24,6 +24,7 @@ from taxoforge.embedding import (
     sgd_batch,
     train_node_embedding,
 )
+from taxoforge.pipeline import PipelineConfig
 from taxoforge.taxonomy import TopicNode, parse_hierarchy, subtree_keywords
 from taxoforge.vmf import KAPPA_MAX, bessel_ratio
 
@@ -100,7 +101,7 @@ def objective_value(space: EmbeddingSpace, batch: Batch) -> float:
     return val
 
 
-def sample_batch(space: EmbeddingSpace, docs, cfg: EmbedConfig, corpus: Corpus,
+def sample_batch(space: EmbeddingSpace, docs, cfg: PipelineConfig, corpus: Corpus,
                  rng, max_pairs=2048) -> Batch:
     """A fixed held-out batch over the node's documents, for objective tracking."""
     tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
@@ -199,7 +200,7 @@ def dense_gradients(space: EmbeddingSpace, batch: Batch):
 def test_config_training_values_validated(field, value):
     # epochs=0 used to train nothing and return the random initialization
     with pytest.raises(ValueError, match=field):
-        EmbedConfig(**{field: value})
+        PipelineConfig(**{field: value})
 
 
 # --- objective value ---
@@ -483,23 +484,25 @@ def trained():
     tax = parse_hierarchy("alpha0\n\talpha1\nbeta0\n\tbeta1", corpus)
     keywords = subtree_keywords(tax, tax.root)
     centers = {k: tax.nodes[k].center_term for k in keywords}
-    cfg = EmbedConfig(dim=8, epochs=8, lr=0.05)
+    cfg = PipelineConfig(dim=8, epochs=8, lr=0.05)
     space = train_node_embedding(range(corpus.num_docs),
                                  range(corpus.num_terms),
-                                 keywords, cfg, corpus, centers, TRAINED_SEED)
+                                 keywords, cfg, BATCH_SIZE, corpus, centers,
+                                 TRAINED_SEED)
     return corpus, tax, keywords, cfg, space
 
 
 def test_trainer_rejects_bad_inputs():
     corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(ValueError):
-        train_node_embedding([], [0, 1], {}, EmbedConfig(dim=4), corpus, {}, 0)
+        train_node_embedding([], [0, 1], {}, PipelineConfig(dim=4), BATCH_SIZE,
+                             corpus, {}, 0)
     with pytest.raises(ValueError, match="keyword"):
-        train_node_embedding([0], [0], {7: {1}}, EmbedConfig(dim=4), corpus,
-                             {7: 0}, 0)
+        train_node_embedding([0], [0], {7: {1}}, PipelineConfig(dim=4),
+                             BATCH_SIZE, corpus, {7: 0}, 0)
     with pytest.raises(ValueError, match="center"):
-        train_node_embedding([0], [0], {7: {0}}, EmbedConfig(dim=4), corpus,
-                             {7: 1}, 0)
+        train_node_embedding([0], [0], {7: {0}}, PipelineConfig(dim=4),
+                             BATCH_SIZE, corpus, {7: 1}, 0)
 
 
 def test_trainer_records_center_rows():
@@ -508,7 +511,7 @@ def test_trainer_records_center_rows():
     corpus = corpus_from_lines(["a b c d\n", "d c b a\n"])
     keywords = {5: {1, 3}, 2: {0}}
     space = train_node_embedding([0, 1], [3, 0, 1], keywords,
-                                 EmbedConfig(dim=4), corpus,
+                                 PipelineConfig(dim=4), BATCH_SIZE, corpus,
                                  centers={5: 3, 2: 0}, seed=0)
     assert space.term_ids.tolist() == [0, 1, 3]
     assert space.topic_order == [2, 5]
@@ -727,7 +730,8 @@ def test_topic_step_with_every_gate_shut_skips_bessel_ratio(monkeypatch):
     assert state.topic_kappa[[0, 2]].tobytes() == kappa[[0, 2]].tobytes()
 
 
-def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
+def reference_train(docs, terms, keywords, cfg, batch_size, corpus, centers,
+                    seed):
     """The trainer as a plain loop, the oracle for train_node_embedding.
 
     Pairs built one document at a time, np.searchsorted negatives drawn for
@@ -759,13 +763,13 @@ def reference_train(docs, terms, keywords, cfg, corpus, centers, seed):
     cum = np.cumsum(probs / probs.sum())
     state = space_over(params, topic_vecs, topic_kappa, keyword_rows)
     m = MARGIN
-    n_batches = -(-tr.size // cfg.batch_size)
+    n_batches = -(-tr.size // batch_size)
     step = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(tr.size)
         negs = np.searchsorted(cum, rng.random((tr.size, embedding.NEGATIVES)))
         for b in range(n_batches):
-            sl = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            sl = perm[b * batch_size:(b + 1) * batch_size]
             tb, cb, nb = tr[sl], cr[sl], negs[sl]
             lr = cfg.lr * max(1.0 - step / (cfg.epochs * n_batches), 1e-4)
             reference_step(target, context, tb, cb, nb, lr, m)
@@ -801,18 +805,18 @@ def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known,
     centers = {k: tax.nodes[k].center_term for k in keywords}
     # the node has fewer terms than the corpus: pairs with an outside term drop
     terms = [t for t in range(corpus.num_terms) if corpus.vocab[t] != "w7"]
-    cfg = EmbedConfig(dim=5, epochs=2, lr=0.05, batch_size=batch_size, window=3)
+    cfg = PipelineConfig(dim=5, epochs=2, lr=0.05, window=3)
     n_pairs = loop_pair_arrays(corpus.documents, cfg.window)[0].size
     assert n_pairs % batch_size
     assert (n_pairs > SAMPLE_CHUNK) == (docs > 1000)
     all_docs = range(corpus.num_docs)
-    space = train_node_embedding(all_docs, terms, keywords, cfg, corpus,
-                                 centers, 11)
+    space = train_node_embedding(all_docs, terms, keywords, cfg, batch_size,
+                                 corpus, centers, 11)
     tr, cr = _pair_rows(corpus, all_docs, cfg.window, space.row_of)
     assert tr.dtype == cr.dtype == (np.int32 if wide else np.int16)
     assert (cr.max() + len(terms) > np.iinfo(np.int16).max) == wide
-    expected = reference_train(all_docs, terms, keywords, cfg, corpus,
-                               centers, 11)
+    expected = reference_train(all_docs, terms, keywords, cfg, batch_size,
+                               corpus, centers, 11)
     for got, want in zip((space.target, space.context, space.topic_vecs,
                           space.topic_kappa), expected):
         assert np.array_equal(got, want)
@@ -869,7 +873,8 @@ def test_trainer_deterministic_single_worker(trained):
     centers = {k: tax.nodes[k].center_term for k in keywords}
     space2 = train_node_embedding(range(corpus.num_docs),
                                   range(corpus.num_terms),
-                                  keywords, cfg, corpus, centers, TRAINED_SEED)
+                                  keywords, cfg, BATCH_SIZE, corpus, centers,
+                                  TRAINED_SEED)
     assert np.array_equal(space.target, space2.target)
     assert np.array_equal(space.context, space2.context)
     assert np.array_equal(space.topic_vecs, space2.topic_vecs)
@@ -905,7 +910,7 @@ def test_trainer_memory_per_pair(monkeypatch):
     corpus = corpus_from_lines([" ".join(f"t{t}" for t in row)
                                 for row in rng.integers(0, 480, (1050, 100))])
     docs, terms = range(corpus.num_docs), range(corpus.num_terms)
-    cfg = EmbedConfig(dim=8, epochs=2, window=5, batch_size=1024)
+    cfg = PipelineConfig(dim=8, epochs=2, window=5)
     row_of = np.arange(corpus.num_terms, dtype=np.int16)
     (tr, _), rows_peak = traced_peak(
         lambda: _pair_rows(corpus, docs, cfg.window, row_of))
@@ -916,15 +921,15 @@ def test_trainer_memory_per_pair(monkeypatch):
     assert rows_peak < 7.5 * n_pairs + (1 << 20)
     del tr
     space, train_peak = traced_peak(
-        lambda: train_node_embedding(docs, terms, {}, cfg, corpus, {}, 1))
+        lambda: train_node_embedding(docs, terms, {}, cfg, 1024, corpus, {}, 1))
     assert space.row_of.dtype == np.int16
     assert train_peak < 13 * n_pairs + 2 * (1 << 20)
 
 
 def test_trainer_no_pairs_returns_initialization():
     corpus = corpus_from_lines(["a\n", "b\n"])  # one-token docs: no pairs
-    space = train_node_embedding([0, 1], [0, 1], {}, EmbedConfig(dim=4), corpus,
-                                 {}, 9)
+    space = train_node_embedding([0, 1], [0, 1], {}, PipelineConfig(dim=4),
+                                 BATCH_SIZE, corpus, {}, 9)
     assert np.abs(np.linalg.norm(space.target, axis=1) - 1.0).max() < 1e-9
 
 

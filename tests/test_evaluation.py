@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from taxoforge import evaluation
-from taxoforge.embedding import EmbedConfig
 from taxoforge.evaluation import (
     PLANTED_CONFIG,
     PlantedCorpusSpec,
@@ -19,7 +18,7 @@ from taxoforge.evaluation import (
     score_planted,
     write_synthetic_dataset,
 )
-from taxoforge.pipeline import PipelineConfig, load_config, pipeline_config
+from taxoforge.pipeline import PipelineConfig, load_config
 
 from test_pipeline import with_bad_second_line
 
@@ -152,9 +151,9 @@ def test_generator_name_boost_raises_name_frequency():
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_planted_config_is_criteria_6_and_7s_config(tmp_path, seed):
-    want = PipelineConfig(embed=EmbedConfig(dim=8, epochs=10, lr=0.05),
-                          child_batch_size=2048, beta1=5.0, beta2=5.0, seed=seed)
-    assert pipeline_config(PLANTED_CONFIG, seed) == want
+    want = PipelineConfig(dim=8, epochs=10, lr=0.05, child_batch_size=2048,
+                          beta1=5.0, beta2=5.0, seed=seed)
+    assert PipelineConfig(**PLANTED_CONFIG, seed=seed) == want
     path = tmp_path / "cfg.txt"
     path.write_text("".join(f"{k}={v}\n" for k, v in PLANTED_CONFIG.items()))
     assert load_config(str(path), seed=seed) == want

@@ -1,11 +1,11 @@
 """End-to-end pipeline behaviour, config parsing, and the CLI."""
 
-import collections
 import csv
 import dataclasses
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from taxoforge import pipeline
 from taxoforge.clustering import cluster_node
 from taxoforge.corpus import load_corpus
-from taxoforge.embedding import EmbedConfig, train_node_embedding
+from taxoforge.embedding import BATCH_SIZE, train_node_embedding
 from taxoforge.evaluation import (PlantedCorpusSpec, generate_synthetic_corpus,
                                   planted_outline, write_synthetic_dataset)
 from taxoforge.pipeline import (CONFIG_KEYS, PipelineConfig, complete_taxonomy,
@@ -30,8 +30,8 @@ def tiny_setup(seed=0):
                              doc_len=20, dim=8, seed=seed)
     corpus, _, _ = generate_synthetic_corpus(spec)
     partial = parse_hierarchy("topic0\ntopic1", corpus)
-    cfg = PipelineConfig(embed=EmbedConfig(dim=8, epochs=2, lr=0.05),
-                         min_terms=10, min_docs=5, seed=seed)
+    cfg = PipelineConfig(dim=8, epochs=2, lr=0.05, min_terms=10, min_docs=5,
+                         seed=seed)
     return corpus, partial, cfg
 
 
@@ -65,10 +65,19 @@ def test_load_config_overrides(tmp_path):
         "beta2=4.0\n"
         "min_docs=3\n")
     cfg = load_config(str(path))
-    assert cfg.embed.dim == 16
-    assert cfg.embed.lr == 0.1
+    assert cfg.dim == 16
+    assert cfg.lr == 0.1
     assert (cfg.beta1, cfg.beta2) == (1.5, 4.0)
     assert cfg.min_docs == 3
+
+
+def test_load_config_top_k_is_the_benchmarks_top_k_output(tmp_path):
+    # the benchmark worker serializes with cfg.top_k_output
+    path = tmp_path / "cfg.txt"
+    path.write_text("top_k=3\n")
+    cfg = load_config(str(path), seed=1, workers=1)
+    assert cfg.top_k == 3
+    assert cfg.top_k_output == 3
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -107,6 +116,7 @@ def test_load_config_rejects_malformed_line(tmp_path):
                                         ("lr=fast", "cfg.txt line 1: lr expects "
                                                     "float, got 'fast'")])
 def test_load_config_rejects_bad_training_values(tmp_path, line, field):
+    # batch_size=0 fails as an unknown key: the root's batch is a constant;
     # the pipeline would otherwise train on no pairs, divide by zero deep
     # in the trainer, keep the random initialization as the trained
     # embedding, find no novel term (a NaN beta) or drop terms from every
@@ -135,13 +145,14 @@ def test_load_config_rejects_repeated_key(tmp_path):
                                   "bm25_k1=-2", "bm25_b=3", "bm25_b=nan",
                                   "margin=0.3", "negatives=2", "M=100",
                                   "temperature=0.1", "tau_sig=0.3",
-                                  "kmax_novel=5"])
+                                  "kmax_novel=5", "batch_size=8192"])
 def test_load_config_rejects_removed_child_keys(tmp_path, line):
     # nodes below the root share every embedding setting but the batch size;
     # no depth limit is needed: only nodes with two known sub-topics expand;
     # BM25 runs with its standard constants k1 = 1.2 and b = 0.75; the
     # margin, negatives and M are constants of the embedding module, and the
-    # temperature, tau_sig and the largest K* of the clustering module
+    # temperature, tau_sig and the largest K* of the clustering module; the
+    # root's SGD batch is the embedding module's BATCH_SIZE
     key, _, value = line.partition("=")
     path = tmp_path / "cfg.txt"
     path.write_text(f"{key}={value or 1}\n")
@@ -151,17 +162,17 @@ def test_load_config_rejects_removed_child_keys(tmp_path, line):
 
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
 def test_each_config_key_sets_one_field(tmp_path, key):
-    # a valid value of the key's type that differs from the default
-    group, attr, typ = CONFIG_KEYS[key]
+    # a valid value of the key's type that differs from the default sets the
+    # field of the key's name and no other
+    typ = CONFIG_KEYS[key]
     value = typ("2.5" if key.startswith("beta") else
                 {int: "7", float: "0.5"}[typ])
     path = tmp_path / "cfg.txt"
     path.write_text(f"{key}={value}\n")
-    got, want = load_config(str(path)), load_config(None)
-    owner = getattr(want, group) if group else want
-    assert getattr(owner, attr) != value
-    setattr(owner, attr, value)
-    assert got == want
+    got, default = load_config(str(path), seed=3), PipelineConfig(seed=3)
+    assert getattr(default, key) != value
+    assert got == dataclasses.replace(default, **{key: value})
+    assert type(getattr(got, key)) is typ
 
 
 def test_readme_lists_every_config_key():
@@ -202,17 +213,6 @@ def test_pipeline_tree_invariants():
     assert len(doc_lists) == len(set(doc_lists))
 
 
-def test_every_config_field_has_one_key():
-    # a field without a key is a knob no run can set; the run seed is set
-    # by --seed
-    named = collections.Counter((group, attr) for group, attr, _ in
-                                CONFIG_KEYS.values())
-    for group, cls in (("embed", EmbedConfig), ("", PipelineConfig)):
-        for f in dataclasses.fields(cls):
-            if f.name not in ("embed", "seed"):
-                assert named[(group, f.name)] == 1, f.name
-
-
 @st.composite
 def small_planted_runs(draw):
     """A small planted corpus, a random partial outline of its hierarchy
@@ -233,7 +233,7 @@ def small_planted_runs(draw):
             outline.append(line)
     seed = draw(st.integers(0, 100))
     cfg = PipelineConfig(
-        embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256),
+        dim=4, epochs=1, window=2, lr=0.05, child_batch_size=256,
         min_terms=draw(st.integers(1, 20)), min_docs=draw(st.integers(1, 10)),
         seed=seed)
     return corpus, "\n".join(outline), cfg
@@ -241,15 +241,17 @@ def small_planted_runs(draw):
 
 def _run_small(corpus, outline, cfg):
     tax = complete_taxonomy(corpus, parse_hierarchy(outline, corpus), cfg)
-    return serialize(tax, corpus, cfg.top_k_output)
+    return serialize(tax, corpus, cfg.top_k)
 
 
 @given(small_planted_runs())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_pipeline_properties_on_small_planted_runs(run):
     corpus, outline, cfg = run
-    text = _run_small(corpus, outline, cfg)
-    assert _run_small(corpus, outline, cfg) == text
+    # the root trains on batches of 256 too, as the nodes below it do
+    with mock.patch.object(pipeline, "BATCH_SIZE", 256):
+        text = _run_small(corpus, outline, cfg)
+        assert _run_small(corpus, outline, cfg) == text
     tree = json.loads(text)
     inputs = [line.strip() for line in outline.splitlines()]
     found, names = [], []
@@ -286,33 +288,33 @@ def test_pipeline_properties_on_small_planted_runs(run):
 
 @pytest.mark.parametrize("child_batch_size", [None, 64])
 def test_child_batch_size_below_the_root(monkeypatch, child_batch_size):
-    # the root trains with embed.batch_size, every node below it with
-    # child_batch_size, or with embed.batch_size when that is None
+    # the root trains with BATCH_SIZE, every node below it with
+    # child_batch_size, whose default (None: not set) is BATCH_SIZE
     # topic0 keeps both of its sub-topics, so it is expanded below the root
     corpus, _, cfg = tiny_setup()
     partial = parse_hierarchy("topic0\n\ttopic0_0\n\ttopic0_1\ntopic1", corpus)
-    cfg = PipelineConfig(embed=cfg.embed, child_batch_size=child_batch_size,
-                         min_terms=5, min_docs=5, seed=cfg.seed)
+    cfg = dataclasses.replace(cfg, min_terms=5, min_docs=5)
+    if child_batch_size is not None:
+        cfg = dataclasses.replace(cfg, child_batch_size=child_batch_size)
     sizes = []
 
-    def recording(docs, terms, keywords, embed_cfg, corpus, centers, seed):
-        sizes.append(embed_cfg.batch_size)
-        return train_node_embedding(docs, terms, keywords, embed_cfg, corpus,
-                                    centers, seed)
+    def recording(docs, terms, keywords, cfg, batch_size, corpus, centers, seed):
+        sizes.append(batch_size)
+        return train_node_embedding(docs, terms, keywords, cfg, batch_size,
+                                    corpus, centers, seed)
 
     monkeypatch.setattr(pipeline, "train_node_embedding", recording)
     complete_taxonomy(corpus, partial, cfg)
-    child = cfg.embed.batch_size if child_batch_size is None else child_batch_size
+    child = BATCH_SIZE if child_batch_size is None else child_batch_size
     assert len(sizes) > 1   # some node below the root was expanded
-    assert sizes == [cfg.embed.batch_size] + [child] * (len(sizes) - 1)
+    assert sizes == [BATCH_SIZE] + [child] * (len(sizes) - 1)
 
 
 def test_beta1_at_the_root_and_beta2_below(monkeypatch):
     # the root's known/novel split uses beta1, every level below it beta2
     corpus, _, cfg = tiny_setup()
     partial = parse_hierarchy("topic0\n\ttopic0_0\n\ttopic0_1\ntopic1", corpus)
-    cfg = PipelineConfig(embed=cfg.embed, beta1=1.5, beta2=3.0, min_terms=5,
-                         min_docs=5, seed=cfg.seed)
+    cfg = dataclasses.replace(cfg, beta1=1.5, beta2=3.0, min_terms=5, min_docs=5)
     betas = []
 
     def recording(space, stats, beta, seed, named):
@@ -327,7 +329,7 @@ def test_beta1_at_the_root_and_beta2_below(monkeypatch):
 
 def test_pipeline_skips_small_nodes():
     corpus, partial, cfg = tiny_setup()
-    cfg = PipelineConfig(embed=cfg.embed, min_terms=10_000, min_docs=5, seed=cfg.seed)
+    cfg = dataclasses.replace(cfg, min_terms=10_000, min_docs=5)
     tax = complete_taxonomy(corpus, partial, cfg)
     out = json.loads(serialize(tax, corpus, 10))
     # root is below min_terms: the input children survive untouched,
@@ -351,13 +353,14 @@ def test_node_without_documents_is_not_expanded():
 
     def config(min_docs):
         return PipelineConfig(
-            embed=EmbedConfig(dim=4, epochs=1, window=2, lr=0.05, batch_size=256),
+            dim=4, epochs=1, window=2, lr=0.05, child_batch_size=256,
             beta1=5.0, beta2=5.0, min_terms=5,
             min_docs=min_docs, seed=14)
 
     with pytest.raises(ValueError, match="min_docs must be >= 1, got 0"):
         config(0)
-    tree = json.loads(_run_small(corpus, outline, config(1)))
+    with mock.patch.object(pipeline, "BATCH_SIZE", 256):   # the root's too
+        tree = json.loads(_run_small(corpus, outline, config(1)))
     topic1 = next(c for c in tree["children"] if c["name"] == "topic1")
     assert topic1["doc_ids"] == []
     assert not any(c["is_novel"] for c in topic1["children"])
