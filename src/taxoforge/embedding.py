@@ -16,9 +16,16 @@ from .vmf import KAPPA_MAX, bessel_ratio
 # Negative sampling. GUIDE_BUCKETS is a power of two, so u * GUIDE_BUCKETS is
 # exact and bucket j = floor(u * GUIDE_BUCKETS) satisfies j / GUIDE_BUCKETS
 # <= u. SAMPLE_CHUNK pair rows are drawn per rng.random call, which bounds
-# the sampler's scratch memory; the draws equal one whole-epoch call.
+# the sampler's scratch memory; the draws equal one whole-epoch call. The
+# batches read their negatives in chunks of about as many pairs.
 GUIDE_BUCKETS = 1 << 16
 SAMPLE_CHUNK = 1 << 16
+# a pair's index takes the high 32 bits of its int64 record and must keep
+# the record positive
+MAX_PAIRS = (1 << 31) - 1
+# the topic step's screen of the keyword gates: a cosine this far from the
+# margin has the same side in any summation order (rows of unit norm)
+SCREEN_TOL = 1e-9
 
 MARGIN = 0.3        # m: margin of the skip-gram and repulsion hinges and the keyword gate
 NEGATIVES = 2       # negative context samples per skip-gram pair
@@ -34,8 +41,9 @@ class EmbeddingSpace:
     2n <= 32 767 and int32 above; the trainer's pair rows take its dtype.
     params stacks the n target rows over the n context rows; target and
     context are views of it. Sub-topic topic_order[k] has its center term
-    on row center_rows[k], its keywords on keyword_rows[k]. The trainer
-    steps the space in place.
+    on row center_rows[k], its keywords on keyword_rows[k]; keyword_all
+    concatenates those rows and keyword_topic names each one's sub-topic.
+    The trainer steps the space in place.
     """
 
     def __init__(self, term_ids, row_of, params, topic_order, topic_vecs,
@@ -50,6 +58,14 @@ class EmbeddingSpace:
         self.topic_kappa = topic_kappa
         self.center_rows = np.asarray(center_rows, dtype=np.int64)
         self.keyword_rows = [np.asarray(rows, dtype=np.int64) for rows in keyword_rows]
+        sizes = [rows.size for rows in self.keyword_rows]
+        self.keyword_all = np.concatenate([np.zeros(0, dtype=np.int64),
+                                           *self.keyword_rows])
+        self.keyword_topic = np.repeat(np.arange(len(sizes)), sizes)
+        # a keyword row of two sub-topics: one topic's pull moves another's
+        # keyword after the screen has read it
+        self.keywords_shared = bool(
+            (np.bincount(self.keyword_all) > 1).any())
 
     @property
     def dim(self):
@@ -72,7 +88,8 @@ class EmbeddingSpace:
 
 
 def _unit(x, axis=-1):
-    return x / np.linalg.norm(x, axis=axis, keepdims=True)
+    # np.linalg.norm's arithmetic for real input, without its wrapper
+    return x / np.sqrt(np.add.reduce(x * x, axis, keepdims=True))
 
 
 def _scatter_unit(x, rows, idx, w):
@@ -103,8 +120,9 @@ def _scatter_unit(x, rows, idx, w):
         x[rows] = _unit(acc[rows])
 
 
-def _negative_table(counts):
-    """Cumulative distribution of counts ** 0.75 over rows, and its guide table.
+def _negative_table(counts, dtype):
+    """Cumulative distribution of counts ** 0.75 over rows, and its guide
+    table in dtype, which must hold len(counts).
 
     cum is 1.0 from the last row with a positive count on: the rounded
     cumulative sum can end below 1.0, and a draw above it would select row n.
@@ -116,7 +134,8 @@ def _negative_table(counts):
     cum = np.cumsum(probs / probs.sum())
     drawn = np.flatnonzero(counts)
     cum[drawn[-1]:] = 1.0
-    guide = np.searchsorted(cum, np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS)
+    guide = np.searchsorted(
+        cum, np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS).astype(dtype)
     guide[0] = drawn[0]
     return cum, guide
 
@@ -124,9 +143,10 @@ def _negative_table(counts):
 def _draw_rows(cum, guide, u):
     """The first row with cum >= u, for draws u in [0, 1), by guide-table lookup.
 
-    Equal to np.searchsorted(cum, u) for u > 0; u == 0.0 gives the first
-    row with a positive count. The answer is at or after the guide entry of
-    u's bucket; each draw walks forward from there while cum < u.
+    Equal to np.searchsorted(cum, u) for u > 0, in guide's dtype; u == 0.0
+    gives the first row with a positive count. The answer is at or after
+    the guide entry of u's bucket; each draw walks forward from there while
+    cum < u.
     """
     idx = guide[(u * GUIDE_BUCKETS).astype(np.intp)]
     behind = np.flatnonzero(cum[idx] < u)
@@ -220,44 +240,74 @@ def train_node_embedding(docs, terms, keywords, cfg, batch_size: int,
 def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg, batch_size, rng):
     """cfg.epochs passes of projected SGD over the docs' pairs, in place.
 
-    A space with no pairs keeps its seeded initialization. The pairs are
-    two arrays in row_of's dtype, both of params rows: a (2, pairs) array
-    of target rows over context rows, and a (pairs, negatives) array that
-    each epoch refills with its negatives. A batch makes one np.take of
-    each, so its target, context and negative rows are contiguous.
+    A space with no pairs keeps its seeded initialization. Each pair is
+    one int64 record: its index in the high 32 bits, its target row below
+    them and, when rows are int16, its context row (offset by n) in the
+    low 16 bits; int32 rows keep the context rows in pair order beside the
+    records. Each epoch shuffles the records in place, which gives the
+    order and generator state of rng.permutation(pairs), and a later epoch
+    first sorts them back into pair order by their index. So a batch is a
+    contiguous slice of records. The negatives are drawn in pair order
+    into a (pairs, negatives) array in row_of's dtype and gathered by the
+    records' index once per chunk of about SAMPLE_CHUNK pairs of whole
+    batches, with the int32 context rows.
     """
     tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
     n, n_pairs = space.term_ids.size, tr.size
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(f"a node has {n_pairs} skip-gram pairs; the trainer "
+                         f"takes at most {MAX_PAIRS}")
     if n_pairs == 0:
         return
-    cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64))
-    pairs = np.empty((2, n_pairs), dtype=space.row_of.dtype)
-    pairs[0] = tr
-    pairs[1] = cr
-    pairs[1] += n
-    del tr, cr
-    negs = np.empty((n_pairs, NEGATIVES), dtype=space.row_of.dtype)
+    row_dtype = space.row_of.dtype
+    cum, guide = _negative_table(np.bincount(cr, minlength=n).astype(np.float64),
+                                 row_dtype)
+    packed = row_dtype == np.int16
+    cr += n
+    rec = np.empty(n_pairs, dtype=np.int64)
+    # in chunks: a whole-array int64 temporary would add 8 B per pair
+    for s in range(0, n_pairs, SAMPLE_CHUNK):
+        e = min(s + SAMPLE_CHUNK, n_pairs)
+        r = np.arange(s, e, dtype=np.int64)
+        r <<= 32
+        if packed:
+            r |= tr[s:e].astype(np.int64) << 16
+            r |= cr[s:e]
+        else:
+            r |= tr[s:e]
+        rec[s:e] = r
+    del r, tr
+    if packed:
+        del cr
+    negs = np.empty((n_pairs, NEGATIVES), dtype=row_dtype)
 
-    n_batches = math.ceil(n_pairs / batch_size)
-    total_steps = cfg.epochs * n_batches
+    total_steps = cfg.epochs * math.ceil(n_pairs / batch_size)
+    span = max(SAMPLE_CHUNK // batch_size, 1) * batch_size
     step = 0
-    for _ in range(cfg.epochs):
-        # the order and generator state of rng.permutation(n_pairs), in int32
-        perm = np.arange(n_pairs, dtype=np.int32)
-        rng.shuffle(perm)
-        for start in range(0, n_pairs, SAMPLE_CHUNK):
-            chunk = negs[start:start + SAMPLE_CHUNK]
-            chunk[:] = (_draw_rows(cum, guide, rng.random(chunk.size))
-                        + n).reshape(chunk.shape)
-        for b in range(n_batches):
-            sel = perm[b * batch_size:(b + 1) * batch_size]
-            pb = np.take(pairs, sel, axis=1)
-            lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-            sgd_batch(space, pb[0], pb[1], np.take(negs, sel, axis=0), lr, MARGIN)
-            step += 1
-        # freed before the next epoch allocates its own; the last batch's
-        # slice is a view that would keep it alive
-        del perm, sel
+    for epoch in range(cfg.epochs):
+        if epoch:
+            rec.sort()
+        rng.shuffle(rec)
+        for s in range(0, n_pairs, SAMPLE_CHUNK):
+            out = negs[s:s + SAMPLE_CHUNK].reshape(-1)   # a view
+            np.add(_draw_rows(cum, guide, rng.random(out.size)), n, out=out)
+        for s in range(0, n_pairs, span):
+            chunk = rec[s:s + span]
+            sel = chunk >> 32
+            nb = np.take(negs, sel, axis=0)
+            # astype keeps the low bits of each record
+            if packed:
+                tb = (chunk >> 16).astype(row_dtype)
+                cb = chunk.astype(row_dtype)
+            else:
+                tb = chunk.astype(row_dtype)
+                cb = np.take(cr, sel)
+            del sel   # 8 B per pair of the chunk; the batches do not read it
+            for b in range(0, chunk.size, batch_size):
+                lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
+                sgd_batch(space, tb[b:b + batch_size], cb[b:b + batch_size],
+                          nb[b:b + batch_size], lr, MARGIN)
+                step += 1
         space.params[:] = _unit(space.params)
         if space.num_topics:
             space.topic_vecs[:] = _unit(space.topic_vecs)
@@ -330,8 +380,11 @@ def _topic_step(space: EmbeddingSpace, lr, margin):
 
     Work that would add only zeros is skipped, which moves no bit: the
     repulsion matmul runs only when some pair of topics is closer than
-    the margin, the Bessel ratios are computed on the first open
-    keyword gate, and kappa moves only when a gate was open.
+    the margin, the Bessel ratios are computed on the first open keyword
+    gate, and kappa moves only when a gate was open. One einsum screens
+    every keyword's cosine to its topic; only a topic with a keyword below
+    margin + SCREEN_TOL, or, when topics share keyword rows, any topic
+    after one whose pull moved rows, recomputes its cosines exactly.
     """
     s = space.topic_vecs
     k_cnt = s.shape[0]
@@ -340,20 +393,27 @@ def _topic_step(space: EmbeddingSpace, lr, margin):
     target, kappa = space.target, space.topic_kappa
     g_s = np.zeros_like(s)
     if k_cnt >= 2:
-        sims = s @ s.T
-        active = np.triu(sims - margin > 0.0, 1)
-        if active.any():
+        hot = s @ s.T > margin
+        hot.flat[::k_cnt + 1] = False   # no topic repels itself
+        if hot.any():
+            active = np.triu(hot)
             g_s += (active | active.T) @ s
+    screen = np.einsum("kd,kd->k", np.take(target, space.keyword_all, axis=0),
+                       np.take(s, space.keyword_topic, axis=0))
+    check = np.zeros(k_cnt, dtype=bool)
+    check[space.keyword_topic[screen < margin + SCREEN_TOL]] = True
     ratios = None
     g_k = np.zeros(k_cnt)
     for k, rows in enumerate(space.keyword_rows):
-        if len(rows) == 0:
+        if not check[k]:
             continue
         tk = target[rows]
         kw_sims = tk @ s[k]
         gate = kw_sims < margin
         if not gate.any():
             continue
+        if space.keywords_shared:
+            check[k + 1:] = True
         if ratios is None:
             ratios = bessel_ratio(kappa, space.dim)
         kap = kappa[k]

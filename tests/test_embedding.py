@@ -378,7 +378,7 @@ def counts_with_cum_below_one(zero_rows=()):
 def test_negative_table_ends_at_one():
     # zero rows inside and at the end
     counts = counts_with_cum_below_one(zero_rows=(3, 10, 48, 49))
-    cum, guide = _negative_table(counts)
+    cum, guide = _negative_table(counts, np.int16)
     assert cum[47:].tolist() == [1.0, 1.0, 1.0]
     probs = counts ** 0.75
     raw = np.cumsum(probs / probs.sum())
@@ -401,7 +401,10 @@ def test_draw_rows_equals_searchsorted(kind):
         counts[-20:] = 0.0
     else:   # ~15 rows per bucket: long walks from the guide entry
         counts = np.ones(1_000_000)
-    cum, guide = _negative_table(counts)
+    # the trainer's row dtype: int16 up to 16 383 rows
+    dtype = np.int16 if 2 * counts.size <= np.iinfo(np.int16).max else np.int32
+    cum, guide = _negative_table(counts, dtype)
+    assert guide.dtype == dtype
     edges = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
     u = np.concatenate([
         rng.random(200_000),
@@ -412,6 +415,7 @@ def test_draw_rows_equals_searchsorted(kind):
         [0.0, np.nextafter(1.0, 0.0)],
     ])
     got = _draw_rows(cum, guide, u)
+    assert got.dtype == dtype
     assert np.array_equal(got, np.searchsorted(cum, u))
     drawn = np.unique(got[u > 0.0])
     assert counts[drawn].all()                  # zero-count rows never drawn
@@ -420,19 +424,27 @@ def test_draw_rows_equals_searchsorted(kind):
 
 def test_draw_rows_zero_draw_skips_zero_count_first_row():
     # np.searchsorted(cum, 0.0) is 0, a row with no count
-    cum, guide = _negative_table(np.array([0.0, 3.0, 1.0]))
+    cum, guide = _negative_table(np.array([0.0, 3.0, 1.0]), np.int16)
     assert _draw_rows(cum, guide, np.array([0.0, 1e-300]))[0] == 1
     assert _draw_rows(cum, guide, np.array([1e-300]))[0] == 1
 
 
-@pytest.mark.parametrize("n", [1, 7, 100_000, 1_026_000])
-def test_int32_shuffle_equals_permutation(n):
-    # the trainer shuffles an int32 arange in place of rng.permutation(n)
+@pytest.mark.parametrize("packed", [True, False], ids=["int16-rows", "int32-rows"])
+@pytest.mark.parametrize("n", [1, 2, 7, 65_537])
+def test_record_shuffle_equals_permutation(n, packed):
+    # the trainer shuffles int64 records, a pair's index in the high 32 bits
+    # over its rows, in place of rng.permutation(n), and sorts them back
+    bits = np.random.default_rng(n).integers(0, 1 << 15, size=(n, 2))
+    # int16 rows: target and context row side by side; int32: one row
+    low = bits[:, 0] << 16 | bits[:, 1] if packed else bits[:, 0] << 15 | bits[:, 1]
+    rec = np.arange(n, dtype=np.int64) << 32 | low
+    want = rec.copy()
     a, b = np.random.default_rng(n), np.random.default_rng(n)
-    perm = np.arange(n, dtype=np.int32)
-    a.shuffle(perm)
-    assert np.array_equal(perm, b.permutation(n))
+    a.shuffle(rec)
+    assert np.array_equal(rec >> 32, b.permutation(n))
     assert a.bit_generator.state == b.bit_generator.state
+    rec.sort()
+    assert np.array_equal(rec, want)
 
 
 def test_sgd_batch_matches_dense_gradient_step():
@@ -503,6 +515,18 @@ def test_trainer_rejects_bad_inputs():
     with pytest.raises(ValueError, match="center"):
         train_node_embedding([0], [0], {7: {0}}, PipelineConfig(dim=4),
                              BATCH_SIZE, corpus, {7: 1}, 0)
+
+
+def test_trainer_rejects_more_pairs_than_a_record_can_index(monkeypatch):
+    # read-only views of 2**31 pairs allocate nothing; the check comes
+    # before any per-pair array
+    n_pairs = embedding.MAX_PAIRS + 1
+    rows = np.broadcast_to(np.int16(0), (n_pairs,))
+    monkeypatch.setattr(embedding, "_pair_rows", lambda *args: (rows, rows))
+    corpus = corpus_from_lines(["a b\n"])
+    with pytest.raises(ValueError, match=f"a node has {n_pairs} skip-gram pairs"):
+        train_node_embedding([0], [0, 1], {}, PipelineConfig(dim=4), BATCH_SIZE,
+                             corpus, {}, 0)
 
 
 def test_trainer_records_center_rows():
@@ -670,16 +694,19 @@ def reference_topic_step(state, lr, m):
     np.clip(state.topic_kappa, 0.0, KAPPA_MAX, out=state.topic_kappa)
 
 
-def topic_state(seed, n=20, dim=5, k_cnt=3, closed=(), far=False):
+def topic_state(seed, n=20, dim=5, k_cnt=3, closed=(), far=False, shared=False):
     """A space with keyword rows per topic; the keywords of the topics in
     closed sit on their topic vector (gate shut), and with far the topic
-    vectors are orthogonal (no repulsion)."""
+    vectors are orthogonal (no repulsion). The keyword sets are disjoint,
+    but with shared topic 0's first keyword row is topic 1's too."""
     rng = np.random.default_rng(seed)
     params = unit_rows(rng.standard_normal((2 * n, dim)))
     topic_vecs = (np.eye(dim)[:k_cnt].copy() if far
                   else unit_rows(rng.standard_normal((k_cnt, dim)) + 2.0))
     # disjoint keyword sets, so shutting one topic's gates leaves the others
     keyword_rows = list(np.sort(rng.permutation(n)[:3 * k_cnt].reshape(k_cnt, 3)))
+    if shared:
+        keyword_rows[1][0] = keyword_rows[0][0]
     for k in closed:
         params[keyword_rows[k]] = topic_vecs[k]
     kappa = rng.uniform(0.5, 30.0, size=k_cnt)
@@ -692,20 +719,53 @@ def copy_state(state):
                       [r.copy() for r in state.keyword_rows])
 
 
-@pytest.mark.parametrize("closed,far", [
-    ((), False), ((0,), False), ((1, 2), True), ((0, 1, 2), False),
-    ((0, 1, 2), True)], ids=["open", "one-shut", "two-shut-far",
-                             "all-shut", "all-shut-far"])
-def test_topic_step_bit_equal_to_reference(closed, far):
+def step_matches_reference(state, lr):
+    """Step state by _topic_step and a copy by the reference; both must
+    end with the same bits."""
+    want = copy_state(state)
+    _topic_step(state, lr, MARGIN)
+    reference_topic_step(want, lr, MARGIN)
+    for got, expected in ((state.params, want.params),
+                          (state.topic_vecs, want.topic_vecs),
+                          (state.topic_kappa, want.topic_kappa)):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("closed,far,edge", [
+    ((), False, None), ((0,), False, None), ((1, 2), True, None),
+    ((0, 1, 2), False, None), ((0, 1, 2), True, None),
+    ((0, 1, 2), True, -1), ((0, 1, 2), True, 0), ((0, 1, 2), True, 1)],
+    ids=["open", "one-shut", "two-shut-far", "all-shut", "all-shut-far",
+         "edge-below", "edge-at", "edge-above"])
+def test_topic_step_bit_equal_to_reference(closed, far, edge):
+    # edge: one keyword of topic 0 sits at cosine MARGIN to it, moved by
+    # that many ulps, inside the screen's band: the exact loop decides
     for seed in range(20):
         state = topic_state(seed, closed=closed, far=far)
-        want = copy_state(state)
-        _topic_step(state, 0.05, MARGIN)
-        reference_topic_step(want, 0.05, MARGIN)
-        for got, expected in ((state.params, want.params),
-                              (state.topic_vecs, want.topic_vecs),
-                              (state.topic_kappa, want.topic_kappa)):
-            assert np.array_equal(got, expected)
+        if edge is not None:
+            cos = MARGIN if edge == 0 else np.nextafter(MARGIN, edge)
+            row = state.keyword_rows[0][0]
+            # topic 0 is e0, so the exact cosine is cos
+            state.target[row] = [cos, 0.0, 0.0, np.sqrt(1.0 - cos * cos), 0.0]
+            assert state.target[row] @ state.topic_vecs[0] == cos
+        kappa = state.topic_kappa.copy()
+        step_matches_reference(state, 0.05)
+        if edge is not None:
+            # the gate opens below the margin only, and kappa moves with it
+            assert (state.topic_kappa[0] != kappa[0]) == (edge < 0)
+
+
+def test_topic_step_shared_keyword_row_bit_equal_to_reference():
+    # topic 0's pull moves a keyword row of topic 1 after the screen has
+    # read it, and in some seeds across topic 1's gate
+    opened = 0
+    for seed in range(20):
+        state = topic_state(seed, closed=(1, 2), far=True, shared=True)
+        assert state.keywords_shared
+        kappa = state.topic_kappa.copy()
+        step_matches_reference(state, 1.0)
+        opened += state.topic_kappa[1] != kappa[1]
+    assert opened > 0
 
 
 def test_topic_step_with_every_gate_shut_skips_bessel_ratio(monkeypatch):
@@ -781,15 +841,17 @@ def reference_train(docs, terms, keywords, cfg, batch_size, corpus, centers,
     return target, context, topic_vecs, topic_kappa
 
 
-@pytest.mark.parametrize("negatives,batch_size,docs,known,wide", [
-    (1, 700, 120, True, False),      # batch size does not divide the pair count
-    (3, 512, 120, True, False),
-    (2, 8192, 1200, True, False),    # more pairs than one sampling chunk
-    (2, 700, 120, False, False),     # no known sub-topics: no topic/kappa step
-    (2, 700, 120, True, True),       # more than 16 383 terms: int32 rows
-], ids=["1-700-120", "3-512-120", "2-8192-1200", "no-known", "wide-int32"])
+@pytest.mark.parametrize("negatives,batch_size,docs,known,wide,epochs", [
+    (1, 700, 120, True, False, 2),      # batch size does not divide the pair count
+    (3, 512, 120, True, False, 2),
+    (2, 8192, 1200, True, False, 2),    # more pairs than one sampling chunk
+    (2, 700, 120, False, False, 2),     # no known sub-topics: no topic/kappa step
+    (2, 700, 120, True, True, 2),       # more than 16 383 terms: int32 rows
+    (2, 700, 120, True, False, 3),      # the records sorted back twice
+], ids=["1-700-120", "3-512-120", "2-8192-1200", "no-known", "wide-int32",
+        "3-epochs"])
 def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known,
-                                             wide, monkeypatch):
+                                             wide, epochs, monkeypatch):
     monkeypatch.setattr(embedding, "NEGATIVES", negatives)
     rng = np.random.default_rng(negatives)
     vocab = [f"w{i}" for i in range(60)]
@@ -805,7 +867,7 @@ def test_trainer_bit_equal_to_reference_loop(negatives, batch_size, docs, known,
     centers = {k: tax.nodes[k].center_term for k in keywords}
     # the node has fewer terms than the corpus: pairs with an outside term drop
     terms = [t for t in range(corpus.num_terms) if corpus.vocab[t] != "w7"]
-    cfg = PipelineConfig(dim=5, epochs=2, lr=0.05, window=3)
+    cfg = PipelineConfig(dim=5, epochs=epochs, lr=0.05, window=3)
     n_pairs = loop_pair_arrays(corpus.documents, cfg.window)[0].size
     assert n_pairs % batch_size
     assert (n_pairs > SAMPLE_CHUNK) == (docs > 1000)
@@ -895,15 +957,15 @@ def traced_peak(fn):
 
 def test_trainer_memory_per_pair(monkeypatch):
     # a 480-term node (int16 rows) with about 1 M pairs, two epochs: the
-    # per-pair memory is the (target, context) pair rows (4 B) and the 2
-    # negatives (4 B), both in int16, then one int32 permutation (4 B).
-    # int32 rows (16 + 4 B), an int64 permutation or the first epoch's
-    # permutation still alive when the second's is made (8 + 8 B), say
-    # through the last batch's slice of it, break the 13 B bound. The fixed
-    # allowance is the guide table and one batch's gathers and scatter
-    # weights, about 1.6 MiB at dim 8, batch 1024 and 4 096-row sampling
-    # chunks (at batch 8192 and full chunks it is about 7 MiB, more than
-    # the 4 B a second permutation adds at this size)
+    # per-pair memory is one int64 record (8 B: the pair's index over its
+    # target and context rows) and the 2 negatives in int16 (4 B). int32
+    # rows (8 + 4 + 8 B), a sorted copy of the records in place of the
+    # in-place sort (8 B), the pair rows kept beside the records (2-4 B) or
+    # records built through whole-array int64 temporaries break the 13 B
+    # bound. The fixed allowance is the guide table, one chunk's gathered
+    # rows and negatives, and one batch's gathers and scatter weights,
+    # about 1.6 MiB at dim 8, batch 1024 and 4 096-row chunks (at batch
+    # 8192 and full chunks it is about 6.5 MiB)
     monkeypatch.setattr(embedding, "SAMPLE_CHUNK", 1 << 12)
     monkeypatch.setattr(embedding, "NEGATIVES", 2)
     rng = np.random.default_rng(0)
