@@ -16,8 +16,7 @@ from .vmf import KAPPA_MAX, bessel_ratio
 # Negative sampling. GUIDE_BUCKETS is a power of two, so u * GUIDE_BUCKETS is
 # exact and bucket j = floor(u * GUIDE_BUCKETS) satisfies j / GUIDE_BUCKETS
 # <= u. SAMPLE_CHUNK pair rows are drawn per rng.random call, which bounds
-# the sampler's scratch memory; the draws equal one whole-epoch call. The
-# batches read their negatives in chunks of about as many pairs.
+# the sampler's scratch memory; the draws equal one whole-epoch call.
 GUIDE_BUCKETS = 1 << 16
 SAMPLE_CHUNK = 1 << 16
 # a pair's index takes the high 32 bits of its int64 record and must keep
@@ -41,9 +40,10 @@ class EmbeddingSpace:
     2n <= 32 767 and int32 above; the trainer's pair rows take its dtype.
     params stacks the n target rows over the n context rows; target and
     context are views of it. Sub-topic topic_order[k] has its center term
-    on row center_rows[k], its keywords on keyword_rows[k]; keyword_all
-    concatenates those rows and keyword_topic names each one's sub-topic.
-    The trainer steps the space in place.
+    on row center_rows[k], its keywords on keyword_rows[k]; the keyword
+    rows of two sub-topics are disjoint. keyword_all concatenates those
+    rows and keyword_topic names each one's sub-topic. The trainer steps
+    the space in place.
     """
 
     def __init__(self, term_ids, row_of, params, topic_order, topic_vecs,
@@ -62,10 +62,6 @@ class EmbeddingSpace:
         self.keyword_all = np.concatenate([np.zeros(0, dtype=np.int64),
                                            *self.keyword_rows])
         self.keyword_topic = np.repeat(np.arange(len(sizes)), sizes)
-        # a keyword row of two sub-topics: one topic's pull moves another's
-        # keyword after the screen has read it
-        self.keywords_shared = bool(
-            (np.bincount(self.keyword_all) > 1).any())
 
     @property
     def dim(self):
@@ -233,6 +229,9 @@ def train_node_embedding(docs, terms, keywords, cfg, batch_size: int,
     space = EmbeddingSpace(term_ids, row_of, params, topic_order,
                            params[center_rows], np.ones(len(topic_order)),
                            center_rows, keyword_rows)
+    # np.bincount, not np.unique, which imports numpy.ma
+    if (np.bincount(space.keyword_all) > 1).any():
+        raise ValueError("a keyword belongs to two sub-topics")
     _sgd_epochs(space, docs, corpus, cfg, batch_size, rng)
     return space
 
@@ -247,10 +246,10 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg, batch_size, rn
     records. Each epoch shuffles the records in place, which gives the
     order and generator state of rng.permutation(pairs), and a later epoch
     first sorts them back into pair order by their index. So a batch is a
-    contiguous slice of records. The negatives are drawn in pair order
-    into a (pairs, negatives) array in row_of's dtype and gathered by the
-    records' index once per chunk of about SAMPLE_CHUNK pairs of whole
-    batches, with the int32 context rows.
+    contiguous slice of records, which it unpacks into its own rows. The
+    negatives are drawn in pair order into a (pairs, negatives) array in
+    row_of's dtype; each batch gathers its own by the records' index, with
+    the int32 context rows.
     """
     tr, cr = _pair_rows(corpus, docs, cfg.window, space.row_of)
     n, n_pairs = space.term_ids.size, tr.size
@@ -282,7 +281,6 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg, batch_size, rn
     negs = np.empty((n_pairs, NEGATIVES), dtype=row_dtype)
 
     total_steps = cfg.epochs * math.ceil(n_pairs / batch_size)
-    span = max(SAMPLE_CHUNK // batch_size, 1) * batch_size
     step = 0
     for epoch in range(cfg.epochs):
         if epoch:
@@ -291,29 +289,24 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg, batch_size, rn
         for s in range(0, n_pairs, SAMPLE_CHUNK):
             out = negs[s:s + SAMPLE_CHUNK].reshape(-1)   # a view
             np.add(_draw_rows(cum, guide, rng.random(out.size)), n, out=out)
-        for s in range(0, n_pairs, span):
-            chunk = rec[s:s + span]
-            sel = chunk >> 32
-            nb = np.take(negs, sel, axis=0)
+        for s in range(0, n_pairs, batch_size):
+            batch = rec[s:s + batch_size]
+            sel = batch >> 32
             # astype keeps the low bits of each record
             if packed:
-                tb = (chunk >> 16).astype(row_dtype)
-                cb = chunk.astype(row_dtype)
+                tb = (batch >> 16).astype(row_dtype)
+                cb = batch.astype(row_dtype)
             else:
-                tb = chunk.astype(row_dtype)
+                tb = batch.astype(row_dtype)
                 cb = np.take(cr, sel)
-            del sel   # 8 B per pair of the chunk; the batches do not read it
-            for b in range(0, chunk.size, batch_size):
-                lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
-                sgd_batch(space, tb[b:b + batch_size], cb[b:b + batch_size],
-                          nb[b:b + batch_size], lr, MARGIN)
-                step += 1
+            lr = cfg.lr * max(1.0 - step / total_steps, 1e-4)
+            sgd_batch(space, tb, cb, np.take(negs, sel, axis=0), lr)
+            step += 1
         space.params[:] = _unit(space.params)
-        if space.num_topics:
-            space.topic_vecs[:] = _unit(space.topic_vecs)
+        space.topic_vecs[:] = _unit(space.topic_vecs)
 
 
-def sgd_batch(space: EmbeddingSpace, tb, cb, nb, lr, margin):
+def sgd_batch(space: EmbeddingSpace, tb, cb, nb, lr):
     """One projected SGD step on pairs (tb[p], cb[p]) with negatives nb[p].
 
     The indices are rows of space.params: cb and nb are context rows, i.e.
@@ -347,9 +340,9 @@ def sgd_batch(space: EmbeddingSpace, tb, cb, nb, lr, margin):
     vn = vecs[2 * n_p:].reshape(n_p, n_neg, dim)
     sn = np.einsum("pd,pnd->pn", t, vn)
     sp = np.einsum("pd,pd->p", t, vp)
-    # (sn - sp[:, None] + margin) > 0.0, without two temporaries
+    # (sn - sp[:, None] + MARGIN) > 0.0, without two temporaries
     sn -= sp[:, None]
-    sn += margin
+    sn += MARGIN
     hit = sn > 0.0
     # a float mask: einsum over a bool operand is several times slower
     act = hit.astype(np.float64)
@@ -372,10 +365,10 @@ def sgd_batch(space: EmbeddingSpace, tb, cb, nb, lr, margin):
     np.multiply(np.take(t, na // n_neg, axis=0).T, -lr, out=w[:, b:])
     touched = np.flatnonzero(np.bincount(idx, minlength=n_rows))
     _scatter_unit(params, touched, np.concatenate([tb[pa], cb[pa], nr[na]]), w)
-    _topic_step(space, lr, margin)
+    _topic_step(space, lr)
 
 
-def _topic_step(space: EmbeddingSpace, lr, margin):
+def _topic_step(space: EmbeddingSpace, lr):
     """Repulsion between sub-topic vectors and the gated keyword pull.
 
     Work that would add only zeros is skipped, which moves no bit: the
@@ -383,25 +376,23 @@ def _topic_step(space: EmbeddingSpace, lr, margin):
     the margin, the Bessel ratios are computed on the first open keyword
     gate, and kappa moves only when a gate was open. One einsum screens
     every keyword's cosine to its topic; only a topic with a keyword below
-    margin + SCREEN_TOL, or, when topics share keyword rows, any topic
-    after one whose pull moved rows, recomputes its cosines exactly.
+    MARGIN + SCREEN_TOL recomputes its cosines exactly. The keyword rows
+    are disjoint, so no topic's pull moves a row the screen read for
+    another topic.
     """
     s = space.topic_vecs
     k_cnt = s.shape[0]
-    if k_cnt == 0:
-        return
     target, kappa = space.target, space.topic_kappa
     g_s = np.zeros_like(s)
-    if k_cnt >= 2:
-        hot = s @ s.T > margin
-        hot.flat[::k_cnt + 1] = False   # no topic repels itself
-        if hot.any():
-            active = np.triu(hot)
-            g_s += (active | active.T) @ s
+    hot = s @ s.T > MARGIN
+    hot.flat[::k_cnt + 1] = False   # no topic repels itself
+    if hot.any():
+        active = np.triu(hot)
+        g_s += (active | active.T) @ s
     screen = np.einsum("kd,kd->k", np.take(target, space.keyword_all, axis=0),
                        np.take(s, space.keyword_topic, axis=0))
     check = np.zeros(k_cnt, dtype=bool)
-    check[space.keyword_topic[screen < margin + SCREEN_TOL]] = True
+    check[space.keyword_topic[screen < MARGIN + SCREEN_TOL]] = True
     ratios = None
     g_k = np.zeros(k_cnt)
     for k, rows in enumerate(space.keyword_rows):
@@ -409,11 +400,9 @@ def _topic_step(space: EmbeddingSpace, lr, margin):
             continue
         tk = target[rows]
         kw_sims = tk @ s[k]
-        gate = kw_sims < margin
+        gate = kw_sims < MARGIN
         if not gate.any():
             continue
-        if space.keywords_shared:
-            check[k + 1:] = True
         if ratios is None:
             ratios = bessel_ratio(kappa, space.dim)
         kap = kappa[k]

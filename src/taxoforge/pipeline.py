@@ -33,7 +33,13 @@ class PipelineConfig:
     seed: int = 0   # node n trains and clusters with seed + 7919 * n
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # bool is an int to Python, and a float count (NaN too) would fail
+        # deep inside numpy
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+        # the checks of the float fields are written so that NaN fails them
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.dim < 2:
