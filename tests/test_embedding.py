@@ -523,8 +523,12 @@ def test_trainer_rejects_bad_inputs():
     with pytest.raises(ValueError, match="center"):
         train_node_embedding([0], [0], {7: {0}}, PipelineConfig(dim=4),
                              BATCH_SIZE, corpus, {7: 1}, 0)
+
+
+def test_trainer_rejects_a_keyword_of_two_sub_topics():
     # the topic step screens every keyword gate before any pull moves a
     # row, which holds only while no row is two sub-topics' keyword
+    corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(ValueError, match="two sub-topics"):
         train_node_embedding([0], [0, 1], {7: {0, 1}, 8: {1}},
                              PipelineConfig(dim=4), BATCH_SIZE, corpus,
