@@ -22,9 +22,6 @@ SAMPLE_CHUNK = 1 << 16
 # a pair's index takes the high 32 bits of its int64 record and must keep
 # the record positive
 MAX_PAIRS = (1 << 31) - 1
-# the topic step's screen of the keyword gates: a cosine this far from the
-# margin has the same side in any summation order (rows of unit norm)
-SCREEN_TOL = 1e-9
 
 MARGIN = 0.3        # m: margin of the skip-gram and repulsion hinges and the keyword gate
 NEGATIVES = 2       # negative context samples per skip-gram pair
@@ -41,9 +38,8 @@ class EmbeddingSpace:
     params stacks the n target rows over the n context rows; target and
     context are views of it. Sub-topic topic_order[k] has its center term
     on row center_rows[k], its keywords on keyword_rows[k]; the keyword
-    rows of two sub-topics are disjoint. keyword_all concatenates those
-    rows and keyword_topic names each one's sub-topic. The trainer steps
-    the space in place.
+    rows of two sub-topics are disjoint. The trainer steps the space in
+    place.
     """
 
     def __init__(self, term_ids, row_of, params, topic_order, topic_vecs,
@@ -58,10 +54,6 @@ class EmbeddingSpace:
         self.topic_kappa = topic_kappa
         self.center_rows = np.asarray(center_rows, dtype=np.int64)
         self.keyword_rows = [np.asarray(rows, dtype=np.int64) for rows in keyword_rows]
-        sizes = [rows.size for rows in self.keyword_rows]
-        self.keyword_all = np.concatenate([np.zeros(0, dtype=np.int64),
-                                           *self.keyword_rows])
-        self.keyword_topic = np.repeat(np.arange(len(sizes)), sizes)
 
     @property
     def dim(self):
@@ -88,19 +80,19 @@ def _unit(x, axis=-1):
     return x / np.sqrt(np.add.reduce(x * x, axis, keepdims=True))
 
 
-def _scatter_unit(x, rows, idx, w):
-    """Add column len(x) + i of w to row idx[i] of x; rescale rows to unit norm.
+def _scatter_unit(x, touched, idx, w):
+    """Add column len(x) + i of w to row idx[i] of x; rescale the touched
+    rows to unit norm.
 
     w is (dim, x.shape[0] + len(idx)): the updates column-major after
-    x.shape[0] columns that this function fills with x's rows. rows must
-    hold every row idx names, ascending and without repeats; a row in rows
-    that no update names is rescaled as it is. When rows is every row of x,
-    the whole matrix is rescaled at once, with the same per-row reduction
-    and no gather or scatter of rows. Equal bit for bit to
+    x.shape[0] columns that this function fills with x's rows. touched is a
+    bool mask over x's rows that must mark every row idx names; a marked
+    row that no update names is rescaled as it is, and an unmarked row
+    keeps its bits. Equal bit for bit to
     ``np.add.at(x, idx, w[:, x.shape[0]:].T)`` followed by ``_unit`` on the
-    rows. np.bincount sums its weights in index order, so seeding every
-    row's bin with the row's current value and then feeding the updates in
-    order gives np.add.at's left-to-right sums; it costs
+    touched rows. np.bincount sums its weights in index order, so seeding
+    every row's bin with the row's current value and then feeding the
+    updates in order gives np.add.at's left-to-right sums; it costs
     O((len(x) + len(idx)) * dim) where np.add.at pays a per-element dispatch.
     """
     n_rows = x.shape[0]
@@ -110,10 +102,7 @@ def _scatter_unit(x, rows, idx, w):
     acc = np.empty(x.shape)
     for j in range(x.shape[1]):
         acc[:, j] = np.bincount(bins, weights=w[j], minlength=n_rows)
-    if rows.size == n_rows:
-        x[:] = _unit(acc)
-    else:
-        x[rows] = _unit(acc[rows])
+    np.copyto(x, _unit(acc), where=touched[:, None])
 
 
 def _negative_table(counts, dtype):
@@ -226,12 +215,11 @@ def train_node_embedding(docs, terms, keywords, cfg, batch_size: int,
                     for key in topic_order]
     if any((rows < 0).any() for rows in keyword_rows):
         raise ValueError("a sub-topic keyword is not a node term")
+    if sum(map(len, keywords.values())) > len(set().union(*keywords.values())):
+        raise ValueError("a keyword belongs to two sub-topics")
     space = EmbeddingSpace(term_ids, row_of, params, topic_order,
                            params[center_rows], np.ones(len(topic_order)),
                            center_rows, keyword_rows)
-    # np.bincount, not np.unique, which imports numpy.ma
-    if (np.bincount(space.keyword_all) > 1).any():
-        raise ValueError("a keyword belongs to two sub-topics")
     _sgd_epochs(space, docs, corpus, cfg, batch_size, rng)
     return space
 
@@ -363,7 +351,7 @@ def sgd_batch(space: EmbeddingSpace, tb, cb, nb, lr):
     np.multiply(np.take(t, pa, axis=0).T, lr * n_act_a, out=w[:, a:b])
     # an active term's factor is -lr * 1.0 == -lr
     np.multiply(np.take(t, na // n_neg, axis=0).T, -lr, out=w[:, b:])
-    touched = np.flatnonzero(np.bincount(idx, minlength=n_rows))
+    touched = np.bincount(idx, minlength=n_rows) > 0
     _scatter_unit(params, touched, np.concatenate([tb[pa], cb[pa], nr[na]]), w)
     _topic_step(space, lr)
 
@@ -373,12 +361,10 @@ def _topic_step(space: EmbeddingSpace, lr):
 
     Work that would add only zeros is skipped, which moves no bit: the
     repulsion matmul runs only when some pair of topics is closer than
-    the margin, the Bessel ratios are computed on the first open keyword
-    gate, and kappa moves only when a gate was open. One einsum screens
-    every keyword's cosine to its topic; only a topic with a keyword below
-    MARGIN + SCREEN_TOL recomputes its cosines exactly. The keyword rows
-    are disjoint, so no topic's pull moves a row the screen read for
-    another topic.
+    the margin, a topic with every keyword gate shut adds nothing, the
+    Bessel ratios are computed on the first open gate, and kappa moves
+    only when a gate was open. The keyword rows are disjoint, so no
+    topic's pull moves a row another topic reads.
     """
     s = space.topic_vecs
     k_cnt = s.shape[0]
@@ -389,15 +375,9 @@ def _topic_step(space: EmbeddingSpace, lr):
     if hot.any():
         active = np.triu(hot)
         g_s += (active | active.T) @ s
-    screen = np.einsum("kd,kd->k", np.take(target, space.keyword_all, axis=0),
-                       np.take(s, space.keyword_topic, axis=0))
-    check = np.zeros(k_cnt, dtype=bool)
-    check[space.keyword_topic[screen < MARGIN + SCREEN_TOL]] = True
     ratios = None
     g_k = np.zeros(k_cnt)
     for k, rows in enumerate(space.keyword_rows):
-        if not check[k]:
-            continue
         tk = target[rows]
         kw_sims = tk @ s[k]
         gate = kw_sims < MARGIN

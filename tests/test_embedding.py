@@ -203,12 +203,20 @@ NAN = float("nan")
                                          ("window", NAN), ("dim", NAN),
                                          ("epochs", NAN), ("min_docs", NAN),
                                          ("top_k", NAN), ("dim", 2.5),
-                                         ("child_batch_size", True)])
+                                         ("child_batch_size", True),
+                                         ("lr", True), ("beta1", True),
+                                         ("beta2", True), ("lr", "0.1")])
 def test_config_training_values_validated(field, value):
     # epochs=0 used to train nothing and return the random initialization;
-    # a NaN or float count would fail inside numpy
+    # a NaN or float count would fail inside numpy, a bool would pass as
+    # 1.0 and a string would fail a comparison with a TypeError
     with pytest.raises(ValueError, match=field):
         PipelineConfig(**{field: value})
+
+
+def test_config_float_fields_take_an_int():
+    cfg = PipelineConfig(lr=1, beta1=2, beta2=3)
+    assert (cfg.lr, cfg.beta1, cfg.beta2) == (1, 2, 3)
 
 
 # --- objective value ---
@@ -339,10 +347,12 @@ def test_gradient_zero_for_separated_topics():
 # --- SGD step ---
 
 
-def add_at_then_unit(x, idx, vals):
+def add_at_then_unit(x, idx, vals, touched=None):
+    """np.add.at, then _unit on the rows the bool mask touched marks (by
+    default the rows idx names)."""
     out = x.copy()
     np.add.at(out, idx, vals)
-    rows = np.unique(idx)
+    rows = np.unique(idx) if touched is None else np.flatnonzero(touched)
     out[rows] = _unit(out[rows])
     return out
 
@@ -355,6 +365,9 @@ def add_at_then_unit(x, idx, vals):
 ])
 def test_scatter_unit_bit_equal_to_add_at(n_rows, n_idx, n_distinct):
     rng = np.random.default_rng(n_rows + n_idx)
+    # the second mask also marks rows, off the sphere, that no update
+    # names: they must be rescaled as they are
+    extra = np.random.default_rng(n_rows)
     for dim in (1, 3, 8, 50):
         x = unit_rows(rng.standard_normal((n_rows, dim)))
         pool = rng.choice(n_rows, size=n_distinct, replace=False)
@@ -364,12 +377,17 @@ def test_scatter_unit_bit_equal_to_add_at(n_rows, n_idx, n_distinct):
         else:
             idx = rng.choice(pool, size=n_idx)
         vals = rng.standard_normal((n_idx, dim)) * 10.0 ** rng.uniform(-4, 0)
-        expected = add_at_then_unit(x, idx, vals)
-        got = x.copy()
-        w = np.empty((dim, n_rows + n_idx))
-        w[:, n_rows:] = vals.T
-        _scatter_unit(got, np.unique(idx), idx, w)
-        assert np.array_equal(got, expected)
+        named = np.bincount(idx, minlength=n_rows) > 0
+        unnamed = named.copy()
+        unnamed[extra.choice(n_rows, size=n_rows // 2, replace=False)] = True
+        for touched, rows in ((named, x),
+                              (unnamed, x * extra.uniform(0.5, 2.0, (n_rows, 1)))):
+            expected = add_at_then_unit(rows, idx, vals, touched)
+            got = rows.copy()
+            w = np.empty((dim, n_rows + n_idx))
+            w[:, n_rows:] = vals.T
+            _scatter_unit(got, touched, idx, w)
+            assert np.array_equal(got, expected)
 
 
 def counts_with_cum_below_one(zero_rows=()):
@@ -526,8 +544,9 @@ def test_trainer_rejects_bad_inputs():
 
 
 def test_trainer_rejects_a_keyword_of_two_sub_topics():
-    # the topic step screens every keyword gate before any pull moves a
-    # row, which holds only while no row is two sub-topics' keyword
+    # the topic step pulls each sub-topic's keyword rows in turn, which
+    # moves no row another sub-topic reads only while no row is two
+    # sub-topics' keyword
     corpus = corpus_from_lines(["a b\n"])
     with pytest.raises(ValueError, match="two sub-topics"):
         train_node_embedding([0], [0, 1], {7: {0, 1}, 8: {1}},
@@ -620,9 +639,8 @@ def hinge_batch(seed, kind, n_neg, every_row):
 
     For "none" and "all" the targets lie near +e0, positive contexts
     (even rows) near +e0 or -e0 and negatives (odd rows) opposite them.
-    With every_row the batch names every target and context row, so
-    _scatter_unit rescales the whole matrix; else rows 0 and n - 1 of
-    each are left out and must keep their bits.
+    With every_row the batch names every target and context row; else
+    rows 0 and n - 1 of each are left out and must keep their bits.
     """
     rng = np.random.default_rng(seed)
     n, dim, n_p = 10, 5, 60
@@ -756,7 +774,7 @@ def step_matches_reference(state, lr):
          "one-topic-shut"])
 def test_topic_step_bit_equal_to_reference(closed, far, edge, k_cnt):
     # edge: one keyword of topic 0 sits at cosine MARGIN to it, moved by
-    # that many ulps, inside the screen's band: the exact loop decides.
+    # that many ulps: its gate opens strictly below the margin.
     # With 0 or 1 topics the step runs its general code: no topic pair
     # to repel, and no keyword at all for 0
     for seed in range(20):
