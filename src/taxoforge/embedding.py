@@ -75,9 +75,10 @@ class EmbeddingSpace:
                 f.write(f"__topic__{corpus.vocab[int(self.term_ids[row])]} {vec}\n")
 
 
-def _unit(x, axis=-1):
-    # np.linalg.norm's arithmetic for real input, without its wrapper
-    return x / np.sqrt(np.add.reduce(x * x, axis, keepdims=True))
+def _unit(x):
+    # np.linalg.norm's arithmetic for real input over the last axis,
+    # without its wrapper
+    return x / np.sqrt(np.add.reduce(x * x, -1, keepdims=True))
 
 
 def _scatter_unit(x, touched, idx, w):
@@ -251,19 +252,15 @@ def _sgd_epochs(space: EmbeddingSpace, docs, corpus: Corpus, cfg, batch_size, rn
                                  row_dtype)
     packed = row_dtype == np.int16
     cr += n
-    rec = np.empty(n_pairs, dtype=np.int64)
-    # in chunks: a whole-array int64 temporary would add 8 B per pair
-    for s in range(0, n_pairs, SAMPLE_CHUNK):
-        e = min(s + SAMPLE_CHUNK, n_pairs)
-        r = np.arange(s, e, dtype=np.int64)
-        r <<= 32
-        if packed:
-            r |= tr[s:e].astype(np.int64) << 16
-            r |= cr[s:e]
-        else:
-            r |= tr[s:e]
-        rec[s:e] = r
-    del r, tr
+    # in place: a ufunc casts its narrower operand in buffered blocks, so
+    # no step makes a whole-array int64 temporary
+    rec = np.arange(n_pairs, dtype=np.int64)
+    rec <<= 16 if packed else 32
+    rec |= tr
+    if packed:
+        rec <<= 16
+        rec |= cr
+    del tr
     if packed:
         del cr
     negs = np.empty((n_pairs, NEGATIVES), dtype=row_dtype)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import Corpus, corpus_from_lines, read_lines
-from .pipeline import PipelineConfig, complete_taxonomy
+from .pipeline import PipelineConfig, check_field_types, complete_taxonomy
 from .taxonomy import parse_hierarchy, serialize
 from .vmf import sample_vmf
 
@@ -31,15 +31,7 @@ class PlantedCorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # a JSON spec can hold any type: bool is an int to Python, and a
-        # string or float count would fail deep inside numpy
-        for f in fields(self):
-            value = getattr(self, f.name)
-            real = f.type is float
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float) if real else int):
-                raise ValueError(f"{f.name} must be {'a number' if real else 'an int'}, "
-                                 f"got {value!r}")
+        check_field_types(self)   # a JSON spec can hold any type
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.level1_topics, self.level2_per_topic, self.terms_per_topic,

@@ -15,6 +15,23 @@ from .embedding import BATCH_SIZE, NEIGHBORS_M, retrieve_local_corpus, train_nod
 from .taxonomy import Taxonomy, insert_children, parse_hierarchy, serialize, subtree_keywords
 
 
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass obj whose
+    value is not of its type: an int field takes an int, a float field an
+    int or a float, and neither takes a bool.
+
+    bool is an int to Python, a float count (NaN too) would fail deep
+    inside numpy, and a string fails a comparison with a TypeError.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        real = f.type is float
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if real else int):
+            raise ValueError(f"{f.name} must be {'a number' if real else 'an int'}, "
+                             f"got {value!r}")
+
+
 @dataclass
 class PipelineConfig:
     """The run's settings; every field but seed is a config key."""
@@ -33,15 +50,7 @@ class PipelineConfig:
     seed: int = 0   # node n trains and clusters with seed + 7919 * n
 
     def __post_init__(self):
-        # bool is an int to Python, a float count (NaN too) would fail deep
-        # inside numpy, and a string fails a comparison with a TypeError
-        for f in fields(self):
-            value = getattr(self, f.name)
-            real = f.type is float
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float) if real else int):
-                raise ValueError(f"{f.name} must be {'a number' if real else 'an int'}, "
-                                 f"got {value!r}")
+        check_field_types(self)
         # the checks of the float fields are written so that NaN fails them
         if self.window < 1:
             raise ValueError("window must be >= 1")

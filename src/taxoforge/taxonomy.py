@@ -99,20 +99,16 @@ def parse_hierarchy(text: str, corpus: Corpus, path=None) -> Taxonomy:
 
 
 def subtree_keywords(tax: Taxonomy, node_id: int) -> dict:
-    """Per child of node_id: center terms of the whole sub-tree under it."""
-    node = tax.nodes[node_id]
-    out = {}
-    seen = {}
-    for child in node.children:
-        # only the root has no center term, and it is in no child's sub-tree
-        kws = {tax.nodes[nid].center_term for nid in tax.subtree_ids(child)}
-        for t in kws:
-            if t in seen:
-                raise ValueError(
-                    f"center term {t} appears under two sibling sub-trees")
-            seen[t] = child
-        out[child] = kws
-    return out
+    """Per child of node_id: center terms of the whole sub-tree under it.
+
+    The sets are disjoint for any tree parse_hierarchy builds and the
+    pipeline grows: no two input topics share a center term, and no novel
+    center is a term that names a node. The trainer rejects a keyword of
+    two sub-topics, so a hand-built tree that breaks this fails there.
+    """
+    # only the root has no center term, and it is in no child's sub-tree
+    return {child: {tax.nodes[nid].center_term for nid in tax.subtree_ids(child)}
+            for child in tax.nodes[node_id].children}
 
 
 def insert_children(tax: Taxonomy, parent: int, known, novel) -> None:
@@ -121,18 +117,15 @@ def insert_children(tax: Taxonomy, parent: int, known, novel) -> None:
     known: (child id, terms, docs, kappa) per existing child, updated in
     place. novel: (center term, terms, docs, kappa) per new child, appended
     to the parent's children in order. terms and docs are stored as given.
+    clustering.child_split gives every novel child a center term that no
+    node of the tree names, so no center repeats.
     """
     for child, terms, docs, kappa in known:
         node = tax.nodes[child]
         node.terms, node.docs, node.kappa = terms, docs, kappa
-    centers = {tax.nodes[c].center_term for c in tax.nodes[parent].children}
     for center, terms, docs, kappa in novel:
-        if center in centers:
-            raise ValueError(
-                f"novel center term {center} collides with an existing child")
         node = tax.add_node(center_term=center, parent=parent, is_novel=True)
         node.terms, node.docs, node.kappa = terms, docs, kappa
-        centers.add(center)
 
 
 def serialize(tax: Taxonomy, corpus: Corpus, top_k: int) -> str:

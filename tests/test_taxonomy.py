@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from taxoforge.corpus import corpus_from_lines
+from taxoforge.pipeline import PipelineConfig, complete_taxonomy
 from taxoforge.taxonomy import (
     Taxonomy,
     insert_children,
@@ -153,15 +154,18 @@ def test_chain_keywords_depth_first(corpus):
     assert kws == {a_id: {corpus.index[n] for n in "abc"}}
 
 
-def test_duplicate_keyword_across_siblings_error(corpus):
+def test_duplicate_keyword_across_siblings_rejected_by_trainer(corpus):
+    # no parsed tree shares a center term between sibling sub-trees; a
+    # hand-built one that does fails in the root's trainer
     tax = Taxonomy()
     root = tax.add_node(center_term=None)
     a = tax.add_node(corpus.index["a"], parent=root.id)
     b = tax.add_node(corpus.index["b"], parent=root.id)
     tax.add_node(corpus.index["c"], parent=a.id)
     tax.add_node(corpus.index["c"], parent=b.id)
-    with pytest.raises(ValueError, match="appears under two sibling sub-trees"):
-        subtree_keywords(tax, root.id)
+    cfg = PipelineConfig(dim=4, epochs=1, min_terms=1, min_docs=1)
+    with pytest.raises(ValueError, match="a keyword belongs to two sub-topics"):
+        complete_taxonomy(corpus, tax, cfg)
 
 
 # --- insert_children ---
@@ -190,17 +194,6 @@ def test_insert_novel_child(corpus):
     node = tax.nodes[tax.nodes[sports].children[1]]
     assert node.is_novel and node.children == []
     assert corpus.vocab[node.center_term] == "hockey"
-
-
-def test_novel_center_collision_error(corpus):
-    tax = parse_hierarchy("sports\n\tsoccer", corpus)
-    sports = tax.nodes[tax.root].children[0]
-    hockey = corpus.index["hockey"]
-    insert_children(tax, sports, [], [(hockey, [1], [], None)])
-    with pytest.raises(ValueError, match="collides with an existing child"):
-        insert_children(tax, sports, [], [(hockey, [2], [], None)])
-    with pytest.raises(ValueError, match="collides with an existing child"):
-        insert_children(tax, sports, [], [(corpus.index["soccer"], [2], [], None)])
 
 
 def test_tree_invariant_after_inserts(corpus):
