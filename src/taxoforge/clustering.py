@@ -64,8 +64,6 @@ class SubtopicClustering:
 
 def novelty_scores(space: EmbeddingSpace, temperature: float) -> np.ndarray:
     """1 - max softmax over known sub-topics of cos(t, s)/T, per row."""
-    if space.num_topics == 0:
-        raise ValueError("node has no known sub-topics")
     sims = space.target @ space.topic_vecs.T / temperature
     sims -= sims.max(axis=1, keepdims=True)
     soft = np.exp(sims)
@@ -74,9 +72,10 @@ def novelty_scores(space: EmbeddingSpace, temperature: float) -> np.ndarray:
 
 
 def novelty_threshold(k_c: int, beta: float) -> float:
-    """(1 - 1/K)^beta; larger beta lowers the threshold."""
-    if beta < 1.0:
-        raise ValueError("beta must be >= 1")
+    """(1 - 1/K)^beta; larger beta lowers the threshold.
+
+    beta >= 1 is PipelineConfig's check of beta1 and beta2.
+    """
     if k_c < 2:
         raise ValueError("known/novel split needs at least 2 known sub-topics")
     return (1.0 - 1.0 / k_c) ** beta
@@ -98,12 +97,10 @@ def assign_known_terms(space: EmbeddingSpace, rows) -> np.ndarray:
 def spherical_kmeans(vectors, k: int, seed: int):
     """Spherical k-means maximizing sum of cosines to unit mean directions.
 
-    Restart r starts from the generator seeded with seed + r.
+    Restart r starts from the generator seeded with seed + r. Needs at
+    least k vectors (select_novel_k caps K* at its novel row count).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    n = vectors.shape[0]
-    if n < k:
-        raise ValueError(f"{n} vectors cannot form {k} clusters")
     best = None
     for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng(seed + r)
@@ -149,14 +146,11 @@ def _kmeans_once(vectors, k, rng):
 def assign_documents(view: TermStats, z_term, n_slots: int) -> np.ndarray:
     """Eq-style tf-idf vote: the argmax slot of each document of the view.
 
-    z_term holds the slot of each term position of the view, n_slots for a
-    term with no slot. Returns one slot per view.doc_ids entry, n_slots for
-    a document with no positive vote (unassigned).
+    z_term holds the slot of each term position of the view, in [0, n_slots],
+    n_slots for a term with no slot. Returns one slot per view.doc_ids entry,
+    n_slots for a document with no positive vote (unassigned).
     """
     z_term = np.asarray(z_term)
-    if z_term.size and not 0 <= z_term.min() <= z_term.max() <= n_slots:
-        # a slot out of range would land in another document's cells
-        raise ValueError(f"term slots must lie in [0, {n_slots}]")
     doc_slot = np.full(view.doc_ids.size, n_slots, dtype=np.int64)
     if n_slots == 0:
         return doc_slot

@@ -220,21 +220,15 @@ class TermStats:
 
 def compute_term_stats(corpus: Corpus, doc_subset, term_arr) -> TermStats:
     """Term statistics of the documents doc_subset over the node terms
-    term_arr, both strictly ascending ids.
+    term_arr, both strictly ascending ids of the corpus, doc_subset not
+    empty. It sorts and checks nothing: the pipeline passes a node's
+    documents (at least min_docs of them) and its space's sorted term ids.
 
     idf(t) = log(|subset| / df(t)) with df over the subset only. The
     counts are the subset's rows of the corpus's root count matrix.
     """
     doc_ids = np.asarray(doc_subset, dtype=np.int64)
     term_arr = np.asarray(term_arr, dtype=np.int64)
-    if doc_ids.size == 0:
-        raise ValueError("document subset is empty")
-    for ids, bound, what in ((doc_ids, corpus.num_docs, "document"),
-                             (term_arr, corpus.num_terms, "node term")):
-        if np.any(ids[1:] <= ids[:-1]):
-            raise ValueError(f"{what} ids are not strictly ascending")
-        if ids.size and (ids[0] < 0 or ids[-1] >= bound):
-            raise ValueError(f"{what} ids {ids[0]}..{ids[-1]} reach outside [0, {bound})")
     indptr, cols, count = corpus.counts()
     gather, row_nnz = _gather_ranges(indptr, doc_ids)
     pos_of = np.full(corpus.num_terms, -1, dtype=np.int64)

@@ -191,8 +191,6 @@ def train_node_embedding(docs, terms, keywords, cfg, batch_size: int,
     sub-topic key -> center term, used to initialize sub-topic vectors;
     seed: seeds the initialization, pairs and negatives.
     """
-    if len(docs) == 0:
-        raise ValueError("cannot train on an empty document set")
     term_ids = np.asarray(sorted(int(t) for t in terms))
     n = term_ids.size
     rng = np.random.default_rng(seed)

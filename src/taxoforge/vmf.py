@@ -13,9 +13,10 @@ def bessel_ratio(kappa, dim: int):
     Accepts scalars or arrays; every entry shares the depth set by the
     largest kappa.
 
-    The recurrence runs on Python floats, one kappa at a time: the trainer
-    calls this once per SGD batch with a handful of kappas, where a numpy
-    pass per level costs far more than the arithmetic. It is kept instead of
+    The recurrence runs on Python floats, one kappa at a time: the trainer's
+    topic step calls this with a handful of kappas, lazily at the first open
+    keyword gate of a step (most steps open none), where a numpy pass per
+    level costs far more than the arithmetic. It is kept instead of
     the closed form ive(nu + 1, kappa) / ive(nu, kappa), which differs in the
     last bits and gives NaN at small kappa in high dimension (ive underflows);
     the trainer's kappa trajectories, and so its outputs, follow these bits.
@@ -36,10 +37,9 @@ def bessel_ratio(kappa, dim: int):
 
 def estimate_vmf(vectors: np.ndarray) -> float:
     """Moment estimate of kappa, rbar(d - rbar^2)/(1 - rbar^2) for mean-row length
-    rbar and row length d, clipped to KAPPA_MAX; a zero resultant gives 0."""
+    rbar and row length d, clipped to KAPPA_MAX; a zero resultant gives 0.
+    Needs at least one row."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] < 1:
-        raise ValueError("need at least one vector")
     dim = vectors.shape[1]
     rbar = float(np.linalg.norm(vectors.mean(axis=0)))
     if rbar < 1e-12:
@@ -50,12 +50,12 @@ def estimate_vmf(vectors: np.ndarray) -> float:
 
 
 def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n samples from vMF(mu, kappa) by Wood's rejection scheme."""
+    """Draw n samples from vMF(mu, kappa) by Wood's rejection scheme.
+
+    At kappa = 0 the scheme accepts every draw and gives uniform directions.
+    """
     mu = np.asarray(mu, dtype=np.float64)
     dim = mu.shape[0]
-    if kappa == 0.0:
-        x = rng.standard_normal((n, dim))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
     out = np.empty((n, dim))
     for i in range(n):
         w = _sample_radial(kappa, dim, rng)

@@ -532,9 +532,6 @@ def trained():
 
 def test_trainer_rejects_bad_inputs():
     corpus = corpus_from_lines(["a b\n"])
-    with pytest.raises(ValueError):
-        train_node_embedding([], [0, 1], {}, PipelineConfig(dim=4), BATCH_SIZE,
-                             corpus, {}, 0)
     with pytest.raises(ValueError, match="keyword"):
         train_node_embedding([0], [0], {7: {1}}, PipelineConfig(dim=4),
                              BATCH_SIZE, corpus, {7: 0}, 0)
